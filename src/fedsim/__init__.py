@@ -18,9 +18,9 @@ from .digital_link import (
     fl_digital_decode, fl_digital_encode, uplink_budget,
 )
 from .analog_link import (
-    ProjectionMatrix, RepetitionCode, cs_decode, fd_analog_downlink,
-    fd_analog_uplink, fl_analog_downlink, fl_analog_uplink, pack_complex,
-    precompensate, repetition_decode, repetition_encode, unpack_complex,
+    ProjectionMatrix, cs_decode, fd_analog_downlink, fd_analog_uplink,
+    fl_analog_downlink, fl_analog_uplink, pack_complex, precompensate,
+    repetition_decode, repetition_encode, unpack_complex,
 )
 from .errors import ConfigurationError, DecodeError
 from .learning import (

@@ -41,20 +41,6 @@ class ProjectionMatrix:
         return rng.standard_normal((self.rows, self.cols)) / math.sqrt(self.rows)
 
 
-@dataclass(frozen=True)
-class RepetitionCode:
-    """Integer bandwidth expansion: repeat a block rho times, decode by mean."""
-
-    rho: int
-    block: int
-
-    def __post_init__(self):
-        if self.rho < 1:
-            raise ConfigurationError(
-                "redundancy must be at least 1; the payload does not fit the "
-                "channel (reduce the block or raise the channel uses)")
-
-
 def pack_complex(v: np.ndarray) -> np.ndarray:
     """Fold an even-length real vector into complex samples, two per use."""
     v = np.asarray(v, dtype=np.float64)
@@ -80,6 +66,11 @@ def full_power_gain(x: np.ndarray, power: float, channel_uses: int) -> float:
     return math.sqrt(power * channel_uses) / norm
 
 
+def _derotation(gain: complex) -> complex:
+    """The unit phasor that undoes a known channel phase (1 for a null gain)."""
+    return 1.0 if gain == 0 else np.conj(gain) / abs(gain)
+
+
 def precompensate(x: np.ndarray, gain: complex, power: float,
                   channel_uses: int, direction: str = UPLINK) -> AnalogFrame:
     """Scale to full power and pre-rotate away the channel phase.
@@ -95,8 +86,7 @@ def precompensate(x: np.ndarray, gain: complex, power: float,
     samples = np.zeros(channel_uses, dtype=np.complex128)
     scale = full_power_gain(x, power, channel_uses)
     if scale > 0.0:
-        phase = 1.0 if gain == 0 else np.conj(gain) / abs(gain)
-        samples[:x.size] = scale * phase * x
+        samples[:x.size] = scale * _derotation(gain) * x
     return AnalogFrame(samples=samples, direction=direction,
                        power_budget=power)
 
@@ -109,26 +99,19 @@ def mmse_factor_uplink(gammas: np.ndarray, habs: np.ndarray) -> float:
     return float(amps.sum() / (0.5 + np.sum(amps ** 2)))
 
 
-def mmse_scale_uplink(y: np.ndarray, gammas: np.ndarray,
-                      habs: np.ndarray) -> np.ndarray:
-    return mmse_factor_uplink(gammas, habs) * np.asarray(y)
-
-
 def mmse_factor_downlink(gamma: float, gabs: float) -> float:
     """Scalar MMSE factor at one device for the broadcast signal."""
     amp = gamma * gabs
     return amp / (0.5 + amp ** 2)
 
 
-def mmse_scale_downlink(y: np.ndarray, gamma: float, gabs: float) -> np.ndarray:
-    return mmse_factor_downlink(gamma, gabs) * np.asarray(y)
-
-
 def repetition_encode(s: np.ndarray, rho: int) -> np.ndarray:
     """Stack the block rho times."""
-    s = np.asarray(s, dtype=np.float64)
-    RepetitionCode(rho=rho, block=s.size)
-    return np.tile(s, rho)
+    if rho < 1:
+        raise ConfigurationError(
+            "redundancy must be at least 1; the payload does not fit the "
+            "channel (reduce the block or raise the channel uses)")
+    return np.tile(np.asarray(s, dtype=np.float64), rho)
 
 
 def repetition_decode(v: np.ndarray, rho: int) -> np.ndarray:
@@ -186,37 +169,84 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray, q: int,
     return best_x
 
 
+def _check_projection(projection: ProjectionMatrix, dim: int,
+                      channel_uses: int) -> None:
+    if projection.cols != dim or projection.rows != 2 * channel_uses:
+        raise ConfigurationError("projection shape does not match link")
+
+
+def _uplink(payloads, state: ChannelState, power: float, channel_uses: int,
+            noise_rng) -> np.ndarray:
+    """Superpose the devices' real payloads over the MAC.
+
+    Every device packs its payload two reals per channel use and transmits
+    at full power, pre-rotated against its own channel phase. Returns the
+    MMSE-scaled sum, unpacked and cut to the payload length.
+    """
+    xs = [pack_complex(p) for p in payloads]
+    gammas = [full_power_gain(x, power, channel_uses) for x in xs]
+    frames = [precompensate(x, gain, power, channel_uses, UPLINK)
+              for x, gain in zip(xs, state.uplink_gains)]
+    received = uplink_mac(frames, state, noise_rng)[:xs[0].size]
+    factor = mmse_factor_uplink(gammas, np.abs(state.uplink_gains))
+    return unpack_complex(factor * received)
+
+
+def _downlink(payload: np.ndarray, state: ChannelState, power: float,
+              channel_uses: int, noise_rng) -> list[np.ndarray]:
+    """Broadcast one real payload; returns each device's MMSE-scaled copy.
+
+    Devices know their own downlink channel, so each one undoes its phase
+    before scaling by its own MMSE factor.
+    """
+    x = pack_complex(payload)
+    gamma = full_power_gain(x, power, channel_uses)
+    frame = precompensate(x, 1.0 + 0j, power, channel_uses, DOWNLINK)
+    return [unpack_complex(mmse_factor_downlink(gamma, abs(gain))
+                           * (y[:x.size] * _derotation(gain)))
+            for gain, y in zip(state.downlink_gains,
+                               downlink_bc(frame, state, noise_rng))]
+
+
+def _repeat_table(table: np.ndarray, channel_uses: int):
+    """Repetition-code a logit table into the 2T reals of the link.
+
+    Returns (rho, payload) with rho = floor(2T / table size); a trailing
+    zero pads the payload to the even length that packing needs.
+    """
+    rho = (2 * channel_uses) // table.size
+    encoded = repetition_encode(table.ravel(), rho)
+    if encoded.size % 2:
+        encoded = np.append(encoded, 0.0)
+    return rho, encoded
+
+
+def _mean_table(reals: np.ndarray, rho: int, shape) -> np.ndarray:
+    """Inverse of _repeat_table: drop the padding, average the copies."""
+    return repetition_decode(reals[:rho * math.prod(shape)], rho).reshape(shape)
+
+
 def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
                      state: ChannelState, power: float, channel_uses: int,
                      noise_rng, kappa: float = 1.5, max_iter: int = 50):
     """One over-the-air round for weight updates: returns (sum estimate, accs).
 
-    Each device sparsifies its pending vector (update plus residual),
-    projects, packs, and transmits at full power with phase rotation; the
-    receiver applies the MMSE factor and message-passing recovery of the
-    superposed sum. Residuals are advanced by exactly what was put on the
-    air (the sparsified vector), not by what the receiver recovered.
+    Each device sparsifies its pending vector (update plus residual) and
+    projects it; the receiver recovers the superposed sum by message
+    passing. Residuals are advanced by exactly what was put on the air (the
+    sparsified vector), not by what the receiver recovered.
     """
     updates = [np.asarray(u, dtype=np.float64) for u in updates]
     dim = updates[0].size
-    if projection.cols != dim or projection.rows != 2 * channel_uses:
-        raise ConfigurationError("projection shape does not match link")
-    frames = []
-    gammas = np.zeros(len(updates))
-    new_accs = []
-    for k, (update, acc) in enumerate(zip(updates, accs)):
-        sparse = top_k_sparsify(update + acc.residual, q)
-        new_accs.append(accumulate_error(acc, update, sparse))
-        x = pack_complex(projection.matrix @ sparse)
-        gammas[k] = full_power_gain(x, power, channel_uses)
-        frames.append(precompensate(x, state.uplink_gains[k], power,
-                                    channel_uses, UPLINK))
-    received = uplink_mac(frames, state, noise_rng)
-    scaled = mmse_scale_uplink(received, gammas,
-                               np.abs(state.uplink_gains))
-    estimate = cs_decode(projection, unpack_complex(scaled),
-                         min(dim, q * len(updates)), kappa=kappa,
-                         max_iter=max_iter)
+    _check_projection(projection, dim, channel_uses)
+    sparse = [top_k_sparsify(u + acc.residual, q)
+              for u, acc in zip(updates, accs)]
+    new_accs = [accumulate_error(acc, u, s)
+                for u, acc, s in zip(updates, accs, sparse)]
+    received = _uplink([projection.matrix @ s for s in sparse], state, power,
+                       channel_uses, noise_rng)
+    estimate = cs_decode(projection, received, min(dim, q * len(updates)),
+                         kappa=kappa, max_iter=max_iter)
     return estimate, new_accs
 
 
@@ -224,33 +254,11 @@ def fd_analog_uplink(tables, state: ChannelState, power: float,
                      channel_uses: int, noise_rng) -> np.ndarray:
     """One over-the-air round for logit tables: returns the table-sum estimate."""
     tables = [np.asarray(t, dtype=np.float64) for t in tables]
-    num_labels = tables[0].shape[0]
-    block = num_labels * num_labels
-    rho = (2 * channel_uses) // block
-    code = RepetitionCode(rho=rho, block=block)
-    frames = []
-    gammas = np.zeros(len(tables))
-    payload_len = None
-    for k, table in enumerate(tables):
-        encoded = repetition_encode(table.ravel(), code.rho)
-        if encoded.size % 2:
-            encoded = np.append(encoded, 0.0)
-        x = pack_complex(encoded)
-        payload_len = x.size
-        gammas[k] = full_power_gain(x, power, channel_uses)
-        frames.append(precompensate(x, state.uplink_gains[k], power,
-                                    channel_uses, UPLINK))
-    received = uplink_mac(frames, state, noise_rng)
-    scaled = mmse_scale_uplink(received, gammas, np.abs(state.uplink_gains))
-    reals = unpack_complex(scaled[:payload_len])[:code.rho * block]
-    return repetition_decode(reals, code.rho).reshape(num_labels, num_labels)
-
-
-def _receive_rotate(y: np.ndarray, gain: complex) -> np.ndarray:
-    # Devices know their own downlink channel; undo its phase before scaling.
-    if gain == 0:
-        return np.asarray(y)
-    return np.asarray(y) * (np.conj(gain) / abs(gain))
+    coded = [_repeat_table(t, channel_uses) for t in tables]
+    rho = coded[0][0]
+    received = _uplink([payload for _, payload in coded], state, power,
+                       channel_uses, noise_rng)
+    return _mean_table(received, rho, tables[0].shape)
 
 
 def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
@@ -259,43 +267,19 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
                        kappa: float = 1.5, max_iter: int = 50):
     """Broadcast a weight vector analogically; returns (per-device estimates, acc)."""
     update = np.asarray(update, dtype=np.float64)
-    if projection.cols != update.size or projection.rows != 2 * channel_uses:
-        raise ConfigurationError("projection shape does not match link")
+    _check_projection(projection, update.size, channel_uses)
     sparse = top_k_sparsify(update + acc.residual, q)
     new_acc = accumulate_error(acc, update, sparse)
-    x = pack_complex(projection.matrix @ sparse)
-    gamma = full_power_gain(x, power, channel_uses)
-    frame = precompensate(x, 1.0 + 0j, power, channel_uses, DOWNLINK)
-    receptions = downlink_bc(frame, state, noise_rng)
-    estimates = []
-    for gain, y in zip(state.downlink_gains, receptions):
-        scaled = mmse_scale_downlink(_receive_rotate(y, gain), gamma, abs(gain))
-        estimates.append(cs_decode(projection, unpack_complex(scaled),
-                                   min(update.size, q), kappa=kappa,
-                                   max_iter=max_iter))
-    return estimates, new_acc
+    receptions = _downlink(projection.matrix @ sparse, state, power,
+                           channel_uses, noise_rng)
+    return [cs_decode(projection, y, min(update.size, q), kappa=kappa,
+                      max_iter=max_iter) for y in receptions], new_acc
 
 
 def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,
                        channel_uses: int, noise_rng) -> list[np.ndarray]:
     """Broadcast a logit table analogically; returns per-device table estimates."""
     table = np.asarray(table, dtype=np.float64)
-    num_labels = table.shape[0]
-    block = num_labels * num_labels
-    rho = (2 * channel_uses) // block
-    code = RepetitionCode(rho=rho, block=block)
-    encoded = repetition_encode(table.ravel(), code.rho)
-    if encoded.size % 2:
-        encoded = np.append(encoded, 0.0)
-    x = pack_complex(encoded)
-    gamma = full_power_gain(x, power, channel_uses)
-    frame = precompensate(x, 1.0 + 0j, power, channel_uses, DOWNLINK)
-    receptions = downlink_bc(frame, state, noise_rng)
-    estimates = []
-    for gain, y in zip(state.downlink_gains, receptions):
-        scaled = mmse_scale_downlink(_receive_rotate(y[:x.size], gain),
-                                     gamma, abs(gain))
-        reals = unpack_complex(scaled)[:code.rho * block]
-        estimates.append(repetition_decode(reals, code.rho)
-                         .reshape(num_labels, num_labels))
-    return estimates
+    rho, payload = _repeat_table(table, channel_uses)
+    return [_mean_table(y, rho, table.shape)
+            for y in _downlink(payload, state, power, channel_uses, noise_rng)]

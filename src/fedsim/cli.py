@@ -1,15 +1,10 @@
-"""Command-line front end: run one experiment, replay a sweep grid, or run
-the built-in self-test battery."""
+"""Command-line front end: run one experiment or replay a sweep grid."""
 
 import argparse
 import itertools
-import math
 import os
 import sys
 
-import numpy as np
-
-from . import audit
 from .orchestrator import (
     ExperimentConfig, config_from_file, parse_config_value, run_experiment,
     with_overrides, write_metrics,
@@ -112,118 +107,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    from .analog_link import (
-        ProjectionMatrix, cs_decode, mmse_factor_uplink, pack_complex,
-        repetition_decode, repetition_encode, unpack_complex,
-    )
-    from .channel import ChannelState, sample_channel, uplink_mac
-    from .compression import (
-        ErrorAccumulator, accumulate_error, log2_binomial,
-        sparse_binary_compress, top_k_sparsify,
-    )
-    from .learning import (
-        MlpArchitecture, init_weights, loss_and_gradient, softmax,
-    )
-
-    rng = np.random.default_rng(0)
-
-    def check_channel_stats():
-        state = sample_channel(np.random.default_rng(1), 50_000)
-        return abs(np.mean(np.abs(state.uplink_gains) ** 2) - 1.0) < 0.03
-
-    def check_sparse_compress():
-        out = sparse_binary_compress(np.array([3.0, -1.0, 2.0, -4.0]), 1)
-        return np.array_equal(out, [0.0, 0.0, 0.0, -4.0])
-
-    def check_pack_roundtrip():
-        v = rng.standard_normal(32)
-        return np.array_equal(unpack_complex(pack_complex(v)), v)
-
-    def check_error_feedback():
-        acc = ErrorAccumulator.zeros(32)
-        total_u = np.zeros(32)
-        total_s = np.zeros(32)
-        for _ in range(50):
-            u = rng.standard_normal(32)
-            s = top_k_sparsify(u + acc.residual, 4)
-            acc = accumulate_error(acc, u, s)
-            total_u += u
-            total_s += s
-        return np.allclose(total_s + acc.residual, total_u, rtol=1e-8)
-
-    def check_mmse_factor():
-        return abs(mmse_factor_uplink(np.array([1.0]), np.array([1.0]))
-                   - 2.0 / 3.0) < 1e-12
-
-    def check_repetition():
-        s = rng.standard_normal(9)
-        return np.allclose(repetition_decode(repetition_encode(s, 4), 4), s)
-
-    def check_cs_recovery():
-        proj = ProjectionMatrix(rows=120, cols=400, seed=7)
-        truth = np.zeros(400)
-        truth[rng.choice(400, 10, replace=False)] = rng.standard_normal(10)
-        est = cs_decode(proj, proj.matrix @ truth, 10)
-        return np.sum((est - truth) ** 2) / np.sum(truth ** 2) < 1e-3
-
-    def check_gradient():
-        arch = MlpArchitecture((3, 4, 2))
-        w = init_weights(arch, rng)
-        x = rng.uniform(0, 1, (5, 3))
-        y = rng.integers(0, 2, 5)
-        _, grad = loss_and_gradient(w, x, y, arch)
-        h = 1e-6
-        fd = np.zeros_like(w)
-        for i in range(w.size):
-            e = np.zeros_like(w)
-            e[i] = h
-            fd[i] = (loss_and_gradient(w + e, x, y, arch)[0]
-                     - loss_and_gradient(w - e, x, y, arch)[0]) / (2 * h)
-        return np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
-
-    def check_softmax():
-        return np.allclose(softmax(np.array([0.0, math.log(3.0)])),
-                           [0.25, 0.75])
-
-    def check_budget_assertions():
-        audit.reset()
-        config = ExperimentConfig(protocol="fl", channel_uses=50,
-                                  num_devices=2, global_iterations=2,
-                                  samples_per_device=8, test_samples=20,
-                                  data="synthetic:classes=2,dim=4",
-                                  model="linear", master_seed=7)
-        run_experiment(config)
-        return audit.budget_checks > 0 and audit.violations == 0
-
-    return [
-        ("rayleigh gain statistics", check_channel_stats),
-        ("sign-mean sparse compression", check_sparse_compress),
-        ("complex packing roundtrip", check_pack_roundtrip),
-        ("error feedback telescoping", check_error_feedback),
-        ("uplink MMSE factor", check_mmse_factor),
-        ("repetition code roundtrip", check_repetition),
-        ("sparse recovery", check_cs_recovery),
-        ("analytic gradient vs finite differences", check_gradient),
-        ("softmax closed form", check_softmax),
-        ("bit-budget assertions live", check_budget_assertions),
-    ]
-
-
-def cmd_selftest(_args) -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            ok = check()
-        except Exception as exc:  # a crash is a failure, keep going
-            ok = False
-            name = f"{name} ({exc})"
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += not ok
-    print(f"{'all checks passed' if not failures else f'{failures} failed'}")
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim",
@@ -254,9 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "crossed")
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.set_defaults(func=cmd_sweep)
-
-    selftest = sub.add_parser("selftest", help="run the property battery")
-    selftest.set_defaults(func=cmd_selftest)
     return parser
 
 

@@ -255,11 +255,6 @@ class LogitTable:
     values: np.ndarray
     present: np.ndarray
 
-    @classmethod
-    def zeros(cls, num_labels: int) -> "LogitTable":
-        return cls(values=np.zeros((num_labels, num_labels)),
-                   present=np.zeros(num_labels, dtype=bool))
-
 
 @dataclass(frozen=True)
 class CovariateTable:
@@ -267,11 +262,6 @@ class CovariateTable:
 
     values: np.ndarray
     present: np.ndarray
-
-    @classmethod
-    def zeros(cls, num_labels: int, dim: int) -> "CovariateTable":
-        return cls(values=np.zeros((num_labels, dim)),
-                   present=np.zeros(num_labels, dtype=bool))
 
 
 def average_logits(w: np.ndarray, data: LabeledDataset, sample_size: int,

@@ -10,6 +10,7 @@ average. Everything is deterministic given the master seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -35,6 +36,10 @@ from .learning import (
 
 PROTOCOLS = ("il", "fl", "fd", "hfd")
 LINK_MODES = ("digital", "analog")
+_POSITIVE_INT = ("num_devices", "channel_uses", "global_iterations",
+                 "quantizer_bits", "local_epochs", "batch_size",
+                 "samples_per_device", "hfd_distill_steps", "test_samples")
+_OPTIONAL_INT = ("fl_analog_q", "logit_sample_size")
 
 CSV_HEADER = ("iteration,protocol,uplink,downlink,T,pu_db,pd_db,seed,scope,"
               "accuracy,bits_up,bits_down")
@@ -70,20 +75,25 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-        if self.uplink_mode not in LINK_MODES \
-                or self.downlink_mode not in LINK_MODES:
-            raise ConfigurationError("link modes must be digital or analog")
-        for name in ("num_devices", "channel_uses", "global_iterations",
-                     "quantizer_bits", "local_epochs", "batch_size",
-                     "samples_per_device", "hfd_distill_steps",
-                     "test_samples"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
-        if not (math.isfinite(self.pu_db) and math.isfinite(self.pd_db)):
-            raise ConfigurationError("SNRs must be finite dB values")
-        if self.alpha <= 0:
-            raise ConfigurationError("step size must be positive")
+            raise ConfigurationError(f"protocol: unknown value {self.protocol!r}")
+        for name in ("uplink_mode", "downlink_mode"):
+            if getattr(self, name) not in LINK_MODES:
+                raise ConfigurationError(f"{name} must be digital or analog")
+        for name in _POSITIVE_INT + _OPTIONAL_INT + ("master_seed",):
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_INT:
+                continue
+            least = 0 if name == "master_seed" else 1
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral) \
+                    or value < least:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("pu_db", "pd_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a finite dB value")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigurationError("alpha must be a positive finite step size")
         if not 0.0 <= self.reg_weight <= 1.0:
             raise ConfigurationError("reg_weight must lie in [0, 1]")
 
@@ -141,19 +151,27 @@ def write_metrics(records, path) -> None:
 def read_metrics(path) -> list[MetricsRecord]:
     """Parse a CSV produced by write_metrics back into records."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        rows = [(number, line.rstrip("\n"))
+                for number, line in enumerate(f, start=1) if line.strip()]
+    if not rows or rows[0][1] != CSV_HEADER:
         raise ValueError(f"{path}: unexpected metrics header")
+    width = CSV_HEADER.count(",") + 1
     records = []
-    for line in lines[1:]:
+    for number, line in rows[1:]:
         parts = line.split(",")
-        records.append(MetricsRecord(
-            iteration=int(parts[0]), protocol=parts[1], uplink_mode=parts[2],
-            downlink_mode=parts[3], channel_uses=int(parts[4]),
-            pu_db=float(parts[5]), pd_db=float(parts[6]), seed=int(parts[7]),
-            device_scope=parts[8], test_accuracy=float(parts[9]),
-            bits_sent_uplink=float(parts[10]),
-            bits_sent_downlink=float(parts[11])))
+        try:
+            if len(parts) != width:
+                raise ValueError(f"expected {width} fields, got {len(parts)}")
+            records.append(MetricsRecord(
+                iteration=int(parts[0]), protocol=parts[1],
+                uplink_mode=parts[2], downlink_mode=parts[3],
+                channel_uses=int(parts[4]), pu_db=float(parts[5]),
+                pd_db=float(parts[6]), seed=int(parts[7]),
+                device_scope=parts[8], test_accuracy=float(parts[9]),
+                bits_sent_uplink=float(parts[10]),
+                bits_sent_downlink=float(parts[11])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from exc
     return records
 
 
@@ -278,7 +296,9 @@ class _Run:
         tables = []
         for k in range(cfg.num_devices):
             if cfg.protocol == "fd":
-                sample = cfg.logit_sample_size or len(self.shards[k])
+                sample = cfg.logit_sample_size
+                if sample is None:
+                    sample = len(self.shards[k])
                 rng = streams.derive_rng(cfg.master_seed, streams.LOGITS, k,
                                          iteration)
                 tables.append(average_logits(self.weights[k], self.shards[k],
@@ -294,6 +314,17 @@ class _Run:
         return tables
 
     # -- exchanges --
+
+    def _uplink_budget(self, state, device: int):
+        cfg = self.cfg
+        return uplink_budget(cfg.channel_uses, cfg.num_devices,
+                             state.uplink_gains[device], cfg.uplink_power,
+                             device=device)
+
+    def _downlink_budget(self, state):
+        cfg = self.cfg
+        return downlink_budget(cfg.channel_uses, state.downlink_gains,
+                               cfg.downlink_power)
 
     def exchange_fl(self, updates, state, noise_rng):
         """Move weight updates up, average, broadcast back.
@@ -313,12 +344,9 @@ class _Run:
             if cfg.uplink_mode == "digital":
                 decoded = []
                 for k in range(k_dev):
-                    budget = uplink_budget(cfg.channel_uses, k_dev,
-                                           state.uplink_gains[k],
-                                           cfg.uplink_power, device=k)
                     payload, self.up_accs[k] = fl_digital_encode(
-                        updates[k], self.up_accs[k], budget,
-                        cfg.quantizer_bits)
+                        updates[k], self.up_accs[k],
+                        self._uplink_budget(state, k), cfg.quantizer_bits)
                     bits_up[k] = payload.bit_count
                     if not payload.is_empty:
                         decoded.append(fl_digital_decode(payload, self.dim))
@@ -331,11 +359,9 @@ class _Run:
                 average = estimate / k_dev
 
             if cfg.downlink_mode == "digital":
-                budget = downlink_budget(cfg.channel_uses,
-                                         state.downlink_gains,
-                                         cfg.downlink_power)
                 payload, self.down_acc = fl_digital_encode(
-                    average, self.down_acc, budget, cfg.quantizer_bits)
+                    average, self.down_acc, self._downlink_budget(state),
+                    cfg.quantizer_bits)
                 bits_down = payload.bit_count
                 receipt = fl_digital_decode(payload, self.dim)
                 receipts = [receipt] * k_dev
@@ -369,10 +395,8 @@ class _Run:
             if cfg.uplink_mode == "digital":
                 decoded, contributed = [], []
                 for k in range(k_dev):
-                    budget = uplink_budget(cfg.channel_uses, k_dev,
-                                           state.uplink_gains[k],
-                                           cfg.uplink_power, device=k)
-                    payload = fd_digital_encode(tables[k].values, budget,
+                    payload = fd_digital_encode(tables[k].values,
+                                                self._uplink_budget(state, k),
                                                 cfg.quantizer_bits)
                     bits_up[k] = payload.bit_count
                     contributed.append(not payload.is_empty)
@@ -392,10 +416,8 @@ class _Run:
                 k_eff = k_dev
 
             if cfg.downlink_mode == "digital":
-                budget = downlink_budget(cfg.channel_uses,
-                                         state.downlink_gains,
-                                         cfg.downlink_power)
-                payload = fd_digital_encode(average, budget,
+                payload = fd_digital_encode(average,
+                                            self._downlink_budget(state),
                                             cfg.quantizer_bits)
                 bits_down = payload.bit_count
                 if payload.is_empty:
@@ -445,19 +467,6 @@ class _Run:
         return self.exchange_distillation(tables, state, noise_rng)
 
 
-def run_protocol_fl(run: "_Run", updates, state, noise_rng):
-    """One FL exchange round; exposed for direct protocol-level testing."""
-    return run.exchange_fl(updates, state, noise_rng)
-
-
-def run_protocol_fd(run: "_Run", tables, state, noise_rng):
-    return run.exchange_distillation(tables, state, noise_rng)
-
-
-def run_protocol_hfd(run: "_Run", tables, state, noise_rng):
-    return run.exchange_distillation(tables, state, noise_rng)
-
-
 def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
     """Execute one configured run and return its per-iteration metrics."""
     run = _Run(config)
@@ -489,7 +498,6 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
 # -- configuration files -------------------------------------------------
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_OPTIONAL_INT = ("fl_analog_q", "logit_sample_size")
 _BOOL_FIELDS = ("noise_enabled", "ideal_exchange")
 
 
@@ -497,8 +505,8 @@ def parse_config_value(key: str, raw: str):
     if key not in _CONFIG_TYPES:
         raise ConfigurationError(f"unknown config key {key!r}")
     raw = raw.strip()
-    if key in _OPTIONAL_INT:
-        return None if raw.lower() in ("none", "") else int(raw)
+    if key in _OPTIONAL_INT and raw.lower() in ("none", ""):
+        return None
     if key in _BOOL_FIELDS:
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -507,14 +515,19 @@ def parse_config_value(key: str, raw: str):
         raise ConfigurationError(f"{key} expects a boolean, got {raw!r}")
     if key in ("protocol", "uplink_mode", "downlink_mode", "data", "model"):
         return raw
-    if key in ("pu_db", "pd_db", "alpha", "reg_weight"):
-        return float(raw)
-    return int(raw)
+    kind = float if key in ("pu_db", "pd_db", "alpha", "reg_weight") else int
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{key} expects {'a number' if kind is float else 'an integer'}, "
+            f"got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines; blank lines and # comments are skipped."""
     values = {}
+    seen = {}
     for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -523,7 +536,15 @@ def parse_config_text(text: str) -> dict:
             raise ConfigurationError(f"line {number}: expected key=value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        values[key] = parse_config_value(key, raw)
+        if key in seen:
+            raise ConfigurationError(
+                f"line {number}: duplicate key {key!r} (first set on line "
+                f"{seen[key]})")
+        seen[key] = number
+        try:
+            values[key] = parse_config_value(key, raw)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"line {number}: {exc}") from None
     return values
 
 

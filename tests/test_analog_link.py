@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from fedsim.analog_link import (
-    ProjectionMatrix, RepetitionCode, cs_decode, fd_analog_downlink,
-    fd_analog_uplink, fl_analog_downlink, fl_analog_uplink, full_power_gain,
-    mmse_factor_downlink, mmse_factor_uplink, mmse_scale_downlink,
-    mmse_scale_uplink, pack_complex, precompensate, repetition_decode,
-    repetition_encode, unpack_complex,
+    ProjectionMatrix, cs_decode, fd_analog_downlink, fd_analog_uplink,
+    fl_analog_downlink, fl_analog_uplink, full_power_gain,
+    mmse_factor_downlink, mmse_factor_uplink, pack_complex, precompensate,
+    repetition_decode, repetition_encode, unpack_complex,
 )
 from fedsim.channel import ChannelState
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
@@ -97,18 +96,33 @@ class TestMmseScaling:
         y = amps @ signals + noise
         target = signals.sum(axis=0)
         grid = np.arange(0.0, 1.2, 1e-3)
-        mses = [np.mean((nu * y - target) ** 2) for nu in grid]
+        # mean((nu*y - t)^2) = nu^2 E[y^2] - 2 nu E[y t] + E[t^2]
+        yy, yt, tt = np.mean(y * y), np.mean(y * target), np.mean(target ** 2)
+        mses = grid ** 2 * yy - 2.0 * grid * yt + tt
         best = grid[int(np.argmin(mses))]
         formula = mmse_factor_uplink(np.ones(3), amps)
         assert abs(best - formula) <= 1e-3
 
     def test_scale_applies_factor(self):
-        y = np.array([1 + 1j, 2 + 0j])
-        nu = mmse_factor_uplink(np.array([2.0]), np.array([0.5]))
-        np.testing.assert_allclose(mmse_scale_uplink(y, np.array([2.0]),
-                                                     np.array([0.5])), nu * y)
-        nu_d = mmse_factor_downlink(2.0, 0.5)
-        np.testing.assert_allclose(mmse_scale_downlink(y, 2.0, 0.5), nu_d * y)
+        # Noiseless links, one 2x2 table per device and T=2 (redundancy 1):
+        # what arrives is each device's full-power amplitude times its table,
+        # phase-aligned, and the receiver scales the sum by the MMSE factor.
+        tables = [np.array([[1.0, -2.0], [0.5, 3.0]]), np.full((2, 2), -0.5)]
+        gains = np.array([2j, 0.3 - 0.4j])
+        gammas = [full_power_gain(pack_complex(t.ravel()), 2.0, 2)
+                  for t in tables]
+        state = ChannelState(gains, np.array([0.6 + 0.8j, 0.0]))
+        estimate = fd_analog_uplink(tables, state, 2.0, 2, None)
+        nu = mmse_factor_uplink(gammas, np.abs(gains))
+        expected = nu * sum(g * abs(h) * t
+                            for g, h, t in zip(gammas, gains, tables))
+        np.testing.assert_allclose(estimate, expected, rtol=1e-12)
+        received = fd_analog_downlink(tables[0], state, 2.0, 2, None)
+        nu_d = mmse_factor_downlink(gammas[0], 1.0)
+        np.testing.assert_allclose(received[0], nu_d * gammas[0] * tables[0],
+                                   rtol=1e-12)
+        # A null downlink gain gets a zero factor, not a division by zero.
+        np.testing.assert_array_equal(received[1], np.zeros((2, 2)))
 
 
 class TestRepetition:
@@ -144,8 +158,6 @@ class TestRepetition:
             assert abs(var - sigma2 / rho) / (sigma2 / rho) < 0.10
 
     def test_zero_redundancy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RepetitionCode(rho=0, block=4)
         with pytest.raises(ConfigurationError):
             repetition_encode(np.ones(4), 0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsim import streams
+from fedsim import audit, streams
 from fedsim.datasets import load_dataset, partition_shards
 from fedsim.errors import ConfigurationError
 from fedsim.learning import (
@@ -9,8 +9,7 @@ from fedsim.learning import (
 )
 from fedsim.orchestrator import (
     CSV_HEADER, ExperimentConfig, MetricsRecord, _Run, config_from_file,
-    parse_config_text, read_metrics, run_experiment, run_protocol_fd,
-    write_metrics,
+    parse_config_text, read_metrics, run_experiment, write_metrics,
 )
 
 SMALL_DATA = "synthetic:classes=2,dim=6"
@@ -118,7 +117,7 @@ class TestFdFixedPoint:
                                  run.arch) for k in range(3)]
         for t in tables[1:]:
             np.testing.assert_allclose(t.values, tables[0].values)
-        run_protocol_fd(run, tables, None, None)
+        run.exchange_distillation(tables, None, None)
         for k in range(3):
             np.testing.assert_allclose(run.targets[k], tables[k].values,
                                        atol=1e-12)
@@ -239,3 +238,52 @@ class TestConfigParsing:
             ExperimentConfig(protocol="bogus")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(reg_weight=1.5)
+
+    @pytest.mark.parametrize("key,value", [
+        ("logit_sample_size", 0), ("fl_analog_q", -5), ("num_devices", 2.5),
+        ("alpha", float("nan")), ("alpha", float("inf")),
+    ])
+    def test_invalid_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentConfig(**{key: value})
+
+    @pytest.mark.parametrize("text,pattern", [
+        ("protocol = fd\nchannel_uses = abc\n", "line 2: channel_uses"),
+        ("\nchannel_uses = 1.5\n", "line 2: channel_uses"),
+        ("alpha = 0.1\n# c\nalpha = 0.2\n", "line 3: duplicate key 'alpha'"),
+    ])
+    def test_bad_line_names_key_and_line(self, text, pattern):
+        with pytest.raises(ConfigurationError, match=pattern):
+            parse_config_text(text)
+
+
+class TestMetricsCsvErrors:
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_metrics(run_experiment(small_config()), path)
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:5])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 4: expected 12 fields"):
+            read_metrics(path)
+
+    def test_bad_value_names_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(CSV_HEADER + "\n\nx,il,digital,digital,1,0,0,0,avg,"
+                        "0.5,0,0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_metrics(path)
+
+
+class TestAudit:
+    @pytest.mark.parametrize("mode,fired,idle", [
+        ("digital", "budget_checks", "power_checks"),
+        ("analog", "power_checks", "budget_checks"),
+    ])
+    def test_link_checks_fire_without_violations(self, mode, fired, idle):
+        audit.reset()
+        run_experiment(small_config(protocol="fl", uplink_mode=mode,
+                                    downlink_mode=mode, channel_uses=200))
+        assert getattr(audit, fired) > 0
+        assert getattr(audit, idle) == 0
+        assert audit.violations == 0
