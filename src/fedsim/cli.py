@@ -5,6 +5,7 @@ import itertools
 import os
 import sys
 
+from .errors import ConfigurationError
 from .orchestrator import (
     ExperimentConfig, config_from_file, parse_config_value, run_experiment,
     with_overrides, write_metrics,
@@ -16,8 +17,8 @@ LINK_CODES = {"dd": ("digital", "digital"), "da": ("digital", "analog"),
 
 def _link_modes(code: str):
     if code not in LINK_CODES:
-        raise SystemExit(f"unknown link code {code!r}; pick one of "
-                         f"{'/'.join(LINK_CODES)}")
+        raise ConfigurationError(f"unknown link code {code!r}; pick one of "
+                                 f"{'/'.join(LINK_CODES)}")
     return LINK_CODES[code]
 
 
@@ -48,6 +49,23 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _pd_offset(raw: str) -> float:
+    try:
+        return float(raw[2:] or 0)
+    except ValueError:
+        raise ConfigurationError(
+            f"pd_db expects a number or pu+<offset>, got {raw!r}") from None
+
+
+def _parse_grid_value(key: str, raw: str):
+    if key == "link":
+        return _link_modes(raw)
+    if key == "pd_db" and raw.startswith("pu"):  # "pu+10" style offset
+        _pd_offset(raw)
+        return raw
+    return parse_config_value(key, raw)
+
+
 def parse_grid_text(text: str) -> dict:
     """key = v1, v2, ... lines; `link` expands to uplink/downlink modes and
     `pd_db` accepts `pu+<offset>` to track the uplink SNR."""
@@ -57,24 +75,22 @@ def parse_grid_text(text: str) -> dict:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise SystemExit(f"grid line {number}: expected key = values")
+            raise ConfigurationError(
+                f"grid line {number}: expected key = values")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         values = [v.strip() for v in raw.split(",") if v.strip()] \
             if key != "data" else [raw.strip()]
-        if key == "link":
-            grid[key] = values
-        elif key == "pd_db":
-            grid[key] = [v if v.startswith("pu") else
-                         parse_config_value(key, v) for v in values]
-        else:
-            grid[key] = [parse_config_value(key, v) for v in values]
+        try:
+            grid[key] = [_parse_grid_value(key, v) for v in values]
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"grid line {number}: {exc}") from None
     return grid
 
 
 def _resolve_pd(pd_value, pu_db: float) -> float:
-    if isinstance(pd_value, str):  # "pu+10" style offset
-        return pu_db + float(pd_value[2:] or 0)
+    if isinstance(pd_value, str):
+        return pu_db + _pd_offset(pd_value)
     return float(pd_value)
 
 
@@ -90,8 +106,7 @@ def cmd_sweep(args) -> int:
         link = values.pop("link", None)
         overrides = dict(values)
         if link is not None:
-            overrides["uplink_mode"], overrides["downlink_mode"] = \
-                _link_modes(link)
+            overrides["uplink_mode"], overrides["downlink_mode"] = link
         pu = overrides.get("pu_db", ExperimentConfig().pu_db)
         if "pd_db" in overrides:
             overrides["pd_db"] = _resolve_pd(overrides["pd_db"], pu)
@@ -142,7 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"fedsim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -118,55 +118,71 @@ def cross_entropy(a: np.ndarray, b: np.ndarray) -> float:
     return float(-(a * np.log(b)).sum())
 
 
-def _layer_loss_grads(layers, covariates, labels, target_rows, reg_weight,
-                      need_loss=True):
-    """Loss and per-layer gradients for unpacked weights (training hot path)."""
+def _log_targets(target_rows: np.ndarray) -> np.ndarray:
+    """log(softmax(target_rows)) with the probabilities clamped away from 0."""
+    return np.log(np.clip(softmax(target_rows), PROB_FLOOR, None))
+
+
+def _layer_loss_grads(layers, grads, covariates, onehot, log_targets,
+                      reg_weight, need_loss=True):
+    """Batch-mean loss, with its gradient written into `grads` (hot path).
+
+    `layers` and `grads` are the (matrix, bias) views `_unpack` gives of the
+    weights and of a gradient buffer laid out like them. `onehot` holds the
+    batch's one-hot label rows and `log_targets` the matching rows of
+    `_log_targets(target table)`, or None for plain cross-entropy. The
+    logits are turned into probabilities and then into the output delta in
+    place. Returns the loss, or None unless `need_loss`.
+    """
     n = covariates.shape[0]
     activations = [covariates]
-    pre = []
     act = covariates
     for mat, bias in layers[:-1]:
-        z = act @ mat + bias
-        pre.append(z)
-        act = np.maximum(z, 0.0)
+        act = act @ mat
+        act += bias
+        np.maximum(act, 0.0, out=act)
         activations.append(act)
     mat, bias = layers[-1]
-    logits = act @ mat + bias
-    probs = softmax(logits)
+    # The in-place steps below repeat softmax() and the textbook delta
+    # expressions operation by operation; reordering them changes the last
+    # bits of the weights and, through them, the metrics CSVs.
+    probs = act @ mat
+    probs += bias
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
 
-    rows = np.arange(n)
     loss = None
-
-    if target_rows is None or reg_weight == 0.0:
+    if need_loss:
+        ce_local = -np.log(np.clip((probs * onehot).sum(axis=1), PROB_FLOOR,
+                                   None))
+    if log_targets is None:
         if need_loss:
-            ce_local = -np.log(np.clip(probs[rows, labels], PROB_FLOOR, None))
             loss = float(ce_local.mean())
-        dlogits = probs.copy()
-        dlogits[rows, labels] -= 1.0
-        dlogits /= n
+        probs -= onehot
     else:
-        target_probs = np.clip(softmax(target_rows), PROB_FLOOR, None)
-        log_t = np.log(target_probs)
+        weighted = np.add.reduce(probs * log_targets, axis=1, keepdims=True)
         if need_loss:
-            ce_local = -np.log(np.clip(probs[rows, labels], PROB_FLOOR, None))
-            ce_distill = -(probs * log_t).sum(axis=1)
             loss = float(((1.0 - reg_weight) * ce_local
-                          + reg_weight * ce_distill).mean())
+                          - reg_weight * weighted[:, 0]).mean())
         # d/ds of -sum_l p_l log b_l is p * (sum_l p_l log b_l - log b).
-        weighted = (probs * log_t).sum(axis=1, keepdims=True)
-        d_distill = probs * (weighted - log_t)
-        dlogits = probs.copy()
-        dlogits[rows, labels] -= 1.0
-        dlogits = ((1.0 - reg_weight) * dlogits
-                   + reg_weight * d_distill) / n
+        d_distill = weighted - log_targets
+        d_distill *= probs
+        d_distill *= reg_weight
+        probs -= onehot
+        probs *= 1.0 - reg_weight
+        probs += d_distill
+    probs /= n
 
-    grads = [None] * len(layers)
-    delta = dlogits
+    delta = probs
     for i in range(len(layers) - 1, -1, -1):
-        grads[i] = (activations[i].T @ delta, delta.sum(axis=0))
+        gmat, gbias = grads[i]
+        np.matmul(activations[i].T, delta, out=gmat)
+        np.add.reduce(delta, axis=0, out=gbias)
         if i > 0:
-            delta = (delta @ layers[i][0].T) * (pre[i - 1] > 0.0)
-    return loss, grads
+            delta = delta @ layers[i][0].T
+            delta *= activations[i] > 0.0
+    return loss
 
 
 def loss_and_gradient(w: np.ndarray, covariates: np.ndarray,
@@ -184,15 +200,16 @@ def loss_and_gradient(w: np.ndarray, covariates: np.ndarray,
     w = np.asarray(w, dtype=np.float64)
     covariates = np.asarray(covariates, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if target_rows is not None:
-        target_rows = np.asarray(target_rows, dtype=np.float64)
-    layers = _unpack(w, arch)
-    loss, grads = _layer_loss_grads(layers, covariates, labels, target_rows,
-                                    reg_weight)
-    flat = np.concatenate([np.concatenate([g.ravel(), b]) for g, b in grads])
-    if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
+    log_targets = None
+    if target_rows is not None and reg_weight != 0.0:
+        log_targets = _log_targets(target_rows)
+    grad = np.empty(w.shape)
+    loss = _layer_loss_grads(_unpack(w, arch), _unpack(grad, arch),
+                             covariates, np.eye(arch.num_classes)[labels],
+                             log_targets, reg_weight)
+    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise ValueError("non-finite loss or gradient")
-    return loss, flat
+    return loss, grad
 
 
 def sgd_step(w: np.ndarray, batch, alpha: float, arch: MlpArchitecture,
@@ -218,33 +235,37 @@ def run_local_epochs(w: np.ndarray, data: LabeledDataset, alpha: float,
                      reg_weight: float = 0.0) -> np.ndarray:
     """Minibatch SGD over the local shard for a number of epochs.
 
-    Weights stay unpacked across steps; the flat vector is rebuilt once at
-    the end, keeping per-step overhead off the inner loop.
+    Bit-identical to `sgd_step` over the minibatches of each epoch's
+    `rng.permutation(n)`, with less work per step: one flat copy of the
+    weights is trained in place, and every gradient lands in one flat buffer
+    of the same layout, so a step ends in a single `w -= alpha * grad`. The
+    log-targets are computed once per call; each epoch gathers covariates,
+    one-hot labels and log-target rows in shuffled order once and slices
+    contiguous minibatches from them.
     """
     n = len(data)
-    layers = [(mat.copy(), bias.copy())
-              for mat, bias in _unpack(np.asarray(w, dtype=np.float64), arch)]
-    use_targets = target_table is not None and reg_weight > 0.0
-    if use_targets:
-        target_table = np.asarray(target_table, dtype=np.float64)
-    covariates, labels = data.covariates, data.labels
+    w = np.array(w, dtype=np.float64)
+    grad = np.empty(w.shape)
+    layers, grads = _unpack(w, arch), _unpack(grad, arch)
+    onehot = np.eye(arch.num_classes)[data.labels]
+    log_targets = None
+    if target_table is not None and reg_weight > 0.0:
+        log_targets = _log_targets(target_table)[data.labels]
     for _ in range(epochs):
         order = rng.permutation(n)
+        covariates, labels = data.covariates[order], onehot[order]
+        targets = None if log_targets is None else log_targets[order]
         for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            batch_labels = labels[idx]
-            rows = target_table[batch_labels] if use_targets else None
-            _, grads = _layer_loss_grads(layers, covariates[idx],
-                                         batch_labels, rows, reg_weight,
-                                         need_loss=False)
-            for (mat, bias), (gmat, gbias) in zip(layers, grads):
-                mat -= alpha * gmat
-                bias -= alpha * gbias
-    out = np.concatenate([np.concatenate([mat.ravel(), bias])
-                          for mat, bias in layers])
-    if not np.all(np.isfinite(out)):
+            stop = start + batch_size
+            _layer_loss_grads(layers, grads, covariates[start:stop],
+                              labels[start:stop],
+                              None if targets is None else targets[start:stop],
+                              reg_weight, need_loss=False)
+            grad *= alpha
+            w -= grad
+    if not np.all(np.isfinite(w)):
         raise ValueError("non-finite weights after local training")
-    return out
+    return w
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ _POSITIVE_INT = ("num_devices", "channel_uses", "global_iterations",
                  "quantizer_bits", "local_epochs", "batch_size",
                  "samples_per_device", "hfd_distill_steps", "test_samples")
 _OPTIONAL_INT = ("fl_analog_q", "logit_sample_size")
+_FLOAT_FIELDS = ("pu_db", "pd_db", "alpha", "reg_weight")
+_BOOL_FIELDS = ("noise_enabled", "ideal_exchange")
 
 CSV_HEADER = ("iteration,protocol,uplink,downlink,T,pu_db,pd_db,seed,scope,"
               "accuracy,bits_up,bits_down")
@@ -89,6 +91,16 @@ class ExperimentConfig:
                     or value < least:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(
+                    f"{name} must be a number, got {value!r}")
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigurationError(
+                    f"{name} must be True or False, got {value!r}")
         for name in ("pu_db", "pd_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be a finite dB value")
@@ -498,7 +510,6 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
 # -- configuration files -------------------------------------------------
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_BOOL_FIELDS = ("noise_enabled", "ideal_exchange")
 
 
 def parse_config_value(key: str, raw: str):
@@ -515,7 +526,7 @@ def parse_config_value(key: str, raw: str):
         raise ConfigurationError(f"{key} expects a boolean, got {raw!r}")
     if key in ("protocol", "uplink_mode", "downlink_mode", "data", "model"):
         return raw
-    kind = float if key in ("pu_db", "pd_db", "alpha", "reg_weight") else int
+    kind = float if key in _FLOAT_FIELDS else int
     try:
         return kind(raw)
     except ValueError:

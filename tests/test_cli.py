@@ -1,4 +1,7 @@
-from fedsim.cli import main
+import pytest
+
+from fedsim.cli import main, parse_grid_text
+from fedsim.errors import ConfigurationError
 from fedsim.orchestrator import read_metrics
 
 COMMON = ["--k", "2", "--iters", "2", "--data", "synthetic:classes=2,dim=4"]
@@ -42,3 +45,35 @@ def test_sweep_writes_one_csv_per_grid_point(tmp_path):
         records = read_metrics(out / name)
         assert len(records) == 1 + 2
         assert all(r.pd_db == 8.0 for r in records)
+
+
+def test_configuration_error_is_one_line_with_status_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--k", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("fedsim: error: num_devices must be an integer "
+                            ">= 1, got 0\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sweep_grid_error_names_its_line(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("protocol = il\n\n# comment\nchannel_uses = 20, 1.5\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "fedsim: error: grid line 4: channel_uses expects an integer, "
+        "got '1.5'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,pattern", [
+    ("protocol = il\nlink = dd, xy\n", "grid line 2: unknown link code 'xy'"),
+    ("pd_db = 3, pu+x\n", "grid line 1: pd_db expects"),
+    ("\nfrobnicate = 3\n", "grid line 2: unknown config key"),
+    ("protocol il\n", "grid line 1: expected key = values"),
+])
+def test_grid_errors_name_their_line(text, pattern):
+    with pytest.raises(ConfigurationError, match=pattern):
+        parse_grid_text(text)

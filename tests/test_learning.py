@@ -367,3 +367,58 @@ class TestLocalEpochs:
         b = run_local_epochs(w, data, 0.05, 3, 4,
                              np.random.default_rng(9), arch)
         np.testing.assert_array_equal(a, b)
+
+
+class TestLocalEpochsKernel:
+    """run_local_epochs must equal a plain loop of sgd_step, bit for bit."""
+
+    @pytest.mark.parametrize("sizes", [(5, 3), (5, 8, 3), (5, 16, 8, 4, 3)])
+    @pytest.mark.parametrize("batch_size", [4, 5, 22])
+    @pytest.mark.parametrize("reg_weight", [None, 0.0, 0.5, 1.0])
+    def test_matches_sgd_step_loop(self, sizes, batch_size, reg_weight):
+        gen = np.random.default_rng(90)
+        arch = MlpArchitecture(sizes)
+        n, epochs, alpha = 22, 3, 0.3
+        data = LabeledDataset(gen.uniform(0, 1, (n, 5)),
+                              gen.integers(0, 3, n), 3)
+        w = init_weights(arch, gen)
+        table = None if reg_weight is None else gen.standard_normal((3, 3))
+        reg = reg_weight or 0.0
+
+        expected = w
+        rng = np.random.default_rng(91)
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                expected = sgd_step(expected,
+                                    (data.covariates[idx], data.labels[idx]),
+                                    alpha, arch, target_table=table,
+                                    reg_weight=reg)
+        out = run_local_epochs(w, data, alpha, epochs, batch_size,
+                               np.random.default_rng(91), arch,
+                               target_table=table, reg_weight=reg)
+        assert not np.array_equal(out, w)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_input_weights_untouched(self):
+        arch, w, covariates, labels, _ = small_fixture(seed=92, n=8)
+        before = w.copy()
+        run_local_epochs(w, LabeledDataset(covariates, labels, 2), 0.5, 2, 3,
+                         np.random.default_rng(0), arch)
+        np.testing.assert_array_equal(w, before)
+
+    def test_divergence_raises(self):
+        arch, w, covariates, labels, _ = small_fixture(seed=93, n=8)
+        data = LabeledDataset(covariates, labels, 2)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="non-finite weights"):
+            run_local_epochs(w, data, 1e300, 4, 2,
+                             np.random.default_rng(0), arch)
+
+    def test_infinite_covariates_raise(self):
+        arch, w, covariates, labels, _ = small_fixture(seed=94)
+        covariates[2, 1] = np.inf
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="non-finite loss"):
+            loss_and_gradient(w, covariates, labels, arch)

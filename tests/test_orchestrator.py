@@ -242,10 +242,20 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("logit_sample_size", 0), ("fl_analog_q", -5), ("num_devices", 2.5),
         ("alpha", float("nan")), ("alpha", float("inf")),
+        ("pu_db", "3"), ("pu_db", True), ("pd_db", None),
+        ("reg_weight", "0.5"), ("alpha", "0.1"),
+        ("noise_enabled", "no"), ("ideal_exchange", "false"),
+        ("ideal_exchange", 1),
     ])
     def test_invalid_value_names_its_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             ExperimentConfig(**{key: value})
+
+    def test_numeric_and_numpy_values_accepted(self):
+        config = ExperimentConfig(pu_db=3, pd_db=np.float64(7.5), alpha=1,
+                                  reg_weight=np.float32(0.25),
+                                  ideal_exchange=np.bool_(True))
+        assert config.uplink_power == pytest.approx(10 ** 0.3)
 
     @pytest.mark.parametrize("text,pattern", [
         ("protocol = fd\nchannel_uses = abc\n", "line 2: channel_uses"),
