@@ -25,8 +25,8 @@ from .analog_link import (
 from .errors import ConfigurationError, DecodeError
 from .learning import (
     CovariateTable, LogitTable, MlpArchitecture, average_logits,
-    cross_entropy, evaluate_accuracy, forward_logits, hfd_distill_step,
-    init_weights, leave_one_out, local_covariate_means, sgd_step, softmax,
+    evaluate_accuracy, hfd_distill_step, init_weights, leave_one_out,
+    local_covariate_means, sgd_step, softmax,
 )
 from .orchestrator import (
     ExperimentConfig, MetricsRecord, read_metrics, run_experiment,

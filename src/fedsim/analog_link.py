@@ -15,11 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (
-    DOWNLINK, UPLINK, AnalogFrame, ChannelState, downlink_bc, uplink_mac,
-)
+from .channel import AnalogFrame, ChannelState, downlink_bc, uplink_mac
 from .compression import ErrorAccumulator, accumulate_error, top_k_sparsify
 from .errors import ConfigurationError
+
+# Message-passing decoder: threshold multiplier on the noise estimate, the
+# iteration cap, and the relative residual change that counts as a stall.
+AMP_KAPPA = 1.5
+AMP_MAX_ITER = 50
+AMP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def _derotation(gain: complex) -> complex:
 
 
 def precompensate(x: np.ndarray, gain: complex, power: float,
-                  channel_uses: int, direction: str = UPLINK) -> AnalogFrame:
+                  channel_uses: int) -> AnalogFrame:
     """Scale to full power and pre-rotate away the channel phase.
 
     The payload occupies the leading entries of the frame; unused channel
@@ -87,8 +91,7 @@ def precompensate(x: np.ndarray, gain: complex, power: float,
     scale = full_power_gain(x, power, channel_uses)
     if scale > 0.0:
         samples[:x.size] = scale * _derotation(gain) * x
-    return AnalogFrame(samples=samples, direction=direction,
-                       power_budget=power)
+    return AnalogFrame(samples=samples, power_budget=power)
 
 
 def mmse_factor_uplink(gammas: np.ndarray, habs: np.ndarray) -> float:
@@ -126,16 +129,16 @@ def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray, q: int,
-              kappa: float = 1.5, max_iter: int = 50,
-              tol: float = 1e-6) -> np.ndarray:
+def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray,
+              q: int) -> np.ndarray:
     """Approximate message passing with a soft-threshold denoiser.
 
-    The threshold tracks kappa times a robust noise estimate (median
-    absolute deviation of the residual). Iterations stop at max_iter, when
-    the residual norm stalls (relative change below tol), or when it grows
-    past ten times its running minimum; the best-residual iterate is
-    returned, which makes divergence a graceful fallback.
+    The threshold tracks AMP_KAPPA times a robust noise estimate (median
+    absolute deviation of the residual). Iterations stop after AMP_MAX_ITER,
+    when the residual norm stalls (relative change below AMP_TOL), or when
+    it grows past ten times its running minimum; the best-residual iterate
+    is returned, which makes divergence a graceful fallback. q is only
+    range-checked against the dimension.
     """
     A = projection.matrix
     m, n = A.shape
@@ -152,10 +155,10 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray, q: int,
     prev_res = best_res
     if best_res == 0.0:
         return best_x
-    for _ in range(max_iter):
+    for _ in range(AMP_MAX_ITER):
         sigma = float(np.median(np.abs(z))) / 0.6745
         r = x + A.T @ z
-        x = _soft_threshold(r, kappa * sigma)
+        x = _soft_threshold(r, AMP_KAPPA * sigma)
         z = y - A @ x + (np.count_nonzero(x) / m) * z  # Onsager correction
         res = float(np.linalg.norm(z))
         if res < best_res:
@@ -163,7 +166,7 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray, q: int,
             best_x = x
         if res > 10.0 * best_res:
             break
-        if abs(res - prev_res) <= tol * max(prev_res, 1e-300):
+        if abs(res - prev_res) <= AMP_TOL * max(prev_res, 1e-300):
             break
         prev_res = res
     return best_x
@@ -185,7 +188,7 @@ def _uplink(payloads, state: ChannelState, power: float, channel_uses: int,
     """
     xs = [pack_complex(p) for p in payloads]
     gammas = [full_power_gain(x, power, channel_uses) for x in xs]
-    frames = [precompensate(x, gain, power, channel_uses, UPLINK)
+    frames = [precompensate(x, gain, power, channel_uses)
               for x, gain in zip(xs, state.uplink_gains)]
     received = uplink_mac(frames, state, noise_rng)[:xs[0].size]
     factor = mmse_factor_uplink(gammas, np.abs(state.uplink_gains))
@@ -201,7 +204,7 @@ def _downlink(payload: np.ndarray, state: ChannelState, power: float,
     """
     x = pack_complex(payload)
     gamma = full_power_gain(x, power, channel_uses)
-    frame = precompensate(x, 1.0 + 0j, power, channel_uses, DOWNLINK)
+    frame = precompensate(x, 1.0 + 0j, power, channel_uses)
     return [unpack_complex(mmse_factor_downlink(gamma, abs(gain))
                            * (y[:x.size] * _derotation(gain)))
             for gain, y in zip(state.downlink_gains,
@@ -228,7 +231,7 @@ def _mean_table(reals: np.ndarray, rho: int, shape) -> np.ndarray:
 
 def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
                      state: ChannelState, power: float, channel_uses: int,
-                     noise_rng, kappa: float = 1.5, max_iter: int = 50):
+                     noise_rng):
     """One over-the-air round for weight updates: returns (sum estimate, accs).
 
     Each device sparsifies its pending vector (update plus residual) and
@@ -245,8 +248,7 @@ def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
                 for u, acc, s in zip(updates, accs, sparse)]
     received = _uplink([projection.matrix @ s for s in sparse], state, power,
                        channel_uses, noise_rng)
-    estimate = cs_decode(projection, received, min(dim, q * len(updates)),
-                         kappa=kappa, max_iter=max_iter)
+    estimate = cs_decode(projection, received, min(dim, q * len(updates)))
     return estimate, new_accs
 
 
@@ -263,8 +265,7 @@ def fd_analog_uplink(tables, state: ChannelState, power: float,
 
 def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
                        projection: ProjectionMatrix, state: ChannelState,
-                       power: float, channel_uses: int, noise_rng,
-                       kappa: float = 1.5, max_iter: int = 50):
+                       power: float, channel_uses: int, noise_rng):
     """Broadcast a weight vector analogically; returns (per-device estimates, acc)."""
     update = np.asarray(update, dtype=np.float64)
     _check_projection(projection, update.size, channel_uses)
@@ -272,8 +273,8 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     new_acc = accumulate_error(acc, update, sparse)
     receptions = _downlink(projection.matrix @ sparse, state, power,
                            channel_uses, noise_rng)
-    return [cs_decode(projection, y, min(update.size, q), kappa=kappa,
-                      max_iter=max_iter) for y in receptions], new_acc
+    return [cs_decode(projection, y, min(update.size, q))
+            for y in receptions], new_acc
 
 
 def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,

@@ -14,9 +14,6 @@ import numpy as np
 from . import audit
 from .errors import ConfigurationError
 
-UPLINK = "uplink"
-DOWNLINK = "downlink"
-
 # Relative slack for the frame-power check; frames are built to hit the
 # budget exactly, so anything above this is a genuine violation.
 POWER_RTOL = 1e-9
@@ -28,7 +25,6 @@ class ChannelState:
 
     uplink_gains: np.ndarray
     downlink_gains: np.ndarray
-    iteration: int = 0
 
     def __post_init__(self):
         up = np.asarray(self.uplink_gains, dtype=np.complex128)
@@ -51,15 +47,12 @@ class AnalogFrame:
     """One transmitted baseband block with its declared power budget."""
 
     samples: np.ndarray
-    direction: str
     power_budget: float
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigurationError("frame must be a non-empty 1-d complex vector")
-        if self.direction not in (UPLINK, DOWNLINK):
-            raise ConfigurationError(f"unknown direction {self.direction!r}")
         object.__setattr__(self, "samples", samples)
         audit.count_power_check()
         mean_power = float(np.sum(np.abs(samples) ** 2)) / samples.size
@@ -72,15 +65,13 @@ class AnalogFrame:
         return self.samples.size
 
 
-def sample_channel(rng: np.random.Generator, num_devices: int,
-                   iteration: int = 0) -> ChannelState:
+def sample_channel(rng: np.random.Generator, num_devices: int) -> ChannelState:
     """Draw fresh unit-variance complex Gaussian gains for both directions."""
     if num_devices < 1:
         raise ValueError("need at least one device")
     draws = rng.standard_normal((2, num_devices, 2))
     gains = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
-    return ChannelState(uplink_gains=gains[0], downlink_gains=gains[1],
-                        iteration=iteration)
+    return ChannelState(uplink_gains=gains[0], downlink_gains=gains[1])
 
 
 def _complex_noise(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -7,8 +7,8 @@ import sys
 
 from .errors import ConfigurationError
 from .orchestrator import (
-    ExperimentConfig, config_from_file, parse_config_value, run_experiment,
-    with_overrides, write_metrics,
+    ExperimentConfig, config_from_file, parse_config_value, resolve_pd_offset,
+    run_experiment, with_overrides, write_metrics,
 )
 
 LINK_CODES = {"dd": ("digital", "digital"), "da": ("digital", "analog"),
@@ -49,20 +49,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _pd_offset(raw: str) -> float:
-    try:
-        return float(raw[2:] or 0)
-    except ValueError:
-        raise ConfigurationError(
-            f"pd_db expects a number or pu+<offset>, got {raw!r}") from None
-
-
 def _parse_grid_value(key: str, raw: str):
     if key == "link":
         return _link_modes(raw)
-    if key == "pd_db" and raw.startswith("pu"):  # "pu+10" style offset
-        _pd_offset(raw)
-        return raw
     return parse_config_value(key, raw)
 
 
@@ -88,12 +77,6 @@ def parse_grid_text(text: str) -> dict:
     return grid
 
 
-def _resolve_pd(pd_value, pu_db: float) -> float:
-    if isinstance(pd_value, str):
-        return pu_db + _pd_offset(pd_value)
-    return float(pd_value)
-
-
 def cmd_sweep(args) -> int:
     with open(args.grid, "r", encoding="utf-8") as f:
         grid = parse_grid_text(f.read())
@@ -102,15 +85,12 @@ def cmd_sweep(args) -> int:
     combos = list(itertools.product(*(grid[k] for k in keys)))
     print(f"sweep: {len(combos)} runs -> {args.out}")
     for combo in combos:
-        values = dict(zip(keys, combo))
-        link = values.pop("link", None)
-        overrides = dict(values)
+        overrides = dict(zip(keys, combo))
+        link = overrides.pop("link", None)
         if link is not None:
             overrides["uplink_mode"], overrides["downlink_mode"] = link
-        pu = overrides.get("pu_db", ExperimentConfig().pu_db)
-        if "pd_db" in overrides:
-            overrides["pd_db"] = _resolve_pd(overrides["pd_db"], pu)
-        config = with_overrides(ExperimentConfig(), **overrides)
+        config = with_overrides(ExperimentConfig(),
+                                **resolve_pd_offset(overrides))
         name = (f"{config.protocol}_{config.uplink_mode[0]}"
                 f"{config.downlink_mode[0]}_T{config.channel_uses}"
                 f"_pu{config.pu_db:g}_pd{config.pd_db:g}"

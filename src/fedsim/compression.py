@@ -151,26 +151,25 @@ def max_sparsity_within_budget(budget: float, cost, q_max: int) -> int:
 
 @dataclass(frozen=True)
 class SparsePayload:
-    """Index set plus quantized values, with its exact bit bill.
+    """Index set plus the values the receiver decodes, with the exact bit bill.
 
     Two shapes are used. Weight-update payloads carry a flat support and one
     shared magnitude (values has shape (1,)). Logit-table payloads carry one
-    row of indices and values per label (shape (L, q)), with per-row
-    quantizer ranges. bit_count is the producing pipeline's accounting
-    formula evaluated exactly; it is real-valued because index costs are
-    information-theoretic (log2 of a binomial).
+    row of indices and values per label (shape (L, q)). The values are
+    already dequantized, so they are what the decoder reads; the quantizer
+    ranges travel out of band and are billed in neither shape. bit_count is
+    the producing pipeline's accounting formula evaluated exactly; it is
+    real-valued because index costs are information-theoretic (log2 of a
+    binomial).
     """
 
-    length: int
     indices: np.ndarray
     values: np.ndarray
-    quantizer_meta: tuple
     bit_count: float
 
     @classmethod
-    def empty(cls, length: int) -> "SparsePayload":
-        return cls(length=length, indices=np.zeros(0, dtype=np.int64),
-                   values=np.zeros(0), quantizer_meta=(0, 0.0, 0.0),
+    def empty(cls) -> "SparsePayload":
+        return cls(indices=np.zeros(0, dtype=np.int64), values=np.zeros(0),
                    bit_count=0.0)
 
     @property

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audit
-from .channel import DOWNLINK, UPLINK
 from .compression import (
     ErrorAccumulator, SparsePayload, accumulate_error, dequantize_uniform,
     log2_binomial, max_sparsity_within_budget, quantize_uniform,
@@ -21,15 +20,11 @@ from .compression import (
 )
 from .errors import DecodeError
 
-BROADCAST = -1
-
 
 @dataclass(frozen=True)
 class BitBudget:
     """How many bits one sender may put on the air this iteration."""
 
-    direction: str
-    device: int
     bits: float
 
     def __post_init__(self):
@@ -40,13 +35,13 @@ class BitBudget:
 
 
 def uplink_budget(channel_uses: int, num_devices: int, gain: complex,
-                  power: float, device: int = 0) -> BitBudget:
+                  power: float) -> BitBudget:
     """Equal-allocation share of the uplink MAC for one device."""
     if channel_uses < 1 or num_devices < 1 or power < 0:
         raise ValueError("need channel_uses >= 1, num_devices >= 1, power >= 0")
     snr = (abs(gain) ** 2) * num_devices * power
     bits = (channel_uses / num_devices) * math.log2(1.0 + snr)
-    return BitBudget(direction=UPLINK, device=device, bits=bits)
+    return BitBudget(bits=bits)
 
 
 def downlink_budget(channel_uses: int, gains: np.ndarray,
@@ -57,7 +52,7 @@ def downlink_budget(channel_uses: int, gains: np.ndarray,
         raise ValueError("need channel_uses >= 1 and at least one device")
     bits = min(channel_uses * math.log2(1.0 + (abs(g) ** 2) * power)
                for g in gains)
-    return BitBudget(direction=DOWNLINK, device=BROADCAST, bits=bits)
+    return BitBudget(bits=bits)
 
 
 def _check_budget(payload: SparsePayload, budget: BitBudget) -> None:
@@ -87,23 +82,17 @@ def fl_digital_encode(update: np.ndarray, acc: ErrorAccumulator,
         return bits + log2_binomial(dim, q)
 
     q = max_sparsity_within_budget(budget.bits, cost, dim // 2)
-    if q == 0:
-        return (SparsePayload.empty(dim),
-                accumulate_error(acc, update, np.zeros(dim)))
-
-    compressed = sparse_binary_compress(pending, q)
+    compressed = sparse_binary_compress(pending, q) if q else np.zeros(dim)
     support = np.flatnonzero(compressed)
-    if support.size == 0:  # pending was identically zero
-        return (SparsePayload.empty(dim),
+    if support.size == 0:  # no q fits, or pending was identically zero
+        return (SparsePayload.empty(),
                 accumulate_error(acc, update, np.zeros(dim)))
 
     magnitude = compressed[support[0]]
     codes, lo, hi = quantize_uniform(np.array([magnitude]), bits)
     sent_value = float(dequantize_uniform(codes, bits, lo, hi)[0])
-    payload = SparsePayload(length=dim, indices=support.astype(np.int64),
-                            values=np.array([sent_value]),
-                            quantizer_meta=(bits, lo, hi),
-                            bit_count=cost(q))
+    payload = SparsePayload(indices=support.astype(np.int64),
+                            values=np.array([sent_value]), bit_count=cost(q))
     _check_budget(payload, budget)
     sent = np.zeros(dim)
     sent[support] = sent_value
@@ -140,21 +129,16 @@ def fd_digital_encode(table: np.ndarray, budget: BitBudget,
 
     q = max_sparsity_within_budget(budget.bits, cost, num_labels)
     if q == 0:
-        return SparsePayload.empty(num_labels)
+        return SparsePayload.empty()
 
     indices = np.zeros((num_labels, q), dtype=np.int64)
     values = np.zeros((num_labels, q), dtype=np.float64)
-    los = np.zeros(num_labels)
-    his = np.zeros(num_labels)
     for row in range(num_labels):
         keep = np.sort(top_k_indices(table[row], q))
         codes, lo, hi = quantize_uniform(table[row, keep], bits)
         indices[row] = keep
         values[row] = dequantize_uniform(codes, bits, lo, hi)
-        los[row], his[row] = lo, hi
-    payload = SparsePayload(length=num_labels, indices=indices, values=values,
-                            quantizer_meta=(bits, los, his),
-                            bit_count=cost(q))
+    payload = SparsePayload(indices=indices, values=values, bit_count=cost(q))
     _check_budget(payload, budget)
     return payload
 

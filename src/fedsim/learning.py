@@ -31,10 +31,6 @@ class MlpArchitecture:
         object.__setattr__(self, "layer_sizes", sizes)
 
     @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
 
@@ -95,27 +91,12 @@ def forward_logits_batch(w: np.ndarray, covariates: np.ndarray,
     return activation @ mat + bias
 
 
-def forward_logits(w: np.ndarray, covariate: np.ndarray,
-                   arch: MlpArchitecture) -> np.ndarray:
-    covariate = np.asarray(covariate, dtype=np.float64)
-    if not np.all(np.isfinite(covariate)):
-        raise ValueError("covariate must be finite")
-    return forward_logits_batch(w, covariate[None, :], arch)[0]
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax along the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(a: np.ndarray, b: np.ndarray) -> float:
-    """Natural-log cross entropy -sum(a * log b), with b clamped away from 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.clip(np.asarray(b, dtype=np.float64), PROB_FLOOR, None)
-    return float(-(a * np.log(b)).sum())
 
 
 def _log_targets(target_rows: np.ndarray) -> np.ndarray:
@@ -285,6 +266,19 @@ class CovariateTable:
     present: np.ndarray
 
 
+def _label_means(rows: np.ndarray, labels: np.ndarray, num_labels: int):
+    """(values, present): the mean row per label, zero and unmasked where
+    the label does not occur."""
+    values = np.zeros((num_labels, rows.shape[1]))
+    present = np.zeros(num_labels, dtype=bool)
+    for t in range(num_labels):
+        mask = labels == t
+        if mask.any():
+            values[t] = rows[mask].mean(axis=0)
+            present[t] = True
+    return values, present
+
+
 def average_logits(w: np.ndarray, data: LabeledDataset, sample_size: int,
                    rng: np.random.Generator,
                    arch: MlpArchitecture) -> LogitTable:
@@ -294,16 +288,8 @@ def average_logits(w: np.ndarray, data: LabeledDataset, sample_size: int,
     take = min(sample_size, len(data))
     idx = rng.choice(len(data), size=take, replace=False)
     logits = forward_logits_batch(w, data.covariates[idx], arch)
-    labels = data.labels[idx]
-    num_labels = data.num_classes
-    values = np.zeros((num_labels, num_labels))
-    present = np.zeros(num_labels, dtype=bool)
-    for t in range(num_labels):
-        mask = labels == t
-        if mask.any():
-            values[t] = logits[mask].mean(axis=0)
-            present[t] = True
-    return LogitTable(values=values, present=present)
+    return LogitTable(*_label_means(logits, data.labels[idx],
+                                    data.num_classes))
 
 
 def leave_one_out(avg: np.ndarray, own: np.ndarray, count: int) -> np.ndarray:
@@ -317,35 +303,26 @@ def leave_one_out(avg: np.ndarray, own: np.ndarray, count: int) -> np.ndarray:
 def local_covariate_means(data: LabeledDataset,
                           num_labels: int) -> CovariateTable:
     """Per-label mean covariate vectors; labels absent locally are masked."""
-    values = np.zeros((num_labels, data.dim))
-    present = np.zeros(num_labels, dtype=bool)
-    for t in range(num_labels):
-        mask = data.labels == t
-        if mask.any():
-            values[t] = data.covariates[mask].mean(axis=0)
-            present[t] = True
-    return CovariateTable(values=values, present=present)
+    return CovariateTable(*_label_means(data.covariates, data.labels,
+                                        num_labels))
 
 
 def hfd_distill_step(w: np.ndarray, cov_table: CovariateTable,
-                     target_table: LogitTable, alpha: float,
+                     target_table: np.ndarray, alpha: float,
                      arch: MlpArchitecture,
                      reg_weight: float = 0.5) -> np.ndarray:
     """One SGD step distilling at the mixed-up covariates.
 
-    Each unmasked label contributes one pseudo-sample: the leave-one-out
-    average covariate with its label, regularized toward the exchanged
-    logit row exactly as in the regular distillation loss. With every label
-    masked the step is a no-op.
+    Each label unmasked in `cov_table` contributes one pseudo-sample: the
+    leave-one-out average covariate with its label, regularized toward that
+    label's row of the (L, L) exchanged `target_table` exactly as in the
+    regular distillation loss. With every label masked the step is a no-op.
     """
-    mask = cov_table.present & target_table.present
-    if not mask.any():
+    labels = np.flatnonzero(cov_table.present)
+    if labels.size == 0:
         return w
-    labels = np.flatnonzero(mask)
-    covariates = cov_table.values[labels]
-    target_rows = target_table.values[labels]
-    _, grad = loss_and_gradient(w, covariates, labels, arch,
-                                target_rows=target_rows,
+    _, grad = loss_and_gradient(w, cov_table.values[labels], labels, arch,
+                                target_rows=target_table[labels],
                                 reg_weight=reg_weight)
     return w - alpha * grad
 

@@ -289,9 +289,7 @@ class _Run:
             if cfg.protocol == "hfd" and self.targets[k] is not None:
                 for _ in range(cfg.hfd_distill_steps):
                     self.weights[k] = hfd_distill_step(
-                        self.weights[k], self.loo_covs[k],
-                        LogitTable(values=self.targets[k],
-                                   present=np.ones(self.num_labels, bool)),
+                        self.weights[k], self.loo_covs[k], self.targets[k],
                         cfg.alpha, self.arch, reg_weight=cfg.reg_weight)
             target = None
             reg = 0.0
@@ -330,8 +328,7 @@ class _Run:
     def _uplink_budget(self, state, device: int):
         cfg = self.cfg
         return uplink_budget(cfg.channel_uses, cfg.num_devices,
-                             state.uplink_gains[device], cfg.uplink_power,
-                             device=device)
+                             state.uplink_gains[device], cfg.uplink_power)
 
     def _downlink_budget(self, state):
         cfg = self.cfg
@@ -460,7 +457,7 @@ class _Run:
         if not cfg.ideal_exchange:
             state = sample_channel(
                 streams.derive_rng(cfg.master_seed, streams.CHANNEL, iteration),
-                cfg.num_devices, iteration=iteration)
+                cfg.num_devices)
             if cfg.noise_enabled:
                 noise_rng = streams.derive_rng(cfg.master_seed, streams.NOISE,
                                                iteration)
@@ -512,6 +509,13 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
+@dataclass(frozen=True)
+class PuOffset:
+    """A `pd_db = pu+<offset>` value: the uplink SNR plus `db`."""
+
+    db: float
+
+
 def parse_config_value(key: str, raw: str):
     if key not in _CONFIG_TYPES:
         raise ConfigurationError(f"unknown config key {key!r}")
@@ -526,6 +530,12 @@ def parse_config_value(key: str, raw: str):
         raise ConfigurationError(f"{key} expects a boolean, got {raw!r}")
     if key in ("protocol", "uplink_mode", "downlink_mode", "data", "model"):
         return raw
+    if key == "pd_db" and raw.startswith("pu"):
+        try:
+            return PuOffset(float(raw[2:] or 0))
+        except ValueError:
+            raise ConfigurationError(
+                f"pd_db expects a number or pu+<offset>, got {raw!r}") from None
     kind = float if key in _FLOAT_FIELDS else int
     try:
         return kind(raw)
@@ -536,7 +546,11 @@ def parse_config_value(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key=value lines; blank lines and # comments are skipped."""
+    """Flat key=value lines; blank lines and # comments are skipped.
+
+    `pd_db = pu+<offset>` is kept as a PuOffset; `resolve_pd_offset` turns
+    it into a number once pu_db is known.
+    """
     values = {}
     seen = {}
     for number, line in enumerate(text.splitlines(), start=1):
@@ -559,11 +573,21 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
+def resolve_pd_offset(values: dict) -> dict:
+    """`values` with a PuOffset pd_db replaced by pu_db + offset, taking
+    pu_db from `values` or else the ExperimentConfig default."""
+    pd = values.get("pd_db")
+    if not isinstance(pd, PuOffset):
+        return values
+    pu = values.get("pu_db", ExperimentConfig.pu_db)
+    return {**values, "pd_db": pu + pd.db}
+
+
 def config_from_file(path, **overrides) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         values = parse_config_text(f.read())
     values.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**resolve_pd_offset(values))
 
 
 def with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fedsim.channel import (
-    UPLINK, DOWNLINK, AnalogFrame, ChannelState, downlink_bc, sample_channel,
-    uplink_mac,
+    AnalogFrame, ChannelState, downlink_bc, sample_channel, uplink_mac,
 )
 from fedsim.errors import ConfigurationError
 
@@ -12,11 +11,11 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def frame(samples, direction=UPLINK, budget=None):
+def frame(samples, budget=None):
     samples = np.asarray(samples, dtype=np.complex128)
     if budget is None:
         budget = float(np.sum(np.abs(samples) ** 2)) / samples.size
-    return AnalogFrame(samples=samples, direction=direction, power_budget=budget)
+    return AnalogFrame(samples=samples, power_budget=budget)
 
 
 class TestSampleChannel:
@@ -92,7 +91,7 @@ class TestUplinkMac:
 class TestDownlinkBc:
     def test_identity(self):
         state = ChannelState(np.ones(3, complex), np.ones(3, complex))
-        received = downlink_bc(frame([2 + 0j], DOWNLINK), state, None)
+        received = downlink_bc(frame([2 + 0j]), state, None)
         assert len(received) == 3
         for r in received:
             np.testing.assert_allclose(r, [2 + 0j])
@@ -100,31 +99,28 @@ class TestDownlinkBc:
     def test_zero_gain_pure_noise(self):
         state = ChannelState(np.ones(2, complex),
                              np.array([0 + 0j, 1 + 0j]))
-        received = downlink_bc(frame([5 + 0j], DOWNLINK), state, rng(3))
+        received = downlink_bc(frame([5 + 0j]), state, rng(3))
         assert abs(received[0][0]) > 0           # noise only, almost surely
         assert abs(received[0][0] - 5) > 1e-6    # signal fully suppressed
 
     def test_per_device_scaling(self):
         state = ChannelState(np.ones(2, complex),
                              np.array([1 + 0j, 2 + 0j]))
-        received = downlink_bc(frame([1 + 0j], DOWNLINK), state, None)
+        received = downlink_bc(frame([1 + 0j]), state, None)
         np.testing.assert_allclose(received[0], [1 + 0j])
         np.testing.assert_allclose(received[1], [2 + 0j])
 
     def test_independent_noise_per_device(self):
         state = ChannelState(np.ones(2, complex), np.ones(2, complex))
-        received = downlink_bc(frame(np.zeros(64, complex), DOWNLINK,
-                                     budget=1.0), state, rng(11))
+        received = downlink_bc(frame(np.zeros(64, complex), budget=1.0), state, rng(11))
         assert not np.allclose(received[0], received[1])
 
 
 class TestAnalogFramePower:
     def test_over_budget_rejected(self):
         with pytest.raises(ValueError):
-            AnalogFrame(samples=np.array([2 + 0j]), direction=UPLINK,
-                        power_budget=1.0)
+            AnalogFrame(samples=np.array([2 + 0j]), power_budget=1.0)
 
     def test_at_budget_accepted(self):
-        f = AnalogFrame(samples=np.array([1 + 0j, 1j]), direction=UPLINK,
-                        power_budget=1.0)
+        f = AnalogFrame(samples=np.array([1 + 0j, 1j]), power_budget=1.0)
         assert len(f) == 2

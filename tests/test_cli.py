@@ -29,6 +29,16 @@ def test_run_reads_config_file_and_flags_override(tmp_path):
     assert {(r.protocol, r.channel_uses) for r in records} == {("hfd", 25)}
 
 
+def test_run_config_pd_offset_follows_pu_flag(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("pu_db = 3\npd_db = pu+10\nmodel = linear\n"
+                      "samples_per_device = 12\ntest_samples = 30\n")
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(config), "--pu-db", "-4",
+                 "--out", str(out)] + COMMON) == 0
+    assert {(r.pu_db, r.pd_db) for r in read_metrics(out)} == {(-4.0, 6.0)}
+
+
 def test_sweep_writes_one_csv_per_grid_point(tmp_path):
     grid = tmp_path / "grid.txt"
     grid.write_text("protocol = il, fl\nlink = dd, aa\nchannel_uses = 20\n"

@@ -13,8 +13,8 @@ from fedsim.digital_link import (
 from fedsim.errors import DecodeError
 
 
-def budget_of(bits, direction="uplink"):
-    return BitBudget(direction=direction, device=0, bits=bits)
+def budget_of(bits):
+    return BitBudget(bits=bits)
 
 
 class TestUplinkBudget:
@@ -115,10 +115,8 @@ class TestFlDigital:
         update = np.array([4.0, -1.0, 0.5, -0.25])
         payload, _ = fl_digital_encode(update, ErrorAccumulator.zeros(4),
                                        budget_of(30.0), 16)
-        bad = payload.__class__(length=payload.length,
-                                indices=np.array([7]),
+        bad = payload.__class__(indices=np.array([7]),
                                 values=payload.values,
-                                quantizer_meta=payload.quantizer_meta,
                                 bit_count=payload.bit_count)
         with pytest.raises(DecodeError):
             fl_digital_decode(bad, 4)

@@ -1,20 +1,28 @@
-"""Golden metrics CSVs: every protocol x link combination, byte for byte.
+"""Golden metrics CSVs and final weights: every protocol x link combination.
 
-The files under tests/golden/ were written by this module before the analog
-link pipelines were merged; a refactor must reproduce them exactly. To
-re-record them after an intended change in what is simulated:
+The metrics CSVs under tests/golden/ were written by this module before the
+analog link pipelines were merged; a refactor must reproduce them exactly.
+They print accuracies to 6 digits, so a last-bit change in the training
+arithmetic can pass them; weights.sha256 holds the sha256 of each
+scenario's concatenated final weights, which sees every bit. To re-record
+both after an intended change in what is simulated:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fedsim.orchestrator import ExperimentConfig, run_experiment, write_metrics
+from fedsim.orchestrator import (
+    ExperimentConfig, _Run, run_experiment, write_metrics,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+WEIGHT_DIGESTS = GOLDEN / "weights.sha256"
 
 PROTOCOLS = ("il", "fl", "fd", "hfd")
 LINKS = ("digital", "analog")
@@ -35,6 +43,20 @@ def golden_configs():
         yield f"{protocol}_{up[0]}{down[0]}_T{t}_seed{seed}.csv", config
 
 
+def weights_digest(config) -> str:
+    """sha256 of all devices' weights after the configured iterations."""
+    run = _Run(config)
+    for iteration in range(1, config.global_iterations + 1):
+        run.step(iteration)
+    return hashlib.sha256(np.concatenate(run.weights).tobytes()).hexdigest()
+
+
+def recorded_digests() -> dict:
+    """{csv name: digest} from weights.sha256 (sha256sum layout)."""
+    lines = WEIGHT_DIGESTS.read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
 @pytest.mark.parametrize("name,config", list(golden_configs()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_matches_golden_csv(tmp_path, name, config):
@@ -43,7 +65,16 @@ def test_matches_golden_csv(tmp_path, name, config):
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name,config", list(golden_configs()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_matches_golden_weights(name, config):
+    assert weights_digest(config) == recorded_digests()[name]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    digests = []
     for name, config in golden_configs():
         write_metrics(run_experiment(config), GOLDEN / name)
+        digests.append(f"{weights_digest(config)}  {name}\n")
+    WEIGHT_DIGESTS.write_text("".join(digests), encoding="utf-8")

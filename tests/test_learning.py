@@ -5,10 +5,10 @@ import pytest
 
 from fedsim.datasets import LabeledDataset
 from fedsim.learning import (
-    CovariateTable, LogitTable, MlpArchitecture, average_logits,
-    cross_entropy, evaluate_accuracy, forward_logits, forward_logits_batch,
-    hfd_distill_step, init_weights, leave_one_out, local_covariate_means,
-    loss_and_gradient, run_local_epochs, sgd_step, softmax,
+    CovariateTable, MlpArchitecture, average_logits, evaluate_accuracy,
+    forward_logits_batch, hfd_distill_step, init_weights, leave_one_out,
+    local_covariate_means, loss_and_gradient, run_local_epochs, sgd_step,
+    softmax,
 )
 
 
@@ -54,9 +54,9 @@ class TestArchitecture:
 class TestForward:
     def test_zero_weights_zero_logits(self):
         arch = small_arch()
-        logits = forward_logits(np.zeros(arch.param_count),
-                                np.array([0.3, 0.7, 0.1]), arch)
-        np.testing.assert_array_equal(logits, np.zeros(2))
+        logits = forward_logits_batch(np.zeros(arch.param_count),
+                                      np.array([[0.3, 0.7, 0.1]]), arch)
+        np.testing.assert_array_equal(logits, np.zeros((1, 2)))
 
     def test_against_loop_reimplementation(self):
         # Independent oracle: explicit per-neuron loops, no matrix algebra.
@@ -85,8 +85,8 @@ class TestForward:
                     z = max(z, 0.0)
                 nxt.append(z)
             act = nxt
-        np.testing.assert_allclose(forward_logits(w, x, arch), act,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(forward_logits_batch(w, x[None, :], arch),
+                                   [act], rtol=1e-12)
 
     def test_final_layer_scaling(self):
         arch, w, covariates, _, _ = small_fixture(seed=4)
@@ -97,12 +97,6 @@ class TestForward:
             forward_logits_batch(scaled, covariates, arch),
             3.0 * forward_logits_batch(w, covariates, arch),
             rtol=1e-9, atol=1e-12)
-
-    def test_non_finite_input_rejected(self):
-        arch = small_arch()
-        with pytest.raises(ValueError):
-            forward_logits(np.zeros(arch.param_count),
-                           np.array([np.nan, 0, 0]), arch)
 
 
 class TestSoftmax:
@@ -123,22 +117,6 @@ class TestSoftmax:
         for _ in range(20):
             p = softmax(gen.standard_normal(9) * 30)
             assert abs(p.sum() - 1.0) < 1e-12
-
-
-class TestCrossEntropy:
-    def test_uniform_self_entropy(self):
-        assert abs(cross_entropy([0.5, 0.5], [0.5, 0.5])
-                   - math.log(2)) < 1e-12
-
-    def test_perfect_prediction(self):
-        assert cross_entropy([0.0, 1.0], [0.0, 1.0]) == 0.0
-
-    def test_gibbs_inequality(self):
-        gen = np.random.default_rng(7)
-        for _ in range(50):
-            a = softmax(gen.standard_normal(5))
-            b = softmax(gen.standard_normal(5))
-            assert cross_entropy(a, b) >= cross_entropy(a, a) - 1e-12
 
 
 class TestGradients:
@@ -173,13 +151,12 @@ class TestGradients:
             w = init_weights(arch, gen)
             cov = CovariateTable(values=gen.uniform(0, 1, (2, 3)),
                                  present=np.array([True, True]))
-            tgt = LogitTable(values=gen.standard_normal((2, 2)),
-                             present=np.array([True, True]))
+            tgt = gen.standard_normal((2, 2))
             labels = np.array([0, 1])
 
             def loss(v):
                 return loss_and_gradient(v, cov.values, labels, arch,
-                                         target_rows=tgt.values,
+                                         target_rows=tgt,
                                          reg_weight=0.5)[0]
 
             alpha = 0.01
@@ -298,7 +275,7 @@ class TestHfdDistill:
         w = init_weights(arch, gen)
         cov = CovariateTable(gen.uniform(0, 1, (2, 3)),
                              np.array([True, True]))
-        tgt = LogitTable(gen.standard_normal((2, 2)), np.array([True, True]))
+        tgt = gen.standard_normal((2, 2))
         np.testing.assert_array_equal(
             hfd_distill_step(w, cov, tgt, 0.0, arch), w)
 
@@ -307,7 +284,7 @@ class TestHfdDistill:
         arch = small_arch()
         w = init_weights(arch, gen)
         cov = CovariateTable(np.zeros((2, 3)), np.array([False, False]))
-        tgt = LogitTable(np.zeros((2, 2)), np.array([True, True]))
+        tgt = np.zeros((2, 2))
         np.testing.assert_array_equal(
             hfd_distill_step(w, cov, tgt, 0.1, arch), w)
 
@@ -316,7 +293,7 @@ class TestHfdDistill:
         arch = small_arch()
         w = init_weights(arch, gen)
         values = gen.uniform(0, 1, (2, 3))
-        tgt = LogitTable(gen.standard_normal((2, 2)), np.array([True, True]))
+        tgt = gen.standard_normal((2, 2))
         cov_masked = CovariateTable(values, np.array([True, False]))
         perturbed = values.copy()
         perturbed[1] += 99.0  # must be ignored

@@ -233,6 +233,15 @@ class TestConfigParsing:
         assert config.channel_uses == 99
         assert config.master_seed == 11
 
+    def test_pd_offset_tracks_pu(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("pu_db = 3\npd_db = pu+10\n")
+        assert config_from_file(path).pd_db == 13.0
+        assert config_from_file(path, pu_db=-2.0).pd_db == 8.0
+        assert config_from_file(path, pd_db=4.0).pd_db == 4.0
+        path.write_text("pd_db = pu-1.5\n")
+        assert config_from_file(path).pd_db == ExperimentConfig().pu_db - 1.5
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(protocol="bogus")
@@ -261,6 +270,7 @@ class TestConfigParsing:
         ("protocol = fd\nchannel_uses = abc\n", "line 2: channel_uses"),
         ("\nchannel_uses = 1.5\n", "line 2: channel_uses"),
         ("alpha = 0.1\n# c\nalpha = 0.2\n", "line 3: duplicate key 'alpha'"),
+        ("pu_db = 3\npd_db = pu+x\n", r"line 2: pd_db expects a number or pu\+"),
     ])
     def test_bad_line_names_key_and_line(self, text, pattern):
         with pytest.raises(ConfigurationError, match=pattern):

@@ -1,15 +1,15 @@
 """Scratch harness for picking the desk-scale acceptance configuration.
 
 Not part of the package; runs the criterion-8/9/10 orderings for a candidate
-configuration and prints the margins.
+configuration and prints the margins. Run it from the repository root with
+the package on the path:
+
+    PYTHONPATH=src python3 tune_acceptance.py
 """
 
-import sys
 import time
 
 import numpy as np
-
-sys.path.insert(0, "src")
 
 from fedsim.orchestrator import ExperimentConfig, run_experiment
 
