@@ -129,24 +129,20 @@ def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray,
-              q: int) -> np.ndarray:
+def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     """Approximate message passing with a soft-threshold denoiser.
 
     The threshold tracks AMP_KAPPA times a robust noise estimate (median
     absolute deviation of the residual). Iterations stop after AMP_MAX_ITER,
     when the residual norm stalls (relative change below AMP_TOL), or when
     it grows past ten times its running minimum; the best-residual iterate
-    is returned, which makes divergence a graceful fallback. q is only
-    range-checked against the dimension.
+    is returned, which makes divergence a graceful fallback.
     """
     A = projection.matrix
     m, n = A.shape
     y = np.asarray(y_est, dtype=np.float64)
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match {m} rows")
-    if not 0 <= q <= n:
-        raise ValueError(f"sparsity hint {q} out of range for dimension {n}")
 
     x = np.zeros(n)
     z = y.copy()
@@ -248,7 +244,7 @@ def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
                 for u, acc, s in zip(updates, accs, sparse)]
     received = _uplink([projection.matrix @ s for s in sparse], state, power,
                        channel_uses, noise_rng)
-    estimate = cs_decode(projection, received, min(dim, q * len(updates)))
+    estimate = cs_decode(projection, received)
     return estimate, new_accs
 
 
@@ -273,8 +269,7 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     new_acc = accumulate_error(acc, update, sparse)
     receptions = _downlink(projection.matrix @ sparse, state, power,
                            channel_uses, noise_rng)
-    return [cs_decode(projection, y, min(update.size, q))
-            for y in receptions], new_acc
+    return [cs_decode(projection, y) for y in receptions], new_acc
 
 
 def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,

@@ -1,104 +1,75 @@
-"""Command-line front end: run one experiment or replay a sweep grid."""
+"""Command-line front end: run one experiment or a sweep grid.
+
+Both commands read the settings format described in
+`fedsim.orchestrator.parse_settings`.
+"""
 
 import argparse
-import itertools
 import os
 import sys
 
 from .errors import ConfigurationError
 from .orchestrator import (
-    ExperimentConfig, config_from_file, parse_config_value, resolve_pd_offset,
-    run_experiment, with_overrides, write_metrics,
+    LINK_CODES, ExperimentConfig, expand_settings, parse_settings,
+    run_experiment, write_metrics,
 )
 
-LINK_CODES = {"dd": ("digital", "digital"), "da": ("digital", "analog"),
-              "ad": ("analog", "digital"), "aa": ("analog", "analog")}
+
+def _read_settings(path) -> dict:
+    if path is None:
+        return {}
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_settings(f.read())
 
 
-def _link_modes(code: str):
-    if code not in LINK_CODES:
-        raise ConfigurationError(f"unknown link code {code!r}; pick one of "
-                                 f"{'/'.join(LINK_CODES)}")
-    return LINK_CODES[code]
-
-
-def _run_overrides(args) -> dict:
-    overrides = dict(protocol=args.protocol, channel_uses=args.T,
-                     pu_db=args.pu_db, pd_db=args.pd_db, num_devices=args.k,
-                     global_iterations=args.iters, master_seed=args.seed,
-                     data=args.data)
-    if args.link is not None:
-        overrides["uplink_mode"], overrides["downlink_mode"] = \
-            _link_modes(args.link)
-    return overrides
+def _run_to_csv(config: ExperimentConfig, path) -> float:
+    """Run one config, write its metrics CSV; returns the final accuracy."""
+    records = run_experiment(config)
+    write_metrics(records, path)
+    return [r for r in records if r.device_scope == "avg"][-1].test_accuracy
 
 
 def cmd_run(args) -> int:
-    overrides = _run_overrides(args)
-    if args.config:
-        config = config_from_file(args.config, **overrides)
-    else:
-        config = with_overrides(ExperimentConfig(), **overrides)
-    records = run_experiment(config)
-    write_metrics(records, args.out)
-    final = [r for r in records if r.device_scope == "avg"][-1]
+    configs = expand_settings(
+        _read_settings(args.config), protocol=args.protocol,
+        link=LINK_CODES.get(args.link), channel_uses=args.T, pu_db=args.pu_db,
+        pd_db=args.pd_db, num_devices=args.k, global_iterations=args.iters,
+        master_seed=args.seed, data=args.data)
+    if len(configs) != 1:
+        raise ConfigurationError(
+            f"the settings describe {len(configs)} runs; fedsim run takes "
+            f"one, use fedsim sweep for a grid")
+    config = configs[0]
+    accuracy = _run_to_csv(config, args.out)
     print(f"{config.protocol} {config.uplink_mode[0]}-"
           f"{config.downlink_mode[0]} T={config.channel_uses} "
           f"seed={config.master_seed}: final accuracy "
-          f"{final.test_accuracy:.4f} -> {args.out}")
+          f"{accuracy:.4f} -> {args.out}")
     return 0
 
 
-def _parse_grid_value(key: str, raw: str):
-    if key == "link":
-        return _link_modes(raw)
-    return parse_config_value(key, raw)
-
-
-def parse_grid_text(text: str) -> dict:
-    """key = v1, v2, ... lines; `link` expands to uplink/downlink modes and
-    `pd_db` accepts `pu+<offset>` to track the uplink SNR."""
-    grid = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigurationError(
-                f"grid line {number}: expected key = values")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        values = [v.strip() for v in raw.split(",") if v.strip()] \
-            if key != "data" else [raw.strip()]
-        try:
-            grid[key] = [_parse_grid_value(key, v) for v in values]
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"grid line {number}: {exc}") from None
-    return grid
+def _csv_name(config: ExperimentConfig) -> str:
+    return (f"{config.protocol}_{config.uplink_mode[0]}"
+            f"{config.downlink_mode[0]}_T{config.channel_uses}"
+            f"_pu{config.pu_db:g}_pd{config.pd_db:g}"
+            f"_seed{config.master_seed}.csv")
 
 
 def cmd_sweep(args) -> int:
-    with open(args.grid, "r", encoding="utf-8") as f:
-        grid = parse_grid_text(f.read())
+    configs = expand_settings(_read_settings(args.grid))
+    names = [_csv_name(config) for config in configs]
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ConfigurationError(
+                f"grid points share the output file {name}; its name holds "
+                f"only protocol, link, T, pu_db, pd_db and seed")
+        seen.add(name)
     os.makedirs(args.out, exist_ok=True)
-    keys = list(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys)))
-    print(f"sweep: {len(combos)} runs -> {args.out}")
-    for combo in combos:
-        overrides = dict(zip(keys, combo))
-        link = overrides.pop("link", None)
-        if link is not None:
-            overrides["uplink_mode"], overrides["downlink_mode"] = link
-        config = with_overrides(ExperimentConfig(),
-                                **resolve_pd_offset(overrides))
-        name = (f"{config.protocol}_{config.uplink_mode[0]}"
-                f"{config.downlink_mode[0]}_T{config.channel_uses}"
-                f"_pu{config.pu_db:g}_pd{config.pd_db:g}"
-                f"_seed{config.master_seed}.csv")
-        records = run_experiment(config)
-        write_metrics(records, os.path.join(args.out, name))
-        final = [r for r in records if r.device_scope == "avg"][-1]
-        print(f"  {name}: accuracy {final.test_accuracy:.4f}")
+    print(f"sweep: {len(configs)} runs -> {args.out}")
+    for config, name in zip(configs, names):
+        accuracy = _run_to_csv(config, os.path.join(args.out, name))
+        print(f"  {name}: accuracy {accuracy:.4f}")
     return 0
 
 
@@ -122,14 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="master seed")
     run.add_argument("--data",
                      help="synthetic[:opts] or idx:<images>,<labels>")
-    run.add_argument("--config", help="key=value config file; flags override")
+    run.add_argument("--config",
+                     help="settings file with one value per key; flags "
+                          "override")
     run.add_argument("--out", required=True, help="output CSV path")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="cross-product a grid file")
     sweep.add_argument("--grid", required=True,
-                       help="key = v1, v2, ... file; list-valued keys are "
-                            "crossed")
+                       help="settings file of key = v1, v2, ... lines; "
+                            "the values are crossed")
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -70,9 +70,10 @@ def fl_digital_encode(update: np.ndarray, acc: ErrorAccumulator,
 
     The pending vector (update + residual) is sign-mean sparsified at the
     largest q whose bill bits + log2 C(W, q) fits; the single surviving
-    magnitude is quantized (exactly, since its range is degenerate) and the
-    residual carries everything not sent. An infeasible budget sends nothing
-    and rolls the whole update into the residual.
+    magnitude is sent as is (a `bits`-bit quantizer over a one-value range
+    is exact, so the bill keeps its `bits` term without running one) and
+    the residual carries everything not sent. An infeasible budget sends
+    nothing and rolls the whole update into the residual.
     """
     update = np.asarray(update, dtype=np.float64)
     dim = update.size
@@ -88,9 +89,7 @@ def fl_digital_encode(update: np.ndarray, acc: ErrorAccumulator,
         return (SparsePayload.empty(),
                 accumulate_error(acc, update, np.zeros(dim)))
 
-    magnitude = compressed[support[0]]
-    codes, lo, hi = quantize_uniform(np.array([magnitude]), bits)
-    sent_value = float(dequantize_uniform(codes, bits, lo, hi)[0])
+    sent_value = float(compressed[support[0]])
     payload = SparsePayload(indices=support.astype(np.int64),
                             values=np.array([sent_value]), bit_count=cost(q))
     _check_budget(payload, budget)

@@ -9,9 +9,10 @@ tables and train against leave-one-out targets formed from the broadcast
 average. Everything is deterministic given the master seed.
 """
 
+import itertools
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .analog_link import (
 )
 from .channel import sample_channel
 from .compression import ErrorAccumulator
-from .datasets import LabeledDataset, load_dataset, partition_shards
+from .datasets import load_dataset, parse_source, partition_shards
 from .digital_link import (
     downlink_budget, fd_digital_decode, fd_digital_encode, fl_digital_decode,
     fl_digital_encode, uplink_budget,
@@ -108,6 +109,19 @@ class ExperimentConfig:
             raise ConfigurationError("alpha must be a positive finite step size")
         if not 0.0 <= self.reg_weight <= 1.0:
             raise ConfigurationError("reg_weight must lie in [0, 1]")
+        # The model's input and output widths come from the data.
+        parsers = {"data": parse_source,
+                   "model": lambda d: MlpArchitecture.from_descriptor(d, 1, 1)}
+        for name, parse in parsers.items():
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigurationError(f"{name} must be a string, "
+                                         f"got {value!r}")
+            try:
+                parse(value)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{name}: bad descriptor {value!r} ({exc})") from None
 
     @property
     def uplink_power(self) -> float:
@@ -504,9 +518,11 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
     return records
 
 
-# -- configuration files -------------------------------------------------
+# -- settings files ------------------------------------------------------
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+LINK_CODES = {"dd": ("digital", "digital"), "da": ("digital", "analog"),
+              "ad": ("analog", "digital"), "aa": ("analog", "analog")}
 
 
 @dataclass(frozen=True)
@@ -516,10 +532,14 @@ class PuOffset:
     db: float
 
 
-def parse_config_value(key: str, raw: str):
+def _parse_value(key: str, raw: str):
+    if key == "link":
+        if raw not in LINK_CODES:
+            raise ConfigurationError(f"unknown link code {raw!r}; pick one of "
+                                     f"{'/'.join(LINK_CODES)}")
+        return LINK_CODES[raw]
     if key not in _CONFIG_TYPES:
         raise ConfigurationError(f"unknown config key {key!r}")
-    raw = raw.strip()
     if key in _OPTIONAL_INT and raw.lower() in ("none", ""):
         return None
     if key in _BOOL_FIELDS:
@@ -529,67 +549,78 @@ def parse_config_value(key: str, raw: str):
             return False
         raise ConfigurationError(f"{key} expects a boolean, got {raw!r}")
     if key in ("protocol", "uplink_mode", "downlink_mode", "data", "model"):
-        return raw
-    if key == "pd_db" and raw.startswith("pu"):
+        value = raw
+    else:
+        kind = float if key in _FLOAT_FIELDS else int
+        expects = "a number" if kind is float else "an integer"
+        offset = key == "pd_db" and raw.startswith("pu")
         try:
-            return PuOffset(float(raw[2:] or 0))
+            value = PuOffset(float(raw[2:] or 0)) if offset else kind(raw)
         except ValueError:
+            if key == "pd_db":
+                expects += " or pu+<offset>"
             raise ConfigurationError(
-                f"pd_db expects a number or pu+<offset>, got {raw!r}") from None
-    kind = float if key in _FLOAT_FIELDS else int
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{key} expects {'a number' if kind is float else 'an integer'}, "
-            f"got {raw!r}") from None
+                f"{key} expects {expects}, got {raw!r}") from None
+    # Every ExperimentConfig check reads one field, so a default config with
+    # this one value set checks it while its line is known.
+    ExperimentConfig(**{key: value.db if isinstance(value, PuOffset)
+                        else value})
+    return value
 
 
-def parse_config_text(text: str) -> dict:
-    """Flat key=value lines; blank lines and # comments are skipped.
+def parse_settings(text: str) -> dict:
+    """Read the settings of `fedsim run --config` and `fedsim sweep --grid`.
 
-    `pd_db = pu+<offset>` is kept as a PuOffset; `resolve_pd_offset` turns
-    it into a number once pu_db is known.
+    Returns {key: [values]}. Each line is `key = v1, v2, ...` with an
+    ExperimentConfig field as key; a sweep crosses the values and a config
+    file gives one per key. Blank lines and # comments are skipped. `data`
+    and `model` take the rest of the line as one value (`model = mlp:8,4`).
+    `link = dd, da, ad, aa` sets uplink_mode and downlink_mode together;
+    `pd_db = pu+<offset>` follows each point's pu_db; optional integers
+    take `none`. A key may appear once (`link` sets both modes), and every
+    value is checked here, so an error names its line.
     """
-    values = {}
+    settings = {}
     seen = {}
     for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigurationError(f"line {number}: expected key=value")
+            raise ConfigurationError(f"line {number}: expected key = values")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key in seen:
-            raise ConfigurationError(
-                f"line {number}: duplicate key {key!r} (first set on line "
-                f"{seen[key]})")
-        seen[key] = number
+        names = ("uplink_mode", "downlink_mode") if key == "link" else (key,)
+        for name in names:
+            if name in seen:
+                raise ConfigurationError(
+                    f"line {number}: duplicate key {name!r} (first set on "
+                    f"line {seen[name]})")
+            seen[name] = number
+        pieces = [raw] if key in ("data", "model") else raw.split(",")
         try:
-            values[key] = parse_config_value(key, raw)
+            settings[key] = [_parse_value(key, p.strip()) for p in pieces]
         except ConfigurationError as exc:
             raise ConfigurationError(f"line {number}: {exc}") from None
-    return values
+    return settings
 
 
-def resolve_pd_offset(values: dict) -> dict:
-    """`values` with a PuOffset pd_db replaced by pu_db + offset, taking
-    pu_db from `values` or else the ExperimentConfig default."""
-    pd = values.get("pd_db")
-    if not isinstance(pd, PuOffset):
-        return values
-    pu = values.get("pu_db", ExperimentConfig.pu_db)
-    return {**values, "pd_db": pu + pd.db}
+def expand_settings(settings: dict, **overrides) -> list[ExperimentConfig]:
+    """The ExperimentConfig of every point of the settings' cross product.
 
-
-def config_from_file(path, **overrides) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        values = parse_config_text(f.read())
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig(**resolve_pd_offset(values))
-
-
-def with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    return replace(config, **{k: v for k, v in overrides.items()
-                              if v is not None})
+    An override that is not None replaces its key's values; `link` takes a
+    (uplink_mode, downlink_mode) pair and wins over either mode. Every
+    config is built, and so validated, before the list is returned.
+    """
+    grid = {**settings,
+            **{k: [v] for k, v in overrides.items() if v is not None}}
+    configs = []
+    for combo in itertools.product(*grid.values()):
+        point = dict(zip(grid, combo))
+        if "link" in point:
+            point["uplink_mode"], point["downlink_mode"] = point.pop("link")
+        pd = point.get("pd_db")
+        if isinstance(pd, PuOffset):
+            point["pd_db"] = point.get("pu_db", ExperimentConfig.pu_db) + pd.db
+        configs.append(ExperimentConfig(**point))
+    return configs

@@ -174,21 +174,21 @@ class TestCsDecode:
 
     def test_zero_measurement_zero_estimate(self):
         proj = ProjectionMatrix(rows=20, cols=50, seed=0)
-        np.testing.assert_array_equal(cs_decode(proj, np.zeros(20), 5),
+        np.testing.assert_array_equal(cs_decode(proj, np.zeros(20)),
                                       np.zeros(50))
 
     def test_noiseless_sparse_recovery(self):
         hits = 0
         for seed in range(20):
             proj, y, truth = self.sparse_instance(2000, 600, 50, seed)
-            estimate = cs_decode(proj, y, 50)
+            estimate = cs_decode(proj, y)
             nmse = np.sum((estimate - truth) ** 2) / np.sum(truth ** 2)
             hits += nmse <= 1e-3
         assert hits >= 18
 
     def test_overdetermined_sparse_exact(self):
         proj, y, truth = self.sparse_instance(100, 200, 30, 7)
-        estimate = cs_decode(proj, y, 30)
+        estimate = cs_decode(proj, y)
         assert np.sum((estimate - truth) ** 2) / np.sum(truth ** 2) <= 1e-6
 
     def test_overdetermined_dense_exact(self):
@@ -196,7 +196,7 @@ class TestCsDecode:
         dim = 100
         proj = ProjectionMatrix(rows=6 * dim, cols=dim, seed=9)
         truth = gen.standard_normal(dim)
-        estimate = cs_decode(proj, proj.matrix @ truth, dim)
+        estimate = cs_decode(proj, proj.matrix @ truth)
         assert np.sum((estimate - truth) ** 2) / np.sum(truth ** 2) <= 1e-6
 
     def test_nmse_non_increasing_in_measurements(self):
@@ -205,7 +205,7 @@ class TestCsDecode:
             vals = []
             for seed in range(10):
                 proj, y, truth = self.sparse_instance(2000, rows, 50, seed)
-                estimate = cs_decode(proj, y, 50)
+                estimate = cs_decode(proj, y)
                 vals.append(np.sum((estimate - truth) ** 2)
                             / np.sum(truth ** 2))
             means.append(np.mean(vals))

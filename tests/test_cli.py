@@ -1,10 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from fedsim.cli import main, parse_grid_text
+from fedsim.cli import main
 from fedsim.errors import ConfigurationError
-from fedsim.orchestrator import read_metrics
+from fedsim.orchestrator import (
+    ExperimentConfig, parse_settings, read_metrics, run_experiment,
+    write_metrics,
+)
 
 COMMON = ["--k", "2", "--iters", "2", "--data", "synthetic:classes=2,dim=4"]
+SMALL = ("num_devices = 2\nglobal_iterations = 1\nsamples_per_device = 10\n"
+         "test_samples = 30\nmodel = linear\n"
+         "data = synthetic:classes=2,dim=4\n")
 
 
 def test_run_writes_metrics_csv(tmp_path, capsys):
@@ -73,17 +84,100 @@ def test_sweep_grid_error_names_its_line(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "fedsim: error: grid line 4: channel_uses expects an integer, "
+        "fedsim: error: line 4: channel_uses expects an integer, "
         "got '1.5'\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("text,pattern", [
-    ("protocol = il\nlink = dd, xy\n", "grid line 2: unknown link code 'xy'"),
-    ("pd_db = 3, pu+x\n", "grid line 1: pd_db expects"),
-    ("\nfrobnicate = 3\n", "grid line 2: unknown config key"),
-    ("protocol il\n", "grid line 1: expected key = values"),
+    ("protocol = il\nlink = dd, xy\n", "line 2: unknown link code 'xy'"),
+    ("pd_db = 3, pu+x\n", "line 1: pd_db expects"),
+    ("\nfrobnicate = 3\n", "line 2: unknown config key"),
+    ("protocol il\n", "line 1: expected key = values"),
 ])
 def test_grid_errors_name_their_line(text, pattern):
     with pytest.raises(ConfigurationError, match=pattern):
-        parse_grid_text(text)
+        parse_settings(text)
+
+
+def test_run_config_and_one_point_sweep_write_the_same_csv(tmp_path):
+    settings = tmp_path / "one.cfg"
+    settings.write_text(SMALL + "protocol = fd\nlink = ad\nchannel_uses = 20\n"
+                        "pu_db = 2\npd_db = pu+5\n")
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(settings), "--out", str(out)]) == 0
+    assert main(["sweep", "--grid", str(settings),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    [swept] = (tmp_path / "sweep").iterdir()
+    assert swept.name == "fd_ad_T20_pu2_pd7_seed0.csv"
+    assert swept.read_bytes() == out.read_bytes()
+    assert {(r.uplink_mode, r.downlink_mode) for r in read_metrics(out)} \
+        == {("analog", "digital")}
+
+
+def test_sweep_reads_a_model_with_commas_as_one_point(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(SMALL.replace("model = linear", "model = mlp:8,4")
+                    + "channel_uses = 20\n")
+    assert main(["sweep", "--grid", str(grid),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    [swept] = (tmp_path / "sweep").iterdir()
+    expected = tmp_path / "expected.csv"
+    write_metrics(run_experiment(ExperimentConfig(
+        num_devices=2, global_iterations=1, samples_per_device=10,
+        test_samples=30, model="mlp:8,4", data="synthetic:classes=2,dim=4",
+        channel_uses=20)), expected)
+    assert swept.read_bytes() == expected.read_bytes()
+
+
+def test_run_rejects_several_points(tmp_path, capsys):
+    settings = tmp_path / "two.cfg"
+    settings.write_text(SMALL + "channel_uses = 20, 40\n")
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(settings), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "fedsim: error: the settings describe 2 runs; fedsim run takes one, "
+        "use fedsim sweep for a grid\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("channel_uses = 20\nchannel_uses = 40\n",
+     "line 2: duplicate key 'channel_uses' (first set on line 1)"),
+    ("link = dd\nuplink_mode = analog\n",
+     "line 2: duplicate key 'uplink_mode' (first set on line 1)"),
+    ("channel_uses = 20\nnum_devices = 2, 0\n",
+     "line 2: num_devices must be an integer >= 1, got 0"),
+    ("model = mlp:x\n", "line 1: model: bad descriptor 'mlp:x' (invalid "
+     "literal for int() with base 10: 'x')"),
+    ("data = synthetic:dimm=4\n", "line 1: data: bad descriptor "
+     "'synthetic:dimm=4' (unknown synthetic option 'dimm')"),
+    ("alpha = 0.1, 0.2\n", "grid points share the output file "
+     "il_dd_T2500_pu0_pd10_seed0.csv; its name holds only protocol, link, "
+     "T, pu_db, pd_db and seed"),
+])
+def test_sweep_fails_before_writing_anything(tmp_path, capsys, text,
+                                             message):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"fedsim: error: {message}\n")
+    assert not out.exists()
+
+
+def test_cli_process_exit_status(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("protocol = il, fl\n# T\nchannel_uses = 20, abc\n")
+    out = tmp_path / "sweep"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "fedsim.cli", "sweep", "--grid", str(grid),
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == ("fedsim: error: line 3: channel_uses expects an "
+                           "integer, got 'abc'\n")
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from fedsim.learning import (
     MlpArchitecture, average_logits, init_weights, run_local_epochs,
 )
 from fedsim.orchestrator import (
-    CSV_HEADER, ExperimentConfig, MetricsRecord, _Run, config_from_file,
-    parse_config_text, read_metrics, run_experiment, write_metrics,
+    CSV_HEADER, ExperimentConfig, MetricsRecord, _Run, expand_settings,
+    parse_settings, read_metrics, run_experiment, write_metrics,
 )
 
 SMALL_DATA = "synthetic:classes=2,dim=6"
@@ -215,32 +217,70 @@ class TestMetricsCsv:
 
 class TestConfigParsing:
     def test_key_value_text(self):
-        values = parse_config_text(
+        values = parse_settings(
             "# comment\nprotocol = fd\nchannel_uses=123\n\n"
             "pu_db = -2.5\nnoise_enabled = false\nfl_analog_q = none\n")
-        assert values == dict(protocol="fd", channel_uses=123, pu_db=-2.5,
-                              noise_enabled=False, fl_analog_q=None)
+        assert values == dict(protocol=["fd"], channel_uses=[123],
+                              pu_db=[-2.5], noise_enabled=[False],
+                              fl_analog_q=[None])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
-            parse_config_text("frobnicate = 3\n")
+            parse_settings("frobnicate = 3\n")
 
-    def test_file_with_overrides(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("protocol = fd\nchannel_uses = 99\nmaster_seed = 5\n")
-        config = config_from_file(path, master_seed=11, protocol=None)
+    def test_file_with_overrides(self):
+        settings = parse_settings(
+            "protocol = fd\nchannel_uses = 99\nmaster_seed = 5\n")
+        [config] = expand_settings(settings, master_seed=11, protocol=None)
         assert config.protocol == "fd"
         assert config.channel_uses == 99
         assert config.master_seed == 11
 
-    def test_pd_offset_tracks_pu(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("pu_db = 3\npd_db = pu+10\n")
-        assert config_from_file(path).pd_db == 13.0
-        assert config_from_file(path, pu_db=-2.0).pd_db == 8.0
-        assert config_from_file(path, pd_db=4.0).pd_db == 4.0
-        path.write_text("pd_db = pu-1.5\n")
-        assert config_from_file(path).pd_db == ExperimentConfig().pu_db - 1.5
+    def test_pd_offset_tracks_pu(self):
+        def pd(text, **overrides):
+            [config] = expand_settings(parse_settings(text), **overrides)
+            return config.pd_db
+
+        text = "pu_db = 3\npd_db = pu+10\n"
+        assert pd(text) == 13.0
+        assert pd(text, pu_db=-2.0) == 8.0
+        assert pd(text, pd_db=4.0) == 4.0
+        assert pd("pd_db = pu-1.5\n") == ExperimentConfig().pu_db - 1.5
+        configs = expand_settings(parse_settings(
+            "pu_db = 0, 5\npd_db = pu+10, 2\n"))
+        assert [(c.pu_db, c.pd_db) for c in configs] == [
+            (0.0, 10.0), (0.0, 2.0), (5.0, 15.0), (5.0, 2.0)]
+
+    def test_every_field_round_trips(self):
+        config = ExperimentConfig(
+            protocol="hfd", uplink_mode="analog", downlink_mode="analog",
+            num_devices=3, channel_uses=40, pu_db=-1.5, pd_db=2.5,
+            global_iterations=4, alpha=0.02, quantizer_bits=8,
+            fl_analog_q=7, reg_weight=0.25, local_epochs=2, batch_size=5,
+            samples_per_device=11, master_seed=9,
+            data="synthetic:classes=3,dim=6", model="mlp:8,4",
+            logit_sample_size=6, hfd_distill_steps=2, test_samples=50,
+            noise_enabled=False, ideal_exchange=True)
+        assert all(getattr(config, f.name) != f.default
+                   for f in dataclasses.fields(ExperimentConfig))
+        text = "\n".join(f"{f.name} = {getattr(config, f.name)}"
+                         for f in dataclasses.fields(ExperimentConfig)
+                         if f.name != "pd_db")
+        assert expand_settings(parse_settings(text + "\npd_db = pu+4\n")) \
+            == [config]
+        none_text = text.replace("fl_analog_q = 7", "fl_analog_q = none")
+        [unset] = expand_settings(parse_settings(none_text + "\npd_db = 1\n"))
+        assert unset.fl_analog_q is None and unset.pd_db == 1.0
+
+    def test_link_sets_both_modes(self):
+        settings = parse_settings("link = da, aa\nprotocol = fl\n")
+        assert settings["link"] == [("digital", "analog"), ("analog", "analog")]
+        assert [(c.uplink_mode, c.downlink_mode)
+                for c in expand_settings(settings)] == [
+            ("digital", "analog"), ("analog", "analog")]
+        [config] = expand_settings(settings, link=("digital", "digital"))
+        assert (config.uplink_mode, config.downlink_mode) == \
+            ("digital", "digital")
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -254,7 +294,8 @@ class TestConfigParsing:
         ("pu_db", "3"), ("pu_db", True), ("pd_db", None),
         ("reg_weight", "0.5"), ("alpha", "0.1"),
         ("noise_enabled", "no"), ("ideal_exchange", "false"),
-        ("ideal_exchange", 1),
+        ("ideal_exchange", 1), ("model", "mlp:x"), ("model", None),
+        ("data", "synthetic:dimm=4"),
     ])
     def test_invalid_value_names_its_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
@@ -271,10 +312,13 @@ class TestConfigParsing:
         ("\nchannel_uses = 1.5\n", "line 2: channel_uses"),
         ("alpha = 0.1\n# c\nalpha = 0.2\n", "line 3: duplicate key 'alpha'"),
         ("pu_db = 3\npd_db = pu+x\n", r"line 2: pd_db expects a number or pu\+"),
+        ("channel_uses = 20\nnum_devices = 2, 0\n",
+         "line 2: num_devices must be an integer >= 1, got 0"),
+        ("pd_db = pu+inf\n", "line 1: pd_db must be a finite"),
     ])
     def test_bad_line_names_key_and_line(self, text, pattern):
         with pytest.raises(ConfigurationError, match=pattern):
-            parse_config_text(text)
+            parse_settings(text)
 
 
 class TestMetricsCsvErrors:
