@@ -7,6 +7,17 @@ superposition arrives coherently. The receiver applies a scalar
 minimum-mean-square-error factor and a soft-threshold message-passing
 decoder to recover the sum. Logit tables are small enough to skip the
 projection; they use integer-redundancy repetition coding instead.
+
+Precision: the projection matrix is stored in float32 and its two products
+(`ProjectionMatrix.project` and `backproject`) run in single precision, so
+each decoder sweep reads half the bytes. Everything else, the decoder's
+iterate, residual and threshold, the power scaling and the channel, stays
+float64. Where the decode is well posed (2T well above the number of
+nonzeros) it agrees with an all-float64 decode of the same inputs to a
+relative squared error below 1e-12 (8e-15 to 7e-14 over the decodes of
+one T=2500, W=1362 round). Past the message-passing phase transition
+(small T) the iteration path is chaotic and no per-decode bound holds: at
+T=100 the same comparison gave up to 0.16.
 """
 
 import math
@@ -25,6 +36,10 @@ AMP_KAPPA = 1.5
 AMP_MAX_ITER = 50
 AMP_TOL = 1e-6
 
+# The projection is drawn in row blocks of about this many bytes of float64
+# draws, so no full-size float64 temporary is ever allocated.
+_DRAW_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
@@ -33,6 +48,12 @@ class ProjectionMatrix:
     Entries are i.i.d. zero-mean with variance 1/rows, so projecting a
     vector roughly preserves its squared norm. Regenerating from the same
     (rows, cols, seed) triple is bit-exact.
+
+    `matrix` is float32: bit for bit the float64 draw
+    `(default_rng(seed).standard_normal((rows, cols)) / sqrt(rows))` rounded
+    to single precision. Multiply through `project` and `backproject`, which
+    take and return float64 vectors; a float64 vector on the right of the
+    float32 matrix would silently copy the whole matrix to float64.
     """
 
     rows: int
@@ -42,7 +63,23 @@ class ProjectionMatrix:
     @cached_property
     def matrix(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        return rng.standard_normal((self.rows, self.cols)) / math.sqrt(self.rows)
+        scale = math.sqrt(self.rows)
+        out = np.empty((self.rows, self.cols), dtype=np.float32)
+        step = max(1, _DRAW_BLOCK_BYTES // (8 * self.cols))
+        for start in range(0, self.rows, step):
+            block = out[start:start + step]
+            block[...] = rng.standard_normal(block.shape) / scale
+        return out
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """A @ v in single precision, returned as float64."""
+        v32 = np.asarray(v, dtype=np.float32)
+        return (self.matrix @ v32).astype(np.float64)
+
+    def backproject(self, z: np.ndarray) -> np.ndarray:
+        """A.T @ z in single precision, returned as float64."""
+        z32 = np.asarray(z, dtype=np.float32)
+        return (self.matrix.T @ z32).astype(np.float64)
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -138,8 +175,7 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     it grows past ten times its running minimum; the best-residual iterate
     is returned, which makes divergence a graceful fallback.
     """
-    A = projection.matrix
-    m, n = A.shape
+    m, n = projection.rows, projection.cols
     y = np.asarray(y_est, dtype=np.float64)
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match {m} rows")
@@ -153,9 +189,10 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
         return best_x
     for _ in range(AMP_MAX_ITER):
         sigma = float(np.median(np.abs(z))) / 0.6745
-        r = x + A.T @ z
+        r = x + projection.backproject(z)
         x = _soft_threshold(r, AMP_KAPPA * sigma)
-        z = y - A @ x + (np.count_nonzero(x) / m) * z  # Onsager correction
+        onsager = (np.count_nonzero(x) / m) * z
+        z = y - projection.project(x) + onsager
         res = float(np.linalg.norm(z))
         if res < best_res:
             best_res = res
@@ -242,8 +279,8 @@ def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
               for u, acc in zip(updates, accs)]
     new_accs = [accumulate_error(acc, u, s)
                 for u, acc, s in zip(updates, accs, sparse)]
-    received = _uplink([projection.matrix @ s for s in sparse], state, power,
-                       channel_uses, noise_rng)
+    received = _uplink([projection.project(s) for s in sparse], state,
+                       power, channel_uses, noise_rng)
     estimate = cs_decode(projection, received)
     return estimate, new_accs
 
@@ -267,7 +304,7 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     _check_projection(projection, update.size, channel_uses)
     sparse = top_k_sparsify(update + acc.residual, q)
     new_acc = accumulate_error(acc, update, sparse)
-    receptions = _downlink(projection.matrix @ sparse, state, power,
+    receptions = _downlink(projection.project(sparse), state, power,
                            channel_uses, noise_rng)
     return [cs_decode(projection, y) for y in receptions], new_acc
 

@@ -18,8 +18,13 @@ from .orchestrator import (
 def _read_settings(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_settings(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read settings file {path}: {exc.strerror}") from None
+    return parse_settings(text)
 
 
 def _run_to_csv(config: ExperimentConfig, path) -> float:

@@ -128,10 +128,10 @@ def parse_source(descriptor: str) -> dict:
     "synthetic" or "synthetic:classes=3,dim=16,noise=0.2,spread=0.3"
     selects the generator; "idx:<images>,<labels>" selects an IDX pair.
     """
-    if descriptor.startswith("synthetic"):
+    kind, _, tail = descriptor.partition(":")
+    if kind == "synthetic":
         opts = {"kind": "synthetic", "classes": 2, "dim": 24,
                 "noise": 0.18, "spread": 0.25, "flip": 0.0}
-        _, _, tail = descriptor.partition(":")
         if tail:
             for item in tail.split(","):
                 key, _, value = item.partition("=")
@@ -141,8 +141,8 @@ def parse_source(descriptor: str) -> dict:
                 opts[key] = (int(value) if key in ("classes", "dim")
                              else float(value))
         return opts
-    if descriptor.startswith("idx:"):
-        paths = descriptor[4:].split(",")
+    if kind == "idx":
+        paths = tail.split(",")
         if len(paths) != 2:
             raise ValueError("idx source needs '<images>,<labels>'")
         return {"kind": "idx", "images": paths[0], "labels": paths[1]}

@@ -48,6 +48,17 @@ CSV_HEADER = ("iteration,protocol,uplink,downlink,T,pu_db,pd_db,seed,scope,"
               "accuracy,bits_up,bits_down")
 
 
+def _check_logit_room(cfg, num_labels: int) -> None:
+    """An analog logit exchange repeats the L x L table over the 2T reals."""
+    uses_analog = "analog" in (cfg.uplink_mode, cfg.downlink_mode)
+    if cfg.protocol in ("fd", "hfd") and uses_analog \
+            and not cfg.ideal_exchange \
+            and 2 * cfg.channel_uses < num_labels ** 2:
+        raise ConfigurationError(
+            f"channel_uses: analog logit exchange needs 2T >= L^2; got T="
+            f"{cfg.channel_uses}, L={num_labels}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one run; field names double as config-file keys."""
@@ -112,16 +123,22 @@ class ExperimentConfig:
         # The model's input and output widths come from the data.
         parsers = {"data": parse_source,
                    "model": lambda d: MlpArchitecture.from_descriptor(d, 1, 1)}
+        parsed = {}
         for name, parse in parsers.items():
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ConfigurationError(f"{name} must be a string, "
                                          f"got {value!r}")
             try:
-                parse(value)
+                parsed[name] = parse(value)
             except ValueError as exc:
                 raise ConfigurationError(
                     f"{name}: bad descriptor {value!r} ({exc})") from None
+        # Synthetic data names its class count; an IDX pair's is checked by
+        # _Run once the labels are loaded.
+        source = parsed["data"]
+        if source["kind"] == "synthetic":
+            _check_logit_room(self, source["classes"])
 
     @property
     def uplink_power(self) -> float:
@@ -222,13 +239,7 @@ class _Run:
                                                     self.num_labels)
         self.dim = self.arch.param_count
 
-        uses_analog = "analog" in (cfg.uplink_mode, cfg.downlink_mode)
-        if cfg.protocol in ("fd", "hfd") and uses_analog \
-                and not cfg.ideal_exchange \
-                and 2 * cfg.channel_uses < self.num_labels ** 2:
-            raise ConfigurationError(
-                f"analog logit exchange needs 2T >= L^2; got T="
-                f"{cfg.channel_uses}, L={self.num_labels}")
+        _check_logit_room(cfg, self.num_labels)
 
         if cfg.protocol == "fl":
             # Update semantics need one common reference point; share the
@@ -561,8 +572,10 @@ def _parse_value(key: str, raw: str):
                 expects += " or pu+<offset>"
             raise ConfigurationError(
                 f"{key} expects {expects}, got {raw!r}") from None
-    # Every ExperimentConfig check reads one field, so a default config with
-    # this one value set checks it while its line is known.
+    # Every ExperimentConfig check but the 2T >= L^2 one reads one field, and
+    # that one needs an analog distillation protocol, which the default is
+    # not; so a default config with this one value set checks it while its
+    # line is known.
     ExperimentConfig(**{key: value.db if isinstance(value, PuOffset)
                         else value})
     return value

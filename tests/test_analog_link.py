@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fedsim.analog_link import (
-    ProjectionMatrix, cs_decode, fd_analog_downlink, fd_analog_uplink,
-    fl_analog_downlink, fl_analog_uplink, full_power_gain,
-    mmse_factor_downlink, mmse_factor_uplink, pack_complex, precompensate,
-    repetition_decode, repetition_encode, unpack_complex,
+    AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, cs_decode,
+    fd_analog_downlink, fd_analog_uplink, fl_analog_downlink,
+    fl_analog_uplink, full_power_gain, mmse_factor_downlink,
+    mmse_factor_uplink, pack_complex, precompensate, repetition_decode,
+    repetition_encode, unpack_complex,
 )
 from fedsim.channel import ChannelState
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
@@ -170,7 +174,7 @@ class TestCsDecode:
         truth = np.zeros(dim)
         support = gen.choice(dim, sparsity, replace=False)
         truth[support] = gen.standard_normal(sparsity)
-        return proj, proj.matrix @ truth, truth
+        return proj, proj.project(truth), truth
 
     def test_zero_measurement_zero_estimate(self):
         proj = ProjectionMatrix(rows=20, cols=50, seed=0)
@@ -196,7 +200,7 @@ class TestCsDecode:
         dim = 100
         proj = ProjectionMatrix(rows=6 * dim, cols=dim, seed=9)
         truth = gen.standard_normal(dim)
-        estimate = cs_decode(proj, proj.matrix @ truth)
+        estimate = cs_decode(proj, proj.project(truth))
         assert np.sum((estimate - truth) ** 2) / np.sum(truth ** 2) <= 1e-6
 
     def test_nmse_non_increasing_in_measurements(self):
@@ -215,6 +219,68 @@ class TestCsDecode:
         a = ProjectionMatrix(rows=64, cols=128, seed=42)
         b = ProjectionMatrix(rows=64, cols=128, seed=42)
         np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def float64_draw(rows, cols, seed):
+    """The projection as drawn before rounding to float32."""
+    return (np.random.default_rng(seed).standard_normal((rows, cols))
+            / math.sqrt(rows))
+
+
+def float64_amp(a, y):
+    """cs_decode's loop with every product in float64, as a reference."""
+    m, n = a.shape
+    x = np.zeros(n)
+    z = y.copy()
+    best_x = x
+    best_res = prev_res = float(np.linalg.norm(z))
+    for _ in range(AMP_MAX_ITER):
+        sigma = float(np.median(np.abs(z))) / 0.6745
+        r = x + a.T @ z
+        x = np.sign(r) * np.maximum(np.abs(r) - AMP_KAPPA * sigma, 0.0)
+        z = y - a @ x + (np.count_nonzero(x) / m) * z
+        res = float(np.linalg.norm(z))
+        if res < best_res:
+            best_res, best_x = res, x
+        if res > 10.0 * best_res \
+                or abs(res - prev_res) <= AMP_TOL * max(prev_res, 1e-300):
+            break
+        prev_res = res
+    return best_x
+
+
+class TestProjectionPrecision:
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(1, 80), cols=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(rows=50, cols=1362, seed=0)  # blocks of 24 rows, the last short
+    def test_matrix_is_the_rounded_float64_draw(self, rows, cols, seed):
+        matrix = ProjectionMatrix(rows=rows, cols=cols, seed=seed).matrix
+        assert matrix.dtype == np.float32 and matrix.shape == (rows, cols)
+        rounded = float64_draw(rows, cols, seed).astype(np.float32)
+        assert matrix.tobytes() == rounded.tobytes()
+
+    def test_products_are_float64_near_the_float64_product(self):
+        gen = np.random.default_rng(3)
+        proj = ProjectionMatrix(rows=300, cols=120, seed=4)
+        a = float64_draw(300, 120, 4)
+        v, z = gen.standard_normal(120), gen.standard_normal(300)
+        for got, want in ((proj.project(v), a @ v),
+                          (proj.backproject(z), a.T @ z)):
+            assert got.dtype == np.float64
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_decode_matches_float64_amp_when_overdetermined(self):
+        # 2T = 600 measurements of 200 dense entries, with noise: the regime
+        # of the T=2500 benchmark, where the decode is well posed.
+        for seed in range(4):
+            gen = np.random.default_rng(seed)
+            proj = ProjectionMatrix(rows=600, cols=200, seed=seed + 100)
+            a = float64_draw(600, 200, seed + 100)
+            y = a @ gen.standard_normal(200) + 0.1 * gen.standard_normal(600)
+            want = float64_amp(a, y)
+            got = cs_decode(proj, y)
+            assert np.sum((got - want) ** 2) <= 1e-10 * np.sum(want ** 2)
 
 
 class TestFlAnalogUplink:

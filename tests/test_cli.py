@@ -152,6 +152,9 @@ def test_run_rejects_several_points(tmp_path, capsys):
      "literal for int() with base 10: 'x')"),
     ("data = synthetic:dimm=4\n", "line 1: data: bad descriptor "
      "'synthetic:dimm=4' (unknown synthetic option 'dimm')"),
+    ("protocol = fd\nlink = aa\nchannel_uses = 20, 1\n"
+     "data = synthetic:classes=2,dim=4\n", "channel_uses: analog logit "
+     "exchange needs 2T >= L^2; got T=1, L=2"),
     ("alpha = 0.1, 0.2\n", "grid points share the output file "
      "il_dd_T2500_pu0_pd10_seed0.csv; its name holds only protocol, link, "
      "T, pu_db, pd_db and seed"),
@@ -164,6 +167,19 @@ def test_sweep_fails_before_writing_anything(tmp_path, capsys, text,
     assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"fedsim: error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--config"],
+                                     ["sweep", "--grid"]])
+def test_missing_settings_file_is_one_line_error(tmp_path, capsys, command):
+    missing = tmp_path / "nope.cfg"
+    out = tmp_path / "out"
+    assert main(command + [str(missing), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"fedsim: error: cannot read settings file {missing}: "
+            f"No such file or directory\n")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -165,6 +166,33 @@ class TestProtocolsRun:
                 data="synthetic:classes=7,dim=4", channel_uses=20,
                 model="linear"))
 
+    def test_logit_room_checked_when_the_config_is_built(self):
+        seven = dict(data="synthetic:classes=7,dim=4", model="linear")
+        with pytest.raises(ConfigurationError, match=(
+                r"channel_uses: analog logit exchange needs 2T >= L\^2; "
+                r"got T=24, L=7")):
+            ExperimentConfig(protocol="hfd", downlink_mode="analog",
+                             channel_uses=24, **seven)
+        ExperimentConfig(protocol="fd", uplink_mode="analog", channel_uses=25,
+                         **seven)
+        ExperimentConfig(protocol="fd", uplink_mode="analog", channel_uses=24,
+                         ideal_exchange=True, **seven)
+        ExperimentConfig(protocol="fl", uplink_mode="analog", channel_uses=1,
+                         **seven)
+
+    def test_idx_logit_room_checked_once_labels_load(self, tmp_path):
+        images, labels = tmp_path / "images.idx3", tmp_path / "labels.idx1"
+        images.write_bytes(struct.pack(">IIII", 0x803, 60, 2, 2)
+                           + bytes(60 * 4))
+        labels.write_bytes(struct.pack(">II", 0x801, 60)
+                           + bytes(k % 3 for k in range(60)))
+        config = small_config(protocol="fd", uplink_mode="analog",
+                              channel_uses=4, data=f"idx:{images},{labels}",
+                              model="linear")
+        with pytest.raises(ConfigurationError, match="got T=4, L=3"):
+            _Run(config)
+        _Run(dataclasses.replace(config, channel_uses=5))
+
     def test_record_layout(self):
         records = run_experiment(small_config())
         per_iter = 1 + 2  # avg + one per device
@@ -295,7 +323,7 @@ class TestConfigParsing:
         ("reg_weight", "0.5"), ("alpha", "0.1"),
         ("noise_enabled", "no"), ("ideal_exchange", "false"),
         ("ideal_exchange", 1), ("model", "mlp:x"), ("model", None),
-        ("data", "synthetic:dimm=4"),
+        ("data", "synthetic:dimm=4"), ("data", "synthetic_typo"),
     ])
     def test_invalid_value_names_its_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
