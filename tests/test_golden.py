@@ -1,7 +1,11 @@
 """Golden metrics CSVs and final weights: every protocol x link combination.
 
-The metrics CSVs under tests/golden/ were written by this module before the
-analog link pipelines were merged; a refactor must reproduce them exactly.
+The 64 metrics CSVs of the protocol x link grid under tests/golden/ were
+written by this module before the analog link pipelines were merged, and
+the eight extra scenarios (ideal exchanges, noiseless analog links, and
+digital logit exchanges at a T where some payloads drop out and others get
+through) before the two exchange paths were merged; a refactor must
+reproduce them exactly.
 They print accuracies to 6 digits, so a last-bit change in the training
 arithmetic can pass them; weights.sha256 holds the sha256 of each
 scenario's concatenated final weights, which sees every bit. To re-record
@@ -30,17 +34,32 @@ CHANNEL_USES = (16, 400)
 SEEDS = (0, 1)
 
 
+def _config(protocol, up, down, t, seed, **extra):
+    return ExperimentConfig(
+        protocol=protocol, uplink_mode=up, downlink_mode=down,
+        num_devices=3, channel_uses=t, pu_db=5.0, pd_db=10.0,
+        global_iterations=3, alpha=0.2, batch_size=4,
+        samples_per_device=24, test_samples=400, master_seed=seed,
+        data="synthetic:classes=3,dim=6", model="mlp:8", **extra)
+
+
 def golden_configs():
-    """(file name, config) for all 64 recorded scenarios."""
+    """(file name, config) for all 72 recorded scenarios."""
     for protocol, up, down, t, seed in itertools.product(
             PROTOCOLS, LINKS, LINKS, CHANNEL_USES, SEEDS):
-        config = ExperimentConfig(
-            protocol=protocol, uplink_mode=up, downlink_mode=down,
-            num_devices=3, channel_uses=t, pu_db=5.0, pd_db=10.0,
-            global_iterations=3, alpha=0.2, batch_size=4,
-            samples_per_device=24, test_samples=400, master_seed=seed,
-            data="synthetic:classes=3,dim=6", model="mlp:8")
-        yield f"{protocol}_{up[0]}{down[0]}_T{t}_seed{seed}.csv", config
+        yield (f"{protocol}_{up[0]}{down[0]}_T{t}_seed{seed}.csv",
+               _config(protocol, up, down, t, seed))
+    for protocol in ("fl", "fd", "hfd"):
+        yield (f"{protocol}_ideal_T16_seed0.csv",
+               _config(protocol, "digital", "digital", 16, 0,
+                       ideal_exchange=True))
+        yield (f"{protocol}_aa_T16_seed0_noiseless.csv",
+               _config(protocol, "analog", "analog", 16, 0,
+                       noise_enabled=False))
+    # At T=48 some digital logit payloads drop out and others get through.
+    for protocol in ("fd", "hfd"):
+        yield (f"{protocol}_dd_T48_seed0.csv",
+               _config(protocol, "digital", "digital", 48, 0))
 
 
 def weights_digest(config) -> str:

@@ -4,11 +4,14 @@ import struct
 import numpy as np
 import pytest
 
-from fedsim import audit, streams
-from fedsim.datasets import load_dataset, partition_shards
+from fedsim import audit, orchestrator, streams
+from fedsim.channel import ChannelState
+from fedsim.compression import ErrorAccumulator
+from fedsim.datasets import LabeledDataset, load_dataset, partition_shards
 from fedsim.errors import ConfigurationError
 from fedsim.learning import (
-    MlpArchitecture, average_logits, init_weights, run_local_epochs,
+    LogitTable, MlpArchitecture, average_logits, init_weights,
+    run_local_epochs,
 )
 from fedsim.orchestrator import (
     CSV_HEADER, ExperimentConfig, MetricsRecord, _Run, expand_settings,
@@ -124,6 +127,121 @@ class TestFdFixedPoint:
         for k in range(3):
             np.testing.assert_allclose(run.targets[k], tables[k].values,
                                        atol=1e-12)
+
+
+def logit_tables(arrays):
+    """Hand-made logit tables in the form `_Run.logit_tables` returns."""
+    return [LogitTable(values=a, present=np.ones(len(a), dtype=bool))
+            for a in arrays]
+
+
+class TestExchangeRules:
+    """Who learns toward what when digital payloads drop out.
+
+    Each round runs over a hand-made ChannelState: a zero uplink gain gives
+    that device a zero bit budget, so its payload drops out, and a zero
+    downlink gain does the same to the broadcast.
+    """
+
+    TABLES = [np.array([[1.0, -1.0], [0.5, 2.0]]),
+              np.array([[3.0, 0.0], [-1.5, 4.0]]),
+              np.array([[-2.0, 1.0], [2.5, 0.0]])]
+
+    @staticmethod
+    def hand_made_channel(monkeypatch, up, down):
+        state = ChannelState(uplink_gains=np.array(up, dtype=complex),
+                             downlink_gains=np.array(down, dtype=complex))
+        monkeypatch.setattr(orchestrator, "sample_channel",
+                            lambda rng, num_devices: state)
+
+    def fd_round(self, monkeypatch, up, down=(1, 1, 1)):
+        """One FD step on TABLES; returns (run, previous targets, bits)."""
+        run = _Run(small_config(protocol="fd", num_devices=3, pu_db=10.0,
+                                pd_db=10.0))
+        self.hand_made_channel(monkeypatch, up, down)
+        monkeypatch.setattr(run, "logit_tables",
+                            lambda iteration: logit_tables(self.TABLES))
+        previous = [np.full((2, 2), 10.0 + k) for k in range(3)]
+        run.targets = [p.copy() for p in previous]
+        bits_up, bits_down = run.step(1)
+        return run, previous, bits_up, bits_down
+
+    def test_dropped_device_takes_the_broadcast(self, monkeypatch):
+        run, _, bits_up, _ = self.fd_round(monkeypatch, up=(1, 1, 0))
+        assert bits_up[0] > 0 and bits_up[1] > 0 and bits_up[2] == 0
+        t0, t1, _ = self.TABLES
+        np.testing.assert_allclose(run.targets[2], (t0 + t1) / 2, atol=1e-9)
+        np.testing.assert_allclose(run.targets[0], t1, atol=1e-9)
+        np.testing.assert_allclose(run.targets[1], t0, atol=1e-9)
+
+    def test_sole_contributor_keeps_its_previous_target(self, monkeypatch):
+        run, previous, _, _ = self.fd_round(monkeypatch, up=(1, 0, 0))
+        np.testing.assert_array_equal(run.targets[0], previous[0])
+        for k in (1, 2):
+            np.testing.assert_allclose(run.targets[k], self.TABLES[0],
+                                       atol=1e-9)
+
+    @pytest.mark.parametrize("up,down", [((0, 0, 0), (1, 1, 1)),
+                                         ((1, 1, 1), (1, 0, 1))],
+                             ids=["no-uplink-survivor", "empty-broadcast"])
+    def test_nothing_delivered_keeps_every_target(self, monkeypatch, up,
+                                                  down):
+        run, previous, bits_up, bits_down = self.fd_round(monkeypatch, up,
+                                                          down)
+        assert bits_down == 0.0
+        assert (bits_up > 0).tolist() == [g != 0 for g in up]
+        for target, before in zip(run.targets, previous):
+            np.testing.assert_array_equal(target, before)
+
+    @pytest.mark.parametrize("downlink_mode", ["digital", "analog"])
+    def test_fl_without_uplink_survivors_still_broadcasts(
+            self, monkeypatch, downlink_mode):
+        run = _Run(small_config(protocol="fl", num_devices=3, pu_db=10.0,
+                                pd_db=10.0, downlink_mode=downlink_mode))
+        self.hand_made_channel(monkeypatch, (0, 0, 0), (1, 1, 1))
+        residual = np.linspace(-1.0, 1.0, run.dim)
+        run.down_acc = ErrorAccumulator(residual=residual.copy())
+        before = [w.copy() for w in run.weights]
+        bits_up, bits_down = run.step(1)
+        assert not bits_up.any()
+        sent = residual - run.down_acc.residual
+        assert sent.any()
+        if downlink_mode == "digital":
+            # The zero average went down: the broadcast is the residual
+            # alone, and every device adds it to its round-start weights.
+            assert bits_down > 0
+            for w, w0 in zip(run.weights, before):
+                np.testing.assert_allclose(w - w0, sent, atol=1e-12)
+
+    def test_offline_covariates_follow_the_target_rule(self):
+        run = _Run(small_config(protocol="hfd", num_devices=3,
+                                data="synthetic:classes=3,dim=2"))
+
+        def shard(rows, labels):
+            return LabeledDataset(np.array(rows), np.array(labels), 3)
+
+        # Label 0 at every device, label 1 absent at device 2, label 2 held
+        # by device 0 alone.
+        run.shards = [
+            shard([[0.1, 0.2], [0.3, 0.4], [0.9, 0.9], [0.5, 0.5]],
+                  [0, 0, 1, 2]),
+            shard([[0.2, 0.2], [0.6, 0.8]], [0, 1]),
+            shard([[0.4, 0.0]], [0]),
+        ]
+        run._offline_covariate_exchange()
+        means = {0: [[0.2, 0.3], [0.2, 0.2], [0.4, 0.0]],
+                 1: [[0.9, 0.9], [0.6, 0.8]], 2: [[0.5, 0.5]]}
+        expected = [
+            {0: np.mean(means[0][1:], axis=0), 1: means[1][1]},
+            {0: np.mean([means[0][0], means[0][2]], axis=0),
+             1: means[1][0], 2: means[2][0]},
+            {0: np.mean(means[0][:2], axis=0), 1: np.mean(means[1], axis=0),
+             2: means[2][0]},
+        ]
+        for cov, want in zip(run.loo_covs, expected):
+            assert cov.present.tolist() == [t in want for t in range(3)]
+            for t, value in want.items():
+                np.testing.assert_allclose(cov.values[t], value, atol=1e-12)
 
 
 class TestDeterminism:
