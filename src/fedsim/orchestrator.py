@@ -1,13 +1,21 @@
 """Experiment orchestration: four training protocols over four link modes.
 
 One experiment runs a fixed number of global iterations. Each iteration is
-a local training phase on every device followed by an information exchange
-through the configured uplink and downlink pipelines (independent learning
-skips the exchange). Weight-update protocols keep error-feedback
-accumulators on both sides; distillation protocols exchange per-label logit
-tables and train against leave-one-out targets formed from the broadcast
-average. Everything is deterministic given the master seed.
-"""
+a local training phase on every device followed by one exchange (IL skips
+it): each device sends a payload up a digital or analog link, the server
+averages what arrived, and the average is broadcast back down. FL sends
+weight updates, with error feedback on both sides; FD and HFD send (L, L)
+logit tables. `_Run.exchange` moves both kinds, and `_Run._codec` is the
+one place that picks the link calls for a kind. An empty weight payload
+is a zero update; a table exchange that delivers nothing keeps the
+previous targets.
+
+One rule, `_target`, says what a distillation device learns toward: a
+contributor takes the leave-one-out average of the others, a sole
+contributor keeps what it had, and a device left out of the average (its
+digital payload dropped out, or it does not hold the label) takes the
+average whole. FD's logit targets and HFD's offline per-label covariates
+both follow it. Everything is deterministic given the master seed."""
 
 import itertools
 import math
@@ -30,7 +38,7 @@ from .digital_link import (
 )
 from .errors import ConfigurationError
 from .learning import (
-    CovariateTable, LogitTable, MlpArchitecture, average_logits,
+    CovariateTable, MlpArchitecture, average_logits,
     evaluate_accuracy, forward_logits_batch, hfd_distill_step, init_weights,
     leave_one_out, local_covariate_means, run_local_epochs,
 )
@@ -218,6 +226,18 @@ def read_metrics(path) -> list[MetricsRecord]:
     return records
 
 
+def _target(average, own, contributed: bool, count: int):
+    """What one device learns toward from an average of `count` payloads.
+
+    A contributor takes the leave-one-out average of the others; a sole
+    contributor gets None, as no one else is in the average; a device left
+    out of the average takes it whole (None when there is no average).
+    """
+    if not contributed:
+        return average
+    return leave_one_out(average, own, count) if count >= 2 else None
+
+
 class _Run:
     """Mutable state for one experiment; built once, advanced per iteration."""
 
@@ -241,7 +261,8 @@ class _Run:
 
         _check_logit_room(cfg, self.num_labels)
 
-        if cfg.protocol == "fl":
+        fl = cfg.protocol == "fl"
+        if fl:
             # Update semantics need one common reference point; share the
             # first device's seeded initialization.
             shared = init_weights(self.arch,
@@ -257,9 +278,10 @@ class _Run:
             self.fl_q = (4 * cfg.channel_uses) // 5
         self.fl_q = max(1, min(self.fl_q, self.dim))
 
-        self.up_accs = [ErrorAccumulator.zeros(self.dim)
+        # Error feedback: weight updates only; tables carry none.
+        self.up_accs = [ErrorAccumulator.zeros(self.dim) if fl else None
                         for _ in range(cfg.num_devices)]
-        self.down_acc = ErrorAccumulator.zeros(self.dim)
+        self.down_acc = ErrorAccumulator.zeros(self.dim) if fl else None
         self.proj_up = ProjectionMatrix(
             rows=2 * cfg.channel_uses, cols=self.dim,
             seed=streams.derive_seed(seed, streams.PROJECTION, 0))
@@ -275,33 +297,23 @@ class _Run:
     # -- HFD offline phase: covariate tables travel over an ideal channel --
 
     def _offline_covariate_exchange(self):
-        cfg = self.cfg
-        local = [local_covariate_means(self.shards[k], self.num_labels)
-                 for k in range(cfg.num_devices)]
+        """Each device's covariate row for label t is its `_target` of the
+        per-label average; a label with no target stays masked."""
+        local = [local_covariate_means(shard, self.num_labels)
+                 for shard in self.shards]
         counts = np.sum([t.present for t in local], axis=0)
-        dim = self.shards[0].dim
-        global_mean = np.zeros((self.num_labels, dim))
-        for t in range(self.num_labels):
-            if counts[t]:
-                global_mean[t] = np.mean(
-                    [tab.values[t] for tab in local if tab.present[t]], axis=0)
+        averages = [np.mean([tab.values[t] for tab in local if tab.present[t]],
+                            axis=0) if counts[t] else None
+                    for t in range(self.num_labels)]
         self.loo_covs = []
-        for k in range(cfg.num_devices):
-            values = np.zeros((self.num_labels, dim))
+        for tab in local:
+            values = np.zeros_like(tab.values)
             present = np.zeros(self.num_labels, dtype=bool)
-            for t in range(self.num_labels):
-                if counts[t] == 0:
-                    continue
-                if local[k].present[t]:
-                    if counts[t] >= 2:
-                        values[t] = leave_one_out(global_mean[t],
-                                                  local[k].values[t],
-                                                  int(counts[t]))
-                        present[t] = True
-                    # sole contributor: nothing to learn from, stays masked
-                else:
-                    values[t] = global_mean[t]
-                    present[t] = True
+            for t, average in enumerate(averages):
+                target = _target(average, tab.values[t], tab.present[t],
+                                 int(counts[t]))
+                if target is not None:
+                    values[t], present[t] = target, True
             self.loo_covs.append(CovariateTable(values=values, present=present))
 
     # -- per-iteration phases --
@@ -326,7 +338,9 @@ class _Run:
                 cfg.batch_size, rng, self.arch, target_table=target,
                 reg_weight=reg)
 
-    def logit_tables(self, iteration: int) -> list[LogitTable]:
+    def logit_tables(self, iteration: int) -> list[np.ndarray]:
+        """Each device's (L, L) table: FD's per-label mean logits over its
+        shard, HFD's logits at its leave-one-out covariates."""
         cfg = self.cfg
         tables = []
         for k in range(cfg.num_devices):
@@ -337,168 +351,139 @@ class _Run:
                 rng = streams.derive_rng(cfg.master_seed, streams.LOGITS, k,
                                          iteration)
                 tables.append(average_logits(self.weights[k], self.shards[k],
-                                             sample, rng, self.arch))
-            else:  # hfd: logits at the leave-one-out covariates
+                                             sample, rng, self.arch).values)
+            else:
                 cov = self.loo_covs[k]
                 values = np.zeros((self.num_labels, self.num_labels))
                 if cov.present.any():
                     values[cov.present] = forward_logits_batch(
                         self.weights[k], cov.values[cov.present], self.arch)
-                tables.append(LogitTable(values=values,
-                                         present=cov.present.copy()))
+                tables.append(values)
         return tables
 
-    # -- exchanges --
+    # -- the exchange --
 
-    def _uplink_budget(self, state, device: int):
+    def _codec(self, state, noise_rng):
+        """The link calls for this run's payload kind, one signature each.
+
+        Returns (encode, decode, air_up, air_down):
+        encode(x, acc, budget) -> (payload, acc); decode(payload) -> x;
+        air_up(xs, accs) -> (sum estimate, accs);
+        air_down(x, acc) -> (per-device estimates, acc).
+        Weight updates carry their error feedback in `acc`; tables carry
+        none and pass it through. Each link function is looked up by its
+        name in this module when it runs.
+        """
         cfg = self.cfg
-        return uplink_budget(cfg.channel_uses, cfg.num_devices,
-                             state.uplink_gains[device], cfg.uplink_power)
+        bits = cfg.quantizer_bits
+        up = (state, cfg.uplink_power, cfg.channel_uses, noise_rng)
+        down = (state, cfg.downlink_power, cfg.channel_uses, noise_rng)
+        if cfg.protocol == "fl":
+            q = self.fl_q
+            return (
+                lambda x, acc, budget: fl_digital_encode(x, acc, budget, bits),
+                lambda payload: fl_digital_decode(payload, self.dim),
+                lambda xs, accs: fl_analog_uplink(xs, accs, q, self.proj_up,
+                                                  *up),
+                lambda x, acc: fl_analog_downlink(x, acc, q, self.proj_down,
+                                                  *down))
+        return (
+            lambda x, acc, budget: (fd_digital_encode(x, budget, bits), acc),
+            lambda payload: fd_digital_decode(payload, self.num_labels),
+            lambda xs, accs: (fd_analog_uplink(xs, *up), accs),
+            lambda x, acc: (fd_analog_downlink(x, *down), acc))
 
-    def _downlink_budget(self, state):
-        cfg = self.cfg
-        return downlink_budget(cfg.channel_uses, state.downlink_gains,
-                               cfg.downlink_power)
+    def exchange(self, payloads, state, noise_rng):
+        """One round for either payload kind: up, average, broadcast back.
 
-    def exchange_fl(self, updates, state, noise_rng):
-        """Move weight updates up, average, broadcast back.
-
-        Returns (per-device receipts, per-device uplink bits, downlink bits);
-        the caller adds each receipt to that device's pre-update weights.
+        Returns (received, contributed, bits_up, bits_down). received[k] is
+        the average as device k got it, and contributed[k] says whether
+        device k's payload reached that average (a digital payload that
+        does not fit its budget drops out). An empty weight payload is a
+        zero update: a weight average that no payload reached still goes
+        down as zeros, since sending it moves `down_acc`. An empty table
+        payload carries nothing: a table exchange with no uplink survivor
+        or an empty broadcast delivers nothing, and received is None.
         """
         cfg = self.cfg
         k_dev = cfg.num_devices
-        bits_up = np.zeros(k_dev)
-
+        weights = cfg.protocol == "fl"
+        bits_up, bits_down = np.zeros(k_dev), 0.0
+        contributed = [True] * k_dev
         if cfg.ideal_exchange:
-            average = np.mean(updates, axis=0)
-            receipts = [average] * k_dev
-            bits_down = 0.0
+            return ([np.mean(payloads, axis=0)] * k_dev, contributed,
+                    bits_up, bits_down)
+        encode, decode, air_up, air_down = self._codec(state, noise_rng)
+
+        average = None
+        if cfg.uplink_mode == "analog":
+            estimate, self.up_accs = air_up(payloads, self.up_accs)
+            average = estimate / k_dev
         else:
-            if cfg.uplink_mode == "digital":
-                decoded = []
-                for k in range(k_dev):
-                    payload, self.up_accs[k] = fl_digital_encode(
-                        updates[k], self.up_accs[k],
-                        self._uplink_budget(state, k), cfg.quantizer_bits)
-                    bits_up[k] = payload.bit_count
-                    if not payload.is_empty:
-                        decoded.append(fl_digital_decode(payload, self.dim))
-                average = (np.mean(decoded, axis=0) if decoded
-                           else np.zeros(self.dim))
-            else:
-                estimate, self.up_accs = fl_analog_uplink(
-                    updates, self.up_accs, self.fl_q, self.proj_up, state,
-                    cfg.uplink_power, cfg.channel_uses, noise_rng)
-                average = estimate / k_dev
-
-            if cfg.downlink_mode == "digital":
-                payload, self.down_acc = fl_digital_encode(
-                    average, self.down_acc, self._downlink_budget(state),
-                    cfg.quantizer_bits)
-                bits_down = payload.bit_count
-                receipt = fl_digital_decode(payload, self.dim)
-                receipts = [receipt] * k_dev
-            else:
-                receipts, self.down_acc = fl_analog_downlink(
-                    average, self.down_acc, self.fl_q, self.proj_down, state,
-                    cfg.downlink_power, cfg.channel_uses, noise_rng)
-                bits_down = 0.0
-
-        return receipts, bits_up, bits_down
-
-    def exchange_distillation(self, tables, state, noise_rng):
-        """Move logit tables up, average, broadcast, form new targets.
-
-        Devices whose payload did not fit (digital dropouts) are left out of
-        the average and take the broadcast itself as their target; everyone
-        else removes its own contribution. When nothing flows in either
-        direction the previous targets are kept.
-        """
-        cfg = self.cfg
-        k_dev = cfg.num_devices
-        bits_up = np.zeros(k_dev)
-        bits_down = 0.0
-
-        if cfg.ideal_exchange:
-            average = np.mean([t.values for t in tables], axis=0)
-            contributed = [True] * k_dev
-            k_eff = k_dev
-            received = [average] * k_dev
-        else:
-            if cfg.uplink_mode == "digital":
-                decoded, contributed = [], []
-                for k in range(k_dev):
-                    payload = fd_digital_encode(tables[k].values,
-                                                self._uplink_budget(state, k),
-                                                cfg.quantizer_bits)
-                    bits_up[k] = payload.bit_count
-                    contributed.append(not payload.is_empty)
-                    if not payload.is_empty:
-                        decoded.append(fd_digital_decode(payload,
-                                                         self.num_labels))
-                k_eff = len(decoded)
-                if k_eff == 0:
-                    return bits_up, bits_down  # keep previous targets
+            decoded = []
+            for k in range(k_dev):
+                budget = uplink_budget(cfg.channel_uses, k_dev,
+                                       state.uplink_gains[k], cfg.uplink_power)
+                payload, self.up_accs[k] = encode(payloads[k],
+                                                  self.up_accs[k], budget)
+                bits_up[k] = payload.bit_count
+                contributed[k] = not payload.is_empty
+                if contributed[k]:
+                    decoded.append(decode(payload))
+            if decoded:
                 average = np.mean(decoded, axis=0)
-            else:
-                estimate = fd_analog_uplink([t.values for t in tables], state,
-                                            cfg.uplink_power,
-                                            cfg.channel_uses, noise_rng)
-                average = estimate / k_dev
-                contributed = [True] * k_dev
-                k_eff = k_dev
+            elif weights:
+                average = np.zeros(self.dim)
 
-            if cfg.downlink_mode == "digital":
-                payload = fd_digital_encode(average,
-                                            self._downlink_budget(state),
-                                            cfg.quantizer_bits)
-                bits_down = payload.bit_count
-                if payload.is_empty:
-                    return bits_up, bits_down  # keep previous targets
-                received = [fd_digital_decode(payload, self.num_labels)] * k_dev
-            else:
-                received = fd_analog_downlink(average, state,
-                                              cfg.downlink_power,
-                                              cfg.channel_uses, noise_rng)
-
-        for k in range(k_dev):
-            if contributed[k]:
-                if k_eff >= 2:
-                    self.targets[k] = leave_one_out(received[k],
-                                                    tables[k].values, k_eff)
-                # sole contributor: the average holds only its own rows
-            else:
-                self.targets[k] = received[k]
-        return bits_up, bits_down
+        received = None
+        if average is not None and cfg.downlink_mode == "analog":
+            received, self.down_acc = air_down(average, self.down_acc)
+        elif average is not None:
+            budget = downlink_budget(cfg.channel_uses, state.downlink_gains,
+                                     cfg.downlink_power)
+            payload, self.down_acc = encode(average, self.down_acc, budget)
+            bits_down = payload.bit_count
+            if weights or not payload.is_empty:
+                received = [decode(payload)] * k_dev
+        return received, contributed, bits_up, bits_down
 
     def step(self, iteration: int):
+        """Local training, then (but for IL) one exchange.
+
+        Returns (per-device uplink bits, downlink bits). FL devices send
+        their weight update and add the received average to the weights
+        they started the round with; FD and HFD devices send logit tables
+        and take their `_target` of the received average as the new target.
+        """
         cfg = self.cfg
+        k_dev = cfg.num_devices
+        weights = cfg.protocol == "fl"
+        start = [w.copy() for w in self.weights] if weights else None
+        self.local_phase(iteration)
         if cfg.protocol == "il":
-            self.local_phase(iteration)
-            return np.zeros(cfg.num_devices), 0.0
-        state = None
-        noise_rng = None
+            return np.zeros(k_dev), 0.0
+        state = noise_rng = None
         if not cfg.ideal_exchange:
             state = sample_channel(
                 streams.derive_rng(cfg.master_seed, streams.CHANNEL, iteration),
-                cfg.num_devices)
+                k_dev)
             if cfg.noise_enabled:
                 noise_rng = streams.derive_rng(cfg.master_seed, streams.NOISE,
                                                iteration)
-        if cfg.protocol == "fl":
-            base = [w.copy() for w in self.weights]
-            self.local_phase(iteration)
-            updates = [self.weights[k] - base[k]
-                       for k in range(cfg.num_devices)]
-            receipts, bits_up, bits_down = self.exchange_fl(updates, state,
-                                                            noise_rng)
-            for k in range(cfg.num_devices):
-                self.weights[k] = base[k] + receipts[k]
-            return bits_up, bits_down
-        self.local_phase(iteration)
-        tables = self.logit_tables(iteration)
-        return self.exchange_distillation(tables, state, noise_rng)
+        payloads = ([w - w0 for w, w0 in zip(self.weights, start)] if weights
+                    else self.logit_tables(iteration))
+        received, contributed, bits_up, bits_down = self.exchange(
+            payloads, state, noise_rng)
+        if weights:
+            self.weights = [w0 + r for w0, r in zip(start, received)]
+        elif received is not None:
+            count = sum(contributed)
+            for k in range(k_dev):
+                target = _target(received[k], payloads[k], contributed[k],
+                                 count)
+                if target is not None:
+                    self.targets[k] = target
+        return bits_up, bits_down
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:

@@ -10,12 +10,12 @@ from fedsim.compression import ErrorAccumulator
 from fedsim.datasets import LabeledDataset, load_dataset, partition_shards
 from fedsim.errors import ConfigurationError
 from fedsim.learning import (
-    LogitTable, MlpArchitecture, average_logits, init_weights,
-    run_local_epochs,
+    MlpArchitecture, average_logits, init_weights, run_local_epochs,
 )
 from fedsim.orchestrator import (
-    CSV_HEADER, ExperimentConfig, MetricsRecord, _Run, expand_settings,
-    parse_settings, read_metrics, run_experiment, write_metrics,
+    CSV_HEADER, ExperimentConfig, MetricsRecord, _Run, _target,
+    expand_settings, parse_settings, read_metrics, run_experiment,
+    write_metrics,
 )
 
 SMALL_DATA = "synthetic:classes=2,dim=6"
@@ -123,16 +123,12 @@ class TestFdFixedPoint:
                                  run.arch) for k in range(3)]
         for t in tables[1:]:
             np.testing.assert_allclose(t.values, tables[0].values)
-        run.exchange_distillation(tables, None, None)
+        tables = [t.values for t in tables]
+        received, contributed, _, _ = run.exchange(tables, None, None)
         for k in range(3):
-            np.testing.assert_allclose(run.targets[k], tables[k].values,
-                                       atol=1e-12)
-
-
-def logit_tables(arrays):
-    """Hand-made logit tables in the form `_Run.logit_tables` returns."""
-    return [LogitTable(values=a, present=np.ones(len(a), dtype=bool))
-            for a in arrays]
+            target = _target(received[k], tables[k], contributed[k],
+                             sum(contributed))
+            np.testing.assert_allclose(target, tables[k], atol=1e-12)
 
 
 class TestExchangeRules:
@@ -160,7 +156,7 @@ class TestExchangeRules:
                                 pd_db=10.0))
         self.hand_made_channel(monkeypatch, up, down)
         monkeypatch.setattr(run, "logit_tables",
-                            lambda iteration: logit_tables(self.TABLES))
+                            lambda iteration: [t.copy() for t in self.TABLES])
         previous = [np.full((2, 2), 10.0 + k) for k in range(3)]
         run.targets = [p.copy() for p in previous]
         bits_up, bits_down = run.step(1)
