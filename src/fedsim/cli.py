@@ -8,6 +8,7 @@ import argparse
 import os
 import sys
 
+from .datasets import IdxParseError
 from .errors import ConfigurationError
 from .orchestrator import (
     LINK_CODES, ExperimentConfig, expand_settings, parse_settings,
@@ -45,6 +46,10 @@ def cmd_run(args) -> int:
             f"the settings describe {len(configs)} runs; fedsim run takes "
             f"one, use fedsim sweep for a grid")
     config = configs[0]
+    directory = os.path.dirname(args.out) or "."
+    if not os.path.isdir(directory):
+        raise ConfigurationError(f"cannot write {args.out}: no directory "
+                                 f"{directory}")
     accuracy = _run_to_csv(config, args.out)
     print(f"{config.protocol} {config.uplink_mode[0]}-"
           f"{config.downlink_mode[0]} T={config.channel_uses} "
@@ -117,9 +122,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"fedsim: error: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigurationError, IdxParseError) as exc:
+        message = str(exc)
+    except OSError as exc:  # a data file to read, or an output to create
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+    print(f"fedsim: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ generator producing Gaussian class clusters. Covariates are scaled to
 mixes across devices are naturally unbalanced.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -14,6 +15,12 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+# Synthetic generator options: (default, type, least, upper bound excluded).
+_SYNTHETIC = {"classes": (2, int, 2, math.inf), "dim": (24, int, 1, math.inf),
+              "noise": (0.18, float, 0.0, math.inf),
+              "spread": (0.25, float, 0.0, math.inf),
+              "flip": (0.0, float, 0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,9 @@ def generate_synthetic(num_classes: int, dim: int, count: int,
     """Gaussian class clusters with centers spread inside the unit box.
 
     `flip` relabels that fraction of samples uniformly at random, modelling
-    annotation noise on top of the feature noise.
+    annotation noise on top of the feature noise. `parse_source` checks
+    the option ranges.
     """
-    if num_classes < 2 or dim < 1 or count < 1:
-        raise ValueError("need num_classes >= 2, dim >= 1, count >= 1")
-    if not 0.0 <= flip < 1.0:
-        raise ValueError("flip must lie in [0, 1)")
     centers = 0.5 + spread * rng.standard_normal((num_classes, dim))
     labels = rng.integers(0, num_classes, size=count)
     covariates = centers[labels] + noise * rng.standard_normal((count, dim))
@@ -127,20 +131,22 @@ def parse_source(descriptor: str) -> dict:
 
     "synthetic" or "synthetic:classes=3,dim=16,noise=0.2,spread=0.3"
     selects the generator; "idx:<images>,<labels>" selects an IDX pair.
+    Each synthetic option must lie in its range of _SYNTHETIC.
     """
     kind, _, tail = descriptor.partition(":")
     if kind == "synthetic":
-        opts = {"kind": "synthetic", "classes": 2, "dim": 24,
-                "noise": 0.18, "spread": 0.25, "flip": 0.0}
-        if tail:
-            for item in tail.split(","):
-                key, _, value = item.partition("=")
-                key = key.strip()
-                if key not in ("classes", "dim", "noise", "spread", "flip"):
-                    raise ValueError(f"unknown synthetic option {key!r}")
-                opts[key] = (int(value) if key in ("classes", "dim")
-                             else float(value))
-        return opts
+        opts = {key: default for key, (default, *_) in _SYNTHETIC.items()}
+        for item in tail.split(",") if tail else ():
+            key, _, value = item.partition("=")
+            key = key.strip()
+            if key not in _SYNTHETIC:
+                raise ValueError(f"unknown synthetic option {key!r}")
+            opts[key] = _SYNTHETIC[key][1](value)
+        for key, (_, _, least, below) in _SYNTHETIC.items():
+            if not least <= opts[key] < below:  # also false for NaN
+                raise ValueError(f"{key} must lie in [{least:g}, {below:g}), "
+                                 f"got {opts[key]!r}")
+        return {"kind": "synthetic", **opts}
     if kind == "idx":
         paths = tail.split(",")
         if len(paths) != 2:

@@ -1,10 +1,12 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fedsim import cli
 from fedsim.cli import main
 from fedsim.errors import ConfigurationError
 from fedsim.orchestrator import (
@@ -158,6 +160,11 @@ def test_run_rejects_several_points(tmp_path, capsys):
     ("alpha = 0.1, 0.2\n", "grid points share the output file "
      "il_dd_T2500_pu0_pd10_seed0.csv; its name holds only protocol, link, "
      "T, pu_db, pd_db and seed"),
+    ("data = synthetic:classes=1\n", "line 1: data: bad descriptor "
+     "'synthetic:classes=1' (classes must lie in [2, inf), got 1)"),
+    ("data = synthetic:classes=3,noise=nan\n", "line 1: data: bad "
+     "descriptor 'synthetic:classes=3,noise=nan' (noise must lie in "
+     "[0, inf), got nan)"),
 ])
 def test_sweep_fails_before_writing_anything(tmp_path, capsys, text,
                                              message):
@@ -181,6 +188,48 @@ def test_missing_settings_file_is_one_line_error(tmp_path, capsys, command):
         "", f"fedsim: error: cannot read settings file {missing}: "
             f"No such file or directory\n")
     assert not out.exists()
+
+
+def _one_line_error(capsys, message):
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"fedsim: error: {message}\n")
+
+
+def test_missing_data_file_is_one_line_error(tmp_path, capsys):
+    images, labels = tmp_path / "nope1", tmp_path / "nope2"
+    assert main(["run", "--data", f"idx:{images},{labels}",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    _one_line_error(capsys, f"{images}: No such file or directory")
+
+
+def test_truncated_idx_file_names_its_byte_offset(tmp_path, capsys):
+    images, labels = tmp_path / "images.idx3", tmp_path / "labels.idx1"
+    images.write_bytes(struct.pack(">IIII", 0x803, 60, 2, 2) + bytes(10))
+    labels.write_bytes(struct.pack(">II", 0x801, 60) + bytes(60))
+    assert main(["run", "--data", f"idx:{images},{labels}",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    _one_line_error(capsys, f"{images}: truncated, wanted 240 bytes at "
+                            f"byte 16, got 10")
+
+
+def test_run_checks_its_output_directory_before_running(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config: pytest.fail("the experiment ran"))
+    out = tmp_path / "nodir" / "x.csv"
+    assert main(["run", "--out", str(out)] + COMMON) == 2
+    _one_line_error(capsys, f"cannot write {out}: no directory "
+                            f"{tmp_path / 'nodir'}")
+
+
+def test_sweep_into_an_existing_file_is_one_line_error(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(SMALL)
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
+    _one_line_error(capsys, f"{out}: File exists")
+    assert out.read_text() == "keep"
 
 
 def test_cli_process_exit_status(tmp_path):

@@ -438,6 +438,9 @@ class TestConfigParsing:
         ("noise_enabled", "no"), ("ideal_exchange", "false"),
         ("ideal_exchange", 1), ("model", "mlp:x"), ("model", None),
         ("data", "synthetic:dimm=4"), ("data", "synthetic_typo"),
+        ("data", "synthetic:classes=1"), ("data", "synthetic:dim=0"),
+        ("data", "synthetic:flip=1.5"), ("data", "synthetic:noise=nan"),
+        ("data", "synthetic:spread=-0.1"),
     ])
     def test_invalid_value_names_its_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
