@@ -18,11 +18,22 @@ relative squared error below 1e-12 (8e-15 to 7e-14 over the decodes of
 one T=2500, W=1362 round). Past the message-passing phase transition
 (small T) the iteration path is chaotic and no per-decode bound holds: at
 T=100 the same comparison gave up to 0.16.
+
+Drawing: an FL run over two analog links draws its uplink and downlink
+projections at once, one in a short-lived helper thread (see
+`orchestrator._Run._draw_projections`). That is still bit-exact: each
+matrix comes from its own seeded generator and is filled by
+`draw_projection`, which reads no shared state, and numpy's generator
+releases the GIL while it fills, so the two draws overlap on two cores.
+`ProjectionMatrix.matrix` calls that function and keeps the result itself
+rather than being a `functools.cached_property`: on Python 3.11 that
+descriptor holds one lock for the whole class while it computes, so two
+threads reading `.matrix` of two different instances would draw one after
+the other.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +52,24 @@ AMP_TOL = 1e-6
 _DRAW_BLOCK_BYTES = 1 << 18
 
 
+def draw_projection(rows: int, cols: int, seed: int) -> np.ndarray:
+    """The float32 projection of (rows, cols, seed), freshly drawn.
+
+    Bit for bit `(default_rng(seed).standard_normal((rows, cols)) /
+    sqrt(rows))` rounded to single precision, filled in row blocks so no
+    full-size float64 temporary is allocated. It reads no shared state, so
+    two draws may run at once in two threads.
+    """
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(rows)
+    out = np.empty((rows, cols), dtype=np.float32)
+    step = max(1, _DRAW_BLOCK_BYTES // (8 * cols))
+    for start in range(0, rows, step):
+        block = out[start:start + step]
+        block[...] = rng.standard_normal(block.shape) / scale
+    return out
+
+
 @dataclass(frozen=True)
 class ProjectionMatrix:
     """Seeded Gaussian projection shared verbatim by transmitter and receiver.
@@ -49,27 +78,23 @@ class ProjectionMatrix:
     vector roughly preserves its squared norm. Regenerating from the same
     (rows, cols, seed) triple is bit-exact.
 
-    `matrix` is float32: bit for bit the float64 draw
-    `(default_rng(seed).standard_normal((rows, cols)) / sqrt(rows))` rounded
-    to single precision. Multiply through `project` and `backproject`, which
-    take and return float64 vectors; a float64 vector on the right of the
-    float32 matrix would silently copy the whole matrix to float64.
+    `matrix` is `draw_projection(rows, cols, seed)`, drawn on first use and
+    kept. Multiply through `project` and `backproject`, which take and
+    return float64 vectors; a float64 vector on the right of the float32
+    matrix would silently copy the whole matrix to float64.
     """
 
     rows: int
     cols: int
     seed: int
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        scale = math.sqrt(self.rows)
-        out = np.empty((self.rows, self.cols), dtype=np.float32)
-        step = max(1, _DRAW_BLOCK_BYTES // (8 * self.cols))
-        for start in range(0, self.rows, step):
-            block = out[start:start + step]
-            block[...] = rng.standard_normal(block.shape) / scale
-        return out
+        drawn = self.__dict__.get("_drawn")
+        if drawn is None:
+            drawn = draw_projection(self.rows, self.cols, self.seed)
+            object.__setattr__(self, "_drawn", drawn)
+        return drawn
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """A @ v in single precision, returned as float64."""
@@ -180,20 +205,27 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match {m} rows")
 
+    # The median of |z| is the mean of its middle order statistics (two, as
+    # m = 2T is even on a link), and the norm is sqrt(z.z): both equal
+    # np.median and np.linalg.norm bit for bit, with less overhead.
+    middle = ((m - 1) // 2, m // 2)
     x = np.zeros(n)
     z = y.copy()
     best_x = x
-    best_res = float(np.linalg.norm(z))
+    best_res = math.sqrt(float(z @ z))
     prev_res = best_res
     if best_res == 0.0:
         return best_x
     for _ in range(AMP_MAX_ITER):
-        sigma = float(np.median(np.abs(z))) / 0.6745
+        magnitudes = np.abs(z)
+        magnitudes.partition(middle)
+        sigma = float((magnitudes[middle[0]] + magnitudes[middle[1]]) / 2) \
+            / 0.6745
         r = x + projection.backproject(z)
         x = _soft_threshold(r, AMP_KAPPA * sigma)
         onsager = (np.count_nonzero(x) / m) * z
         z = y - projection.project(x) + onsager
-        res = float(np.linalg.norm(z))
+        res = math.sqrt(float(z @ z))
         if res < best_res:
             best_res = res
             best_x = x

@@ -50,6 +50,9 @@ def cmd_run(args) -> int:
     if not os.path.isdir(directory):
         raise ConfigurationError(f"cannot write {args.out}: no directory "
                                  f"{directory}")
+    if os.path.isdir(args.out):
+        raise ConfigurationError(f"cannot write {args.out}: it is a "
+                                 f"directory")
     accuracy = _run_to_csv(config, args.out)
     print(f"{config.protocol} {config.uplink_mode[0]}-"
           f"{config.downlink_mode[0]} T={config.channel_uses} "

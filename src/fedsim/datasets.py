@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -157,7 +159,11 @@ def parse_source(descriptor: str) -> dict:
 
 def load_dataset(descriptor: str, count: int,
                  rng: np.random.Generator) -> LabeledDataset:
-    """Materialize a dataset pool of at least `count` samples."""
+    """Materialize a dataset pool of at least `count` samples.
+
+    An IDX pair must hold `count` samples and at least two distinct labels;
+    otherwise a ConfigurationError names the file.
+    """
     opts = parse_source(descriptor)
     if opts["kind"] == "synthetic":
         return generate_synthetic(opts["classes"], opts["dim"], count, rng,
@@ -165,8 +171,13 @@ def load_dataset(descriptor: str, count: int,
                                   flip=opts["flip"])
     dataset = load_idx_pair(opts["images"], opts["labels"])
     if len(dataset) < count:
-        raise ValueError(
-            f"dataset holds {len(dataset)} samples, need {count}")
+        raise ConfigurationError(
+            f"data: {opts['images']} holds {len(dataset)} samples, the run "
+            f"needs {count} (num_devices x samples_per_device + test_samples)")
+    if np.unique(dataset.labels).size < 2:
+        raise ConfigurationError(
+            f"data: every label in {opts['labels']} is {dataset.labels[0]}; "
+            f"a run needs at least 2 classes")
     return dataset
 
 

@@ -20,6 +20,7 @@ both follow it. Everything is deterministic given the master seed."""
 import itertools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -288,6 +289,12 @@ class _Run:
         self.proj_down = ProjectionMatrix(
             rows=2 * cfg.channel_uses, cols=self.dim,
             seed=streams.derive_seed(seed, streams.PROJECTION, 1))
+        # The ones the links use are drawn together at the first exchange
+        # (`_draw_projections`), not here, so that set-up stays short.
+        links = ((self.proj_up, cfg.uplink_mode),
+                 (self.proj_down, cfg.downlink_mode))
+        self.undrawn = [proj for proj, mode in links
+                        if fl and mode == "analog"]
 
         self.targets = [None] * cfg.num_devices   # logit-row targets (L, L)
         self.loo_covs = None                      # HFD leave-one-out tables
@@ -363,6 +370,37 @@ class _Run:
 
     # -- the exchange --
 
+    def _draw_projections(self):
+        """Draw every projection in `undrawn` at once, then empty it.
+
+        The caller draws the first; each other one is drawn in a helper
+        thread meanwhile. numpy's generator releases the GIL while it fills,
+        and a matrix depends only on its own seed, so each is bit for bit
+        the lone draw. The helpers are joined before this returns, and an
+        error raised in one is raised here.
+        """
+        first, *rest = self.undrawn
+        self.undrawn = []
+        errors = []
+
+        def draw(projection):
+            try:
+                projection.matrix  # drawn on first use, then kept
+            except BaseException as exc:  # re-raised in the caller
+                errors.append(exc)
+
+        helpers = [threading.Thread(target=draw, args=(projection,))
+                   for projection in rest]
+        for helper in helpers:
+            helper.start()
+        try:
+            first.matrix
+        finally:
+            for helper in helpers:
+                helper.join()
+        if errors:
+            raise errors[0]
+
     def _codec(self, state, noise_rng):
         """The link calls for this run's payload kind, one signature each.
 
@@ -413,6 +451,8 @@ class _Run:
         if cfg.ideal_exchange:
             return ([np.mean(payloads, axis=0)] * k_dev, contributed,
                     bits_up, bits_down)
+        if self.undrawn:
+            self._draw_projections()
         encode, decode, air_up, air_down = self._codec(state, noise_rng)
 
         average = None

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from fedsim.analog_link import (
     AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, cs_decode,
-    fd_analog_downlink, fd_analog_uplink, fl_analog_downlink,
-    fl_analog_uplink, full_power_gain, mmse_factor_downlink,
-    mmse_factor_uplink, pack_complex, precompensate, repetition_decode,
-    repetition_encode, unpack_complex,
+    draw_projection, fd_analog_downlink, fd_analog_uplink,
+    fl_analog_downlink, fl_analog_uplink, full_power_gain,
+    mmse_factor_downlink, mmse_factor_uplink, pack_complex, precompensate,
+    repetition_decode, repetition_encode, unpack_complex,
 )
 from fedsim.channel import ChannelState
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
@@ -220,6 +220,11 @@ class TestCsDecode:
         b = ProjectionMatrix(rows=64, cols=128, seed=42)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
+    def test_matrix_is_drawn_once_and_kept(self):
+        proj = ProjectionMatrix(rows=20, cols=30, seed=5)
+        assert proj.matrix is proj.matrix
+        assert np.array_equal(proj.matrix, draw_projection(20, 30, 5))
+
 
 def float64_draw(rows, cols, seed):
     """The projection as drawn before rounding to float32."""
@@ -269,6 +274,38 @@ class TestProjectionPrecision:
                           (proj.backproject(z), a.T @ z)):
             assert got.dtype == np.float64
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
+                                           (61, 150), (1, 4)])
+    def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
+        # cs_decode takes the median by partition and the norm as
+        # sqrt(z.z); this is the loop written with np.median and
+        # np.linalg.norm, over the same single-precision products.
+        def reference(proj, y):
+            x, z = np.zeros(cols), y.copy()
+            best_x = x
+            best_res = prev_res = float(np.linalg.norm(z))
+            for _ in range(AMP_MAX_ITER):
+                sigma = float(np.median(np.abs(z))) / 0.6745
+                r = x + proj.backproject(z)
+                x = np.sign(r) * np.maximum(np.abs(r) - AMP_KAPPA * sigma,
+                                            0.0)
+                z = y - proj.project(x) + (np.count_nonzero(x) / rows) * z
+                res = float(np.linalg.norm(z))
+                if res < best_res:
+                    best_res, best_x = res, x
+                if res > 10.0 * best_res or abs(res - prev_res) \
+                        <= AMP_TOL * max(prev_res, 1e-300):
+                    break
+                prev_res = res
+            return best_x
+
+        for seed in range(3):
+            gen = np.random.default_rng(seed)
+            proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
+            truth = gen.standard_normal(cols) * (gen.random(cols) < 0.3)
+            y = proj.project(truth) + 0.05 * gen.standard_normal(rows)
+            assert np.array_equal(cs_decode(proj, y), reference(proj, y))
 
     def test_decode_matches_float64_amp_when_overdetermined(self):
         # 2T = 600 measurements of 200 dense entries, with noise: the regime

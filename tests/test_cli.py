@@ -220,6 +220,41 @@ def test_run_checks_its_output_directory_before_running(tmp_path, capsys,
     assert main(["run", "--out", str(out)] + COMMON) == 2
     _one_line_error(capsys, f"cannot write {out}: no directory "
                             f"{tmp_path / 'nodir'}")
+    out = tmp_path / "adir"
+    out.mkdir()
+    assert main(["run", "--out", str(out)] + COMMON) == 2
+    _one_line_error(capsys, f"cannot write {out}: it is a directory")
+
+
+def _idx_pair(tmp_path, labels):
+    images, label_file = tmp_path / "images.idx3", tmp_path / "labels.idx1"
+    images.write_bytes(struct.pack(">IIII", 0x803, len(labels), 2, 2)
+                       + bytes(4 * len(labels)))
+    label_file.write_bytes(struct.pack(">II", 0x801, len(labels))
+                           + bytes(labels))
+    return f"idx:{images},{label_file}", label_file
+
+
+def test_idx_pair_too_small_for_the_run_is_one_line_error(tmp_path, capsys):
+    data, _ = _idx_pair(tmp_path, [k % 2 for k in range(30)])
+    assert main(["run", "--data", data, "--out",
+                 str(tmp_path / "x.csv")]) == 2
+    _one_line_error(capsys, f"data: {tmp_path / 'images.idx3'} holds 30 "
+                            f"samples, the run needs 1640 (num_devices x "
+                            f"samples_per_device + test_samples)")
+
+
+@pytest.mark.parametrize("link", ["dd", "aa"])
+def test_single_class_idx_labels_are_one_line_error(tmp_path, capsys, link):
+    data, labels = _idx_pair(tmp_path, [0] * 60)
+    config = tmp_path / "run.cfg"
+    config.write_text(SMALL)
+    assert main(["run", "--config", str(config), "--protocol", "fd",
+                 "--link", link, "--data", data,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    _one_line_error(capsys, f"data: every label in {labels} is 0; a run "
+                            f"needs at least 2 classes")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_into_an_existing_file_is_one_line_error(tmp_path, capsys):

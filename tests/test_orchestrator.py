@@ -1,10 +1,13 @@
 import dataclasses
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from fedsim import audit, orchestrator, streams
+from fedsim import analog_link, audit, orchestrator, streams
+from fedsim.analog_link import ProjectionMatrix
 from fedsim.channel import ChannelState
 from fedsim.compression import ErrorAccumulator
 from fedsim.datasets import LabeledDataset, load_dataset, partition_shards
@@ -257,6 +260,99 @@ class TestDeterminism:
         a = run_experiment(small_config(master_seed=1))
         b = run_experiment(small_config(master_seed=2))
         assert avg_accuracies(a) != avg_accuracies(b)
+
+
+class TestProjectionDraw:
+    """An FL run draws its projections at its first analog exchange, the
+    uplink's and the downlink's at once when it uses both."""
+
+    @staticmethod
+    def fl_run(up="analog", down="analog", **kw):
+        # W = 290 weights and 2T = 2000 rows.
+        return _Run(small_config(protocol="fl", uplink_mode=up,
+                                 downlink_mode=down, channel_uses=1000,
+                                 model="mlp:32", global_iterations=1, **kw))
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        threads = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(orchestrator.threading, "Thread", Counted)
+        return threads
+
+    def test_concurrent_draws_equal_lone_draws(self, started, monkeypatch):
+        run = self.fl_run()
+        alone = [ProjectionMatrix(p.rows, p.cols, p.seed).matrix
+                 for p in (run.proj_up, run.proj_down)]
+        draw = analog_link.draw_projection
+
+        def slow_in_helper(rows, cols, seed):
+            if threading.current_thread() in started:
+                time.sleep(0.2)  # still drawing when the caller is done
+            return draw(rows, cols, seed)
+
+        monkeypatch.setattr(analog_link, "draw_projection", slow_in_helper)
+        run._draw_projections()
+        assert len(started) == 1 and not started[0].is_alive()
+        monkeypatch.setattr(analog_link, "draw_projection",
+                            lambda *a: pytest.fail("drawn again"))
+        for proj, matrix in zip((run.proj_up, run.proj_down), alone):
+            assert matrix.shape == (2000, run.dim)
+            assert np.array_equal(proj.matrix, matrix)
+        assert not np.array_equal(alone[0], alone[1])
+
+    def test_nothing_is_drawn_during_set_up(self, monkeypatch):
+        monkeypatch.setattr(analog_link, "draw_projection",
+                            lambda *a: pytest.fail("drawn during set-up"))
+        run = self.fl_run()
+        assert run.undrawn == [run.proj_up, run.proj_down]
+
+    @pytest.mark.parametrize("up,down,threads", [
+        ("analog", "analog", 1), ("analog", "digital", 0),
+        ("digital", "analog", 0), ("digital", "digital", 0)])
+    def test_step_leaves_no_thread_behind(self, started, up, down, threads):
+        run = self.fl_run(up, down)
+        before = threading.active_count()
+        run.step(1)
+        assert threading.active_count() == before
+        assert len(started) == threads and run.undrawn == []
+
+    @pytest.mark.parametrize("protocol", ["il", "fd", "hfd"])
+    def test_runs_without_weight_projections_start_no_thread(
+            self, started, protocol):
+        run_experiment(small_config(protocol=protocol, uplink_mode="analog",
+                                    downlink_mode="analog", channel_uses=16))
+        assert started == []
+
+    def test_ideal_fl_starts_no_thread(self, started):
+        run = self.fl_run(ideal_exchange=True)
+        run.step(1)
+        assert started == []
+
+    def test_helper_error_is_raised_by_step(self, started, monkeypatch):
+        run = self.fl_run()
+        draw = analog_link.draw_projection
+        failed = []
+
+        def failing(rows, cols, seed):
+            # Once only: a later lazy draw would succeed, so the error must
+            # come from the helper.
+            if seed == run.proj_down.seed and not failed:
+                failed.append(threading.current_thread())
+                raise RuntimeError("draw failed")
+            return draw(rows, cols, seed)
+
+        monkeypatch.setattr(analog_link, "draw_projection", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run.step(1)
+        assert failed == started and not started[0].is_alive()
+        assert threading.active_count() == before
 
 
 class TestProtocolsRun:
