@@ -24,9 +24,8 @@ from .analog_link import (
 )
 from .errors import ConfigurationError, DecodeError
 from .learning import (
-    CovariateTable, LogitTable, MlpArchitecture, average_logits,
-    evaluate_accuracy, hfd_distill_step, init_weights, leave_one_out,
-    local_covariate_means, sgd_step, softmax,
+    MlpArchitecture, average_logits, evaluate_accuracy, hfd_distill_step,
+    init_weights, label_means, leave_one_out, sgd_step, softmax,
 )
 from .orchestrator import (
     ExperimentConfig, MetricsRecord, read_metrics, run_experiment,

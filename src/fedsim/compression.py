@@ -61,6 +61,11 @@ def top_k_indices(u: np.ndarray, q: int) -> np.ndarray:
     return np.argsort(-np.abs(u), kind="stable")[:q]
 
 
+# A float64 has a 53-bit significand: finer levels are not distinct values,
+# and from 63 bits the int64 codes wrap around.
+MAX_QUANTIZER_BITS = 53
+
+
 def quantize_uniform(values: np.ndarray, bits: int):
     """Mid-tread uniform quantization of values onto 2^bits levels.
 
@@ -69,8 +74,9 @@ def quantize_uniform(values: np.ndarray, bits: int):
     A degenerate range (all values equal) quantizes exactly with code 0.
     """
     values = np.asarray(values, dtype=np.float64)
-    if bits < 1:
-        raise ValueError("need at least one bit per value")
+    if not 1 <= bits <= MAX_QUANTIZER_BITS:
+        raise ValueError(f"need 1 to {MAX_QUANTIZER_BITS} bits per value, "
+                         f"got {bits}")
     if values.size == 0:
         raise ValueError("nothing to quantize")
     lo = float(values.min())

@@ -133,16 +133,21 @@ def parse_source(descriptor: str) -> dict:
 
     "synthetic" or "synthetic:classes=3,dim=16,noise=0.2,spread=0.3"
     selects the generator; "idx:<images>,<labels>" selects an IDX pair.
-    Each synthetic option must lie in its range of _SYNTHETIC.
+    Each synthetic option may be given once and must lie in its range of
+    _SYNTHETIC.
     """
     kind, _, tail = descriptor.partition(":")
     if kind == "synthetic":
         opts = {key: default for key, (default, *_) in _SYNTHETIC.items()}
+        given = set()
         for item in tail.split(",") if tail else ():
             key, _, value = item.partition("=")
             key = key.strip()
             if key not in _SYNTHETIC:
                 raise ValueError(f"unknown synthetic option {key!r}")
+            if key in given:
+                raise ValueError(f"synthetic option {key!r} given twice")
+            given.add(key)
             opts[key] = _SYNTHETIC[key][1](value)
         for key, (_, _, least, below) in _SYNTHETIC.items():
             if not least <= opts[key] < below:  # also false for NaN

@@ -86,16 +86,13 @@ def fl_digital_encode(update: np.ndarray, acc: ErrorAccumulator,
     compressed = sparse_binary_compress(pending, q) if q else np.zeros(dim)
     support = np.flatnonzero(compressed)
     if support.size == 0:  # no q fits, or pending was identically zero
-        return (SparsePayload.empty(),
-                accumulate_error(acc, update, np.zeros(dim)))
+        return SparsePayload.empty(), accumulate_error(acc, update, compressed)
 
     sent_value = float(compressed[support[0]])
     payload = SparsePayload(indices=support.astype(np.int64),
                             values=np.array([sent_value]), bit_count=cost(q))
     _check_budget(payload, budget)
-    sent = np.zeros(dim)
-    sent[support] = sent_value
-    return payload, accumulate_error(acc, update, sent)
+    return payload, accumulate_error(acc, update, compressed)
 
 
 def fl_digital_decode(payload: SparsePayload, dim: int) -> np.ndarray:

@@ -6,7 +6,10 @@ by plain SGD. Besides the usual cross-entropy there is a distillation term:
 the cross entropy between the local prediction and the probability vector
 of an exchanged logit row, mixed in with a configurable weight. Per-label
 averages (of logits or covariates) and their leave-one-out counterparts are
-the quantities the distillation protocols exchange.
+the quantities the distillation protocols exchange. They are plain arrays: a
+logit table is (L, L) with a zero row for an absent label, and HFD's mixed-up
+covariates are a small batch of pseudo-samples, one per label that has one,
+trained on by `sgd_step` like any other batch.
 """
 
 from dataclasses import dataclass
@@ -249,24 +252,7 @@ def run_local_epochs(w: np.ndarray, data: LabeledDataset, alpha: float,
     return w
 
 
-@dataclass(frozen=True)
-class LogitTable:
-    """Per-label average logit rows; absent labels are zero rows, unmasked
-    in `present`."""
-
-    values: np.ndarray
-    present: np.ndarray
-
-
-@dataclass(frozen=True)
-class CovariateTable:
-    """Per-label average covariates with a presence mask."""
-
-    values: np.ndarray
-    present: np.ndarray
-
-
-def _label_means(rows: np.ndarray, labels: np.ndarray, num_labels: int):
+def label_means(rows: np.ndarray, labels: np.ndarray, num_labels: int):
     """(values, present): the mean row per label, zero and unmasked where
     the label does not occur."""
     values = np.zeros((num_labels, rows.shape[1]))
@@ -281,15 +267,15 @@ def _label_means(rows: np.ndarray, labels: np.ndarray, num_labels: int):
 
 def average_logits(w: np.ndarray, data: LabeledDataset, sample_size: int,
                    rng: np.random.Generator,
-                   arch: MlpArchitecture) -> LogitTable:
-    """Per-label mean logits over a random sample of the local shard."""
+                   arch: MlpArchitecture) -> np.ndarray:
+    """(L, L) per-label mean logits over a random sample of the local shard;
+    a label absent from the sample is a zero row."""
     if sample_size < 1:
         raise ValueError("sample_size must be positive")
     take = min(sample_size, len(data))
     idx = rng.choice(len(data), size=take, replace=False)
     logits = forward_logits_batch(w, data.covariates[idx], arch)
-    return LogitTable(*_label_means(logits, data.labels[idx],
-                                    data.num_classes))
+    return label_means(logits, data.labels[idx], data.num_classes)[0]
 
 
 def leave_one_out(avg: np.ndarray, own: np.ndarray, count: int) -> np.ndarray:
@@ -300,31 +286,21 @@ def leave_one_out(avg: np.ndarray, own: np.ndarray, count: int) -> np.ndarray:
             - np.asarray(own, dtype=np.float64)) / (count - 1)
 
 
-def local_covariate_means(data: LabeledDataset,
-                          num_labels: int) -> CovariateTable:
-    """Per-label mean covariate vectors; labels absent locally are masked."""
-    return CovariateTable(*_label_means(data.covariates, data.labels,
-                                        num_labels))
-
-
-def hfd_distill_step(w: np.ndarray, cov_table: CovariateTable,
-                     target_table: np.ndarray, alpha: float,
-                     arch: MlpArchitecture,
+def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,
+                     labels: np.ndarray, target_table: np.ndarray,
+                     alpha: float, arch: MlpArchitecture,
                      reg_weight: float = 0.5) -> np.ndarray:
     """One SGD step distilling at the mixed-up covariates.
 
-    Each label unmasked in `cov_table` contributes one pseudo-sample: the
-    leave-one-out average covariate with its label, regularized toward that
-    label's row of the (L, L) exchanged `target_table` exactly as in the
-    regular distillation loss. With every label masked the step is a no-op.
+    Each row of `covariates` is one pseudo-sample with its entry of
+    `labels`, regularized toward that label's row of the (L, L) exchanged
+    `target_table` exactly as in the regular distillation loss. An empty
+    batch leaves `w` as it is.
     """
-    labels = np.flatnonzero(cov_table.present)
-    if labels.size == 0:
+    if len(labels) == 0:
         return w
-    _, grad = loss_and_gradient(w, cov_table.values[labels], labels, arch,
-                                target_rows=target_table[labels],
-                                reg_weight=reg_weight)
-    return w - alpha * grad
+    return sgd_step(w, (covariates, labels), alpha, arch,
+                    target_table=target_table, reg_weight=reg_weight)
 
 
 def evaluate_accuracy(w: np.ndarray, test: LabeledDataset,

@@ -15,7 +15,8 @@ contributor takes the leave-one-out average of the others, a sole
 contributor keeps what it had, and a device left out of the average (its
 digital payload dropped out, or it does not hold the label) takes the
 average whole. FD's logit targets and HFD's offline per-label covariates
-both follow it. Everything is deterministic given the master seed."""
+both follow it; a label without a target is a zero logit row in FD and no
+pseudo-sample in HFD. Everything is deterministic given the master seed."""
 
 import itertools
 import math
@@ -31,7 +32,7 @@ from .analog_link import (
     fl_analog_downlink, fl_analog_uplink,
 )
 from .channel import sample_channel
-from .compression import ErrorAccumulator
+from .compression import MAX_QUANTIZER_BITS, ErrorAccumulator
 from .datasets import load_dataset, parse_source, partition_shards
 from .digital_link import (
     downlink_budget, fd_digital_decode, fd_digital_encode, fl_digital_decode,
@@ -39,9 +40,9 @@ from .digital_link import (
 )
 from .errors import ConfigurationError
 from .learning import (
-    CovariateTable, MlpArchitecture, average_logits,
-    evaluate_accuracy, forward_logits_batch, hfd_distill_step, init_weights,
-    leave_one_out, local_covariate_means, run_local_epochs,
+    MlpArchitecture, average_logits, evaluate_accuracy, forward_logits_batch,
+    hfd_distill_step, init_weights, label_means, leave_one_out,
+    run_local_epochs,
 )
 
 PROTOCOLS = ("il", "fl", "fd", "hfd")
@@ -112,6 +113,10 @@ class ExperimentConfig:
                     or value < least:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        if self.quantizer_bits > MAX_QUANTIZER_BITS:
+            raise ConfigurationError(
+                f"quantizer_bits must be at most {MAX_QUANTIZER_BITS} (the "
+                f"significand of a float64), got {self.quantizer_bits}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -297,31 +302,32 @@ class _Run:
                         if fl and mode == "analog"]
 
         self.targets = [None] * cfg.num_devices   # logit-row targets (L, L)
-        self.loo_covs = None                      # HFD leave-one-out tables
+        self.pseudo_batches = None                # HFD (covariates, labels)
         if cfg.protocol == "hfd":
             self._offline_covariate_exchange()
 
-    # -- HFD offline phase: covariate tables travel over an ideal channel --
+    # -- HFD offline phase: covariate means over an ideal channel --
 
     def _offline_covariate_exchange(self):
-        """Each device's covariate row for label t is its `_target` of the
-        per-label average; a label with no target stays masked."""
-        local = [local_covariate_means(shard, self.num_labels)
+        """Give device k its pseudo-batch `pseudo_batches[k]`, a pair
+        (covariates, labels): its `_target` of each label's average
+        covariate, one row per label that has one, labels ascending."""
+        local = [label_means(shard.covariates, shard.labels, self.num_labels)
                  for shard in self.shards]
-        counts = np.sum([t.present for t in local], axis=0)
-        averages = [np.mean([tab.values[t] for tab in local if tab.present[t]],
-                            axis=0) if counts[t] else None
+        counts = np.sum([present for _, present in local], axis=0)
+        averages = [np.mean([values[t] for values, present in local
+                             if present[t]], axis=0) if counts[t] else None
                     for t in range(self.num_labels)]
-        self.loo_covs = []
-        for tab in local:
-            values = np.zeros_like(tab.values)
-            present = np.zeros(self.num_labels, dtype=bool)
-            for t, average in enumerate(averages):
-                target = _target(average, tab.values[t], tab.present[t],
-                                 int(counts[t]))
-                if target is not None:
-                    values[t], present[t] = target, True
-            self.loo_covs.append(CovariateTable(values=values, present=present))
+        self.pseudo_batches = []
+        for values, present in local:
+            targets = [_target(average, values[t], present[t], int(counts[t]))
+                       for t, average in enumerate(averages)]
+            labels = [t for t, target in enumerate(targets)
+                      if target is not None]
+            covariates = np.reshape([targets[t] for t in labels],
+                                    (len(labels), values.shape[1]))
+            self.pseudo_batches.append(
+                (covariates, np.array(labels, dtype=np.int64)))
 
     # -- per-iteration phases --
 
@@ -333,8 +339,9 @@ class _Run:
             if cfg.protocol == "hfd" and self.targets[k] is not None:
                 for _ in range(cfg.hfd_distill_steps):
                     self.weights[k] = hfd_distill_step(
-                        self.weights[k], self.loo_covs[k], self.targets[k],
-                        cfg.alpha, self.arch, reg_weight=cfg.reg_weight)
+                        self.weights[k], *self.pseudo_batches[k],
+                        self.targets[k], cfg.alpha, self.arch,
+                        reg_weight=cfg.reg_weight)
             target = None
             reg = 0.0
             if cfg.protocol == "fd" and self.targets[k] is not None:
@@ -347,7 +354,8 @@ class _Run:
 
     def logit_tables(self, iteration: int) -> list[np.ndarray]:
         """Each device's (L, L) table: FD's per-label mean logits over its
-        shard, HFD's logits at its leave-one-out covariates."""
+        shard, HFD's logits at its pseudo-samples; a label with no row in
+        either is a zero row."""
         cfg = self.cfg
         tables = []
         for k in range(cfg.num_devices):
@@ -358,13 +366,12 @@ class _Run:
                 rng = streams.derive_rng(cfg.master_seed, streams.LOGITS, k,
                                          iteration)
                 tables.append(average_logits(self.weights[k], self.shards[k],
-                                             sample, rng, self.arch).values)
+                                             sample, rng, self.arch))
             else:
-                cov = self.loo_covs[k]
+                covariates, labels = self.pseudo_batches[k]
                 values = np.zeros((self.num_labels, self.num_labels))
-                if cov.present.any():
-                    values[cov.present] = forward_logits_batch(
-                        self.weights[k], cov.values[cov.present], self.arch)
+                values[labels] = forward_logits_batch(self.weights[k],
+                                                      covariates, self.arch)
                 tables.append(values)
         return tables
 

@@ -96,6 +96,15 @@ class TestQuantizeUniform:
             bound = (hi - lo) / (2 * (2 ** bits - 1))
             assert np.max(np.abs(recon - values)) <= bound + 1e-12
 
+    def test_bits_beyond_a_float64_significand_rejected(self):
+        values = np.array([0.1, 0.5, 0.9, 0.3])
+        codes, lo, hi = quantize_uniform(values, 53)
+        np.testing.assert_allclose(dequantize_uniform(codes, 53, lo, hi),
+                                   values, rtol=0, atol=1e-15)
+        for bits in (0, 54, 63, 64):
+            with pytest.raises(ValueError, match="bits"):
+                quantize_uniform(values, bits)
+
     def test_on_level_values_roundtrip_exactly(self):
         # Values that already sit on quantizer levels come back unchanged.
         lo, hi, bits = -1.0, 3.0, 3

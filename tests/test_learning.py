@@ -5,10 +5,9 @@ import pytest
 
 from fedsim.datasets import LabeledDataset
 from fedsim.learning import (
-    CovariateTable, MlpArchitecture, average_logits, evaluate_accuracy,
-    forward_logits_batch, hfd_distill_step, init_weights, leave_one_out,
-    local_covariate_means, loss_and_gradient, run_local_epochs, sgd_step,
-    softmax,
+    MlpArchitecture, average_logits, evaluate_accuracy, forward_logits_batch,
+    hfd_distill_step, init_weights, label_means, leave_one_out,
+    loss_and_gradient, run_local_epochs, sgd_step, softmax,
 )
 
 
@@ -149,19 +148,18 @@ class TestGradients:
             gen = np.random.default_rng(20 + seed)
             arch = small_arch()
             w = init_weights(arch, gen)
-            cov = CovariateTable(values=gen.uniform(0, 1, (2, 3)),
-                                 present=np.array([True, True]))
+            covariates = gen.uniform(0, 1, (2, 3))
             tgt = gen.standard_normal((2, 2))
             labels = np.array([0, 1])
 
             def loss(v):
-                return loss_and_gradient(v, cov.values, labels, arch,
+                return loss_and_gradient(v, covariates, labels, arch,
                                          target_rows=tgt,
                                          reg_weight=0.5)[0]
 
             alpha = 0.01
-            stepped = hfd_distill_step(w, cov, tgt, alpha, arch,
-                                       reg_weight=0.5)
+            stepped = hfd_distill_step(w, covariates, labels, tgt, alpha,
+                                       arch, reg_weight=0.5)
             fd = finite_difference_gradient(loss, w)
             np.testing.assert_allclose(stepped, w - alpha * fd,
                                        rtol=1e-4, atol=1e-10)
@@ -191,16 +189,15 @@ class TestAverageLogits:
         w = init_weights(arch, gen)
         data = self.make_data(gen)
         table = average_logits(w, data, len(data), gen, arch)
+        assert table.shape == (3, 3)
         logits = forward_logits_batch(w, data.covariates, arch)
         for t in range(3):
             mask = data.labels == t
             if mask.any():
-                assert table.present[t]
-                np.testing.assert_allclose(table.values[t],
+                np.testing.assert_allclose(table[t],
                                            logits[mask].mean(axis=0))
             else:
-                assert not table.present[t]
-                np.testing.assert_array_equal(table.values[t], np.zeros(3))
+                np.testing.assert_array_equal(table[t], np.zeros(3))
 
     def test_singleton_and_pair_means(self):
         arch = MlpArchitecture((2, 2))
@@ -210,8 +207,8 @@ class TestAverageLogits:
                               np.array([0, 0, 1]), 2)
         gen = np.random.default_rng(0)
         table = average_logits(w, data, 3, gen, arch)
-        np.testing.assert_allclose(table.values[0], [2.0, 4.0])
-        np.testing.assert_allclose(table.values[1], [0.5, 0.0])
+        np.testing.assert_allclose(table[0], [2.0, 4.0])
+        np.testing.assert_allclose(table[1], [0.5, 0.0])
 
     def test_absent_label_masked(self):
         gen = np.random.default_rng(41)
@@ -220,8 +217,7 @@ class TestAverageLogits:
         data = LabeledDataset(gen.uniform(0, 1, (4, 3)),
                               np.array([0, 0, 1, 1]), 3)
         table = average_logits(w, data, 4, gen, arch)
-        assert not table.present[2]
-        np.testing.assert_array_equal(table.values[2], np.zeros(3))
+        np.testing.assert_array_equal(table[2], np.zeros(3))
 
 
 class TestLeaveOneOut:
@@ -257,15 +253,16 @@ class TestCovariateMeans:
     def test_shared_label_mean(self):
         data = LabeledDataset(np.array([[0.0, 2.0], [2.0, 4.0]]) / 4.0,
                               np.array([1, 1]), 3)
-        table = local_covariate_means(data, 3)
-        np.testing.assert_allclose(table.values[1], [0.25, 0.75])
-        assert not table.present[0] and not table.present[2]
-        np.testing.assert_array_equal(table.values[0], np.zeros(2))
+        values, present = label_means(data.covariates, data.labels, 3)
+        np.testing.assert_allclose(values[1], [0.25, 0.75])
+        assert present.tolist() == [False, True, False]
+        np.testing.assert_array_equal(values[0], np.zeros(2))
 
     def test_single_point(self):
         data = LabeledDataset(np.array([[0.3, 0.9]]), np.array([0]), 2)
-        table = local_covariate_means(data, 2)
-        np.testing.assert_allclose(table.values[0], [0.3, 0.9])
+        values, present = label_means(data.covariates, data.labels, 2)
+        np.testing.assert_allclose(values[0], [0.3, 0.9])
+        assert present.tolist() == [True, False]
 
 
 class TestHfdDistill:
@@ -273,34 +270,33 @@ class TestHfdDistill:
         gen = np.random.default_rng(60)
         arch = small_arch()
         w = init_weights(arch, gen)
-        cov = CovariateTable(gen.uniform(0, 1, (2, 3)),
-                             np.array([True, True]))
         tgt = gen.standard_normal((2, 2))
         np.testing.assert_array_equal(
-            hfd_distill_step(w, cov, tgt, 0.0, arch), w)
+            hfd_distill_step(w, gen.uniform(0, 1, (2, 3)), np.array([0, 1]),
+                             tgt, 0.0, arch), w)
 
-    def test_all_masked_noop(self):
+    def test_empty_batch_noop(self):
         gen = np.random.default_rng(61)
         arch = small_arch()
         w = init_weights(arch, gen)
-        cov = CovariateTable(np.zeros((2, 3)), np.array([False, False]))
-        tgt = np.zeros((2, 2))
-        np.testing.assert_array_equal(
-            hfd_distill_step(w, cov, tgt, 0.1, arch), w)
+        out = hfd_distill_step(w, np.zeros((0, 3)), np.zeros(0, dtype=int),
+                               np.zeros((2, 2)), 0.1, arch)
+        np.testing.assert_array_equal(out, w)
 
-    def test_masked_row_contributes_nothing(self):
+    def test_is_one_sgd_step_on_the_pseudo_batch(self):
+        # Bit for bit the explicit step w - alpha * grad, with each
+        # pseudo-sample regularized toward its label's row of the table.
         gen = np.random.default_rng(62)
         arch = small_arch()
         w = init_weights(arch, gen)
-        values = gen.uniform(0, 1, (2, 3))
+        covariates = gen.uniform(0, 1, (1, 3))
+        labels = np.array([1])
         tgt = gen.standard_normal((2, 2))
-        cov_masked = CovariateTable(values, np.array([True, False]))
-        perturbed = values.copy()
-        perturbed[1] += 99.0  # must be ignored
-        cov_perturbed = CovariateTable(perturbed, np.array([True, False]))
+        _, grad = loss_and_gradient(w, covariates, labels, arch,
+                                    target_rows=tgt[labels], reg_weight=0.5)
         np.testing.assert_array_equal(
-            hfd_distill_step(w, cov_masked, tgt, 0.1, arch),
-            hfd_distill_step(w, cov_perturbed, tgt, 0.1, arch))
+            hfd_distill_step(w, covariates, labels, tgt, 0.1, arch),
+            w - 0.1 * grad)
 
 
 class TestEvaluateAccuracy:

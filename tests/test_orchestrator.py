@@ -5,19 +5,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fedsim import analog_link, audit, orchestrator, streams
 from fedsim.analog_link import ProjectionMatrix
 from fedsim.channel import ChannelState
-from fedsim.compression import ErrorAccumulator
+from fedsim.compression import MAX_QUANTIZER_BITS, ErrorAccumulator
 from fedsim.datasets import LabeledDataset, load_dataset, partition_shards
 from fedsim.errors import ConfigurationError
 from fedsim.learning import (
     MlpArchitecture, average_logits, init_weights, run_local_epochs,
 )
 from fedsim.orchestrator import (
-    CSV_HEADER, ExperimentConfig, MetricsRecord, _Run, _target,
-    expand_settings, parse_settings, read_metrics, run_experiment,
+    CSV_HEADER, LINK_CODES, PROTOCOLS, ExperimentConfig, MetricsRecord, _Run,
+    _target, expand_settings, parse_settings, read_metrics, run_experiment,
     write_metrics,
 )
 
@@ -125,8 +126,7 @@ class TestFdFixedPoint:
                                  streams.derive_rng(0, streams.LOGITS, k, 1),
                                  run.arch) for k in range(3)]
         for t in tables[1:]:
-            np.testing.assert_allclose(t.values, tables[0].values)
-        tables = [t.values for t in tables]
+            np.testing.assert_allclose(t, tables[0])
         received, contributed, _, _ = run.exchange(tables, None, None)
         for k in range(3):
             target = _target(received[k], tables[k], contributed[k],
@@ -237,10 +237,10 @@ class TestExchangeRules:
             {0: np.mean(means[0][:2], axis=0), 1: np.mean(means[1], axis=0),
              2: means[2][0]},
         ]
-        for cov, want in zip(run.loo_covs, expected):
-            assert cov.present.tolist() == [t in want for t in range(3)]
-            for t, value in want.items():
-                np.testing.assert_allclose(cov.values[t], value, atol=1e-12)
+        for (covariates, labels), want in zip(run.pseudo_batches, expected):
+            assert labels.tolist() == sorted(want)
+            np.testing.assert_allclose(
+                covariates, [want[t] for t in sorted(want)], atol=1e-12)
 
 
 class TestDeterminism:
@@ -368,6 +368,35 @@ class TestProtocolsRun:
         avg = [r for r in records if r.device_scope == "avg"]
         assert len(avg) == 2
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
+
+    @settings(max_examples=30, deadline=None)
+    @given(protocol=st.sampled_from(PROTOCOLS),
+           link=st.sampled_from(sorted(LINK_CODES.values())),
+           num_devices=st.integers(1, 4),
+           channel_uses=st.sampled_from([1, 2, 3, 5, 8, 16, 50, 200]),
+           quantizer_bits=st.integers(1, MAX_QUANTIZER_BITS),
+           fl_analog_q=st.none() | st.integers(1, 400),
+           logit_sample_size=st.none() | st.integers(1, 12),
+           reg_weight=st.floats(0.0, 1.0),
+           noise_enabled=st.booleans(), ideal_exchange=st.booleans(),
+           classes=st.integers(2, 4),
+           model=st.sampled_from(["linear", "mlp:3", "mlp:4,2"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_every_accepted_small_config_runs(self, link, classes, seed,
+                                              **fields):
+        try:
+            config = small_config(
+                uplink_mode=link[0], downlink_mode=link[1],
+                data=f"synthetic:classes={classes},dim=4", master_seed=seed,
+                global_iterations=2, samples_per_device=6, test_samples=20,
+                batch_size=4, hfd_distill_steps=2, **fields)
+        except ConfigurationError:
+            assume(False)
+        records = run_experiment(config)  # a warning fails (pyproject.toml)
+        assert run_experiment(config) == records
+        assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
+        assert all(r.bits_sent_uplink >= 0 and r.bits_sent_downlink >= 0
+                   for r in records)
 
     def test_analog_fd_needs_room_for_the_table(self):
         with pytest.raises(ConfigurationError):
@@ -537,6 +566,8 @@ class TestConfigParsing:
         ("data", "synthetic:classes=1"), ("data", "synthetic:dim=0"),
         ("data", "synthetic:flip=1.5"), ("data", "synthetic:noise=nan"),
         ("data", "synthetic:spread=-0.1"),
+        ("data", "synthetic:classes=2,classes=3"),
+        ("quantizer_bits", 54), ("quantizer_bits", 64),
     ])
     def test_invalid_value_names_its_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):

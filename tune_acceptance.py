@@ -1,8 +1,9 @@
 """Scratch harness for picking the desk-scale acceptance configuration.
 
-Not part of the package; runs the criterion-8/9/10 orderings for a candidate
-configuration and prints the margins. Run it from the repository root with
-the package on the path:
+Not part of the package; runs the criterion-8/9/10 orderings for the
+acceptance configuration, `ACCEPTANCE` of `perfbench/workloads.py`, and
+prints the margins. Run it from the repository root with the package on the
+path:
 
     PYTHONPATH=src python3 tune_acceptance.py
 """
@@ -12,6 +13,7 @@ import time
 import numpy as np
 
 from fedsim.orchestrator import ExperimentConfig, run_experiment
+from perfbench.workloads import ACCEPTANCE
 
 COMBOS = [("digital", "digital"), ("digital", "analog"),
           ("analog", "digital"), ("analog", "analog")]
@@ -22,25 +24,23 @@ def final_avg_accuracy(config):
     return [r for r in records if r.device_scope == "avg"][-1].test_accuracy
 
 
-def build(candidate, protocol, up, down, T, seed):
+def build(protocol, up, down, T, seed):
     return ExperimentConfig(
         protocol=protocol, uplink_mode=up, downlink_mode=down,
-        num_devices=10, channel_uses=T, pu_db=0.0, pd_db=10.0,
-        global_iterations=10, alpha=0.001, quantizer_bits=16,
-        samples_per_device=64, master_seed=seed, **candidate)
+        channel_uses=T, global_iterations=10, master_seed=seed, **ACCEPTANCE)
 
 
-def sweep_T100(candidate, seeds):
+def sweep_T100(seeds):
     t0 = time.time()
     acc = {}
     for seed in seeds:
         acc[("il", "-", seed)] = final_avg_accuracy(
-            build(candidate, "il", "digital", "digital", 100, seed))
+            build("il", "digital", "digital", 100, seed))
     for protocol in ("fl", "fd", "hfd"):
         for up, down in COMBOS:
             for seed in seeds:
                 acc[(protocol, up[0] + down[0], seed)] = final_avg_accuracy(
-                    build(candidate, protocol, up, down, 100, seed))
+                    build(protocol, up, down, 100, seed))
     print(f"[T=100 sweep took {time.time()-t0:.0f}s]")
     return acc
 
@@ -70,11 +70,6 @@ def report(acc, seeds):
 
 
 if __name__ == "__main__":
-    candidate = dict(
-        data="synthetic:classes=2,dim=24,noise=0.30,spread=0.20",
-        model="mlp:32,16", local_epochs=8, reg_weight=0.5,
-        hfd_distill_steps=8, test_samples=500,
-    )
     seeds = [0, 1, 2]
-    acc = sweep_T100(candidate, seeds)
+    acc = sweep_T100(seeds)
     report(acc, seeds)
