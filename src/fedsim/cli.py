@@ -11,7 +11,7 @@ import sys
 from .datasets import IdxParseError
 from .errors import ConfigurationError
 from .orchestrator import (
-    LINK_CODES, ExperimentConfig, expand_settings, parse_settings,
+    LINK_CODES, PROTOCOLS, ExperimentConfig, expand_settings, parse_settings,
     run_experiment, write_metrics,
 )
 
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment and write a CSV")
-    run.add_argument("--protocol", choices=("il", "fl", "fd", "hfd"))
+    run.add_argument("--protocol", choices=PROTOCOLS)
     run.add_argument("--link", choices=tuple(LINK_CODES),
                      help="uplink/downlink modes, e.g. da = digital up, "
                           "analog down")

@@ -97,13 +97,19 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
-def load_idx_pair(images_path, labels_path) -> LabeledDataset:
+def _read_idx_pair(images_path, labels_path):
+    """The (covariates, labels) arrays of an IDX pair of equal counts."""
     covariates = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if covariates.shape[0] != labels.shape[0]:
         raise IdxParseError(
             f"image count {covariates.shape[0]} does not match label count "
             f"{labels.shape[0]}")
+    return covariates, labels
+
+
+def load_idx_pair(images_path, labels_path) -> LabeledDataset:
+    covariates, labels = _read_idx_pair(images_path, labels_path)
     return LabeledDataset(covariates, labels, int(labels.max()) + 1)
 
 
@@ -166,24 +172,29 @@ def load_dataset(descriptor: str, count: int,
                  rng: np.random.Generator) -> LabeledDataset:
     """Materialize a dataset pool of at least `count` samples.
 
-    An IDX pair must hold `count` samples and at least two distinct labels;
-    otherwise a ConfigurationError names the file.
+    An IDX pair must hold `count` samples of at least one pixel and at
+    least two distinct labels; otherwise a ConfigurationError names the
+    file.
     """
     opts = parse_source(descriptor)
     if opts["kind"] == "synthetic":
         return generate_synthetic(opts["classes"], opts["dim"], count, rng,
                                   noise=opts["noise"], spread=opts["spread"],
                                   flip=opts["flip"])
-    dataset = load_idx_pair(opts["images"], opts["labels"])
-    if len(dataset) < count:
+    covariates, labels = _read_idx_pair(opts["images"], opts["labels"])
+    if len(labels) < count:
         raise ConfigurationError(
-            f"data: {opts['images']} holds {len(dataset)} samples, the run "
+            f"data: {opts['images']} holds {len(labels)} samples, the run "
             f"needs {count} (num_devices x samples_per_device + test_samples)")
-    if np.unique(dataset.labels).size < 2:
+    if covariates.shape[1] < 1:
         raise ConfigurationError(
-            f"data: every label in {opts['labels']} is {dataset.labels[0]}; "
-            f"a run needs at least 2 classes")
-    return dataset
+            f"data: the images in {opts['images']} have 0 pixels; a run "
+            f"needs at least 1")
+    if np.unique(labels).size < 2:
+        raise ConfigurationError(
+            f"data: every label in {opts['labels']} is {labels[0]}; a run "
+            f"needs at least 2 classes")
+    return LabeledDataset(covariates, labels, int(labels.max()) + 1)
 
 
 def partition_shards(dataset: LabeledDataset, num_devices: int,

@@ -22,7 +22,7 @@ import itertools
 import math
 import numbers
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -47,15 +47,35 @@ from .learning import (
 
 PROTOCOLS = ("il", "fl", "fd", "hfd")
 LINK_MODES = ("digital", "analog")
-_POSITIVE_INT = ("num_devices", "channel_uses", "global_iterations",
-                 "quantizer_bits", "local_epochs", "batch_size",
-                 "samples_per_device", "hfd_distill_steps", "test_samples")
-_OPTIONAL_INT = ("fl_analog_q", "logit_sample_size")
-_FLOAT_FIELDS = ("pu_db", "pd_db", "alpha", "reg_weight")
-_BOOL_FIELDS = ("noise_enabled", "ideal_exchange")
+# pu_db and pd_db lie within this many dB of 0. Every protocol and link
+# pair runs clean there; from about 3000 dB the link arithmetic overflows
+# float64 (the MMSE factors first, then the 10^(dB/10) power itself).
+MAX_ABS_DB = 300.0
 
 CSV_HEADER = ("iteration,protocol,uplink,downlink,T,pu_db,pd_db,seed,scope,"
               "accuracy,bits_up,bits_down")
+
+
+def _check_kind(name: str, kind, value) -> None:
+    """Raise unless `value` is of `kind`, the annotation of field `name`."""
+    if kind == int | None and value is None:
+        return
+    if kind in (int, int | None):
+        least = 0 if name == "master_seed" else 1
+        wanted = f"an integer >= {least}"
+        ok = isinstance(value, numbers.Integral) \
+            and not isinstance(value, bool) and value >= least
+    elif kind is float:
+        wanted = "a number"
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    elif kind is bool:
+        wanted = "True or False"
+        ok = isinstance(value, (bool, np.bool_))
+    else:
+        wanted = "a string"
+        ok = isinstance(value, str)
+    if not ok:
+        raise ConfigurationError(f"{name} must be {wanted}, got {value!r}")
 
 
 def _check_logit_room(cfg, num_labels: int) -> None:
@@ -71,7 +91,12 @@ def _check_logit_room(cfg, num_labels: int) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one run; field names double as config-file keys."""
+    """Full description of one run; field names double as config-file keys.
+
+    A field's annotation is its kind, which `__post_init__` checks and
+    `parse_settings` reads: `int` (>= 1; `master_seed` >= 0), `int | None`,
+    `float`, `bool` or `str`.
+    """
 
     protocol: str = "il"
     uplink_mode: str = "digital"
@@ -98,38 +123,23 @@ class ExperimentConfig:
     ideal_exchange: bool = False        # test affordance: lossless links
 
     def __post_init__(self):
+        for field in fields(self):
+            _check_kind(field.name, field.type, getattr(self, field.name))
         if self.protocol not in PROTOCOLS:
             raise ConfigurationError(f"protocol: unknown value {self.protocol!r}")
         for name in ("uplink_mode", "downlink_mode"):
             if getattr(self, name) not in LINK_MODES:
                 raise ConfigurationError(f"{name} must be digital or analog")
-        for name in _POSITIVE_INT + _OPTIONAL_INT + ("master_seed",):
-            value = getattr(self, name)
-            if value is None and name in _OPTIONAL_INT:
-                continue
-            least = 0 if name == "master_seed" else 1
-            if isinstance(value, bool) \
-                    or not isinstance(value, numbers.Integral) \
-                    or value < least:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
         if self.quantizer_bits > MAX_QUANTIZER_BITS:
             raise ConfigurationError(
                 f"quantizer_bits must be at most {MAX_QUANTIZER_BITS} (the "
                 f"significand of a float64), got {self.quantizer_bits}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(
-                    f"{name} must be a number, got {value!r}")
-        for name in _BOOL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ConfigurationError(
-                    f"{name} must be True or False, got {value!r}")
         for name in ("pu_db", "pd_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be a finite dB value")
+            value = getattr(self, name)
+            if not abs(value) <= MAX_ABS_DB:  # also true for NaN
+                raise ConfigurationError(
+                    f"{name} must be a finite dB value in [-{MAX_ABS_DB:g}, "
+                    f"{MAX_ABS_DB:g}], got {value!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigurationError("alpha must be a positive finite step size")
         if not 0.0 <= self.reg_weight <= 1.0:
@@ -140,9 +150,6 @@ class ExperimentConfig:
         parsed = {}
         for name, parse in parsers.items():
             value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ConfigurationError(f"{name} must be a string, "
-                                         f"got {value!r}")
             try:
                 parsed[name] = parse(value)
             except ValueError as exc:
@@ -181,8 +188,9 @@ class MetricsRecord:
     def __post_init__(self):
         if not 0.0 <= self.test_accuracy <= 1.0:
             raise ValueError("accuracy must lie in [0, 1]")
-        if self.bits_sent_uplink < 0 or self.bits_sent_downlink < 0:
-            raise ValueError("bit counters must be non-negative")
+        if not (0 <= self.bits_sent_uplink < math.inf
+                and 0 <= self.bits_sent_downlink < math.inf):
+            raise ValueError("bit counters must be finite and non-negative")
 
 
 def _fmt(value) -> str:
@@ -194,13 +202,11 @@ def _fmt(value) -> str:
 
 
 def write_metrics(records, path) -> None:
-    """CSV with a fixed schema: UTF-8, LF endings, 6 significant digits."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.iteration, r.protocol, r.uplink_mode, r.downlink_mode,
-            r.channel_uses, r.pu_db, r.pd_db, r.seed, r.device_scope,
-            r.test_accuracy, r.bits_sent_uplink, r.bits_sent_downlink)))
+    """CSV with a fixed schema: UTF-8, LF endings, 6 significant digits.
+
+    The columns follow MetricsRecord's field order, under CSV_HEADER's names.
+    """
+    lines = [CSV_HEADER] + [",".join(map(_fmt, astuple(r))) for r in records]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -212,21 +218,16 @@ def read_metrics(path) -> list[MetricsRecord]:
                 for number, line in enumerate(f, start=1) if line.strip()]
     if not rows or rows[0][1] != CSV_HEADER:
         raise ValueError(f"{path}: unexpected metrics header")
-    width = CSV_HEADER.count(",") + 1
+    kinds = [field.type for field in fields(MetricsRecord)]
     records = []
     for number, line in rows[1:]:
         parts = line.split(",")
         try:
-            if len(parts) != width:
-                raise ValueError(f"expected {width} fields, got {len(parts)}")
+            if len(parts) != len(kinds):
+                raise ValueError(
+                    f"expected {len(kinds)} fields, got {len(parts)}")
             records.append(MetricsRecord(
-                iteration=int(parts[0]), protocol=parts[1],
-                uplink_mode=parts[2], downlink_mode=parts[3],
-                channel_uses=int(parts[4]), pu_db=float(parts[5]),
-                pd_db=float(parts[6]), seed=int(parts[7]),
-                device_scope=parts[8], test_accuracy=float(parts[9]),
-                bits_sent_uplink=float(parts[10]),
-                bits_sent_downlink=float(parts[11])))
+                *(kind(part) for kind, part in zip(kinds, parts))))
         except ValueError as exc:
             raise ValueError(f"{path}: line {number}: {exc}") from exc
     return records
@@ -583,22 +584,23 @@ def _parse_value(key: str, raw: str):
         return LINK_CODES[raw]
     if key not in _CONFIG_TYPES:
         raise ConfigurationError(f"unknown config key {key!r}")
-    if key in _OPTIONAL_INT and raw.lower() in ("none", ""):
+    kind = _CONFIG_TYPES[key]
+    if kind == int | None and raw.lower() in ("none", ""):
         return None
-    if key in _BOOL_FIELDS:
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigurationError(f"{key} expects a boolean, got {raw!r}")
-    if key in ("protocol", "uplink_mode", "downlink_mode", "data", "model"):
+    if kind is str:
         value = raw
     else:
-        kind = float if key in _FLOAT_FIELDS else int
+        number = float if kind is float else int
         expects = "a number" if kind is float else "an integer"
         offset = key == "pd_db" and raw.startswith("pu")
         try:
-            value = PuOffset(float(raw[2:] or 0)) if offset else kind(raw)
+            value = PuOffset(float(raw[2:] or 0)) if offset else number(raw)
         except ValueError:
             if key == "pd_db":
                 expects += " or pu+<offset>"
@@ -617,9 +619,10 @@ def parse_settings(text: str) -> dict:
     """Read the settings of `fedsim run --config` and `fedsim sweep --grid`.
 
     Returns {key: [values]}. Each line is `key = v1, v2, ...` with an
-    ExperimentConfig field as key; a sweep crosses the values and a config
-    file gives one per key. Blank lines and # comments are skipped. `data`
-    and `model` take the rest of the line as one value (`model = mlp:8,4`).
+    ExperimentConfig field as key, and the field's annotation is the kind
+    its values are read as; a sweep crosses the values and a config file
+    gives one per key. Blank lines and # comments are skipped. `data` and
+    `model` take the rest of the line as one value (`model = mlp:8,4`).
     `link = dd, da, ad, aa` sets uplink_mode and downlink_mode together;
     `pd_db = pu+<offset>` follows each point's pu_db; optional integers
     take `none`. A key may appear once (`link` sets both modes), and every

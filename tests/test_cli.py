@@ -244,6 +244,41 @@ def test_idx_pair_too_small_for_the_run_is_one_line_error(tmp_path, capsys):
                             f"samples_per_device + test_samples)")
 
 
+@pytest.mark.parametrize("count,rows,cols,message", [
+    (0, 2, 2, "data: {images} holds 0 samples, the run needs 1640 "
+              "(num_devices x samples_per_device + test_samples)"),
+    (1640, 0, 3, "data: the images in {images} have 0 pixels; a run needs "
+                 "at least 1"),
+], ids=["no-samples", "no-pixels"])
+def test_degenerate_idx_pair_is_one_line_error(tmp_path, capsys, count,
+                                               rows, cols, message):
+    images, labels = tmp_path / "images.idx3", tmp_path / "labels.idx1"
+    images.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols)
+                       + bytes(count * rows * cols))
+    labels.write_bytes(struct.pack(">II", 0x801, count)
+                       + bytes(k % 2 for k in range(count)))
+    assert main(["run", "--data", f"idx:{images},{labels}",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    _one_line_error(capsys, message.format(images=images))
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--pu-db", "4000"], "pu_db must be a finite dB value in [-300, 300], "
+                          "got 4000.0"),
+    (["--protocol", "fl", "--link", "aa", "--T", "20", "--pu-db", "3070"],
+     "pu_db must be a finite dB value in [-300, 300], got 3070.0"),
+    (["--link", "da", "--pu-db", "3000", "--pd-db", "3000"],
+     "pu_db must be a finite dB value in [-300, 300], got 3000.0"),
+    (["--pd-db=-1e9"], "pd_db must be a finite dB value in [-300, 300], "
+                       "got -1000000000.0"),
+], ids=["il-4000", "fl-aa-3070", "il-da-3000", "pd-minus-1e9"])
+def test_out_of_range_db_is_one_line_error(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--out", str(out)] + args + COMMON) == 2
+    _one_line_error(capsys, message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("link", ["dd", "aa"])
 def test_single_class_idx_labels_are_one_line_error(tmp_path, capsys, link):
     data, labels = _idx_pair(tmp_path, [0] * 60)

@@ -17,12 +17,16 @@ from fedsim.learning import (
     MlpArchitecture, average_logits, init_weights, run_local_epochs,
 )
 from fedsim.orchestrator import (
-    CSV_HEADER, LINK_CODES, PROTOCOLS, ExperimentConfig, MetricsRecord, _Run,
-    _target, expand_settings, parse_settings, read_metrics, run_experiment,
-    write_metrics,
+    CSV_HEADER, LINK_CODES, MAX_ABS_DB, PROTOCOLS, ExperimentConfig,
+    MetricsRecord, _Run, _target, expand_settings, parse_settings,
+    read_metrics, run_experiment, write_metrics,
 )
 
 SMALL_DATA = "synthetic:classes=2,dim=6"
+LINKS = st.sampled_from(sorted(LINK_CODES.values()))
+# dB values across the accepted range, its two ends, and past it.
+DB_VALUES = (st.floats(-400.0, 400.0)
+             | st.sampled_from([-MAX_ABS_DB, MAX_ABS_DB]))
 
 
 def small_config(**kw):
@@ -50,6 +54,29 @@ class TestIlInvariance:
         records = run_experiment(small_config())
         assert all(r.bits_sent_uplink == 0 and r.bits_sent_downlink == 0
                    for r in records)
+
+    CHANNEL = st.fixed_dictionaries(dict(
+        link=LINKS, channel_uses=st.sampled_from([1, 2, 16, 200]),
+        pu_db=st.floats(-MAX_ABS_DB, MAX_ABS_DB),
+        pd_db=st.floats(-MAX_ABS_DB, MAX_ABS_DB),
+        noise_enabled=st.booleans(), ideal_exchange=st.booleans()))
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=CHANNEL, b=CHANNEL, num_devices=st.integers(1, 3),
+           model=st.sampled_from(["linear", "mlp:3"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_records_do_not_depend_on_the_channel(self, a, b, num_devices,
+                                                  model, seed):
+        def learned(link, **channel):
+            records = run_experiment(small_config(
+                uplink_mode=link[0], downlink_mode=link[1],
+                num_devices=num_devices, model=model, master_seed=seed,
+                samples_per_device=6, test_samples=20, **channel))
+            return [(r.iteration, r.device_scope, r.test_accuracy,
+                     r.bits_sent_uplink, r.bits_sent_downlink)
+                    for r in records]
+
+        assert learned(**a) == learned(**b)
 
 
 class TestFlIdealOracle:
@@ -370,26 +397,30 @@ class TestProtocolsRun:
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
 
     @settings(max_examples=30, deadline=None)
-    @given(protocol=st.sampled_from(PROTOCOLS),
-           link=st.sampled_from(sorted(LINK_CODES.values())),
+    @given(protocol=st.sampled_from(PROTOCOLS), link=LINKS,
            num_devices=st.integers(1, 4),
            channel_uses=st.sampled_from([1, 2, 3, 5, 8, 16, 50, 200]),
            quantizer_bits=st.integers(1, MAX_QUANTIZER_BITS),
            fl_analog_q=st.none() | st.integers(1, 400),
            logit_sample_size=st.none() | st.integers(1, 12),
-           reg_weight=st.floats(0.0, 1.0),
+           reg_weight=st.floats(0.0, 1.0), pu_db=DB_VALUES, pd_db=DB_VALUES,
            noise_enabled=st.booleans(), ideal_exchange=st.booleans(),
            classes=st.integers(2, 4),
            model=st.sampled_from(["linear", "mlp:3", "mlp:4,2"]),
            seed=st.integers(0, 2 ** 16))
     def test_every_accepted_small_config_runs(self, link, classes, seed,
                                               **fields):
+        fields.update(
+            uplink_mode=link[0], downlink_mode=link[1],
+            data=f"synthetic:classes={classes},dim=4", master_seed=seed,
+            global_iterations=2, samples_per_device=6, test_samples=20,
+            batch_size=4, hfd_distill_steps=2)
+        if max(abs(fields["pu_db"]), abs(fields["pd_db"])) > MAX_ABS_DB:
+            with pytest.raises(ConfigurationError, match="_db must be a finite"):
+                small_config(**fields)
+            return
         try:
-            config = small_config(
-                uplink_mode=link[0], downlink_mode=link[1],
-                data=f"synthetic:classes={classes},dim=4", master_seed=seed,
-                global_iterations=2, samples_per_device=6, test_samples=20,
-                batch_size=4, hfd_distill_steps=2, **fields)
+            config = small_config(**fields)
         except ConfigurationError:
             assume(False)
         records = run_experiment(config)  # a warning fails (pyproject.toml)
@@ -568,10 +599,17 @@ class TestConfigParsing:
         ("data", "synthetic:spread=-0.1"),
         ("data", "synthetic:classes=2,classes=3"),
         ("quantizer_bits", 54), ("quantizer_bits", 64),
+        ("pu_db", 4000.0), ("pu_db", 3070), ("pd_db", 3000.0),
+        ("pu_db", MAX_ABS_DB + 0.5), ("pd_db", -MAX_ABS_DB - 0.5),
+        ("pu_db", float("-inf")), ("pd_db", float("nan")),
     ])
     def test_invalid_value_names_its_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             ExperimentConfig(**{key: value})
+
+    def test_db_range_includes_its_ends(self):
+        for db in (-MAX_ABS_DB, MAX_ABS_DB):
+            assert ExperimentConfig(pu_db=db, pd_db=db).pd_db == db
 
     def test_numeric_and_numpy_values_accepted(self):
         config = ExperimentConfig(pu_db=3, pd_db=np.float64(7.5), alpha=1,
@@ -593,6 +631,29 @@ class TestConfigParsing:
             parse_settings(text)
 
 
+class TestConfigSchema:
+    """A field's annotation is its kind: what ExperimentConfig accepts and
+    how parse_settings reads it. Five kinds are handled."""
+
+    FIELDS = [field.name for field in dataclasses.fields(ExperimentConfig)]
+
+    def test_every_annotation_is_a_handled_kind(self):
+        kinds = {int, int | None, float, bool, str}
+        assert {field.name: field.type
+                for field in dataclasses.fields(ExperimentConfig)
+                if field.type not in kinds} == {}
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_value_of_the_wrong_kind_names_its_field(self, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be "):
+            ExperimentConfig(**{name: [1]})
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_every_default_reads_back(self, name):
+        default = getattr(ExperimentConfig(), name)
+        assert parse_settings(f"{name} = {default}\n") == {name: [default]}
+
+
 class TestMetricsCsvErrors:
     def test_short_row_names_its_line(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -608,6 +669,15 @@ class TestMetricsCsvErrors:
         path.write_text(CSV_HEADER + "\n\nx,il,digital,digital,1,0,0,0,avg,"
                         "0.5,0,0\n")
         with pytest.raises(ValueError, match="line 3"):
+            read_metrics(path)
+
+    @pytest.mark.parametrize("bits", ["nan,inf", "0,inf", "nan,0", "-1,0"])
+    def test_bad_bit_counter_names_its_line(self, tmp_path, bits):
+        path = tmp_path / "m.csv"
+        path.write_text(CSV_HEADER + "\n1,il,digital,digital,1,0,0,0,avg,"
+                        f"0.5,{bits}\n")
+        with pytest.raises(ValueError, match="line 2: bit counters must be "
+                                             "finite and non-negative"):
             read_metrics(path)
 
 
