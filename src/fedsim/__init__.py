@@ -25,7 +25,7 @@ from .analog_link import (
 from .errors import ConfigurationError, DecodeError
 from .learning import (
     MlpArchitecture, average_logits, evaluate_accuracy, hfd_distill_step,
-    init_weights, label_means, leave_one_out, sgd_step, softmax,
+    init_weights, label_means, sgd_step, softmax,
 )
 from .orchestrator import (
     ExperimentConfig, MetricsRecord, read_metrics, run_experiment,

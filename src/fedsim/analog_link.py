@@ -253,8 +253,8 @@ def _uplink(payloads, state: ChannelState, power: float, channel_uses: int,
     """
     xs = [pack_complex(p) for p in payloads]
     gammas = [full_power_gain(x, power, channel_uses) for x in xs]
-    frames = [precompensate(x, gain, power, channel_uses)
-              for x, gain in zip(xs, state.uplink_gains)]
+    frames = np.stack([precompensate(x, gain, power, channel_uses).samples
+                       for x, gain in zip(xs, state.uplink_gains)])
     received = uplink_mac(frames, state, noise_rng)[:xs[0].size]
     factor = mmse_factor_uplink(gammas, np.abs(state.uplink_gains))
     return unpack_complex(factor * received)
@@ -273,7 +273,7 @@ def _downlink(payload: np.ndarray, state: ChannelState, power: float,
     return [unpack_complex(mmse_factor_downlink(gamma, abs(gain))
                            * (y[:x.size] * _derotation(gain)))
             for gain, y in zip(state.downlink_gains,
-                               downlink_bc(frame, state, noise_rng))]
+                               downlink_bc(frame.samples, state, noise_rng))]
 
 
 def _repeat_table(table: np.ndarray, channel_uses: int):

@@ -3,11 +3,13 @@
 Gains are Rayleigh: circularly-symmetric complex Gaussian, unit variance,
 i.i.d. across devices, directions, and global iterations. Receiver noise is
 complex Gaussian with unit variance per entry. Transmit power is accounted
-per frame: mean squared magnitude over the frame length must not exceed the
-declared budget.
+per frame as it is built (`AnalogFrame`): mean squared magnitude over the
+frame length must not exceed the declared budget. The channel moves sample
+arrays with the device axis first: the uplink takes the (K, T) block of
+the device frames, the downlink returns the (K, T) block of receptions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,45 +71,44 @@ def sample_channel(rng: np.random.Generator, num_devices: int) -> ChannelState:
     """Draw fresh unit-variance complex Gaussian gains for both directions."""
     if num_devices < 1:
         raise ValueError("need at least one device")
-    draws = rng.standard_normal((2, num_devices, 2))
-    gains = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+    gains = _complex_gaussian(rng, (2, num_devices))
     return ChannelState(uplink_gains=gains[0], downlink_gains=gains[1])
 
 
-def _complex_noise(rng: np.random.Generator, n: int) -> np.ndarray:
-    draws = rng.standard_normal((n, 2))
-    return (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Unit-variance circular complex Gaussians: per entry, the next two
+    standard normal draws times 1/sqrt(2), read in place as re and im. Bit
+    for bit `(re + 1j * im) / sqrt(2)` (numpy divides by a real as a product
+    with its reciprocal) without that form's three temporaries."""
+    draws = rng.standard_normal(shape + (2,))
+    draws *= 1.0 / np.sqrt(2.0)
+    return draws.view(np.complex128)[..., 0]
 
 
-def uplink_mac(frames, state: ChannelState,
+def uplink_mac(frames: np.ndarray, state: ChannelState,
                noise_rng: np.random.Generator | None) -> np.ndarray:
-    """Superpose all device frames through their fading gains, add noise.
+    """Superpose the (K, T) frame block through the fading gains, add noise.
 
-    Pass noise_rng=None to disable the additive noise (deterministic
-    round-trip testing only; real links always carry noise).
+    Summing the rows in device order, `np.sum(gains[:, None] * frames,
+    axis=0)`, is bit for bit a running sum over the devices; `gains @
+    frames` is not. Pass noise_rng=None to disable the additive noise
+    (deterministic round-trip testing only; real links always carry noise).
     """
-    frames = list(frames)
-    if len(frames) != state.num_devices:
-        raise ConfigurationError(
-            f"{len(frames)} frames for {state.num_devices} devices")
-    length = len(frames[0])
-    if any(len(f) != length for f in frames):
-        raise ConfigurationError("uplink frames must share one length")
-    received = np.zeros(length, dtype=np.complex128)
-    for gain, frame in zip(state.uplink_gains, frames):
-        received += gain * frame.samples
+    if np.ndim(frames) != 2 or len(frames) != state.num_devices:
+        raise ConfigurationError(f"a frame block of shape {np.shape(frames)} "
+                                 f"for {state.num_devices} devices")
+    received = np.sum(state.uplink_gains[:, None] * frames, axis=0)
     if noise_rng is not None:
-        received += _complex_noise(noise_rng, length)
+        received += _complex_gaussian(noise_rng, frames.shape[1:])
     return received
 
 
-def downlink_bc(frame: AnalogFrame, state: ChannelState,
-                noise_rng: np.random.Generator | None) -> list[np.ndarray]:
-    """Broadcast one frame; device k sees its own gain and its own noise."""
-    receptions = []
-    for gain in state.downlink_gains:
-        r = gain * frame.samples
-        if noise_rng is not None:
-            r = r + _complex_noise(noise_rng, len(frame))
-        receptions.append(r)
-    return receptions
+def downlink_bc(frame: np.ndarray, state: ChannelState,
+                noise_rng: np.random.Generator | None) -> np.ndarray:
+    """Broadcast one frame of T samples; row k of the (K, T) block returned
+    is what device k sees, through its own gain and with its own noise. The
+    noise is one (K, T) draw, bit for bit K draws of T in device order."""
+    received = state.downlink_gains[:, None] * frame
+    if noise_rng is not None:
+        received += _complex_gaussian(noise_rng, received.shape)
+    return received

@@ -108,11 +108,6 @@ def _read_idx_pair(images_path, labels_path):
     return covariates, labels
 
 
-def load_idx_pair(images_path, labels_path) -> LabeledDataset:
-    covariates, labels = _read_idx_pair(images_path, labels_path)
-    return LabeledDataset(covariates, labels, int(labels.max()) + 1)
-
-
 def generate_synthetic(num_classes: int, dim: int, count: int,
                        rng: np.random.Generator, noise: float = 0.18,
                        spread: float = 0.25,

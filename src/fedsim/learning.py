@@ -278,14 +278,6 @@ def average_logits(w: np.ndarray, data: LabeledDataset, sample_size: int,
     return label_means(logits, data.labels[idx], data.num_classes)[0]
 
 
-def leave_one_out(avg: np.ndarray, own: np.ndarray, count: int) -> np.ndarray:
-    """Average over everyone else: (count * avg - own) / (count - 1)."""
-    if count < 2:
-        raise ValueError("leave-one-out needs at least two contributors")
-    return (count * np.asarray(avg, dtype=np.float64)
-            - np.asarray(own, dtype=np.float64)) / (count - 1)
-
-
 def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,
                      labels: np.ndarray, target_table: np.ndarray,
                      alpha: float, arch: MlpArchitecture,

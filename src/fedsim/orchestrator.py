@@ -10,17 +10,23 @@ one place that picks the link calls for a kind. An empty weight payload
 is a zero update; a table exchange that delivers nothing keeps the
 previous targets.
 
+Per-device state carries the device axis first: `_Run.weights` is (K, W),
+`_Run.targets` is (K, L, L) with the (K,) mask `has_target`, and payloads
+and what comes back down are (K, ...) blocks.
+
 One rule, `_target`, says what a distillation device learns toward: a
 contributor takes the leave-one-out average of the others, a sole
 contributor keeps what it had, and a device left out of the average (its
 digital payload dropped out, or it does not hold the label) takes the
-average whole. FD's logit targets and HFD's offline per-label covariates
-both follow it; a label without a target is a zero logit row in FD and no
-pseudo-sample in HFD. Everything is deterministic given the master seed."""
+average whole. It is one array call over all devices, for FD's logit
+targets and for HFD's offline per-label covariates; a label without a
+target is a zero logit row in FD and no pseudo-sample in HFD. Everything
+is deterministic given the master seed."""
 
 import itertools
 import math
 import numbers
+import sys
 import threading
 from dataclasses import astuple, dataclass, fields
 
@@ -41,8 +47,7 @@ from .digital_link import (
 from .errors import ConfigurationError
 from .learning import (
     MlpArchitecture, average_logits, evaluate_accuracy, forward_logits_batch,
-    hfd_distill_step, init_weights, label_means, leave_one_out,
-    run_local_epochs,
+    hfd_distill_step, init_weights, label_means, run_local_epochs,
 )
 
 PROTOCOLS = ("il", "fl", "fd", "hfd")
@@ -140,7 +145,9 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{name} must be a finite dB value in [-{MAX_ABS_DB:g}, "
                     f"{MAX_ABS_DB:g}], got {value!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
+        # Compared as given: an int too large for a float must not reach a
+        # float conversion.
+        if not 0 < self.alpha <= sys.float_info.max:  # also false for NaN
             raise ConfigurationError("alpha must be a positive finite step size")
         if not 0.0 <= self.reg_weight <= 1.0:
             raise ConfigurationError("reg_weight must lie in [0, 1]")
@@ -233,16 +240,22 @@ def read_metrics(path) -> list[MetricsRecord]:
     return records
 
 
-def _target(average, own, contributed: bool, count: int):
-    """What one device learns toward from an average of `count` payloads.
+def _target(average, own, contributed, count):
+    """What each device learns toward from an average of `count` payloads.
 
-    A contributor takes the leave-one-out average of the others; a sole
-    contributor gets None, as no one else is in the average; a device left
-    out of the average takes it whole (None when there is no average).
+    Returns (values, has). A contributor takes the leave-one-out average of
+    the others, `(count * average - own) / (count - 1)`; a device left out
+    of the average takes it whole. `has` is False where no one else is in
+    the average (a sole contributor, or a count of 0), and `values` means
+    nothing there. `contributed` and `count` broadcast against the leading
+    axes of `own`, and `has` has their shape.
     """
-    if not contributed:
-        return average
-    return leave_one_out(average, own, count) if count >= 2 else None
+    has = np.asarray(count) > contributed
+    trailing = (1,) * (np.ndim(own) - np.ndim(contributed))
+    contributed = np.reshape(contributed, np.shape(contributed) + trailing)
+    count = np.reshape(count, np.shape(count) + trailing)
+    others = (count * average - own) / np.maximum(count - 1, 1)
+    return np.where(contributed, others, average), has
 
 
 class _Run:
@@ -268,17 +281,14 @@ class _Run:
 
         _check_logit_room(cfg, self.num_labels)
 
+        # Row k holds device k's weights, drawn from device k's seed; FL's
+        # update semantics need one common reference point, so every FL
+        # device draws the first device's.
         fl = cfg.protocol == "fl"
-        if fl:
-            # Update semantics need one common reference point; share the
-            # first device's seeded initialization.
-            shared = init_weights(self.arch,
-                                  streams.derive_rng(seed, streams.INIT, 0))
-            self.weights = [shared.copy() for _ in range(cfg.num_devices)]
-        else:
-            self.weights = [init_weights(self.arch,
-                                         streams.derive_rng(seed, streams.INIT, k))
-                            for k in range(cfg.num_devices)]
+        self.weights = np.array([
+            init_weights(self.arch,
+                         streams.derive_rng(seed, streams.INIT, 0 if fl else k))
+            for k in range(cfg.num_devices)])
 
         self.fl_q = cfg.fl_analog_q
         if self.fl_q is None:
@@ -302,7 +312,10 @@ class _Run:
         self.undrawn = [proj for proj, mode in links
                         if fl and mode == "analog"]
 
-        self.targets = [None] * cfg.num_devices   # logit-row targets (L, L)
+        # Device k's (L, L) logit-row target, once has_target[k] is set.
+        self.targets = np.zeros((cfg.num_devices, self.num_labels,
+                                 self.num_labels))
+        self.has_target = np.zeros(cfg.num_devices, dtype=bool)
         self.pseudo_batches = None                # HFD (covariates, labels)
         if cfg.protocol == "hfd":
             self._offline_covariate_exchange()
@@ -313,22 +326,16 @@ class _Run:
         """Give device k its pseudo-batch `pseudo_batches[k]`, a pair
         (covariates, labels): its `_target` of each label's average
         covariate, one row per label that has one, labels ascending."""
-        local = [label_means(shard.covariates, shard.labels, self.num_labels)
-                 for shard in self.shards]
-        counts = np.sum([present for _, present in local], axis=0)
-        averages = [np.mean([values[t] for values, present in local
-                             if present[t]], axis=0) if counts[t] else None
-                    for t in range(self.num_labels)]
-        self.pseudo_batches = []
-        for values, present in local:
-            targets = [_target(average, values[t], present[t], int(counts[t]))
-                       for t, average in enumerate(averages)]
-            labels = [t for t, target in enumerate(targets)
-                      if target is not None]
-            covariates = np.reshape([targets[t] for t in labels],
-                                    (len(labels), values.shape[1]))
-            self.pseudo_batches.append(
-                (covariates, np.array(labels, dtype=np.int64)))
+        means, present = map(np.array, zip(*(
+            label_means(shard.covariates, shard.labels, self.num_labels)
+            for shard in self.shards)))
+        counts = present.sum(axis=0)
+        # An absent label's mean is a zero row, so the sum over devices is
+        # the sum over its holders, added in device order.
+        averages = means.sum(axis=0) / np.maximum(counts, 1)[:, None]
+        targets, has = _target(averages, means, present, counts)
+        self.pseudo_batches = [(rows[mask], np.flatnonzero(mask))
+                               for rows, mask in zip(targets, has)]
 
     # -- per-iteration phases --
 
@@ -337,43 +344,36 @@ class _Run:
         for k in range(cfg.num_devices):
             rng = streams.derive_rng(cfg.master_seed, streams.TRAIN, k,
                                      iteration)
-            if cfg.protocol == "hfd" and self.targets[k] is not None:
+            if cfg.protocol == "hfd" and self.has_target[k]:
                 for _ in range(cfg.hfd_distill_steps):
                     self.weights[k] = hfd_distill_step(
                         self.weights[k], *self.pseudo_batches[k],
                         self.targets[k], cfg.alpha, self.arch,
                         reg_weight=cfg.reg_weight)
-            target = None
-            reg = 0.0
-            if cfg.protocol == "fd" and self.targets[k] is not None:
-                target = self.targets[k]
-                reg = cfg.reg_weight
+            fd = cfg.protocol == "fd" and self.has_target[k]
             self.weights[k] = run_local_epochs(
                 self.weights[k], self.shards[k], cfg.alpha, cfg.local_epochs,
-                cfg.batch_size, rng, self.arch, target_table=target,
-                reg_weight=reg)
+                cfg.batch_size, rng, self.arch,
+                target_table=self.targets[k] if fd else None,
+                reg_weight=cfg.reg_weight if fd else 0.0)
 
-    def logit_tables(self, iteration: int) -> list[np.ndarray]:
-        """Each device's (L, L) table: FD's per-label mean logits over its
-        shard, HFD's logits at its pseudo-samples; a label with no row in
-        either is a zero row."""
+    def logit_tables(self, iteration: int) -> np.ndarray:
+        """The (K, L, L) block of the devices' tables: FD's per-label mean
+        logits over each shard, HFD's logits at each device's
+        pseudo-samples; a label with no row in either is a zero row."""
         cfg = self.cfg
-        tables = []
-        for k in range(cfg.num_devices):
+        tables = np.zeros((cfg.num_devices, self.num_labels, self.num_labels))
+        for k, (w, shard) in enumerate(zip(self.weights, self.shards)):
             if cfg.protocol == "fd":
-                sample = cfg.logit_sample_size
-                if sample is None:
-                    sample = len(self.shards[k])
                 rng = streams.derive_rng(cfg.master_seed, streams.LOGITS, k,
                                          iteration)
-                tables.append(average_logits(self.weights[k], self.shards[k],
-                                             sample, rng, self.arch))
+                tables[k] = average_logits(
+                    w, shard, cfg.logit_sample_size or len(shard), rng,
+                    self.arch)
             else:
                 covariates, labels = self.pseudo_batches[k]
-                values = np.zeros((self.num_labels, self.num_labels))
-                values[labels] = forward_logits_batch(self.weights[k],
-                                                      covariates, self.arch)
-                tables.append(values)
+                tables[k, labels] = forward_logits_batch(w, covariates,
+                                                         self.arch)
         return tables
 
     # -- the exchange --
@@ -442,23 +442,25 @@ class _Run:
     def exchange(self, payloads, state, noise_rng):
         """One round for either payload kind: up, average, broadcast back.
 
-        Returns (received, contributed, bits_up, bits_down). received[k] is
-        the average as device k got it, and contributed[k] says whether
-        device k's payload reached that average (a digital payload that
-        does not fit its budget drops out). An empty weight payload is a
-        zero update: a weight average that no payload reached still goes
-        down as zeros, since sending it moves `down_acc`. An empty table
-        payload carries nothing: a table exchange with no uplink survivor
-        or an empty broadcast delivers nothing, and received is None.
+        `payloads` is the (K, ...) block of the devices' payloads. Returns
+        (received, contributed, bits_up, bits_down): row k of the block
+        `received` is the average as device k got it, and contributed[k]
+        says whether device k's payload reached that average (a digital
+        payload that does not fit its budget drops out). An empty weight
+        payload is a zero update: a weight average that no payload reached
+        still goes down as zeros, since sending it moves `down_acc`. An
+        empty table payload carries nothing: a table exchange with no
+        uplink survivor or an empty broadcast delivers nothing, and
+        received is None.
         """
         cfg = self.cfg
         k_dev = cfg.num_devices
         weights = cfg.protocol == "fl"
         bits_up, bits_down = np.zeros(k_dev), 0.0
-        contributed = [True] * k_dev
+        contributed = np.ones(k_dev, dtype=bool)
         if cfg.ideal_exchange:
-            return ([np.mean(payloads, axis=0)] * k_dev, contributed,
-                    bits_up, bits_down)
+            return (np.broadcast_to(np.mean(payloads, axis=0), payloads.shape),
+                    contributed, bits_up, bits_down)
         if self.undrawn:
             self._draw_projections()
         encode, decode, air_up, air_down = self._codec(state, noise_rng)
@@ -486,13 +488,14 @@ class _Run:
         received = None
         if average is not None and cfg.downlink_mode == "analog":
             received, self.down_acc = air_down(average, self.down_acc)
+            received = np.array(received)
         elif average is not None:
             budget = downlink_budget(cfg.channel_uses, state.downlink_gains,
                                      cfg.downlink_power)
             payload, self.down_acc = encode(average, self.down_acc, budget)
             bits_down = payload.bit_count
             if weights or not payload.is_empty:
-                received = [decode(payload)] * k_dev
+                received = np.broadcast_to(decode(payload), payloads.shape)
         return received, contributed, bits_up, bits_down
 
     def step(self, iteration: int):
@@ -506,7 +509,7 @@ class _Run:
         cfg = self.cfg
         k_dev = cfg.num_devices
         weights = cfg.protocol == "fl"
-        start = [w.copy() for w in self.weights] if weights else None
+        start = self.weights.copy() if weights else None
         self.local_phase(iteration)
         if cfg.protocol == "il":
             return np.zeros(k_dev), 0.0
@@ -518,19 +521,17 @@ class _Run:
             if cfg.noise_enabled:
                 noise_rng = streams.derive_rng(cfg.master_seed, streams.NOISE,
                                                iteration)
-        payloads = ([w - w0 for w, w0 in zip(self.weights, start)] if weights
+        payloads = (self.weights - start if weights
                     else self.logit_tables(iteration))
         received, contributed, bits_up, bits_down = self.exchange(
             payloads, state, noise_rng)
         if weights:
-            self.weights = [w0 + r for w0, r in zip(start, received)]
+            self.weights = start + received
         elif received is not None:
-            count = sum(contributed)
-            for k in range(k_dev):
-                target = _target(received[k], payloads[k], contributed[k],
-                                 count)
-                if target is not None:
-                    self.targets[k] = target
+            targets, has = _target(received, payloads, contributed,
+                                   contributed.sum())
+            self.targets[has] = targets[has]
+            self.has_target |= has
         return bits_up, bits_down
 
 

@@ -11,11 +11,9 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def frame(samples, budget=None):
-    samples = np.asarray(samples, dtype=np.complex128)
-    if budget is None:
-        budget = float(np.sum(np.abs(samples) ** 2)) / samples.size
-    return AnalogFrame(samples=samples, power_budget=budget)
+def block(*frames):
+    """The (K, T) block of K frames of T samples."""
+    return np.array(frames, dtype=np.complex128)
 
 
 class TestSampleChannel:
@@ -44,17 +42,17 @@ class TestSampleChannel:
 class TestUplinkMac:
     def test_identity_channel(self):
         state = ChannelState(np.array([1 + 0j]), np.array([1 + 0j]))
-        y = uplink_mac([frame([1 + 0j])], state, None)
+        y = uplink_mac(block([1 + 0j]), state, None)
         np.testing.assert_allclose(y, [1 + 0j])
 
     def test_superposition(self):
         state = ChannelState(np.array([1 + 0j, 1 + 0j]), np.ones(2, complex))
-        y = uplink_mac([frame([1 + 0j]), frame([2 + 0j])], state, None)
+        y = uplink_mac(block([1 + 0j], [2 + 0j]), state, None)
         np.testing.assert_allclose(y, [3 + 0j])
 
     def test_complex_rotation(self):
         state = ChannelState(np.array([1j]), np.array([1 + 0j]))
-        y = uplink_mac([frame([1 + 0j])], state, None)
+        y = uplink_mac(block([1 + 0j]), state, None)
         np.testing.assert_allclose(y, [1j])
 
     def test_linear_in_each_frame(self):
@@ -62,58 +60,82 @@ class TestUplinkMac:
         for _ in range(10):
             k, t = 3, 8
             state = sample_channel(gen, k)
-            base = [gen.standard_normal(t) + 1j * gen.standard_normal(t)
-                    for _ in range(k)]
+            base = (gen.standard_normal((k, t))
+                    + 1j * gen.standard_normal((k, t)))
             scale = gen.standard_normal()
-            y1 = uplink_mac([frame(x) for x in base], state, None)
-            scaled = [frame(base[0] * scale)] + [frame(x) for x in base[1:]]
+            y1 = uplink_mac(base, state, None)
+            scaled = base.copy()
+            scaled[0] *= scale
             y2 = uplink_mac(scaled, state, None)
-            y_only0 = uplink_mac(
-                [frame(base[0])] + [frame(np.zeros(t, complex))] * (k - 1),
-                state, None)
+            only0 = np.zeros_like(base)
+            only0[0] = base[0]
+            y_only0 = uplink_mac(only0, state, None)
             np.testing.assert_allclose(y2, y1 + (scale - 1) * y_only0,
                                        atol=1e-10)
+
+    def test_bit_for_bit_the_running_sum_over_devices(self):
+        gen = rng(6)
+        for k, t in ((2, 16), (3, 400), (10, 2500)):
+            state = sample_channel(gen, k)
+            frames = (gen.standard_normal((k, t))
+                      + 1j * gen.standard_normal((k, t)))
+            running = np.zeros(t, dtype=complex)
+            for gain, samples in zip(state.uplink_gains, frames):
+                running += gain * samples
+            assert uplink_mac(frames, state, None).tobytes() \
+                == running.tobytes()
 
     def test_noise_unit_variance(self):
         t = 100_000
         state = ChannelState(np.array([1 + 0j]), np.array([1 + 0j]))
-        zero = frame(np.zeros(t, complex), budget=1.0)
-        y = uplink_mac([zero], state, rng(99))
+        y = uplink_mac(np.zeros((1, t), complex), state, rng(99))
         var = np.mean(np.abs(y) ** 2)
         assert 0.98 <= var <= 1.02
 
     def test_mismatched_lengths_rejected(self):
+        # One frame in the block for two devices.
         state = ChannelState(np.ones(2, complex), np.ones(2, complex))
         with pytest.raises(ConfigurationError):
-            uplink_mac([frame([1 + 0j]), frame([1 + 0j, 2 + 0j])], state, None)
+            uplink_mac(block([1 + 0j, 2 + 0j]), state, None)
 
 
 class TestDownlinkBc:
     def test_identity(self):
         state = ChannelState(np.ones(3, complex), np.ones(3, complex))
-        received = downlink_bc(frame([2 + 0j]), state, None)
-        assert len(received) == 3
+        received = downlink_bc(np.array([2 + 0j]), state, None)
+        assert received.shape == (3, 1)
         for r in received:
             np.testing.assert_allclose(r, [2 + 0j])
 
     def test_zero_gain_pure_noise(self):
         state = ChannelState(np.ones(2, complex),
                              np.array([0 + 0j, 1 + 0j]))
-        received = downlink_bc(frame([5 + 0j]), state, rng(3))
+        received = downlink_bc(np.array([5 + 0j]), state, rng(3))
         assert abs(received[0][0]) > 0           # noise only, almost surely
         assert abs(received[0][0] - 5) > 1e-6    # signal fully suppressed
 
     def test_per_device_scaling(self):
         state = ChannelState(np.ones(2, complex),
                              np.array([1 + 0j, 2 + 0j]))
-        received = downlink_bc(frame([1 + 0j]), state, None)
+        received = downlink_bc(np.array([1 + 0j]), state, None)
         np.testing.assert_allclose(received[0], [1 + 0j])
         np.testing.assert_allclose(received[1], [2 + 0j])
 
     def test_independent_noise_per_device(self):
         state = ChannelState(np.ones(2, complex), np.ones(2, complex))
-        received = downlink_bc(frame(np.zeros(64, complex), budget=1.0), state, rng(11))
+        received = downlink_bc(np.zeros(64, complex), state, rng(11))
         assert not np.allclose(received[0], received[1])
+
+    def test_one_noise_draw_is_the_per_device_draws(self):
+        # Device k's noise is the k-th of K consecutive draws of T.
+        state = sample_channel(rng(12), 4)
+        frame = rng(13).standard_normal(50) + 0j
+        received = downlink_bc(frame, state, rng(14))
+        gen = rng(14)
+        for gain, r in zip(state.downlink_gains, received):
+            draws = gen.standard_normal((50, 2))
+            noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+            assert r.tobytes() == (gain * frame + noise).tobytes()
 
 
 class TestAnalogFramePower:

@@ -5,7 +5,7 @@ import pytest
 
 from fedsim.datasets import (
     IdxParseError, LabeledDataset, generate_synthetic, load_dataset,
-    load_idx_pair, parse_source, partition_shards,
+    parse_source, partition_shards,
 )
 
 
@@ -21,13 +21,19 @@ def write_idx_pair(tmp_path, images, labels):
     return img_path, lab_path
 
 
+def load_pair(images_path, labels_path):
+    """The whole IDX pair, read through `load_dataset`."""
+    return load_dataset(f"idx:{images_path},{labels_path}", 1,
+                        np.random.default_rng(0))
+
+
 class TestIdxParsing:
     def test_roundtrip(self, tmp_path):
         gen = np.random.default_rng(0)
         images = gen.integers(0, 256, (5, 2, 3), dtype=np.uint8)
         labels = np.array([0, 1, 2, 1, 0], dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, images, labels)
-        data = load_idx_pair(img, lab)
+        data = load_pair(img, lab)
         assert data.covariates.shape == (5, 6)
         assert data.covariates.min() >= 0.0 and data.covariates.max() <= 1.0
         np.testing.assert_allclose(data.covariates[2],
@@ -41,14 +47,14 @@ class TestIdxParsing:
         raw[3] = 0x99
         img.write_bytes(bytes(raw))
         with pytest.raises(IdxParseError, match="byte 0"):
-            load_idx_pair(img, lab)
+            load_pair(img, lab)
 
     def test_truncated_payload(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8),
                                   np.zeros(2, np.uint8))
         img.write_bytes(img.read_bytes()[:-3])
         with pytest.raises(IdxParseError, match="byte 16"):
-            load_idx_pair(img, lab)
+            load_pair(img, lab)
 
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8),
@@ -57,7 +63,7 @@ class TestIdxParsing:
         lab.write_bytes(struct.pack(">II", 0x801, 3)
                         + np.zeros(3, np.uint8).tobytes())
         with pytest.raises(IdxParseError, match="does not match"):
-            load_idx_pair(img, lab)
+            load_pair(img, lab)
 
 
 class TestSynthetic:

@@ -90,6 +90,17 @@ def test_matches_golden_weights(name, config):
     assert weights_digest(config) == recorded_digests()[name]
 
 
+def test_golden_set_is_one_set():
+    """No golden CSV is orphaned, unrecorded or missing its digest."""
+    files = {path.name for path in GOLDEN.glob("*.csv")}
+    configs = [name for name, _ in golden_configs()]
+    assert len(set(configs)) == len(configs)
+    assert set(configs) == files
+    lines = WEIGHT_DIGESTS.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(recorded_digests()) == len(files)
+    assert set(recorded_digests()) == files
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     digests = []

@@ -6,9 +6,10 @@ import pytest
 from fedsim.datasets import LabeledDataset
 from fedsim.learning import (
     MlpArchitecture, average_logits, evaluate_accuracy, forward_logits_batch,
-    hfd_distill_step, init_weights, label_means, leave_one_out,
-    loss_and_gradient, run_local_epochs, sgd_step, softmax,
+    hfd_distill_step, init_weights, label_means, loss_and_gradient,
+    run_local_epochs, sgd_step, softmax,
 )
+from fedsim.orchestrator import _target
 
 
 def small_arch():
@@ -221,32 +222,45 @@ class TestAverageLogits:
 
 
 class TestLeaveOneOut:
+    """The contributor branch of the target rule: each contributor to an
+    average of `count` payloads takes the average of the others."""
+
+    @staticmethod
+    def leave_one_out(avg, own, count):
+        values, has = _target(avg, own, np.ones(len(own), dtype=bool), count)
+        assert has.all()
+        return values
+
     def test_direct_evaluation(self):
         np.testing.assert_allclose(
-            leave_one_out(np.array([1.0, 2.0]), np.array([0.0, 2.0]), 2),
-            [2.0, 2.0])
+            self.leave_one_out(np.array([1.0, 2.0]), np.array([[0.0, 2.0]]),
+                               2),
+            [[2.0, 2.0]])
 
     def test_own_equals_avg(self):
         avg = np.array([3.0, -1.0])
-        np.testing.assert_allclose(leave_one_out(avg, avg, 5), avg)
+        np.testing.assert_allclose(self.leave_one_out(avg, avg[None], 5),
+                                   avg[None])
 
     def test_mean_identity(self):
         gen = np.random.default_rng(50)
         owns = gen.standard_normal((4, 6))
         avg = owns.mean(axis=0)
-        loos = np.stack([leave_one_out(avg, own, 4) for own in owns])
+        loos = self.leave_one_out(avg, owns, 4)
         np.testing.assert_allclose(loos.mean(axis=0), avg, atol=1e-12)
 
     def test_exact_algebra(self):
         gen = np.random.default_rng(51)
         avg, own = gen.standard_normal((2, 8))
-        out = leave_one_out(avg, own, 7)
+        out = self.leave_one_out(avg, own[None], 7)[0]
         np.testing.assert_allclose(7 * avg - own - 6 * out, np.zeros(8),
                                    atol=1e-12)
 
     def test_single_contributor_rejected(self):
-        with pytest.raises(ValueError):
-            leave_one_out(np.ones(2), np.ones(2), 1)
+        # No one else is in the average, so there is no target.
+        _, has = _target(np.ones(2), np.ones((1, 2)), np.ones(1, dtype=bool),
+                         1)
+        assert has.tolist() == [False]
 
 
 class TestCovariateMeans:

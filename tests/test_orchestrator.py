@@ -10,8 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 from fedsim import analog_link, audit, orchestrator, streams
 from fedsim.analog_link import ProjectionMatrix
 from fedsim.channel import ChannelState
-from fedsim.compression import MAX_QUANTIZER_BITS, ErrorAccumulator
+from fedsim.compression import (
+    MAX_QUANTIZER_BITS, ErrorAccumulator, top_k_sparsify,
+)
 from fedsim.datasets import LabeledDataset, load_dataset, partition_shards
+from fedsim.digital_link import fl_digital_decode
 from fedsim.errors import ConfigurationError
 from fedsim.learning import (
     MlpArchitecture, average_logits, init_weights, run_local_epochs,
@@ -147,18 +150,18 @@ class TestFdFixedPoint:
         run = _Run(config)
         # Force symmetric devices: same shard, same weights.
         run.shards = [run.shards[0]] * 3
-        run.weights = [run.weights[0].copy() for _ in range(3)]
-        tables = [average_logits(run.weights[k], run.shards[k],
-                                 len(run.shards[k]),
-                                 streams.derive_rng(0, streams.LOGITS, k, 1),
-                                 run.arch) for k in range(3)]
+        run.weights[:] = run.weights[0]
+        tables = np.array([average_logits(
+            run.weights[k], run.shards[k], len(run.shards[k]),
+            streams.derive_rng(0, streams.LOGITS, k, 1), run.arch)
+            for k in range(3)])
         for t in tables[1:]:
             np.testing.assert_allclose(t, tables[0])
         received, contributed, _, _ = run.exchange(tables, None, None)
-        for k in range(3):
-            target = _target(received[k], tables[k], contributed[k],
-                             sum(contributed))
-            np.testing.assert_allclose(target, tables[k], atol=1e-12)
+        targets, has = _target(received, tables, contributed,
+                               contributed.sum())
+        assert has.all()
+        np.testing.assert_allclose(targets, tables, atol=1e-12)
 
 
 class TestExchangeRules:
@@ -186,9 +189,10 @@ class TestExchangeRules:
                                 pd_db=10.0))
         self.hand_made_channel(monkeypatch, up, down)
         monkeypatch.setattr(run, "logit_tables",
-                            lambda iteration: [t.copy() for t in self.TABLES])
-        previous = [np.full((2, 2), 10.0 + k) for k in range(3)]
-        run.targets = [p.copy() for p in previous]
+                            lambda iteration: np.array(self.TABLES))
+        previous = np.array([np.full((2, 2), 10.0 + k) for k in range(3)])
+        run.targets = previous.copy()
+        run.has_target[:] = True
         bits_up, bits_down = run.step(1)
         return run, previous, bits_up, bits_down
 
@@ -268,6 +272,79 @@ class TestExchangeRules:
             assert labels.tolist() == sorted(want)
             np.testing.assert_allclose(
                 covariates, [want[t] for t in sorted(want)], atol=1e-12)
+
+
+class TestErrorFeedbackTelescopes:
+    """Over a whole FL run, each sender's error feedback telescopes: the sum
+    of what it was given to send (a device's local updates, the server's
+    averages) is the sum of what it sent plus its final residual.
+
+    The sent vectors are recorded at the link calls the orchestrator makes:
+    a digital payload as decoded, an analog one as the top-q of the pending
+    vector it projects. A sender is followed from call to call by its
+    accumulator, which each call replaces. Every sender here ends with a
+    residual to carry; over `da` the server would not (the few nonzeros
+    of a digital uplink's average all fit an analog downlink's q).
+    """
+
+    ITERATIONS = 4
+
+    @pytest.mark.parametrize("link", ["aa", "ad", "dd"])
+    def test_given_is_sent_plus_residual(self, monkeypatch, link):
+        up, down = LINK_CODES[link]
+        # q = 8 of W = 56 weights on an analog link.
+        run = _Run(small_config(protocol="fl", num_devices=3, channel_uses=10,
+                                pu_db=20.0, pd_db=20.0, uplink_mode=up,
+                                downlink_mode=down,
+                                global_iterations=self.ITERATIONS))
+        # id of a sender's current accumulator -> [that accumulator, the
+        # vectors it was given, the vectors it sent]
+        senders = {id(acc): [acc, [], []]
+                   for acc in [*run.up_accs, run.down_acc]}
+
+        def record(acc, new_acc, given, sent):
+            sender = senders.pop(id(acc))
+            sender[0] = new_acc
+            sender[1].append(np.array(given))
+            sender[2].append(sent)
+            senders[id(new_acc)] = sender
+
+        def digital_encode(update, acc, budget, bits):
+            payload, new_acc = encode(update, acc, budget, bits)
+            record(acc, new_acc, update, fl_digital_decode(payload, run.dim))
+            return payload, new_acc
+
+        def analog_uplink(updates, accs, q, *link_args):
+            estimate, new_accs = uplink(updates, accs, q, *link_args)
+            for update, acc, new_acc in zip(updates, accs, new_accs):
+                record(acc, new_acc, update,
+                       top_k_sparsify(update + acc.residual, q))
+            return estimate, new_accs
+
+        def analog_downlink(update, acc, q, *link_args):
+            estimates, new_acc = downlink(update, acc, q, *link_args)
+            record(acc, new_acc, update,
+                   top_k_sparsify(update + acc.residual, q))
+            return estimates, new_acc
+
+        encode = orchestrator.fl_digital_encode
+        uplink = orchestrator.fl_analog_uplink
+        downlink = orchestrator.fl_analog_downlink
+        monkeypatch.setattr(orchestrator, "fl_digital_encode", digital_encode)
+        monkeypatch.setattr(orchestrator, "fl_analog_uplink", analog_uplink)
+        monkeypatch.setattr(orchestrator, "fl_analog_downlink",
+                            analog_downlink)
+        for iteration in range(1, self.ITERATIONS + 1):
+            run.step(iteration)
+
+        final = [*run.up_accs, run.down_acc]
+        assert all(acc.residual.any() for acc in final)
+        for acc in final:
+            _, given, sent = senders[id(acc)]
+            assert len(given) == len(sent) == self.ITERATIONS
+            np.testing.assert_allclose(
+                np.sum(given, axis=0), np.sum(sent, axis=0) + acc.residual,
+                rtol=0, atol=1e-12)
 
 
 class TestDeterminism:
@@ -602,6 +679,7 @@ class TestConfigParsing:
         ("pu_db", 4000.0), ("pu_db", 3070), ("pd_db", 3000.0),
         ("pu_db", MAX_ABS_DB + 0.5), ("pd_db", -MAX_ABS_DB - 0.5),
         ("pu_db", float("-inf")), ("pd_db", float("nan")),
+        ("alpha", 10 ** 400),
     ])
     def test_invalid_value_names_its_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
