@@ -30,9 +30,36 @@ rather than being a `functools.cached_property`: on Python 3.11 that
 descriptor holds one lock for the whole class while it computes, so two
 threads reading `.matrix` of two different instances would draw one after
 the other.
+
+Products: where the BLAS runs one thread per call, a projection of at
+least `_SPLIT_BYTES` (8 MiB of float32) takes each product as two blocks.
+`project` (A @ v) splits A's rows at `_row_cut`, and `backproject`
+(A.T @ z) splits A's columns at `_column_cut`, so each block writes its own
+slice of the output. Inside one `cs_decode` call a helper thread computes
+one block of each product while the caller computes the other; elsewhere,
+and when the process may use only one CPU, the caller computes both in
+turn. Under such a BLAS the layout depends only on the shape, never on
+the core count, so the bits do not either. Threshold: with one BLAS thread on a 2-core host, a
+1 MB product pair took 3 to 4 times as long split, and a whole `cs_decode`
+at W=1362 took 1.11 times as long at 3.1 MiB, 0.74 to 0.87 at 4 to 5 MiB,
+0.70 to 0.76 at 7 to 8 MiB, 0.56 at 10 MiB and 0.63 at 26 MiB (T=2500);
+8 MiB keeps a margin over the break-even and keeps FL at T=100 (1 MB) on
+one call. Bits: on OpenBLAS's SkylakeX kernels the blocks equal the single
+call byte for byte at every 256-row cut leaving 16 rows or more (272 to 559
+rows and seven counts up to 9000; 97, 1362 and 7850 columns) and at the
+`_column_cut` of every width from 32 to 4199 and of 11 widths up to 25450,
+5000x1362 among them. A BLAS that splits each call over its own threads
+(OpenBLAS's default) keeps the single call: it already uses the cores, and
+a helper beside it made a T=2500 decode 1.6 to 3 times slower on 2 cores,
+and blocks in turn 13% slower. Its bits depend on its thread count anyway
+(17 of the 1362 entries of A.T @ z at 5000x1362 differ between one and two
+threads). `_ONE_BLAS_THREAD` reads the thread count from the variables
+OpenBLAS reads when it loads.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +77,25 @@ AMP_TOL = 1e-6
 # The projection is drawn in row blocks of about this many bytes of float64
 # draws, so no full-size float64 temporary is ever allocated.
 _DRAW_BLOCK_BYTES = 1 << 18
+
+# A projection of at least this many bytes takes each product as two blocks
+# (see "Products" above); on 2 cores the split breaks even near 4 MiB.
+_SPLIT_BYTES = 8 << 20
+
+
+def _one_blas_thread() -> bool:
+    """Whether the BLAS runs one thread per call: the first variable that
+    OpenBLAS reads for its thread count when it loads, and that holds a
+    positive count, says 1."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
+_ONE_BLAS_THREAD = _one_blas_thread()
 
 
 def draw_projection(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -70,6 +116,102 @@ def draw_projection(rows: int, cols: int, seed: int) -> np.ndarray:
     return out
 
 
+def _row_cut(rows: int) -> int:
+    """Where `project` splits A's rows: the multiple of 256 nearest the
+    middle, or 0 (one block) when a block would keep fewer than 16 rows."""
+    cut = 256 * round(rows / 512)
+    return cut if 16 <= cut <= rows - 16 else 0
+
+
+def _column_cut(cols: int) -> int:
+    """Where `backproject` splits A's columns, or 0 for one block.
+
+    OpenBLAS's kernel for A.T @ z walks the outputs in chunks of 4096. It
+    runs the first (cols & -4) % 16 outputs of the last chunk apart from
+    its 16-wide loop, and the last cols % 4 after it. A cut keeps every
+    output on the path it takes in the single call when it falls on a
+    chunk boundary, or at that head's offset mod 16 past the last chunk's
+    start (anywhere, when there is no head). Of those, this is the one
+    nearest the middle, unless a block would keep fewer than 16 columns.
+    """
+    body = cols & -4
+    head = body % 16
+    start = body - body % 4096 if head else 0
+    aligned = max(start + head, head + 16 * round((cols / 2 - head) / 16))
+    chunked = 4096 * round(cols / 8192)
+    cut = min((aligned, chunked), key=lambda c: abs(c - cols / 2))
+    return cut if 16 <= cut <= cols - 16 else 0
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Helper:
+    """A thread beside the caller's: `run(theirs, mine)` computes `theirs`
+    in the thread and `mine` in the caller, and returns once both are done;
+    an error raised by `theirs` is raised in the caller. `close` ends and
+    joins the thread."""
+
+    def __init__(self):
+        self._job = self._error = None
+        self._given = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._given.acquire()
+            if self._job is None:
+                return
+            try:
+                self._job()
+            except BaseException as exc:  # re-raised in the caller
+                self._error = exc
+            self._done.release()
+
+    def run(self, theirs, mine):
+        self._job = theirs
+        self._given.release()
+        try:
+            mine()
+        finally:
+            self._done.acquire()
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def close(self):
+        self._job = None
+        self._given.release()
+        self._thread.join()
+
+
+def _product(matrix: np.ndarray, v32: np.ndarray, cut: int,
+             helper: _Helper | None) -> np.ndarray:
+    """matrix @ v32 in single precision as float64, in two row blocks split
+    at `cut` (one call when it is 0), the second in `helper` if given."""
+    if not cut:
+        return (matrix @ v32).astype(np.float64)
+    out = np.empty(matrix.shape[0], dtype=np.float32)
+
+    def first():
+        np.matmul(matrix[:cut], v32, out=out[:cut])
+
+    def second():
+        np.matmul(matrix[cut:], v32, out=out[cut:])
+
+    if helper is None:
+        first()
+        second()
+    else:
+        helper.run(second, first)
+    return out.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class ProjectionMatrix:
     """Seeded Gaussian projection shared verbatim by transmitter and receiver.
@@ -81,7 +223,10 @@ class ProjectionMatrix:
     `matrix` is `draw_projection(rows, cols, seed)`, drawn on first use and
     kept. Multiply through `project` and `backproject`, which take and
     return float64 vectors; a float64 vector on the right of the float32
-    matrix would silently copy the whole matrix to float64.
+    matrix would silently copy the whole matrix to float64. From
+    `_SPLIT_BYTES` up, under a one-thread BLAS, each product is two blocks
+    at `cuts`, the second computed in `helper` when one is given (see
+    "Products" in the module docstring).
     """
 
     rows: int
@@ -96,15 +241,26 @@ class ProjectionMatrix:
             object.__setattr__(self, "_drawn", drawn)
         return drawn
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """A @ v in single precision, returned as float64."""
-        v32 = np.asarray(v, dtype=np.float32)
-        return (self.matrix @ v32).astype(np.float64)
+    @property
+    def cuts(self) -> tuple[int, int]:
+        """(row cut of `project`, column cut of `backproject`); 0 is one
+        call, as below `_SPLIT_BYTES` or under a BLAS that threads each
+        call itself."""
+        if 4 * self.rows * self.cols < _SPLIT_BYTES or not _ONE_BLAS_THREAD:
+            return 0, 0
+        return _row_cut(self.rows), _column_cut(self.cols)
 
-    def backproject(self, z: np.ndarray) -> np.ndarray:
+    def project(self, v: np.ndarray, helper: _Helper | None = None
+                ) -> np.ndarray:
+        """A @ v in single precision, returned as float64."""
+        return _product(self.matrix, np.asarray(v, dtype=np.float32),
+                        self.cuts[0], helper)
+
+    def backproject(self, z: np.ndarray, helper: _Helper | None = None
+                    ) -> np.ndarray:
         """A.T @ z in single precision, returned as float64."""
-        z32 = np.asarray(z, dtype=np.float32)
-        return (self.matrix.T @ z32).astype(np.float64)
+        return _product(self.matrix.T, np.asarray(z, dtype=np.float32),
+                        self.cuts[1], helper)
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -198,13 +354,27 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     absolute deviation of the residual). Iterations stop after AMP_MAX_ITER,
     when the residual norm stalls (relative change below AMP_TOL), or when
     it grows past ten times its running minimum; the best-residual iterate
-    is returned, which makes divergence a graceful fallback.
+    is returned, which makes divergence a graceful fallback. A projection
+    split into blocks (`ProjectionMatrix.cuts`) gets a helper thread for
+    the call when the process may use more than one CPU.
     """
-    m, n = projection.rows, projection.cols
+    m = projection.rows
     y = np.asarray(y_est, dtype=np.float64)
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match {m} rows")
+    helper = (_Helper() if any(projection.cuts) and _usable_cpus() > 1
+              else None)
+    try:
+        return _amp(projection, y, helper)
+    finally:
+        if helper is not None:
+            helper.close()
 
+
+def _amp(projection: ProjectionMatrix, y: np.ndarray,
+         helper: _Helper | None) -> np.ndarray:
+    """cs_decode's loop, its products taken with `helper`."""
+    m, n = projection.rows, projection.cols
     # The median of |z| is the mean of its middle order statistics (two, as
     # m = 2T is even on a link), and the norm is sqrt(z.z): both equal
     # np.median and np.linalg.norm bit for bit, with less overhead.
@@ -221,10 +391,10 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
         magnitudes.partition(middle)
         sigma = float((magnitudes[middle[0]] + magnitudes[middle[1]]) / 2) \
             / 0.6745
-        r = x + projection.backproject(z)
+        r = x + projection.backproject(z, helper)
         x = _soft_threshold(r, AMP_KAPPA * sigma)
         onsager = (np.count_nonzero(x) / m) * z
-        z = y - projection.project(x) + onsager
+        z = y - projection.project(x, helper) + onsager
         res = math.sqrt(float(z @ z))
         if res < best_res:
             best_res = res

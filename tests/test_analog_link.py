@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fedsim
+from fedsim import analog_link
 from fedsim.analog_link import (
     AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, cs_decode,
     draw_projection, fd_analog_downlink, fd_analog_uplink,
@@ -14,6 +21,9 @@ from fedsim.analog_link import (
 from fedsim.channel import ChannelState
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
 from fedsim.errors import ConfigurationError
+from split_products import (
+    decode_is_the_loop, products_are_the_single_call,
+)
 
 
 def unit_state(k):
@@ -254,6 +264,23 @@ def float64_amp(a, y):
     return best_x
 
 
+def in_one_blas_thread(check, *args):
+    """Run `check(*args)`, a function of split_products.py, in a fresh
+    interpreter whose OpenBLAS runs one thread per call, as perfbench's
+    workers do. Only there do split products equal the single call: a BLAS
+    that splits one call over its threads picks its own cuts."""
+    path = [str(Path(fedsim.__file__).resolve().parents[1]),
+            str(Path(__file__).resolve().parent),
+            os.environ.get("PYTHONPATH")]
+    code = (f"from {check.__module__} import {check.__name__}; "
+            f"{check.__name__}(*{args!r})")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 class TestProjectionPrecision:
     @settings(max_examples=25, deadline=None)
     @given(rows=st.integers(1, 80), cols=st.integers(1, 3000),
@@ -276,36 +303,17 @@ class TestProjectionPrecision:
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
-                                           (61, 150), (1, 4)])
+                                           (61, 150), (1, 4), (5000, 1362)])
     def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
-        # cs_decode takes the median by partition and the norm as
-        # sqrt(z.z); this is the loop written with np.median and
-        # np.linalg.norm, over the same single-precision products.
-        def reference(proj, y):
-            x, z = np.zeros(cols), y.copy()
-            best_x = x
-            best_res = prev_res = float(np.linalg.norm(z))
-            for _ in range(AMP_MAX_ITER):
-                sigma = float(np.median(np.abs(z))) / 0.6745
-                r = x + proj.backproject(z)
-                x = np.sign(r) * np.maximum(np.abs(r) - AMP_KAPPA * sigma,
-                                            0.0)
-                z = y - proj.project(x) + (np.count_nonzero(x) / rows) * z
-                res = float(np.linalg.norm(z))
-                if res < best_res:
-                    best_res, best_x = res, x
-                if res > 10.0 * best_res or abs(res - prev_res) \
-                        <= AMP_TOL * max(prev_res, 1e-300):
-                    break
-                prev_res = res
-            return best_x
+        if 4 * rows * cols >= analog_link._SPLIT_BYTES:
+            # Split products, as at T=2500: one seed, one draw of 27 MB.
+            in_one_blas_thread(decode_is_the_loop, rows, cols, 1)
+        else:
+            decode_is_the_loop(rows, cols, 3)
 
-        for seed in range(3):
-            gen = np.random.default_rng(seed)
-            proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
-            truth = gen.standard_normal(cols) * (gen.random(cols) < 0.3)
-            y = proj.project(truth) + 0.05 * gen.standard_normal(rows)
-            assert np.array_equal(cs_decode(proj, y), reference(proj, y))
+    def test_split_products_are_the_single_call_bit_for_bit(self):
+        # The amp_T2500 shape, dense and sparse vectors.
+        in_one_blas_thread(products_are_the_single_call, 5000, 1362)
 
     def test_decode_matches_float64_amp_when_overdetermined(self):
         # 2T = 600 measurements of 200 dense entries, with noise: the regime
@@ -318,6 +326,116 @@ class TestProjectionPrecision:
             want = float64_amp(a, y)
             got = cs_decode(proj, y)
             assert np.sum((got - want) ** 2) <= 1e-10 * np.sum(want ** 2)
+
+
+class TestProductThreads:
+    """From the split threshold up, under a one-thread BLAS, cs_decode
+    computes one block of each product in one helper thread, joined before
+    it returns."""
+
+    # 2048 x 1024 float32 is 8 MiB, the smallest split size.
+    split = dict(rows=2048, cols=1024, seed=3)
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        # Take the blocks whatever the BLAS runs: these tests compare the
+        # split with itself, not with the single call.
+        monkeypatch.setattr(analog_link, "_ONE_BLAS_THREAD", True)
+
+    @staticmethod
+    def instance(rows, cols, seed):
+        gen = np.random.default_rng(seed)
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed)
+        truth = gen.standard_normal(cols) * (gen.random(cols) < 0.2)
+        return proj, proj.project(truth) + 0.05 * gen.standard_normal(rows)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        threads = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return threads
+
+    @staticmethod
+    def use_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+
+    def test_one_helper_above_the_threshold(self, started, monkeypatch):
+        proj, y = self.instance(**self.split)
+        assert all(proj.cuts)
+        self.use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        cs_decode(proj, y)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_no_thread_below_the_threshold(self, started, monkeypatch):
+        # 2000 x 290 (2.3 MB), the projection of TestProjectionDraw.
+        proj, y = self.instance(rows=2000, cols=290, seed=4)
+        assert proj.cuts == (0, 0)
+        self.use_cpus(monkeypatch, 2)
+        cs_decode(proj, y)
+        assert started == []
+
+    def test_one_cpu_gives_the_same_bits_without_a_thread(self, started,
+                                                          monkeypatch):
+        proj, y = self.instance(**self.split)
+        self.use_cpus(monkeypatch, 2)
+        helped = cs_decode(proj, y)
+        assert len(started) == 1
+        self.use_cpus(monkeypatch, 1)
+        assert cs_decode(proj, y).tobytes() == helped.tobytes()
+        assert len(started) == 1
+
+    def test_a_failure_in_the_helper_is_raised_in_the_caller(
+            self, started, monkeypatch):
+        proj, y = self.instance(**self.split)
+        self.use_cpus(monkeypatch, 2)
+        matmul = np.matmul
+
+        def fails_in_helper(*args, **kwargs):
+            if threading.current_thread() in started:
+                raise RuntimeError("helper block failed")
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", fails_in_helper)
+        with pytest.raises(RuntimeError, match="helper block failed"):
+            cs_decode(proj, y)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+
+    def test_a_threaded_blas_keeps_the_single_call(self, started,
+                                                   monkeypatch):
+        monkeypatch.setattr(analog_link, "_ONE_BLAS_THREAD", False)
+        proj, y = self.instance(**self.split)
+        assert proj.cuts == (0, 0)
+        self.use_cpus(monkeypatch, 2)
+        cs_decode(proj, y)
+        assert started == []
+
+    @pytest.mark.parametrize("env,one", [
+        ({}, False), ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "4"}, False),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": " 1 ", "OMP_NUM_THREADS": "2"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True), ({"OMP_NUM_THREADS": "x"}, False),
+    ])
+    def test_one_blas_thread_reads_openblas_variables(self, monkeypatch,
+                                                      env, one):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert analog_link._one_blas_thread() is one
 
 
 class TestFlAnalogUplink:

@@ -500,11 +500,24 @@ class TestProtocolsRun:
             config = small_config(**fields)
         except ConfigurationError:
             assume(False)
+        audit.reset()
         records = run_experiment(config)  # a warning fails (pyproject.toml)
         assert run_experiment(config) == records
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
         assert all(r.bits_sent_uplink >= 0 and r.bits_sent_downlink >= 0
                    for r in records)
+        # Every check fired where a frame or a payload was built. An analog
+        # downlink carries a table only if some digital uplink table got
+        # through; a payload that drops out never reaches the budget check.
+        assert audit.violations == 0
+        sent_up = any(r.bits_sent_uplink > 0 for r in records)
+        sent = sent_up or any(r.bits_sent_downlink > 0 for r in records)
+        framed = link[0] == "analog" or (
+            link[1] == "analog" and (config.protocol == "fl" or sent_up))
+        if config.protocol != "il" and not config.ideal_exchange and framed:
+            assert audit.power_checks > 0
+        if sent:
+            assert audit.budget_checks > 0
 
     def test_analog_fd_needs_room_for_the_table(self):
         with pytest.raises(ConfigurationError):
