@@ -31,35 +31,37 @@ descriptor holds one lock for the whole class while it computes, so two
 threads reading `.matrix` of two different instances would draw one after
 the other.
 
-Products: where the BLAS runs one thread per call, a projection of at
-least `_SPLIT_BYTES` (8 MiB of float32) takes each product as two blocks.
-`project` (A @ v) splits A's rows at `_row_cut`, and `backproject`
-(A.T @ z) splits A's columns at `_column_cut`, so each block writes its own
-slice of the output. Inside one `cs_decode` call a helper thread computes
-one block of each product while the caller computes the other; elsewhere,
-and when the process may use only one CPU, the caller computes both in
-turn. Under such a BLAS the layout depends only on the shape, never on
-the core count, so the bits do not either. Threshold: with one BLAS thread on a 2-core host, a
-1 MB product pair took 3 to 4 times as long split, and a whole `cs_decode`
-at W=1362 took 1.11 times as long at 3.1 MiB, 0.74 to 0.87 at 4 to 5 MiB,
-0.70 to 0.76 at 7 to 8 MiB, 0.56 at 10 MiB and 0.63 at 26 MiB (T=2500);
-8 MiB keeps a margin over the break-even and keeps FL at T=100 (1 MB) on
-one call. Bits: on OpenBLAS's SkylakeX kernels the blocks equal the single
-call byte for byte at every 256-row cut leaving 16 rows or more (272 to 559
-rows and seven counts up to 9000; 97, 1362 and 7850 columns) and at the
-`_column_cut` of every width from 32 to 4199 and of 11 widths up to 25450,
-5000x1362 among them. A BLAS that splits each call over its own threads
-(OpenBLAS's default) keeps the single call: it already uses the cores, and
-a helper beside it made a T=2500 decode 1.6 to 3 times slower on 2 cores,
-and blocks in turn 13% slower. Its bits depend on its thread count anyway
-(17 of the 1362 entries of A.T @ z at 5000x1362 differ between one and two
-threads). `_ONE_BLAS_THREAD` reads the thread count from the variables
-OpenBLAS reads when it loads.
+Products: inside `cs_decode`, a projection of at least `_SPLIT_BYTES`
+(8 MiB of float32) takes each product as two blocks, one computed by a
+helper thread while the caller computes the other (or after it, when the
+helper has not started by then). `project` (A @ v) splits A's rows at
+`_row_cut`, and `backproject` (A.T @ z) splits A's columns at
+`_column_cut`, so each block writes its own slice of the output.
+Elsewhere (the encode-side `project` calls), and when the process may use
+only one CPU, each product is one call. Whether two blocks give the single
+call's bits depends on the BLAS kernel and its thread count, so
+`ProjectionMatrix.cuts` takes each cut only once one probe product split
+there has equalled the single call byte for byte on that matrix, and keeps
+one call otherwise: the results are the single call's on any core count.
+Checked: on OpenBLAS 0.3.31's SkylakeX kernels with one thread per call,
+the blocks equal the single call at every 256-row cut leaving 16 rows or
+more (272 to 559 rows and seven counts up to 9000; 97, 1362 and 7850
+columns) and at the `_column_cut` of every width from 32 to 4199 and of 11
+widths up to 25450, 5000x1362 among them. With two BLAS threads the row
+cuts still match, but the column cut at 5000x1362 does not, so there
+`backproject` keeps one call. Threshold: with one BLAS thread on a 2-core
+host, a 1 MB product pair took 3 to 4 times as long split, and a whole
+`cs_decode` at W=1362 took 1.11 times as long at 3.1 MiB, 0.74 to 0.87 at
+4 to 5 MiB, 0.70 to 0.76 at 7 to 8 MiB, 0.56 at 10 MiB and 0.63 at 26 MiB
+(T=2500); 8 MiB keeps a margin over the break-even and keeps FL at T=100
+(1 MB) on one call. Under a BLAS that threads each call itself the helper
+competes with its threads for the cores: with two OpenBLAS threads on 2
+cores, an `amp_T2500` iteration took 0.71 s against 0.56 s at one call per
+product (medians of 8 passes; same bits).
 """
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,21 +83,6 @@ _DRAW_BLOCK_BYTES = 1 << 18
 # A projection of at least this many bytes takes each product as two blocks
 # (see "Products" above); on 2 cores the split breaks even near 4 MiB.
 _SPLIT_BYTES = 8 << 20
-
-
-def _one_blas_thread() -> bool:
-    """Whether the BLAS runs one thread per call: the first variable that
-    OpenBLAS reads for its thread count when it loads, and that holds a
-    positive count, says 1."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
-
-
-_ONE_BLAS_THREAD = _one_blas_thread()
 
 
 def draw_projection(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -149,66 +136,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Helper:
-    """A thread beside the caller's: `run(theirs, mine)` computes `theirs`
-    in the thread and `mine` in the caller, and returns once both are done;
-    an error raised by `theirs` is raised in the caller. `close` ends and
-    joins the thread."""
-
-    def __init__(self):
-        self._job = self._error = None
-        self._given = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._given.acquire()
-            if self._job is None:
-                return
-            try:
-                self._job()
-            except BaseException as exc:  # re-raised in the caller
-                self._error = exc
-            self._done.release()
-
-    def run(self, theirs, mine):
-        self._job = theirs
-        self._given.release()
-        try:
-            mine()
-        finally:
-            self._done.acquire()
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def close(self):
-        self._job = None
-        self._given.release()
-        self._thread.join()
-
-
-def _product(matrix: np.ndarray, v32: np.ndarray, cut: int,
-             helper: _Helper | None) -> np.ndarray:
-    """matrix @ v32 in single precision as float64, in two row blocks split
-    at `cut` (one call when it is 0), the second in `helper` if given."""
+def _exact_cut(matrix: np.ndarray, cut: int) -> int:
+    """`cut`, if matrix @ probe as two row blocks split there equals the
+    single call byte for byte; else 0 (one call)."""
     if not cut:
+        return 0
+    probe = np.random.default_rng(0).standard_normal(
+        matrix.shape[1]).astype(np.float32)
+    out = np.empty(matrix.shape[0], dtype=np.float32)
+    np.matmul(matrix[:cut], probe, out=out[:cut])
+    np.matmul(matrix[cut:], probe, out=out[cut:])
+    return cut if out.tobytes() == (matrix @ probe).tobytes() else 0
+
+
+def _product(matrix: np.ndarray, v: np.ndarray, cut: int, pool) -> np.ndarray:
+    """matrix @ v in single precision as float64: with a `pool` and a
+    nonzero `cut`, two row blocks split at `cut`, the second computed in
+    the pool; otherwise one call.
+
+    When the pool has not started the second block by the time the first
+    is done (its core is busy elsewhere), the caller computes it as well:
+    a block is the same call in either thread, so the bits do not change.
+    """
+    v32 = np.asarray(v, dtype=np.float32)
+    if pool is None or not cut:
         return (matrix @ v32).astype(np.float64)
     out = np.empty(matrix.shape[0], dtype=np.float32)
-
-    def first():
-        np.matmul(matrix[:cut], v32, out=out[:cut])
-
-    def second():
+    second = pool.submit(np.matmul, matrix[cut:], v32, out=out[cut:])
+    np.matmul(matrix[:cut], v32, out=out[:cut])
+    if second.cancel():
         np.matmul(matrix[cut:], v32, out=out[cut:])
-
-    if helper is None:
-        first()
-        second()
     else:
-        helper.run(second, first)
+        second.result()
     return out.astype(np.float64)
 
 
@@ -223,10 +182,10 @@ class ProjectionMatrix:
     `matrix` is `draw_projection(rows, cols, seed)`, drawn on first use and
     kept. Multiply through `project` and `backproject`, which take and
     return float64 vectors; a float64 vector on the right of the float32
-    matrix would silently copy the whole matrix to float64. From
-    `_SPLIT_BYTES` up, under a one-thread BLAS, each product is two blocks
-    at `cuts`, the second computed in `helper` when one is given (see
-    "Products" in the module docstring).
+    matrix would silently copy the whole matrix to float64. Given a `pool`
+    (a one-worker `concurrent.futures` executor), each product is two
+    blocks at `cuts`, the second computed in the pool (see "Products" in
+    the module docstring).
     """
 
     rows: int
@@ -243,24 +202,25 @@ class ProjectionMatrix:
 
     @property
     def cuts(self) -> tuple[int, int]:
-        """(row cut of `project`, column cut of `backproject`); 0 is one
-        call, as below `_SPLIT_BYTES` or under a BLAS that threads each
-        call itself."""
-        if 4 * self.rows * self.cols < _SPLIT_BYTES or not _ONE_BLAS_THREAD:
-            return 0, 0
-        return _row_cut(self.rows), _column_cut(self.cols)
+        """(row cut of `project`, column cut of `backproject`), found and
+        probed on first use, then kept; 0 is one call, as below
+        `_SPLIT_BYTES` or where the blocks would change the bits."""
+        cuts = self.__dict__.get("_cuts")
+        if cuts is None:
+            cuts = (0, 0)
+            if 4 * self.rows * self.cols >= _SPLIT_BYTES:
+                cuts = (_exact_cut(self.matrix, _row_cut(self.rows)),
+                        _exact_cut(self.matrix.T, _column_cut(self.cols)))
+            object.__setattr__(self, "_cuts", cuts)
+        return cuts
 
-    def project(self, v: np.ndarray, helper: _Helper | None = None
-                ) -> np.ndarray:
+    def project(self, v: np.ndarray, pool=None) -> np.ndarray:
         """A @ v in single precision, returned as float64."""
-        return _product(self.matrix, np.asarray(v, dtype=np.float32),
-                        self.cuts[0], helper)
+        return _product(self.matrix, v, self.cuts[0] if pool else 0, pool)
 
-    def backproject(self, z: np.ndarray, helper: _Helper | None = None
-                    ) -> np.ndarray:
+    def backproject(self, z: np.ndarray, pool=None) -> np.ndarray:
         """A.T @ z in single precision, returned as float64."""
-        return _product(self.matrix.T, np.asarray(z, dtype=np.float32),
-                        self.cuts[1], helper)
+        return _product(self.matrix.T, z, self.cuts[1] if pool else 0, pool)
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -355,25 +315,23 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     when the residual norm stalls (relative change below AMP_TOL), or when
     it grows past ten times its running minimum; the best-residual iterate
     is returned, which makes divergence a graceful fallback. A projection
-    split into blocks (`ProjectionMatrix.cuts`) gets a helper thread for
+    split into blocks (`ProjectionMatrix.cuts`) gets a one-worker pool for
     the call when the process may use more than one CPU.
     """
     m = projection.rows
     y = np.asarray(y_est, dtype=np.float64)
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match {m} rows")
-    helper = (_Helper() if any(projection.cuts) and _usable_cpus() > 1
-              else None)
-    try:
-        return _amp(projection, y, helper)
-    finally:
-        if helper is not None:
-            helper.close()
+    if _usable_cpus() < 2 or not any(projection.cuts):
+        return _amp(projection, y, None)
+    # Imported here, not at `import fedsim`: it costs every worker 5-9 ms.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as pool:
+        return _amp(projection, y, pool)
 
 
-def _amp(projection: ProjectionMatrix, y: np.ndarray,
-         helper: _Helper | None) -> np.ndarray:
-    """cs_decode's loop, its products taken with `helper`."""
+def _amp(projection: ProjectionMatrix, y: np.ndarray, pool) -> np.ndarray:
+    """cs_decode's loop, its products taken with `pool`."""
     m, n = projection.rows, projection.cols
     # The median of |z| is the mean of its middle order statistics (two, as
     # m = 2T is even on a link), and the norm is sqrt(z.z): both equal
@@ -391,10 +349,10 @@ def _amp(projection: ProjectionMatrix, y: np.ndarray,
         magnitudes.partition(middle)
         sigma = float((magnitudes[middle[0]] + magnitudes[middle[1]]) / 2) \
             / 0.6745
-        r = x + projection.backproject(z, helper)
+        r = x + projection.backproject(z, pool)
         x = _soft_threshold(r, AMP_KAPPA * sigma)
         onsager = (np.count_nonzero(x) / m) * z
-        z = y - projection.project(x, helper) + onsager
+        z = y - projection.project(x, pool) + onsager
         res = math.sqrt(float(z @ z))
         if res < best_res:
             best_res = res

@@ -1,9 +1,11 @@
 """Bit-for-bit checks of the split projection products.
 
-They hold where OpenBLAS runs one thread per call, so test_analog_link.py
-runs the large cases in a fresh interpreter with OPENBLAS_NUM_THREADS=1;
-this module imports only numpy and fedsim to keep that start-up short.
+test_analog_link.py runs the amp_T2500 shape in a fresh interpreter with
+OPENBLAS_NUM_THREADS=1, as perfbench's workers run; this module imports
+only numpy and fedsim to keep that start-up short.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,23 +20,13 @@ def single_call(proj, v, transpose=False):
     return (matrix @ np.asarray(v, dtype=np.float32)).astype(np.float64)
 
 
-def products_are_the_single_call(rows, cols):
-    proj = ProjectionMatrix(rows=rows, cols=cols, seed=7)
-    assert all(proj.cuts)
-    gen = np.random.default_rng(8)
-    for density in (1.0, 0.05):
-        v = gen.standard_normal(cols) * (gen.random(cols) < density)
-        z = gen.standard_normal(rows) * (gen.random(rows) < density)
-        assert proj.project(v).tobytes() == single_call(proj, v).tobytes()
-        assert proj.backproject(z).tobytes() == \
-            single_call(proj, z, transpose=True).tobytes()
+def decode_is_the_loop(proj, seed):
+    """cs_decode of a noisy sparse signal equals its loop written with
+    np.median and np.linalg.norm over single-call float32 products (it
+    takes the median by partition and the norm as sqrt(z.z))."""
+    rows, cols = proj.rows, proj.cols
 
-
-def decode_is_the_loop(rows, cols, seeds):
-    # cs_decode takes the median by partition and the norm as sqrt(z.z);
-    # this is the loop written with np.median and np.linalg.norm, over
-    # single-call float32 products.
-    def reference(proj, y):
+    def reference(y):
         x, z = np.zeros(cols), y.copy()
         best_x = x
         best_res = prev_res = float(np.linalg.norm(z))
@@ -52,9 +44,24 @@ def decode_is_the_loop(rows, cols, seeds):
             prev_res = res
         return best_x
 
-    for seed in range(seeds):
-        gen = np.random.default_rng(seed)
-        proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
-        truth = gen.standard_normal(cols) * (gen.random(cols) < 0.3)
-        y = single_call(proj, truth) + 0.05 * gen.standard_normal(rows)
-        assert np.array_equal(cs_decode(proj, y), reference(proj, y))
+    gen = np.random.default_rng(seed)
+    truth = gen.standard_normal(cols) * (gen.random(cols) < 0.3)
+    y = single_call(proj, truth) + 0.05 * gen.standard_normal(rows)
+    assert np.array_equal(cs_decode(proj, y), reference(y))
+
+
+def split_is_the_single_call(rows, cols):
+    """Both products with a pool, for dense and sparse vectors, and one
+    decode equal the single call byte for byte; returns the cuts taken."""
+    proj = ProjectionMatrix(rows=rows, cols=cols, seed=50)
+    gen = np.random.default_rng(8)
+    with ThreadPoolExecutor(1) as pool:
+        for density in (1.0, 0.05):
+            v = gen.standard_normal(cols) * (gen.random(cols) < density)
+            z = gen.standard_normal(rows) * (gen.random(rows) < density)
+            assert proj.project(v, pool).tobytes() == \
+                single_call(proj, v).tobytes()
+            assert proj.backproject(z, pool).tobytes() == \
+                single_call(proj, z, transpose=True).tobytes()
+    decode_is_the_loop(proj, 0)
+    return proj.cuts

@@ -1,8 +1,10 @@
+import ast
 import math
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,7 @@ from fedsim.analog_link import (
 from fedsim.channel import ChannelState
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
 from fedsim.errors import ConfigurationError
-from split_products import (
-    decode_is_the_loop, products_are_the_single_call,
-)
+from split_products import decode_is_the_loop, split_is_the_single_call
 
 
 def unit_state(k):
@@ -265,20 +265,20 @@ def float64_amp(a, y):
 
 
 def in_one_blas_thread(check, *args):
-    """Run `check(*args)`, a function of split_products.py, in a fresh
+    """`check(*args)`, a function of split_products.py, run in a fresh
     interpreter whose OpenBLAS runs one thread per call, as perfbench's
-    workers do. Only there do split products equal the single call: a BLAS
-    that splits one call over its threads picks its own cuts."""
+    workers do; returns its result, which must be a literal."""
     path = [str(Path(fedsim.__file__).resolve().parents[1]),
             str(Path(__file__).resolve().parent),
             os.environ.get("PYTHONPATH")]
     code = (f"from {check.__module__} import {check.__name__}; "
-            f"{check.__name__}(*{args!r})")
+            f"print(repr({check.__name__}(*{args!r})))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 class TestProjectionPrecision:
@@ -303,17 +303,20 @@ class TestProjectionPrecision:
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
-                                           (61, 150), (1, 4), (5000, 1362)])
+                                           (61, 150), (1, 4), (2048, 1024)])
     def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
-        if 4 * rows * cols >= analog_link._SPLIT_BYTES:
-            # Split products, as at T=2500: one seed, one draw of 27 MB.
-            in_one_blas_thread(decode_is_the_loop, rows, cols, 1)
-        else:
-            decode_is_the_loop(rows, cols, 3)
+        # 2048 x 1024 is 8 MiB, the smallest split size: one seed, one draw.
+        split = 4 * rows * cols >= analog_link._SPLIT_BYTES
+        for seed in range(1 if split else 3):
+            proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
+            decode_is_the_loop(proj, seed)
 
     def test_split_products_are_the_single_call_bit_for_bit(self):
-        # The amp_T2500 shape, dense and sparse vectors.
-        in_one_blas_thread(products_are_the_single_call, 5000, 1362)
+        # The amp_T2500 shape under one BLAS thread, as perfbench runs it:
+        # both products, dense and sparse vectors, and one decode.
+        cuts = in_one_blas_thread(split_is_the_single_call, 5000, 1362)
+        if not all(cuts) or analog_link._usable_cpus() < 2:
+            pytest.skip(f"cuts {cuts}: this host keeps some single calls")
 
     def test_decode_matches_float64_amp_when_overdetermined(self):
         # 2T = 600 measurements of 200 dense entries, with noise: the regime
@@ -329,18 +332,17 @@ class TestProjectionPrecision:
 
 
 class TestProductThreads:
-    """From the split threshold up, under a one-thread BLAS, cs_decode
-    computes one block of each product in one helper thread, joined before
-    it returns."""
+    """From the split threshold up, cs_decode computes one block of each
+    product in one helper thread, joined before it returns."""
 
     # 2048 x 1024 float32 is 8 MiB, the smallest split size.
     split = dict(rows=2048, cols=1024, seed=3)
 
-    @pytest.fixture(autouse=True)
-    def one_blas_thread(self, monkeypatch):
-        # Take the blocks whatever the BLAS runs: these tests compare the
-        # split with itself, not with the single call.
-        monkeypatch.setattr(analog_link, "_ONE_BLAS_THREAD", True)
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        # Take the cuts unprobed: these tests compare the split with itself,
+        # not with the single call.
+        monkeypatch.setattr(analog_link, "_exact_cut", lambda matrix, cut: cut)
 
     @staticmethod
     def instance(rows, cols, seed):
@@ -366,7 +368,8 @@ class TestProductThreads:
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(count)), raising=False)
 
-    def test_one_helper_above_the_threshold(self, started, monkeypatch):
+    def test_one_helper_above_the_threshold(self, blocks, started,
+                                            monkeypatch):
         proj, y = self.instance(**self.split)
         assert all(proj.cuts)
         self.use_cpus(monkeypatch, 2)
@@ -376,7 +379,8 @@ class TestProductThreads:
         assert not started[0].is_alive()
         assert threading.active_count() == before
 
-    def test_no_thread_below_the_threshold(self, started, monkeypatch):
+    def test_no_thread_below_the_threshold(self, blocks, started,
+                                           monkeypatch):
         # 2000 x 290 (2.3 MB), the projection of TestProjectionDraw.
         proj, y = self.instance(rows=2000, cols=290, seed=4)
         assert proj.cuts == (0, 0)
@@ -386,23 +390,30 @@ class TestProductThreads:
 
     def test_one_cpu_gives_the_same_bits_without_a_thread(self, started,
                                                           monkeypatch):
+        # The cuts as probed on this BLAS: with them the bits are one call's.
         proj, y = self.instance(**self.split)
         self.use_cpus(monkeypatch, 2)
         helped = cs_decode(proj, y)
-        assert len(started) == 1
+        assert len(started) == (1 if any(proj.cuts) else 0)
+        count = len(started)
         self.use_cpus(monkeypatch, 1)
         assert cs_decode(proj, y).tobytes() == helped.tobytes()
-        assert len(started) == 1
+        assert len(started) == count
 
     def test_a_failure_in_the_helper_is_raised_in_the_caller(
-            self, started, monkeypatch):
+            self, blocks, started, monkeypatch):
         proj, y = self.instance(**self.split)
         self.use_cpus(monkeypatch, 2)
         matmul = np.matmul
+        helper_ran = threading.Event()
 
         def fails_in_helper(*args, **kwargs):
             if threading.current_thread() in started:
+                helper_ran.set()
                 raise RuntimeError("helper block failed")
+            # Hold the caller's block until the helper has taken its own, so
+            # the caller cannot take that block over.
+            helper_ran.wait(timeout=10)
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", fails_in_helper)
@@ -411,31 +422,44 @@ class TestProductThreads:
         assert len(started) == 1
         assert not started[0].is_alive()
 
-    def test_a_threaded_blas_keeps_the_single_call(self, started,
-                                                   monkeypatch):
-        monkeypatch.setattr(analog_link, "_ONE_BLAS_THREAD", False)
+    def test_the_caller_takes_a_block_the_helper_has_not_started(
+            self, blocks):
+        class Idle:
+            """A pool whose worker never reaches the job."""
+
+            def submit(self, fn, *args, **kwargs):
+                return Pending()
+
+        class Pending(Future):
+            def result(self, timeout=None):
+                return super().result(timeout=0)  # never waits
+
+        proj, y = self.instance(**self.split)
+        gen = np.random.default_rng(5)
+        v, z = gen.standard_normal(proj.cols), gen.standard_normal(proj.rows)
+        with ThreadPoolExecutor(1) as pool:
+            helped = proj.project(v, pool), proj.backproject(z, pool)
+        alone = proj.project(v, Idle()), proj.backproject(z, Idle())
+        assert [a.tobytes() for a in alone] == [h.tobytes() for h in helped]
+
+    def test_blocks_that_change_the_bits_keep_the_single_call(
+            self, started, monkeypatch):
+        # Every block product one ulp off its first entry, as a kernel that
+        # sums a block's outputs in another order would be.
+        matmul = np.matmul
+
+        def one_ulp_off(*args, out=None):
+            result = matmul(*args, out=out)
+            if out is not None:
+                out[0] = np.nextafter(out[0], np.float32(np.inf))
+            return result
+
+        monkeypatch.setattr(np, "matmul", one_ulp_off)
         proj, y = self.instance(**self.split)
         assert proj.cuts == (0, 0)
         self.use_cpus(monkeypatch, 2)
         cs_decode(proj, y)
         assert started == []
-
-    @pytest.mark.parametrize("env,one", [
-        ({}, False), ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "4"}, False),
-        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-        ({"GOTO_NUM_THREADS": " 1 ", "OMP_NUM_THREADS": "2"}, True),
-        ({"OMP_NUM_THREADS": "1"}, True), ({"OMP_NUM_THREADS": "x"}, False),
-    ])
-    def test_one_blas_thread_reads_openblas_variables(self, monkeypatch,
-                                                      env, one):
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert analog_link._one_blas_thread() is one
 
 
 class TestFlAnalogUplink:
