@@ -31,7 +31,7 @@ descriptor holds one lock for the whole class while it computes, so two
 threads reading `.matrix` of two different instances would draw one after
 the other.
 
-Products: inside `cs_decode`, a projection of at least `_SPLIT_BYTES`
+Products: inside `cs_decode`, a projection of at least `_PARALLEL_BYTES`
 (8 MiB of float32) takes each product as two blocks, one computed by a
 helper thread while the caller computes the other (or after it, when the
 helper has not started by then). `project` (A @ v) splits A's rows at
@@ -58,6 +58,24 @@ host, a 1 MB product pair took 3 to 4 times as long split, and a whole
 competes with its threads for the cores: with two OpenBLAS threads on 2
 cores, an `amp_T2500` iteration took 0.71 s against 0.56 s at one call per
 product (medians of 8 passes; same bits).
+
+Decodes: the K downlink decodes of `fl_analog_downlink` depend only on
+their own receptions, so from the same `_PARALLEL_BYTES` up, when the
+process may use more than one CPU, they run concurrently in a pool of
+min(K, CPUs) threads. A decode running beside another takes each product as
+one call (the private `_split=False` of `cs_decode`), so no pool nests in
+the pool and at most that many threads are busy; the lone uplink decode
+keeps the split products. Each concurrent decode is thus the single-call
+decode, which a split decode equals by its probe, so the bits need no probe
+of their own. Threshold: with one BLAS thread on a 2-core host, the 10
+downlink decodes of one FL round at W=1362 took 1.03 to 1.05 times as long
+concurrently at 1 to 2.6 MiB (T=100 and 250), 0.59 to 0.69 at 3.1 to 6.2
+MiB (one call per product either way) and 0.62 to 0.69 at 8 to 26 MiB
+(against split products); medians of 10 to 12 rounds. With two OpenBLAS
+threads per call the pool never won: 1.21 times as long at 2.6 MiB, 2.0 to
+2.3 at 3.4 to 6.2 MiB, 0.98 at 10 MiB (a tie) and 1.27 at 26 MiB, with the
+same bits. So the pool shares the split's 8 MiB, which keeps it off the
+sizes where a threaded BLAS loses most.
 """
 
 import math
@@ -80,9 +98,10 @@ AMP_TOL = 1e-6
 # draws, so no full-size float64 temporary is ever allocated.
 _DRAW_BLOCK_BYTES = 1 << 18
 
-# A projection of at least this many bytes takes each product as two blocks
-# (see "Products" above); on 2 cores the split breaks even near 4 MiB.
-_SPLIT_BYTES = 8 << 20
+# From a projection of this many bytes up, each product inside a lone decode
+# is two blocks and the downlink decodes run concurrently (see "Products"
+# and "Decodes" above).
+_PARALLEL_BYTES = 8 << 20
 
 
 def draw_projection(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -201,14 +220,19 @@ class ProjectionMatrix:
         return drawn
 
     @property
+    def nbytes(self) -> int:
+        """The size of `matrix` (float32), known without drawing it."""
+        return 4 * self.rows * self.cols
+
+    @property
     def cuts(self) -> tuple[int, int]:
         """(row cut of `project`, column cut of `backproject`), found and
         probed on first use, then kept; 0 is one call, as below
-        `_SPLIT_BYTES` or where the blocks would change the bits."""
+        `_PARALLEL_BYTES` or where the blocks would change the bits."""
         cuts = self.__dict__.get("_cuts")
         if cuts is None:
             cuts = (0, 0)
-            if 4 * self.rows * self.cols >= _SPLIT_BYTES:
+            if self.nbytes >= _PARALLEL_BYTES:
                 cuts = (_exact_cut(self.matrix, _row_cut(self.rows)),
                         _exact_cut(self.matrix.T, _column_cut(self.cols)))
             object.__setattr__(self, "_cuts", cuts)
@@ -307,7 +331,8 @@ def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
+def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray,
+              _split: bool = True) -> np.ndarray:
     """Approximate message passing with a soft-threshold denoiser.
 
     The threshold tracks AMP_KAPPA times a robust noise estimate (median
@@ -316,13 +341,15 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     it grows past ten times its running minimum; the best-residual iterate
     is returned, which makes divergence a graceful fallback. A projection
     split into blocks (`ProjectionMatrix.cuts`) gets a one-worker pool for
-    the call when the process may use more than one CPU.
+    the call when the process may use more than one CPU, unless `_split`
+    is false: a decode that runs beside other decodes (see
+    `fl_analog_downlink`) takes every product as one call.
     """
     m = projection.rows
     y = np.asarray(y_est, dtype=np.float64)
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match {m} rows")
-    if _usable_cpus() < 2 or not any(projection.cuts):
+    if not _split or _usable_cpus() < 2 or not any(projection.cuts):
         return _amp(projection, y, None)
     # Imported here, not at `import fedsim`: it costs every worker 5-9 ms.
     from concurrent.futures import ThreadPoolExecutor
@@ -459,14 +486,27 @@ def fd_analog_uplink(tables, state: ChannelState, power: float,
 def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
                        projection: ProjectionMatrix, state: ChannelState,
                        power: float, channel_uses: int, noise_rng):
-    """Broadcast a weight vector analogically; returns (per-device estimates, acc)."""
+    """Broadcast a weight vector analogically; returns (per-device estimates, acc).
+
+    Each device recovers the broadcast from its own reception with
+    `cs_decode`. From `_PARALLEL_BYTES` up, with more than one usable CPU,
+    the K decodes run concurrently in a pool of min(K, CPUs) threads, each
+    taking its products as one call, and the estimates come back in device
+    order (see "Decodes" in the module docstring).
+    """
     update = np.asarray(update, dtype=np.float64)
     _check_projection(projection, update.size, channel_uses)
     sparse = top_k_sparsify(update + acc.residual, q)
     new_acc = accumulate_error(acc, update, sparse)
     receptions = _downlink(projection.project(sparse), state, power,
                            channel_uses, noise_rng)
-    return [cs_decode(projection, y) for y in receptions], new_acc
+    workers = min(len(receptions), _usable_cpus())
+    if workers < 2 or projection.nbytes < _PARALLEL_BYTES:
+        return [cs_decode(projection, y) for y in receptions], new_acc
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda y: cs_decode(projection, y, _split=False),
+                             receptions)), new_acc
 
 
 def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,

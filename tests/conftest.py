@@ -2,10 +2,10 @@
 
 A test that leaves a non-daemon thread running fails. fedsim's helper
 threads (the concurrent projection draw, the split products of the AMP
-decoder) are joined before the call that starts them returns, and this
-holds them to it across every test. It is a hook rather than an autouse
-fixture, so Hypothesis's health check on function-scoped fixtures does not
-fire on the property tests.
+decoder, the pool of concurrent downlink decodes) are joined before the
+call that starts them returns, and this holds them to it across every test.
+It is a hook rather than an autouse fixture, so Hypothesis's health check
+on function-scoped fixtures does not fire on the property tests.
 """
 
 import threading

@@ -306,7 +306,7 @@ class TestProjectionPrecision:
                                            (61, 150), (1, 4), (2048, 1024)])
     def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
         # 2048 x 1024 is 8 MiB, the smallest split size: one seed, one draw.
-        split = 4 * rows * cols >= analog_link._SPLIT_BYTES
+        split = 4 * rows * cols >= analog_link._PARALLEL_BYTES
         for seed in range(1 if split else 3):
             proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
             decode_is_the_loop(proj, seed)
@@ -331,6 +331,25 @@ class TestProjectionPrecision:
             assert np.sum((got - want) ** 2) <= 1e-10 * np.sum(want ** 2)
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started during the test, in start order."""
+    threads = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return threads
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
 class TestProductThreads:
     """From the split threshold up, cs_decode computes one block of each
     product in one helper thread, joined before it returns."""
@@ -351,28 +370,11 @@ class TestProductThreads:
         truth = gen.standard_normal(cols) * (gen.random(cols) < 0.2)
         return proj, proj.project(truth) + 0.05 * gen.standard_normal(rows)
 
-    @pytest.fixture
-    def started(self, monkeypatch):
-        threads = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                threads.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Counted)
-        return threads
-
-    @staticmethod
-    def use_cpus(monkeypatch, count):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(count)), raising=False)
-
     def test_one_helper_above_the_threshold(self, blocks, started,
                                             monkeypatch):
         proj, y = self.instance(**self.split)
         assert all(proj.cuts)
-        self.use_cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         before = threading.active_count()
         cs_decode(proj, y)
         assert len(started) == 1
@@ -384,7 +386,7 @@ class TestProductThreads:
         # 2000 x 290 (2.3 MB), the projection of TestProjectionDraw.
         proj, y = self.instance(rows=2000, cols=290, seed=4)
         assert proj.cuts == (0, 0)
-        self.use_cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         cs_decode(proj, y)
         assert started == []
 
@@ -392,18 +394,18 @@ class TestProductThreads:
                                                           monkeypatch):
         # The cuts as probed on this BLAS: with them the bits are one call's.
         proj, y = self.instance(**self.split)
-        self.use_cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         helped = cs_decode(proj, y)
         assert len(started) == (1 if any(proj.cuts) else 0)
         count = len(started)
-        self.use_cpus(monkeypatch, 1)
+        use_cpus(monkeypatch, 1)
         assert cs_decode(proj, y).tobytes() == helped.tobytes()
         assert len(started) == count
 
     def test_a_failure_in_the_helper_is_raised_in_the_caller(
             self, blocks, started, monkeypatch):
         proj, y = self.instance(**self.split)
-        self.use_cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         matmul = np.matmul
         helper_ran = threading.Event()
 
@@ -457,9 +459,90 @@ class TestProductThreads:
         monkeypatch.setattr(np, "matmul", one_ulp_off)
         proj, y = self.instance(**self.split)
         assert proj.cuts == (0, 0)
-        self.use_cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         cs_decode(proj, y)
         assert started == []
+
+
+class TestConcurrentDecodes:
+    """From the same threshold up, fl_analog_downlink decodes its K
+    receptions in a pool of min(K, CPUs) threads, each decode one call to
+    the module's cs_decode with single-call products, joined before it
+    returns."""
+
+    K = 3
+
+    @classmethod
+    def broadcast(cls, rows, cols):
+        """(projection, fl_analog_downlink's arguments but the noise
+        generator, the receptions that generator gives at seed 9)."""
+        gen = np.random.default_rng(7)
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=3)
+        update = gen.standard_normal(cols)
+        gains = gen.standard_normal((cls.K, 2)) @ [1, 1j]
+        args = (update, ErrorAccumulator.zeros(cols), cols // 8, proj,
+                ChannelState(gains, gains), 10.0, rows // 2)
+        sent = proj.project(top_k_sparsify(update, cols // 8))
+        receptions = analog_link._downlink(sent, *args[4:],
+                                           np.random.default_rng(9))
+        return proj, args, receptions
+
+    @staticmethod
+    def decode(args):
+        return fl_analog_downlink(*args, np.random.default_rng(9))[0]
+
+    def test_the_estimates_are_sequential_calls_in_receiver_order(
+            self, started, monkeypatch):
+        # 2048 x 1024 float32 is 8 MiB, the smallest concurrent size.
+        proj, args, receptions = self.broadcast(2048, 1024)
+        use_cpus(monkeypatch, 1)
+        alone = [cs_decode(proj, y).tobytes() for y in receptions]
+        assert len(set(alone)) == self.K
+        assert [e.tobytes() for e in self.decode(args)] == alone
+        assert started == []
+
+        calls = []
+        real = analog_link.cs_decode
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        # Take every cut unprobed: a decode that split its products would
+        # start a helper of its own and show in `started`.
+        monkeypatch.setattr(analog_link, "_exact_cut", lambda matrix, cut: cut)
+        monkeypatch.setattr(analog_link, "cs_decode", counted)
+        use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        assert [e.tobytes() for e in self.decode(args)] == alone
+        assert calls == [{"_split": False}] * self.K
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+
+    def test_no_thread_below_the_threshold(self, started, monkeypatch):
+        proj, args, _ = self.broadcast(2046, 1024)
+        assert proj.nbytes < analog_link._PARALLEL_BYTES
+        use_cpus(monkeypatch, 2)
+        self.decode(args)
+        assert started == []
+
+    def test_a_failing_decode_is_raised_in_the_caller(self, started,
+                                                      monkeypatch):
+        _, args, receptions = self.broadcast(2048, 1024)
+        real = analog_link.cs_decode
+
+        def fails_on_receiver_1(projection, y, _split=True):
+            if np.array_equal(y, receptions[1]):
+                raise RuntimeError("decode failed")
+            return real(projection, y, _split=_split)
+
+        monkeypatch.setattr(analog_link, "cs_decode", fails_on_receiver_1)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="decode failed"):
+            self.decode(args)
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestFlAnalogUplink:
