@@ -20,7 +20,7 @@ one T=2500, W=1362 round). Past the message-passing phase transition
 T=100 the same comparison gave up to 0.16.
 
 Drawing: an FL run over two analog links draws its uplink and downlink
-projections at once, one in a short-lived helper thread (see
+projections at once, one in a one-worker thread pool (see
 `orchestrator._Run._draw_projections`). That is still bit-exact: each
 matrix comes from its own seeded generator and is filled by
 `draw_projection`, which reads no shared state, and numpy's generator
@@ -31,51 +31,21 @@ descriptor holds one lock for the whole class while it computes, so two
 threads reading `.matrix` of two different instances would draw one after
 the other.
 
-Products: inside `cs_decode`, a projection of at least `_PARALLEL_BYTES`
-(8 MiB of float32) takes each product as two blocks, one computed by a
-helper thread while the caller computes the other (or after it, when the
-helper has not started by then). `project` (A @ v) splits A's rows at
-`_row_cut`, and `backproject` (A.T @ z) splits A's columns at
-`_column_cut`, so each block writes its own slice of the output.
-Elsewhere (the encode-side `project` calls), and when the process may use
-only one CPU, each product is one call. Whether two blocks give the single
-call's bits depends on the BLAS kernel and its thread count, so
-`ProjectionMatrix.cuts` takes each cut only once one probe product split
-there has equalled the single call byte for byte on that matrix, and keeps
-one call otherwise: the results are the single call's on any core count.
-Checked: on OpenBLAS 0.3.31's SkylakeX kernels with one thread per call,
-the blocks equal the single call at every 256-row cut leaving 16 rows or
-more (272 to 559 rows and seven counts up to 9000; 97, 1362 and 7850
-columns) and at the `_column_cut` of every width from 32 to 4199 and of 11
-widths up to 25450, 5000x1362 among them. With two BLAS threads the row
-cuts still match, but the column cut at 5000x1362 does not, so there
-`backproject` keeps one call. Threshold: with one BLAS thread on a 2-core
-host, a 1 MB product pair took 3 to 4 times as long split, and a whole
-`cs_decode` at W=1362 took 1.11 times as long at 3.1 MiB, 0.74 to 0.87 at
-4 to 5 MiB, 0.70 to 0.76 at 7 to 8 MiB, 0.56 at 10 MiB and 0.63 at 26 MiB
-(T=2500); 8 MiB keeps a margin over the break-even and keeps FL at T=100
-(1 MB) on one call. Under a BLAS that threads each call itself the helper
-competes with its threads for the cores: with two OpenBLAS threads on 2
-cores, an `amp_T2500` iteration took 0.71 s against 0.56 s at one call per
-product (medians of 8 passes; same bits).
-
-Decodes: the K downlink decodes of `fl_analog_downlink` depend only on
-their own receptions, so from the same `_PARALLEL_BYTES` up, when the
-process may use more than one CPU, they run concurrently in a pool of
-min(K, CPUs) threads. A decode running beside another takes each product as
-one call (the private `_split=False` of `cs_decode`), so no pool nests in
-the pool and at most that many threads are busy; the lone uplink decode
-keeps the split products. Each concurrent decode is thus the single-call
-decode, which a split decode equals by its probe, so the bits need no probe
-of their own. Threshold: with one BLAS thread on a 2-core host, the 10
-downlink decodes of one FL round at W=1362 took 1.03 to 1.05 times as long
-concurrently at 1 to 2.6 MiB (T=100 and 250), 0.59 to 0.69 at 3.1 to 6.2
-MiB (one call per product either way) and 0.62 to 0.69 at 8 to 26 MiB
-(against split products); medians of 10 to 12 rounds. With two OpenBLAS
-threads per call the pool never won: 1.21 times as long at 2.6 MiB, 2.0 to
-2.3 at 3.4 to 6.2 MiB, 0.98 at 10 MiB (a tie) and 1.27 at 26 MiB, with the
-same bits. So the pool shares the split's 8 MiB, which keeps it off the
-sizes where a threaded BLAS loses most.
+Decodes: each `cs_decode` runs in its calling thread and takes each
+product as one float32 call. The K downlink decodes of
+`fl_analog_downlink` depend only on their own receptions, so from
+`_PARALLEL_BYTES` (8 MiB of float32) up, when the process may use more than
+one CPU, they run concurrently in a pool of min(K, CPUs) threads. Each is
+the decode it would be alone, so the bits do not depend on the pool.
+Threshold: with one BLAS thread on a 2-core host, the 10 downlink decodes
+of one FL round at W=1362 took 1.02 times as long concurrently as one after
+another at 1 and 2.6 MiB (T=100 and 250), 0.76 at 3.1 MiB, 0.57 to 0.63
+at 4.2 to 6.2 MiB, 0.61 at 8 MiB and 0.54 to 0.58 at 10 to 26 MiB
+(T=1000 to 2500); medians of 10 rounds, the same bits throughout. With two
+OpenBLAS threads per call the pool lost at every size: 1.56 to 1.62 times
+as long at 2.6 to 6.2 MiB, 1.74 at 10 MiB and 1.86 at 26 MiB. So the pool
+starts at 8 MiB, well past the one-thread break-even; under a threaded BLAS
+it loses there too, and when to take it then is still open.
 """
 
 import math
@@ -98,9 +68,8 @@ AMP_TOL = 1e-6
 # draws, so no full-size float64 temporary is ever allocated.
 _DRAW_BLOCK_BYTES = 1 << 18
 
-# From a projection of this many bytes up, each product inside a lone decode
-# is two blocks and the downlink decodes run concurrently (see "Products"
-# and "Decodes" above).
+# From a projection of this many bytes up, the downlink decodes run
+# concurrently (see "Decodes" above).
 _PARALLEL_BYTES = 8 << 20
 
 
@@ -122,72 +91,10 @@ def draw_projection(rows: int, cols: int, seed: int) -> np.ndarray:
     return out
 
 
-def _row_cut(rows: int) -> int:
-    """Where `project` splits A's rows: the multiple of 256 nearest the
-    middle, or 0 (one block) when a block would keep fewer than 16 rows."""
-    cut = 256 * round(rows / 512)
-    return cut if 16 <= cut <= rows - 16 else 0
-
-
-def _column_cut(cols: int) -> int:
-    """Where `backproject` splits A's columns, or 0 for one block.
-
-    OpenBLAS's kernel for A.T @ z walks the outputs in chunks of 4096. It
-    runs the first (cols & -4) % 16 outputs of the last chunk apart from
-    its 16-wide loop, and the last cols % 4 after it. A cut keeps every
-    output on the path it takes in the single call when it falls on a
-    chunk boundary, or at that head's offset mod 16 past the last chunk's
-    start (anywhere, when there is no head). Of those, this is the one
-    nearest the middle, unless a block would keep fewer than 16 columns.
-    """
-    body = cols & -4
-    head = body % 16
-    start = body - body % 4096 if head else 0
-    aligned = max(start + head, head + 16 * round((cols / 2 - head) / 16))
-    chunked = 4096 * round(cols / 8192)
-    cut = min((aligned, chunked), key=lambda c: abs(c - cols / 2))
-    return cut if 16 <= cut <= cols - 16 else 0
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _exact_cut(matrix: np.ndarray, cut: int) -> int:
-    """`cut`, if matrix @ probe as two row blocks split there equals the
-    single call byte for byte; else 0 (one call)."""
-    if not cut:
-        return 0
-    probe = np.random.default_rng(0).standard_normal(
-        matrix.shape[1]).astype(np.float32)
-    out = np.empty(matrix.shape[0], dtype=np.float32)
-    np.matmul(matrix[:cut], probe, out=out[:cut])
-    np.matmul(matrix[cut:], probe, out=out[cut:])
-    return cut if out.tobytes() == (matrix @ probe).tobytes() else 0
-
-
-def _product(matrix: np.ndarray, v: np.ndarray, cut: int, pool) -> np.ndarray:
-    """matrix @ v in single precision as float64: with a `pool` and a
-    nonzero `cut`, two row blocks split at `cut`, the second computed in
-    the pool; otherwise one call.
-
-    When the pool has not started the second block by the time the first
-    is done (its core is busy elsewhere), the caller computes it as well:
-    a block is the same call in either thread, so the bits do not change.
-    """
-    v32 = np.asarray(v, dtype=np.float32)
-    if pool is None or not cut:
-        return (matrix @ v32).astype(np.float64)
-    out = np.empty(matrix.shape[0], dtype=np.float32)
-    second = pool.submit(np.matmul, matrix[cut:], v32, out=out[cut:])
-    np.matmul(matrix[:cut], v32, out=out[:cut])
-    if second.cancel():
-        np.matmul(matrix[cut:], v32, out=out[cut:])
-    else:
-        second.result()
-    return out.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -201,10 +108,8 @@ class ProjectionMatrix:
     `matrix` is `draw_projection(rows, cols, seed)`, drawn on first use and
     kept. Multiply through `project` and `backproject`, which take and
     return float64 vectors; a float64 vector on the right of the float32
-    matrix would silently copy the whole matrix to float64. Given a `pool`
-    (a one-worker `concurrent.futures` executor), each product is two
-    blocks at `cuts`, the second computed in the pool (see "Products" in
-    the module docstring).
+    matrix would silently copy the whole matrix to float64. Each product
+    is one float32 call.
     """
 
     rows: int
@@ -224,27 +129,15 @@ class ProjectionMatrix:
         """The size of `matrix` (float32), known without drawing it."""
         return 4 * self.rows * self.cols
 
-    @property
-    def cuts(self) -> tuple[int, int]:
-        """(row cut of `project`, column cut of `backproject`), found and
-        probed on first use, then kept; 0 is one call, as below
-        `_PARALLEL_BYTES` or where the blocks would change the bits."""
-        cuts = self.__dict__.get("_cuts")
-        if cuts is None:
-            cuts = (0, 0)
-            if self.nbytes >= _PARALLEL_BYTES:
-                cuts = (_exact_cut(self.matrix, _row_cut(self.rows)),
-                        _exact_cut(self.matrix.T, _column_cut(self.cols)))
-            object.__setattr__(self, "_cuts", cuts)
-        return cuts
-
-    def project(self, v: np.ndarray, pool=None) -> np.ndarray:
+    def project(self, v: np.ndarray) -> np.ndarray:
         """A @ v in single precision, returned as float64."""
-        return _product(self.matrix, v, self.cuts[0] if pool else 0, pool)
+        return (self.matrix @ np.asarray(v, dtype=np.float32)).astype(
+            np.float64)
 
-    def backproject(self, z: np.ndarray, pool=None) -> np.ndarray:
+    def backproject(self, z: np.ndarray) -> np.ndarray:
         """A.T @ z in single precision, returned as float64."""
-        return _product(self.matrix.T, z, self.cuts[1] if pool else 0, pool)
+        return (self.matrix.T @ np.asarray(z, dtype=np.float32)).astype(
+            np.float64)
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -320,7 +213,7 @@ def repetition_encode(s: np.ndarray, rho: int) -> np.ndarray:
 
 
 def repetition_decode(v: np.ndarray, rho: int) -> np.ndarray:
-    """Average the rho repetitions; cuts noise variance by the redundancy."""
+    """Average the rho repetitions, dividing the noise variance by rho."""
     v = np.asarray(v, dtype=np.float64)
     if rho < 1 or v.size % rho:
         raise ValueError(f"length {v.size} not divisible by redundancy {rho}")
@@ -331,35 +224,21 @@ def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray,
-              _split: bool = True) -> np.ndarray:
+def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     """Approximate message passing with a soft-threshold denoiser.
 
     The threshold tracks AMP_KAPPA times a robust noise estimate (median
     absolute deviation of the residual). Iterations stop after AMP_MAX_ITER,
     when the residual norm stalls (relative change below AMP_TOL), or when
     it grows past ten times its running minimum; the best-residual iterate
-    is returned, which makes divergence a graceful fallback. A projection
-    split into blocks (`ProjectionMatrix.cuts`) gets a one-worker pool for
-    the call when the process may use more than one CPU, unless `_split`
-    is false: a decode that runs beside other decodes (see
-    `fl_analog_downlink`) takes every product as one call.
+    is returned, which makes divergence a graceful fallback. It runs in the
+    calling thread, each product one float32 call; `fl_analog_downlink`
+    runs several of these decodes at once.
     """
-    m = projection.rows
+    m, n = projection.rows, projection.cols
     y = np.asarray(y_est, dtype=np.float64)
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match {m} rows")
-    if not _split or _usable_cpus() < 2 or not any(projection.cuts):
-        return _amp(projection, y, None)
-    # Imported here, not at `import fedsim`: it costs every worker 5-9 ms.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1) as pool:
-        return _amp(projection, y, pool)
-
-
-def _amp(projection: ProjectionMatrix, y: np.ndarray, pool) -> np.ndarray:
-    """cs_decode's loop, its products taken with `pool`."""
-    m, n = projection.rows, projection.cols
     # The median of |z| is the mean of its middle order statistics (two, as
     # m = 2T is even on a link), and the norm is sqrt(z.z): both equal
     # np.median and np.linalg.norm bit for bit, with less overhead.
@@ -376,10 +255,10 @@ def _amp(projection: ProjectionMatrix, y: np.ndarray, pool) -> np.ndarray:
         magnitudes.partition(middle)
         sigma = float((magnitudes[middle[0]] + magnitudes[middle[1]]) / 2) \
             / 0.6745
-        r = x + projection.backproject(z, pool)
+        r = x + projection.backproject(z)
         x = _soft_threshold(r, AMP_KAPPA * sigma)
         onsager = (np.count_nonzero(x) / m) * z
-        z = y - projection.project(x, pool) + onsager
+        z = y - projection.project(x) + onsager
         res = math.sqrt(float(z @ z))
         if res < best_res:
             best_res = res
@@ -490,9 +369,9 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
 
     Each device recovers the broadcast from its own reception with
     `cs_decode`. From `_PARALLEL_BYTES` up, with more than one usable CPU,
-    the K decodes run concurrently in a pool of min(K, CPUs) threads, each
-    taking its products as one call, and the estimates come back in device
-    order (see "Decodes" in the module docstring).
+    the K decodes run concurrently in a pool of min(K, CPUs) threads, and
+    the estimates come back in device order (see "Decodes" in the module
+    docstring).
     """
     update = np.asarray(update, dtype=np.float64)
     _check_projection(projection, update.size, channel_uses)
@@ -503,9 +382,10 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     workers = min(len(receptions), _usable_cpus())
     if workers < 2 or projection.nbytes < _PARALLEL_BYTES:
         return [cs_decode(projection, y) for y in receptions], new_acc
+    # Imported here, not at `import fedsim`: it costs every worker 5-9 ms.
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda y: cs_decode(projection, y, _split=False),
+        return list(pool.map(lambda y: cs_decode(projection, y),
                              receptions)), new_acc
 
 

@@ -27,7 +27,6 @@ import itertools
 import math
 import numbers
 import sys
-import threading
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -381,33 +380,23 @@ class _Run:
     def _draw_projections(self):
         """Draw every projection in `undrawn` at once, then empty it.
 
-        The caller draws the first; each other one is drawn in a helper
-        thread meanwhile. numpy's generator releases the GIL while it fills,
-        and a matrix depends only on its own seed, so each is bit for bit
-        the lone draw. The helpers are joined before this returns, and an
-        error raised in one is raised here.
+        The caller draws the first; a pool worker draws the other, if any,
+        meanwhile. numpy's generator releases the GIL while it fills, and a
+        matrix depends only on its own seed, so each is bit for bit the lone
+        draw. The worker is joined before this returns, and an error raised
+        in it is raised here.
         """
-        first, *rest = self.undrawn
-        self.undrawn = []
-        errors = []
-
-        def draw(projection):
-            try:
-                projection.matrix  # drawn on first use, then kept
-            except BaseException as exc:  # re-raised in the caller
-                errors.append(exc)
-
-        helpers = [threading.Thread(target=draw, args=(projection,))
-                   for projection in rest]
-        for helper in helpers:
-            helper.start()
-        try:
+        undrawn, self.undrawn = self.undrawn, []
+        if len(undrawn) == 1:
+            undrawn[0].matrix  # drawn on first use, then kept
+            return
+        first, second = undrawn
+        # Imported here, not at `import fedsim`, as in analog_link.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as pool:
+            drawing = pool.submit(lambda: second.matrix)
             first.matrix
-        finally:
-            for helper in helpers:
-                helper.join()
-        if errors:
-            raise errors[0]
+            drawing.result()
 
     def _codec(self, state, noise_rng):
         """The link calls for this run's payload kind, one signature each.

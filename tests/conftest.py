@@ -1,13 +1,14 @@
-"""Suite-wide checks.
+"""Suite-wide checks and thread fixtures.
 
 A test that leaves a non-daemon thread running fails. fedsim's helper
-threads (the concurrent projection draw, the split products of the AMP
-decoder, the pool of concurrent downlink decodes) are joined before the
-call that starts them returns, and this holds them to it across every test.
-It is a hook rather than an autouse fixture, so Hypothesis's health check
-on function-scoped fixtures does not fire on the property tests.
+threads (the worker of the concurrent projection draw and the pool of
+concurrent downlink decodes) are joined before the call that starts them
+returns, and this holds them to it across every test. It is a hook rather
+than an autouse fixture, so Hypothesis's health check on function-scoped
+fixtures does not fire on the property tests.
 """
 
+import os
 import threading
 
 import pytest
@@ -23,3 +24,26 @@ def pytest_runtest_call(item):
         pytest.fail(f"left non-daemon threads running: {left}",
                     pytrace=False)
     return result
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started during the test, in start order."""
+    threads = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return threads
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """use_cpus(n) makes `os.sched_getaffinity` report n usable CPUs."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    return use

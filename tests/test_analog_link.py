@@ -1,17 +1,10 @@
-import ast
 import math
-import os
-import subprocess
-import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import fedsim
 from fedsim import analog_link
 from fedsim.analog_link import (
     AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, cs_decode,
@@ -23,7 +16,6 @@ from fedsim.analog_link import (
 from fedsim.channel import ChannelState
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
 from fedsim.errors import ConfigurationError
-from split_products import decode_is_the_loop, split_is_the_single_call
 
 
 def unit_state(k):
@@ -242,18 +234,20 @@ def float64_draw(rows, cols, seed):
             / math.sqrt(rows))
 
 
-def float64_amp(a, y):
-    """cs_decode's loop with every product in float64, as a reference."""
-    m, n = a.shape
-    x = np.zeros(n)
+def reference_amp(y, project, backproject):
+    """cs_decode's loop written with np.median and np.linalg.norm (it takes
+    the median by partition and the norm as sqrt(z.z)), its products A @ x
+    and A.T @ z taken by `project` and `backproject`."""
+    rows = y.size
     z = y.copy()
+    x = np.zeros_like(backproject(z))  # one entry per column of A
     best_x = x
     best_res = prev_res = float(np.linalg.norm(z))
     for _ in range(AMP_MAX_ITER):
         sigma = float(np.median(np.abs(z))) / 0.6745
-        r = x + a.T @ z
+        r = x + backproject(z)
         x = np.sign(r) * np.maximum(np.abs(r) - AMP_KAPPA * sigma, 0.0)
-        z = y - a @ x + (np.count_nonzero(x) / m) * z
+        z = y - project(x) + (np.count_nonzero(x) / rows) * z
         res = float(np.linalg.norm(z))
         if res < best_res:
             best_res, best_x = res, x
@@ -264,21 +258,24 @@ def float64_amp(a, y):
     return best_x
 
 
-def in_one_blas_thread(check, *args):
-    """`check(*args)`, a function of split_products.py, run in a fresh
-    interpreter whose OpenBLAS runs one thread per call, as perfbench's
-    workers do; returns its result, which must be a literal."""
-    path = [str(Path(fedsim.__file__).resolve().parents[1]),
-            str(Path(__file__).resolve().parent),
-            os.environ.get("PYTHONPATH")]
-    code = (f"from {check.__module__} import {check.__name__}; "
-            f"print(repr({check.__name__}(*{args!r})))")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return ast.literal_eval(done.stdout.splitlines()[-1])
+def single_call(matrix):
+    """(v -> A @ v, z -> A.T @ z) for a float32 matrix A, each product one
+    float32 call returned as float64."""
+    def product(a):
+        return lambda v: (a @ np.asarray(v, dtype=np.float32)).astype(
+            np.float64)
+    return product(matrix), product(matrix.T)
+
+
+def decode_is_the_loop(proj, seed):
+    """cs_decode of a noisy sparse signal equals reference_amp over
+    single-call float32 products, bit for bit."""
+    gen = np.random.default_rng(seed)
+    truth = gen.standard_normal(proj.cols) * (gen.random(proj.cols) < 0.3)
+    project, backproject = single_call(proj.matrix)
+    y = project(truth) + 0.05 * gen.standard_normal(proj.rows)
+    assert np.array_equal(cs_decode(proj, y),
+                          reference_amp(y, project, backproject))
 
 
 class TestProjectionPrecision:
@@ -303,20 +300,21 @@ class TestProjectionPrecision:
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
-                                           (61, 150), (1, 4), (2048, 1024)])
+                                           (61, 150), (1, 4)])
     def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
-        # 2048 x 1024 is 8 MiB, the smallest split size: one seed, one draw.
-        split = 4 * rows * cols >= analog_link._PARALLEL_BYTES
-        for seed in range(1 if split else 3):
+        for seed in range(3):
             proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
             decode_is_the_loop(proj, seed)
 
-    def test_split_products_are_the_single_call_bit_for_bit(self):
-        # The amp_T2500 shape under one BLAS thread, as perfbench runs it:
-        # both products, dense and sparse vectors, and one decode.
-        cuts = in_one_blas_thread(split_is_the_single_call, 5000, 1362)
-        if not all(cuts) or analog_link._usable_cpus() < 2:
-            pytest.skip(f"cuts {cuts}: this host keeps some single calls")
+    def test_a_lone_decode_at_8_mib_starts_no_thread(self, started, use_cpus):
+        # 2048 x 1024 float32 is 8 MiB, the size from which
+        # fl_analog_downlink pools its decodes. A lone decode there runs in
+        # the calling thread.
+        proj = ProjectionMatrix(rows=2048, cols=1024, seed=50)
+        assert proj.nbytes == analog_link._PARALLEL_BYTES
+        use_cpus(2)
+        decode_is_the_loop(proj, 0)
+        assert started == []
 
     def test_decode_matches_float64_amp_when_overdetermined(self):
         # 2T = 600 measurements of 200 dense entries, with noise: the regime
@@ -326,149 +324,15 @@ class TestProjectionPrecision:
             proj = ProjectionMatrix(rows=600, cols=200, seed=seed + 100)
             a = float64_draw(600, 200, seed + 100)
             y = a @ gen.standard_normal(200) + 0.1 * gen.standard_normal(600)
-            want = float64_amp(a, y)
+            want = reference_amp(y, lambda v: a @ v, lambda z: a.T @ z)
             got = cs_decode(proj, y)
             assert np.sum((got - want) ** 2) <= 1e-10 * np.sum(want ** 2)
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """The threads started during the test, in start order."""
-    threads = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            threads.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return threads
-
-
-def use_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
-
-
-class TestProductThreads:
-    """From the split threshold up, cs_decode computes one block of each
-    product in one helper thread, joined before it returns."""
-
-    # 2048 x 1024 float32 is 8 MiB, the smallest split size.
-    split = dict(rows=2048, cols=1024, seed=3)
-
-    @pytest.fixture
-    def blocks(self, monkeypatch):
-        # Take the cuts unprobed: these tests compare the split with itself,
-        # not with the single call.
-        monkeypatch.setattr(analog_link, "_exact_cut", lambda matrix, cut: cut)
-
-    @staticmethod
-    def instance(rows, cols, seed):
-        gen = np.random.default_rng(seed)
-        proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed)
-        truth = gen.standard_normal(cols) * (gen.random(cols) < 0.2)
-        return proj, proj.project(truth) + 0.05 * gen.standard_normal(rows)
-
-    def test_one_helper_above_the_threshold(self, blocks, started,
-                                            monkeypatch):
-        proj, y = self.instance(**self.split)
-        assert all(proj.cuts)
-        use_cpus(monkeypatch, 2)
-        before = threading.active_count()
-        cs_decode(proj, y)
-        assert len(started) == 1
-        assert not started[0].is_alive()
-        assert threading.active_count() == before
-
-    def test_no_thread_below_the_threshold(self, blocks, started,
-                                           monkeypatch):
-        # 2000 x 290 (2.3 MB), the projection of TestProjectionDraw.
-        proj, y = self.instance(rows=2000, cols=290, seed=4)
-        assert proj.cuts == (0, 0)
-        use_cpus(monkeypatch, 2)
-        cs_decode(proj, y)
-        assert started == []
-
-    def test_one_cpu_gives_the_same_bits_without_a_thread(self, started,
-                                                          monkeypatch):
-        # The cuts as probed on this BLAS: with them the bits are one call's.
-        proj, y = self.instance(**self.split)
-        use_cpus(monkeypatch, 2)
-        helped = cs_decode(proj, y)
-        assert len(started) == (1 if any(proj.cuts) else 0)
-        count = len(started)
-        use_cpus(monkeypatch, 1)
-        assert cs_decode(proj, y).tobytes() == helped.tobytes()
-        assert len(started) == count
-
-    def test_a_failure_in_the_helper_is_raised_in_the_caller(
-            self, blocks, started, monkeypatch):
-        proj, y = self.instance(**self.split)
-        use_cpus(monkeypatch, 2)
-        matmul = np.matmul
-        helper_ran = threading.Event()
-
-        def fails_in_helper(*args, **kwargs):
-            if threading.current_thread() in started:
-                helper_ran.set()
-                raise RuntimeError("helper block failed")
-            # Hold the caller's block until the helper has taken its own, so
-            # the caller cannot take that block over.
-            helper_ran.wait(timeout=10)
-            return matmul(*args, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", fails_in_helper)
-        with pytest.raises(RuntimeError, match="helper block failed"):
-            cs_decode(proj, y)
-        assert len(started) == 1
-        assert not started[0].is_alive()
-
-    def test_the_caller_takes_a_block_the_helper_has_not_started(
-            self, blocks):
-        class Idle:
-            """A pool whose worker never reaches the job."""
-
-            def submit(self, fn, *args, **kwargs):
-                return Pending()
-
-        class Pending(Future):
-            def result(self, timeout=None):
-                return super().result(timeout=0)  # never waits
-
-        proj, y = self.instance(**self.split)
-        gen = np.random.default_rng(5)
-        v, z = gen.standard_normal(proj.cols), gen.standard_normal(proj.rows)
-        with ThreadPoolExecutor(1) as pool:
-            helped = proj.project(v, pool), proj.backproject(z, pool)
-        alone = proj.project(v, Idle()), proj.backproject(z, Idle())
-        assert [a.tobytes() for a in alone] == [h.tobytes() for h in helped]
-
-    def test_blocks_that_change_the_bits_keep_the_single_call(
-            self, started, monkeypatch):
-        # Every block product one ulp off its first entry, as a kernel that
-        # sums a block's outputs in another order would be.
-        matmul = np.matmul
-
-        def one_ulp_off(*args, out=None):
-            result = matmul(*args, out=out)
-            if out is not None:
-                out[0] = np.nextafter(out[0], np.float32(np.inf))
-            return result
-
-        monkeypatch.setattr(np, "matmul", one_ulp_off)
-        proj, y = self.instance(**self.split)
-        assert proj.cuts == (0, 0)
-        use_cpus(monkeypatch, 2)
-        cs_decode(proj, y)
-        assert started == []
-
-
 class TestConcurrentDecodes:
-    """From the same threshold up, fl_analog_downlink decodes its K
+    """From `_PARALLEL_BYTES` up, fl_analog_downlink decodes its K
     receptions in a pool of min(K, CPUs) threads, each decode one call to
-    the module's cs_decode with single-call products, joined before it
-    returns."""
+    the module's cs_decode, joined before it returns."""
 
     K = 3
 
@@ -492,10 +356,10 @@ class TestConcurrentDecodes:
         return fl_analog_downlink(*args, np.random.default_rng(9))[0]
 
     def test_the_estimates_are_sequential_calls_in_receiver_order(
-            self, started, monkeypatch):
+            self, started, use_cpus, monkeypatch):
         # 2048 x 1024 float32 is 8 MiB, the smallest concurrent size.
         proj, args, receptions = self.broadcast(2048, 1024)
-        use_cpus(monkeypatch, 1)
+        use_cpus(1)
         alone = [cs_decode(proj, y).tobytes() for y in receptions]
         assert len(set(alone)) == self.K
         assert [e.tobytes() for e in self.decode(args)] == alone
@@ -505,40 +369,42 @@ class TestConcurrentDecodes:
         real = analog_link.cs_decode
 
         def counted(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append((args, kwargs))
             return real(*args, **kwargs)
 
-        # Take every cut unprobed: a decode that split its products would
-        # start a helper of its own and show in `started`.
-        monkeypatch.setattr(analog_link, "_exact_cut", lambda matrix, cut: cut)
         monkeypatch.setattr(analog_link, "cs_decode", counted)
-        use_cpus(monkeypatch, 2)
+        use_cpus(2)
         before = threading.active_count()
         assert [e.tobytes() for e in self.decode(args)] == alone
-        assert calls == [{"_split": False}] * self.K
+        # K calls of cs_decode(projection, y), one per reception.
+        assert len(calls) == self.K
+        assert all(len(a) == 2 and a[0] is proj and kw == {}
+                   for a, kw in calls)
+        assert sorted(a[1].tobytes() for a, _ in calls) == \
+            sorted(y.tobytes() for y in receptions)
         assert len(started) == 2
         assert not any(thread.is_alive() for thread in started)
         assert threading.active_count() == before
 
-    def test_no_thread_below_the_threshold(self, started, monkeypatch):
+    def test_no_thread_below_the_threshold(self, started, use_cpus):
         proj, args, _ = self.broadcast(2046, 1024)
         assert proj.nbytes < analog_link._PARALLEL_BYTES
-        use_cpus(monkeypatch, 2)
+        use_cpus(2)
         self.decode(args)
         assert started == []
 
-    def test_a_failing_decode_is_raised_in_the_caller(self, started,
+    def test_a_failing_decode_is_raised_in_the_caller(self, started, use_cpus,
                                                       monkeypatch):
         _, args, receptions = self.broadcast(2048, 1024)
         real = analog_link.cs_decode
 
-        def fails_on_receiver_1(projection, y, _split=True):
+        def fails_on_receiver_1(projection, y):
             if np.array_equal(y, receptions[1]):
                 raise RuntimeError("decode failed")
-            return real(projection, y, _split=_split)
+            return real(projection, y)
 
         monkeypatch.setattr(analog_link, "cs_decode", fails_on_receiver_1)
-        use_cpus(monkeypatch, 2)
+        use_cpus(2)
         with pytest.raises(RuntimeError, match="decode failed"):
             self.decode(args)
         assert len(started) == 2

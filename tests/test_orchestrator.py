@@ -377,18 +377,6 @@ class TestProjectionDraw:
                                  downlink_mode=down, channel_uses=1000,
                                  model="mlp:32", global_iterations=1, **kw))
 
-    @pytest.fixture
-    def started(self, monkeypatch):
-        threads = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                threads.append(self)
-                super().start()
-
-        monkeypatch.setattr(orchestrator.threading, "Thread", Counted)
-        return threads
-
     def test_concurrent_draws_equal_lone_draws(self, started, monkeypatch):
         run = self.fl_run()
         alone = [ProjectionMatrix(p.rows, p.cols, p.seed).matrix
