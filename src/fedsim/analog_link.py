@@ -19,33 +19,31 @@ one T=2500, W=1362 round). Past the message-passing phase transition
 (small T) the iteration path is chaotic and no per-decode bound holds: at
 T=100 the same comparison gave up to 0.16.
 
-Drawing: an FL run over two analog links draws its uplink and downlink
-projections at once, one in a one-worker thread pool (see
-`orchestrator._Run._draw_projections`). That is still bit-exact: each
-matrix comes from its own seeded generator and is filled by
-`draw_projection`, which reads no shared state, and numpy's generator
-releases the GIL while it fills, so the two draws overlap on two cores.
-`ProjectionMatrix.matrix` calls that function and keeps the result itself
-rather than being a `functools.cached_property`: on Python 3.11 that
-descriptor holds one lock for the whole class while it computes, so two
-threads reading `.matrix` of two different instances would draw one after
-the other.
-
-Decodes: each `cs_decode` runs in its calling thread and takes each
-product as one float32 call. The K downlink decodes of
-`fl_analog_downlink` depend only on their own receptions, so from
-`_PARALLEL_BYTES` (8 MiB of float32) up, when the process may use more than
-one CPU, they run concurrently in a pool of min(K, CPUs) threads. Each is
-the decode it would be alone, so the bits do not depend on the pool.
-Threshold: with one BLAS thread on a 2-core host, the 10 downlink decodes
-of one FL round at W=1362 took 1.02 times as long concurrently as one after
-another at 1 and 2.6 MiB (T=100 and 250), 0.76 at 3.1 MiB, 0.57 to 0.63
-at 4.2 to 6.2 MiB, 0.61 at 8 MiB and 0.54 to 0.58 at 10 to 26 MiB
-(T=1000 to 2500); medians of 10 rounds, the same bits throughout. With two
-OpenBLAS threads per call the pool lost at every size: 1.56 to 1.62 times
-as long at 2.6 to 6.2 MiB, 1.74 at 10 MiB and 1.86 at 26 MiB. So the pool
-starts at 8 MiB, well past the one-thread break-even; under a threaded BLAS
-it loses there too, and when to take it then is still open.
+Second core: `_map` is the one place fedsim uses one. It serves two uses,
+each a map over items that read no shared state: `draw_projections`, which
+draws an FL run's uplink and downlink projections at its first exchange,
+and `fl_analog_downlink`, whose K decodes depend only on their own
+receptions. From `_PARALLEL_BYTES` (8 MiB of float32 projection) up, when
+the process may use more than one CPU, it maps them in a pool of
+min(items, CPUs) threads; otherwise in the calling thread, importing no
+thread module. The bits do not depend on the pool: each matrix comes from
+its own seeded generator in `draw_projection`, and each decode is the one
+`cs_decode` call it would be alone (`ProjectionMatrix` says why `matrix`
+is no `cached_property`). numpy's generator and its products
+release the GIL, so the items overlap on two cores. With one BLAS thread
+on a 2-core host, a pair of draws took 8.2 ms pooled against 13.3 ms one
+after the other at 1 MiB (T=100), 55 against 97 ms at 8 MiB and 164
+against 318 ms at 26 MiB (T=2500). The 10 downlink decodes of one FL round
+at W=1362 took 1.02 times as long pooled as one after another at 1 and
+2.6 MiB (T=100 and 250), 0.76 at 3.1 MiB, 0.57 to 0.63 at 4.2 to 6.2 MiB,
+0.61 at 8 MiB and 0.54 to 0.58 at 10 to 26 MiB (T=1000 to 2500); medians
+of 10 rounds, the same bits throughout. With two OpenBLAS threads per call
+the decode pool lost at every size: 1.56 to 1.62 times as long at 2.6 to
+6.2 MiB, 1.74 at 10 MiB and 1.86 at 26 MiB. The draws call no BLAS. So the
+pool starts at 8 MiB, past the one-thread break-even of the decodes, and
+draws of 1 to 8 MiB give up to about 40 ms a run to that shared gate;
+under a threaded BLAS the decodes lose at 8 MiB too, and when to pool them
+then is still open.
 """
 
 import math
@@ -68,8 +66,8 @@ AMP_TOL = 1e-6
 # draws, so no full-size float64 temporary is ever allocated.
 _DRAW_BLOCK_BYTES = 1 << 18
 
-# From a projection of this many bytes up, the downlink decodes run
-# concurrently (see "Decodes" above).
+# From a projection of this many bytes up, `_map` takes a pool (see "Second
+# core" above).
 _PARALLEL_BYTES = 8 << 20
 
 
@@ -97,6 +95,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _map(fn, items, nbytes: int) -> list:
+    """`[fn(x) for x in items]`, in a pool of min(len(items), CPUs) threads
+    when `nbytes` (the projection each call reads or draws) is at least
+    `_PARALLEL_BYTES` and more than one CPU is usable. The pool is joined
+    before this returns, and an error raised in a worker is raised here.
+    """
+    workers = min(len(items), _usable_cpus())
+    if nbytes < _PARALLEL_BYTES or workers < 2:
+        return [fn(x) for x in items]
+    # Imported here, not at `import fedsim`: it costs every worker 5-9 ms.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
 @dataclass(frozen=True)
 class ProjectionMatrix:
     """Seeded Gaussian projection shared verbatim by transmitter and receiver.
@@ -105,11 +118,14 @@ class ProjectionMatrix:
     vector roughly preserves its squared norm. Regenerating from the same
     (rows, cols, seed) triple is bit-exact.
 
-    `matrix` is `draw_projection(rows, cols, seed)`, drawn on first use and
-    kept. Multiply through `project` and `backproject`, which take and
-    return float64 vectors; a float64 vector on the right of the float32
-    matrix would silently copy the whole matrix to float64. Each product
-    is one float32 call.
+    `matrix` is `draw_projection(rows, cols, seed)`, drawn on first use (or
+    by `draw_projections`) and kept. It is not a `functools.cached_property`:
+    on Python 3.11 that holds one lock for the whole class while it
+    computes, so two pooled draws would run one after the other. Multiply
+    through `project` and `backproject`, which take and return float64
+    vectors; a float64 vector on the right of the float32 matrix would
+    silently copy the whole matrix to float64. Each product is one float32
+    call.
     """
 
     rows: int
@@ -138,6 +154,13 @@ class ProjectionMatrix:
         """A.T @ z in single precision, returned as float64."""
         return (self.matrix.T @ np.asarray(z, dtype=np.float32)).astype(
             np.float64)
+
+
+def draw_projections(projections: list) -> None:
+    """Draw the matrix of each projection, through `_map` on the size of the
+    largest, so that from `_PARALLEL_BYTES` up they are drawn at once."""
+    _map(lambda p: p.matrix, projections,
+         max((p.nbytes for p in projections), default=0))
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -233,7 +256,7 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     it grows past ten times its running minimum; the best-residual iterate
     is returned, which makes divergence a graceful fallback. It runs in the
     calling thread, each product one float32 call; `fl_analog_downlink`
-    runs several of these decodes at once.
+    may run several of these decodes at once through `_map`.
     """
     m, n = projection.rows, projection.cols
     y = np.asarray(y_est, dtype=np.float64)
@@ -367,11 +390,11 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
                        power: float, channel_uses: int, noise_rng):
     """Broadcast a weight vector analogically; returns (per-device estimates, acc).
 
-    Each device recovers the broadcast from its own reception with
-    `cs_decode`. From `_PARALLEL_BYTES` up, with more than one usable CPU,
-    the K decodes run concurrently in a pool of min(K, CPUs) threads, and
-    the estimates come back in device order (see "Decodes" in the module
-    docstring).
+    Each device recovers the broadcast from its own reception with one
+    `cs_decode` call. The K calls go through `_map`, so from
+    `_PARALLEL_BYTES` up, with more than one usable CPU, they run in a pool
+    of min(K, CPUs) threads; the estimates come back in device order
+    either way (see "Second core" in the module docstring).
     """
     update = np.asarray(update, dtype=np.float64)
     _check_projection(projection, update.size, channel_uses)
@@ -379,14 +402,10 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     new_acc = accumulate_error(acc, update, sparse)
     receptions = _downlink(projection.project(sparse), state, power,
                            channel_uses, noise_rng)
-    workers = min(len(receptions), _usable_cpus())
-    if workers < 2 or projection.nbytes < _PARALLEL_BYTES:
-        return [cs_decode(projection, y) for y in receptions], new_acc
-    # Imported here, not at `import fedsim`: it costs every worker 5-9 ms.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda y: cs_decode(projection, y),
-                             receptions)), new_acc
+    # `cs_decode` is looked up when each call runs, so a wrapper patched
+    # into this module sees every decode.
+    return _map(lambda y: cs_decode(projection, y), receptions,
+                projection.nbytes), new_acc
 
 
 def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,

@@ -8,6 +8,7 @@ mixes across devices are naturally unbalanced.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -62,45 +63,42 @@ class IdxParseError(ValueError):
 
 
 def _read_exact(f, count, offset, path):
-    data = f.read(count)
-    if len(data) != count:
+    """The `count` bytes of `f` from byte `offset`, its read position.
+
+    The file's size is checked first, so a header that claims more bytes
+    than the file holds fails without allocating them.
+    """
+    got = min(count, max(0, os.fstat(f.fileno()).st_size - offset))
+    if got != count:
         raise IdxParseError(
             f"{path}: truncated, wanted {count} bytes at byte {offset}, "
-            f"got {len(data)}")
-    return data
+            f"got {got}")
+    return f.read(count)
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX3 image file into an (N, rows*cols) float array in [0,1]."""
+def _load_idx(path, magic, dims) -> np.ndarray:
+    """The (count, values per item) uint8 array of an IDX file of `magic`
+    whose header holds `dims` sizes, the count first."""
+    offset = 4 * (1 + dims)
     with open(path, "rb") as f:
-        header = _read_exact(f, 16, 0, path)
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
+        found, *sizes = struct.unpack(f">{1 + dims}I",
+                                      _read_exact(f, offset, 0, path))
+        if found != magic:
             raise IdxParseError(
-                f"{path}: bad magic 0x{magic:08x} at byte 0, "
-                f"expected 0x{IDX_IMAGES_MAGIC:08x}")
-        payload = _read_exact(f, count * rows * cols, 16, path)
-    pixels = np.frombuffer(payload, dtype=np.uint8)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-
-
-def load_idx_labels(path) -> np.ndarray:
-    """Parse an IDX1 label file into an (N,) int array."""
-    with open(path, "rb") as f:
-        header = _read_exact(f, 8, 0, path)
-        magic, count = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxParseError(
-                f"{path}: bad magic 0x{magic:08x} at byte 0, "
-                f"expected 0x{IDX_LABELS_MAGIC:08x}")
-        payload = _read_exact(f, count, 8, path)
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+                f"{path}: bad magic 0x{found:08x} at byte 0, "
+                f"expected 0x{magic:08x}")
+        per_item = math.prod(sizes[1:])
+        payload = _read_exact(f, sizes[0] * per_item, offset, path)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(sizes[0], per_item)
 
 
 def _read_idx_pair(images_path, labels_path):
-    """The (covariates, labels) arrays of an IDX pair of equal counts."""
-    covariates = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
+    """The (covariates, labels) arrays of an IDX pair of equal counts:
+    (N, rows*cols) floats in [0, 1] and (N,) ints."""
+    covariates = _load_idx(images_path, IDX_IMAGES_MAGIC, 3).astype(
+        np.float64) / 255.0
+    labels = _load_idx(labels_path, IDX_LABELS_MAGIC, 1)[:, 0].astype(
+        np.int64)
     if covariates.shape[0] != labels.shape[0]:
         raise IdxParseError(
             f"image count {covariates.shape[0]} does not match label count "

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import streams
 from .analog_link import (
-    ProjectionMatrix, fd_analog_downlink, fd_analog_uplink,
+    ProjectionMatrix, draw_projections, fd_analog_downlink, fd_analog_uplink,
     fl_analog_downlink, fl_analog_uplink,
 )
 from .channel import sample_channel
@@ -304,8 +304,8 @@ class _Run:
         self.proj_down = ProjectionMatrix(
             rows=2 * cfg.channel_uses, cols=self.dim,
             seed=streams.derive_seed(seed, streams.PROJECTION, 1))
-        # The ones the links use are drawn together at the first exchange
-        # (`_draw_projections`), not here, so that set-up stays short.
+        # The ones the links use are drawn at the first exchange, by one
+        # `draw_projections` call, not here, so that set-up stays short.
         links = ((self.proj_up, cfg.uplink_mode),
                  (self.proj_down, cfg.downlink_mode))
         self.undrawn = [proj for proj, mode in links
@@ -377,27 +377,6 @@ class _Run:
 
     # -- the exchange --
 
-    def _draw_projections(self):
-        """Draw every projection in `undrawn` at once, then empty it.
-
-        The caller draws the first; a pool worker draws the other, if any,
-        meanwhile. numpy's generator releases the GIL while it fills, and a
-        matrix depends only on its own seed, so each is bit for bit the lone
-        draw. The worker is joined before this returns, and an error raised
-        in it is raised here.
-        """
-        undrawn, self.undrawn = self.undrawn, []
-        if len(undrawn) == 1:
-            undrawn[0].matrix  # drawn on first use, then kept
-            return
-        first, second = undrawn
-        # Imported here, not at `import fedsim`, as in analog_link.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1) as pool:
-            drawing = pool.submit(lambda: second.matrix)
-            first.matrix
-            drawing.result()
-
     def _codec(self, state, noise_rng):
         """The link calls for this run's payload kind, one signature each.
 
@@ -451,7 +430,8 @@ class _Run:
             return (np.broadcast_to(np.mean(payloads, axis=0), payloads.shape),
                     contributed, bits_up, bits_down)
         if self.undrawn:
-            self._draw_projections()
+            draw_projections(self.undrawn)
+            self.undrawn = []
         encode, decode, air_up, air_down = self._codec(state, noise_rng)
 
         average = None

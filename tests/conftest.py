@@ -1,11 +1,11 @@
 """Suite-wide checks and thread fixtures.
 
-A test that leaves a non-daemon thread running fails. fedsim's helper
-threads (the worker of the concurrent projection draw and the pool of
-concurrent downlink decodes) are joined before the call that starts them
-returns, and this holds them to it across every test. It is a hook rather
-than an autouse fixture, so Hypothesis's health check on function-scoped
-fixtures does not fire on the property tests.
+A test that leaves a non-daemon thread running fails. fedsim's one pool
+(`analog_link._map`, which serves the projection draws and the downlink
+decodes) is joined before the call that starts it returns, and this holds
+it to that across every test. It is a hook rather than an autouse
+fixture, so Hypothesis's health check on function-scoped fixtures does not
+fire on the property tests.
 """
 
 import os

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from fedsim import analog_link
 from fedsim.analog_link import (
     AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, cs_decode,
-    draw_projection, fd_analog_downlink, fd_analog_uplink,
+    draw_projection, draw_projections, fd_analog_downlink, fd_analog_uplink,
     fl_analog_downlink, fl_analog_uplink, full_power_gain,
     mmse_factor_downlink, mmse_factor_uplink, pack_complex, precompensate,
     repetition_decode, repetition_encode, unpack_complex,
@@ -329,86 +329,112 @@ class TestProjectionPrecision:
             assert np.sum((got - want) ** 2) <= 1e-10 * np.sum(want ** 2)
 
 
-class TestConcurrentDecodes:
-    """From `_PARALLEL_BYTES` up, fl_analog_downlink decodes its K
-    receptions in a pool of min(K, CPUs) threads, each decode one call to
-    the module's cs_decode, joined before it returns."""
+class PoolUseTests:
+    """The tests of `_map`, run through one of its uses by each subclass.
 
-    K = 3
+    A subclass's `work(rows, cols)` returns (target, alone, run,
+    is_second) at that projection shape: `target` names the analog_link
+    function called once per item, `alone()` gives the items' results
+    called one by one, `run()` their results through the use, and
+    `is_second(args)` says whether a call of `target` is the second item's.
+    """
 
-    @classmethod
-    def broadcast(cls, rows, cols):
-        """(projection, fl_analog_downlink's arguments but the noise
-        generator, the receptions that generator gives at seed 9)."""
-        gen = np.random.default_rng(7)
-        proj = ProjectionMatrix(rows=rows, cols=cols, seed=3)
-        update = gen.standard_normal(cols)
-        gains = gen.standard_normal((cls.K, 2)) @ [1, 1j]
-        args = (update, ErrorAccumulator.zeros(cols), cols // 8, proj,
-                ChannelState(gains, gains), 10.0, rows // 2)
-        sent = proj.project(top_k_sparsify(update, cols // 8))
-        receptions = analog_link._downlink(sent, *args[4:],
-                                           np.random.default_rng(9))
-        return proj, args, receptions
-
-    @staticmethod
-    def decode(args):
-        return fl_analog_downlink(*args, np.random.default_rng(9))[0]
-
-    def test_the_estimates_are_sequential_calls_in_receiver_order(
-            self, started, use_cpus, monkeypatch):
-        # 2048 x 1024 float32 is 8 MiB, the smallest concurrent size.
-        proj, args, receptions = self.broadcast(2048, 1024)
+    def test_pooled_results_are_the_sequential_calls(self, started, use_cpus,
+                                                      monkeypatch):
+        # 2048 x 1024 float32 is 8 MiB, the smallest pooled size.
+        target, alone, run, _ = self.work(2048, 1024)
+        want = [r.tobytes() for r in alone()]
+        assert len(set(want)) == len(want)
         use_cpus(1)
-        alone = [cs_decode(proj, y).tobytes() for y in receptions]
-        assert len(set(alone)) == self.K
-        assert [e.tobytes() for e in self.decode(args)] == alone
+        assert [r.tobytes() for r in run()] == want
         assert started == []
 
-        calls = []
-        real = analog_link.cs_decode
+        callers = []
+        real = getattr(analog_link, target)
 
-        def counted(*args, **kwargs):
-            calls.append((args, kwargs))
-            return real(*args, **kwargs)
+        def counted(*args):
+            callers.append(threading.current_thread())
+            return real(*args)
 
-        monkeypatch.setattr(analog_link, "cs_decode", counted)
+        monkeypatch.setattr(analog_link, target, counted)
         use_cpus(2)
         before = threading.active_count()
-        assert [e.tobytes() for e in self.decode(args)] == alone
-        # K calls of cs_decode(projection, y), one per reception.
-        assert len(calls) == self.K
-        assert all(len(a) == 2 and a[0] is proj and kw == {}
-                   for a, kw in calls)
-        assert sorted(a[1].tobytes() for a, _ in calls) == \
-            sorted(y.tobytes() for y in receptions)
+        assert [r.tobytes() for r in run()] == want
+        # One call per item, each in a pool thread, the pool joined.
+        assert len(callers) == len(want) and set(callers) <= set(started)
         assert len(started) == 2
         assert not any(thread.is_alive() for thread in started)
         assert threading.active_count() == before
 
     def test_no_thread_below_the_threshold(self, started, use_cpus):
-        proj, args, _ = self.broadcast(2046, 1024)
-        assert proj.nbytes < analog_link._PARALLEL_BYTES
+        target, alone, run, _ = self.work(2046, 1024)
+        assert 4 * 2046 * 1024 < analog_link._PARALLEL_BYTES
         use_cpus(2)
-        self.decode(args)
+        assert [r.tobytes() for r in run()] == \
+            [r.tobytes() for r in alone()]
         assert started == []
 
-    def test_a_failing_decode_is_raised_in_the_caller(self, started, use_cpus,
-                                                      monkeypatch):
-        _, args, receptions = self.broadcast(2048, 1024)
-        real = analog_link.cs_decode
+    def test_a_failing_call_is_raised_in_the_caller(self, started, use_cpus,
+                                                    monkeypatch):
+        target, _, run, is_second = self.work(2048, 1024)
+        real = getattr(analog_link, target)
 
-        def fails_on_receiver_1(projection, y):
-            if np.array_equal(y, receptions[1]):
-                raise RuntimeError("decode failed")
-            return real(projection, y)
+        def fails_on_the_second(*args):
+            if is_second(args):
+                raise RuntimeError("second item failed")
+            return real(*args)
 
-        monkeypatch.setattr(analog_link, "cs_decode", fails_on_receiver_1)
+        monkeypatch.setattr(analog_link, target, fails_on_the_second)
         use_cpus(2)
-        with pytest.raises(RuntimeError, match="decode failed"):
-            self.decode(args)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second item failed"):
+            run()
         assert len(started) == 2
         assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+
+
+class TestConcurrentDecodes(PoolUseTests):
+    """fl_analog_downlink's K decodes, one cs_decode(projection, y) call
+    per reception y, in receiver order."""
+
+    K = 3
+
+    def work(self, rows, cols):
+        gen = np.random.default_rng(7)
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=3)
+        update = gen.standard_normal(cols)
+        gains = gen.standard_normal((self.K, 2)) @ [1, 1j]
+        args = (update, ErrorAccumulator.zeros(cols), cols // 8, proj,
+                ChannelState(gains, gains), 10.0, rows // 2)
+        sent = proj.project(top_k_sparsify(update, cols // 8))
+        receptions = analog_link._downlink(sent, *args[4:],
+                                           np.random.default_rng(9))
+        return ("cs_decode",
+                lambda: [cs_decode(proj, y) for y in receptions],
+                lambda: fl_analog_downlink(*args,
+                                           np.random.default_rng(9))[0],
+                lambda call: (call[0] is proj
+                              and np.array_equal(call[1], receptions[1])))
+
+
+class TestConcurrentDraws(PoolUseTests):
+    """draw_projections over an FL run's two projections, one
+    draw_projection(rows, cols, seed) call each."""
+
+    SEEDS = (3, 4)
+
+    def work(self, rows, cols):
+        def run():
+            projs = [ProjectionMatrix(rows, cols, seed) for seed in self.SEEDS]
+            draw_projections(projs)
+            return [proj.matrix for proj in projs]
+
+        return ("draw_projection",
+                lambda: [draw_projection(rows, cols, seed)
+                         for seed in self.SEEDS],
+                run,
+                lambda call: call == (rows, cols, self.SEEDS[1]))
 
 
 class TestFlAnalogUplink:

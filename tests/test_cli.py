@@ -212,6 +212,17 @@ def test_truncated_idx_file_names_its_byte_offset(tmp_path, capsys):
                             f"byte 16, got 10")
 
 
+def test_idx_header_larger_than_any_file_is_one_line_error(tmp_path, capsys):
+    images, labels = tmp_path / "images.idx3", tmp_path / "labels.idx1"
+    images.write_bytes(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3)
+                       + bytes(10))
+    labels.write_bytes(struct.pack(">II", 0x801, 60) + bytes(60))
+    assert main(["run", "--data", f"idx:{images},{labels}",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    _one_line_error(capsys, f"{images}: truncated, wanted "
+                            f"{0xFFFFFFFF ** 3} bytes at byte 16, got 10")
+
+
 def test_run_checks_its_output_directory_before_running(tmp_path, capsys,
                                                         monkeypatch):
     monkeypatch.setattr(cli, "run_experiment",

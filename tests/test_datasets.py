@@ -3,9 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from fedsim import datasets
 from fedsim.datasets import (
-    IdxParseError, LabeledDataset, generate_synthetic, load_dataset,
-    parse_source, partition_shards,
+    IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, IdxParseError, LabeledDataset,
+    generate_synthetic, load_dataset, parse_source, partition_shards,
 )
 
 
@@ -55,6 +56,21 @@ class TestIdxParsing:
         img.write_bytes(img.read_bytes()[:-3])
         with pytest.raises(IdxParseError, match="byte 16"):
             load_pair(img, lab)
+
+    @pytest.mark.parametrize("magic,dims", [(IDX_IMAGES_MAGIC, 3),
+                                            (IDX_LABELS_MAGIC, 1)],
+                             ids=["images", "labels"])
+    def test_header_past_the_end_of_the_file(self, tmp_path, magic, dims):
+        # Every size 2**32 - 1: the images claim about 8e28 bytes, more
+        # than a read can even ask for, the labels 4 GiB. Neither is read.
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(f">{1 + dims}I", magic,
+                                     *[0xFFFFFFFF] * dims) + bytes(10))
+        with pytest.raises(IdxParseError) as caught:
+            datasets._load_idx(path, magic, dims)
+        assert str(caught.value) == (
+            f"{path}: truncated, wanted {0xFFFFFFFF ** dims} bytes at byte "
+            f"{4 + 4 * dims}, got 10")
 
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8),

@@ -1,7 +1,6 @@
 import dataclasses
 import struct
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -367,36 +366,17 @@ class TestDeterminism:
 
 
 class TestProjectionDraw:
-    """An FL run draws its projections at its first analog exchange, the
-    uplink's and the downlink's at once when it uses both."""
+    """An FL run draws the projections its analog links use at its first
+    exchange, in one `draw_projections` call; `analog_link`'s
+    `TestConcurrentDraws` holds the tests of that call's pool."""
 
     @staticmethod
     def fl_run(up="analog", down="analog", **kw):
-        # W = 290 weights and 2T = 2000 rows.
+        # W = 290 weights and 2T = 2000 rows unless channel_uses is given.
+        kw = dict(dict(channel_uses=1000, model="mlp:32"), **kw)
         return _Run(small_config(protocol="fl", uplink_mode=up,
-                                 downlink_mode=down, channel_uses=1000,
-                                 model="mlp:32", global_iterations=1, **kw))
-
-    def test_concurrent_draws_equal_lone_draws(self, started, monkeypatch):
-        run = self.fl_run()
-        alone = [ProjectionMatrix(p.rows, p.cols, p.seed).matrix
-                 for p in (run.proj_up, run.proj_down)]
-        draw = analog_link.draw_projection
-
-        def slow_in_helper(rows, cols, seed):
-            if threading.current_thread() in started:
-                time.sleep(0.2)  # still drawing when the caller is done
-            return draw(rows, cols, seed)
-
-        monkeypatch.setattr(analog_link, "draw_projection", slow_in_helper)
-        run._draw_projections()
-        assert len(started) == 1 and not started[0].is_alive()
-        monkeypatch.setattr(analog_link, "draw_projection",
-                            lambda *a: pytest.fail("drawn again"))
-        for proj, matrix in zip((run.proj_up, run.proj_down), alone):
-            assert matrix.shape == (2000, run.dim)
-            assert np.array_equal(proj.matrix, matrix)
-        assert not np.array_equal(alone[0], alone[1])
+                                 downlink_mode=down, global_iterations=1,
+                                 **kw))
 
     def test_nothing_is_drawn_during_set_up(self, monkeypatch):
         monkeypatch.setattr(analog_link, "draw_projection",
@@ -404,15 +384,74 @@ class TestProjectionDraw:
         run = self.fl_run()
         assert run.undrawn == [run.proj_up, run.proj_down]
 
+    @pytest.mark.parametrize("up,down", [
+        ("analog", "analog"), ("analog", "digital"),
+        ("digital", "analog"), ("digital", "digital")])
+    def test_the_first_exchange_draws_each_projection_once(
+            self, monkeypatch, up, down):
+        run = self.fl_run(up, down)
+        want = [proj for proj, mode in ((run.proj_up, up),
+                                        (run.proj_down, down))
+                if mode == "analog"]
+        assert run.undrawn == want
+        calls, seeds = [], []
+        draw_all = orchestrator.draw_projections
+        draw = analog_link.draw_projection
+
+        def counted_all(projections):
+            calls.append(list(projections))
+            draw_all(projections)
+
+        def counted(rows, cols, seed):
+            seeds.append(seed)
+            return draw(rows, cols, seed)
+
+        monkeypatch.setattr(orchestrator, "draw_projections", counted_all)
+        monkeypatch.setattr(analog_link, "draw_projection", counted)
+        run.step(1)
+        run.step(2)
+        assert calls == ([want] if want else [])
+        assert seeds == [proj.seed for proj in want]
+        assert run.undrawn == []
+
     @pytest.mark.parametrize("up,down,threads", [
-        ("analog", "analog", 1), ("analog", "digital", 0),
-        ("digital", "analog", 0), ("digital", "digital", 0)])
+        ("analog", "digital", 0), ("digital", "analog", 0),
+        ("digital", "digital", 0)])
     def test_step_leaves_no_thread_behind(self, started, up, down, threads):
         run = self.fl_run(up, down)
         before = threading.active_count()
         run.step(1)
         assert threading.active_count() == before
         assert len(started) == threads and run.undrawn == []
+
+    def test_an_analog_mix_sized_step_starts_no_thread(self, started,
+                                                       use_cpus):
+        # Two 200 x 1362 projections (T = 100, W = 1362), about 1 MiB
+        # each: below the pool's threshold, drawn and decoded in turn.
+        run = self.fl_run(channel_uses=100, model="mlp:32,16",
+                          data="synthetic:classes=2,dim=24")
+        assert (run.proj_up.rows, run.dim) == (200, 1362)
+        use_cpus(2)
+        run.step(1)
+        assert started == [] and run.undrawn == []
+
+    def test_one_cpu_draws_an_8_mib_pair_in_the_calling_thread(
+            self, started, use_cpus, monkeypatch):
+        # 2T = 7232 rows of W = 290: just over 8 MiB each.
+        run = self.fl_run(channel_uses=3616)
+        assert run.proj_up.nbytes >= analog_link._PARALLEL_BYTES
+        callers = []
+        draw = analog_link.draw_projection
+
+        def counted(rows, cols, seed):
+            callers.append(threading.current_thread())
+            return draw(rows, cols, seed)
+
+        monkeypatch.setattr(analog_link, "draw_projection", counted)
+        use_cpus(1)
+        run.step(1)
+        assert callers == [threading.current_thread()] * 2
+        assert started == []
 
     @pytest.mark.parametrize("protocol", ["il", "fd", "hfd"])
     def test_runs_without_weight_projections_start_no_thread(
@@ -425,26 +464,6 @@ class TestProjectionDraw:
         run = self.fl_run(ideal_exchange=True)
         run.step(1)
         assert started == []
-
-    def test_helper_error_is_raised_by_step(self, started, monkeypatch):
-        run = self.fl_run()
-        draw = analog_link.draw_projection
-        failed = []
-
-        def failing(rows, cols, seed):
-            # Once only: a later lazy draw would succeed, so the error must
-            # come from the helper.
-            if seed == run.proj_down.seed and not failed:
-                failed.append(threading.current_thread())
-                raise RuntimeError("draw failed")
-            return draw(rows, cols, seed)
-
-        monkeypatch.setattr(analog_link, "draw_projection", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="draw failed"):
-            run.step(1)
-        assert failed == started and not started[0].is_alive()
-        assert threading.active_count() == before
 
 
 class TestProtocolsRun:
