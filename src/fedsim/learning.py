@@ -5,11 +5,11 @@ The model is a small rectifier network over a flat weight vector, trained
 by plain SGD. Besides the usual cross-entropy there is a distillation term:
 the cross entropy between the local prediction and the probability vector
 of an exchanged logit row, mixed in with a configurable weight. Per-label
-averages (of logits or covariates) and their leave-one-out counterparts are
-the quantities the distillation protocols exchange. They are plain arrays: a
-logit table is (L, L) with a zero row for an absent label, and HFD's mixed-up
-covariates are a small batch of pseudo-samples, one per label that has one,
-trained on by `sgd_step` like any other batch.
+averages (of logits or covariates) are the quantities the distillation
+protocols exchange; their leave-one-out counterparts, the targets, are
+computed in `orchestrator._target`. They are plain arrays: a logit table is
+(L, L) with a zero row for an absent label, and HFD's mixed-up covariates
+are a small batch of pseudo-samples, one per label that has one.
 """
 
 from dataclasses import dataclass
@@ -57,14 +57,10 @@ class MlpArchitecture:
 
 def init_weights(arch: MlpArchitecture, rng: np.random.Generator) -> np.ndarray:
     """Gaussian fan-in initialization for the matrices, zeros for biases."""
-    chunks = []
-    sizes = arch.layer_sizes
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        chunks.append(rng.standard_normal(fan_in * fan_out)
-                      / np.sqrt(fan_in))
-        chunks.append(np.zeros(fan_out))
-    return np.concatenate(chunks)
+    w = np.zeros(arch.param_count)
+    for mat, _ in _unpack(w, arch):
+        mat[...] = rng.standard_normal(mat.shape) / np.sqrt(mat.shape[0])
+    return w
 
 
 def _unpack(w: np.ndarray, arch: MlpArchitecture):
@@ -84,14 +80,25 @@ def _unpack(w: np.ndarray, arch: MlpArchitecture):
     return layers
 
 
+def _forward(layers, x):
+    """(inputs, logits): the input of every layer, `x` first, and the
+    logits of the batch `x` under the (matrix, bias) `layers`."""
+    inputs = [x]
+    for mat, bias in layers[:-1]:
+        act = inputs[-1] @ mat
+        act += bias
+        np.maximum(act, 0.0, out=act)
+        inputs.append(act)
+    mat, bias = layers[-1]
+    logits = inputs[-1] @ mat
+    logits += bias
+    return inputs, logits
+
+
 def forward_logits_batch(w: np.ndarray, covariates: np.ndarray,
                          arch: MlpArchitecture) -> np.ndarray:
-    layers = _unpack(np.asarray(w, dtype=np.float64), arch)
-    activation = np.asarray(covariates, dtype=np.float64)
-    for mat, bias in layers[:-1]:
-        activation = np.maximum(activation @ mat + bias, 0.0)
-    mat, bias = layers[-1]
-    return activation @ mat + bias
+    return _forward(_unpack(np.asarray(w, dtype=np.float64), arch),
+                    np.asarray(covariates, dtype=np.float64))[1]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -108,47 +115,34 @@ def _log_targets(target_rows: np.ndarray) -> np.ndarray:
 
 
 def _layer_loss_grads(layers, grads, covariates, onehot, log_targets,
-                      reg_weight, need_loss=True):
-    """Batch-mean loss, with its gradient written into `grads` (hot path).
+                      reg_weight):
+    """Write the gradient of the batch-mean loss into `grads` (hot path).
+
+    The loss per sample is
+        (1 - reg_weight) * ce(onehot, prediction)
+        + reg_weight * ce(prediction, softmax(target_row)),
+    where target_row is that sample's exchanged logit row. With no targets
+    this is plain cross-entropy training.
 
     `layers` and `grads` are the (matrix, bias) views `_unpack` gives of the
     weights and of a gradient buffer laid out like them. `onehot` holds the
     batch's one-hot label rows and `log_targets` the matching rows of
     `_log_targets(target table)`, or None for plain cross-entropy. The
     logits are turned into probabilities and then into the output delta in
-    place. Returns the loss, or None unless `need_loss`.
+    place.
     """
     n = covariates.shape[0]
-    activations = [covariates]
-    act = covariates
-    for mat, bias in layers[:-1]:
-        act = act @ mat
-        act += bias
-        np.maximum(act, 0.0, out=act)
-        activations.append(act)
-    mat, bias = layers[-1]
+    inputs, probs = _forward(layers, covariates)
     # The in-place steps below repeat softmax() and the textbook delta
     # expressions operation by operation; reordering them changes the last
     # bits of the weights and, through them, the metrics CSVs.
-    probs = act @ mat
-    probs += bias
     probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=1, keepdims=True)
-
-    loss = None
-    if need_loss:
-        ce_local = -np.log(np.clip((probs * onehot).sum(axis=1), PROB_FLOOR,
-                                   None))
     if log_targets is None:
-        if need_loss:
-            loss = float(ce_local.mean())
         probs -= onehot
     else:
         weighted = np.add.reduce(probs * log_targets, axis=1, keepdims=True)
-        if need_loss:
-            loss = float(((1.0 - reg_weight) * ce_local
-                          - reg_weight * weighted[:, 0]).mean())
         # d/ds of -sum_l p_l log b_l is p * (sum_l p_l log b_l - log b).
         d_distill = weighted - log_targets
         d_distill *= probs
@@ -161,39 +155,49 @@ def _layer_loss_grads(layers, grads, covariates, onehot, log_targets,
     delta = probs
     for i in range(len(layers) - 1, -1, -1):
         gmat, gbias = grads[i]
-        np.matmul(activations[i].T, delta, out=gmat)
+        np.matmul(inputs[i].T, delta, out=gmat)
         np.add.reduce(delta, axis=0, out=gbias)
         if i > 0:
             delta = delta @ layers[i][0].T
-            delta *= activations[i] > 0.0
-    return loss
+            delta *= inputs[i] > 0.0
 
 
-def loss_and_gradient(w: np.ndarray, covariates: np.ndarray,
-                      labels: np.ndarray, arch: MlpArchitecture,
-                      target_rows: np.ndarray | None = None,
-                      reg_weight: float = 0.0):
-    """Batch-mean loss and its exact gradient with respect to flat weights.
-
-    The loss per sample is
-        (1 - reg_weight) * ce(onehot, prediction)
-        + reg_weight * ce(prediction, softmax(target_row)),
-    where target_row is that sample's exchanged logit row. With no targets
-    (or reg_weight 0) this is plain cross-entropy training.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    covariates = np.asarray(covariates, dtype=np.float64)
+def _pass(covariates, labels, arch, target_table, reg_weight):
+    """(covariates, one-hot rows, log-target rows) of a batch, as `_descend`
+    takes them. The log-target rows are None, for plain cross-entropy,
+    unless a table is given and reg_weight > 0."""
     labels = np.asarray(labels, dtype=np.int64)
     log_targets = None
-    if target_rows is not None and reg_weight != 0.0:
-        log_targets = _log_targets(target_rows)
+    if target_table is not None and reg_weight > 0.0:
+        log_targets = _log_targets(target_table)[labels]
+    return (np.asarray(covariates, dtype=np.float64),
+            np.eye(arch.num_classes)[labels], log_targets)
+
+
+def _descend(w, arch, alpha, reg_weight, passes, batch_size):
+    """SGD from a copy of `w` over each `_pass` triple of `passes` in turn,
+    in contiguous minibatches of `batch_size` rows; the one place where
+    weights are stepped.
+
+    The copy is trained in place, and every gradient lands in one flat
+    buffer of the same layout, so a step ends in `grad *= alpha; w -= grad`,
+    bit for bit `w - alpha * grad`.
+    """
+    w = np.array(w, dtype=np.float64)
     grad = np.empty(w.shape)
-    loss = _layer_loss_grads(_unpack(w, arch), _unpack(grad, arch),
-                             covariates, np.eye(arch.num_classes)[labels],
-                             log_targets, reg_weight)
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-        raise ValueError("non-finite loss or gradient")
-    return loss, grad
+    layers, grads = _unpack(w, arch), _unpack(grad, arch)
+    for covariates, onehot, log_targets in passes:
+        for start in range(0, len(covariates), batch_size):
+            stop = start + batch_size
+            _layer_loss_grads(
+                layers, grads, covariates[start:stop], onehot[start:stop],
+                None if log_targets is None else log_targets[start:stop],
+                reg_weight)
+            grad *= alpha
+            w -= grad
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite weights after SGD")
+    return w
 
 
 def sgd_step(w: np.ndarray, batch, alpha: float, arch: MlpArchitecture,
@@ -203,13 +207,11 @@ def sgd_step(w: np.ndarray, batch, alpha: float, arch: MlpArchitecture,
     if alpha < 0:
         raise ValueError("step size must be non-negative")
     covariates, labels = batch
-    target_rows = None
-    if target_table is not None and reg_weight > 0.0:
-        target_rows = np.asarray(target_table)[np.asarray(labels, dtype=np.int64)]
-    _, grad = loss_and_gradient(w, covariates, labels, arch,
-                                target_rows=target_rows,
-                                reg_weight=reg_weight)
-    return w - alpha * grad
+    if len(labels) == 0:
+        raise ValueError("SGD step on an empty batch")
+    return _descend(w, arch, alpha, reg_weight,
+                    [_pass(covariates, labels, arch, target_table,
+                           reg_weight)], len(labels))
 
 
 def run_local_epochs(w: np.ndarray, data: LabeledDataset, alpha: float,
@@ -220,36 +222,18 @@ def run_local_epochs(w: np.ndarray, data: LabeledDataset, alpha: float,
     """Minibatch SGD over the local shard for a number of epochs.
 
     Bit-identical to `sgd_step` over the minibatches of each epoch's
-    `rng.permutation(n)`, with less work per step: one flat copy of the
-    weights is trained in place, and every gradient lands in one flat buffer
-    of the same layout, so a step ends in a single `w -= alpha * grad`. The
-    log-targets are computed once per call; each epoch gathers covariates,
-    one-hot labels and log-target rows in shuffled order once and slices
-    contiguous minibatches from them.
+    `rng.permutation(len(data))`. The log-targets are computed once per
+    call; each epoch gathers covariates, one-hot labels and log-target rows
+    in shuffled order once, and `_descend` slices contiguous minibatches
+    from them.
     """
-    n = len(data)
-    w = np.array(w, dtype=np.float64)
-    grad = np.empty(w.shape)
-    layers, grads = _unpack(w, arch), _unpack(grad, arch)
-    onehot = np.eye(arch.num_classes)[data.labels]
-    log_targets = None
-    if target_table is not None and reg_weight > 0.0:
-        log_targets = _log_targets(target_table)[data.labels]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        covariates, labels = data.covariates[order], onehot[order]
-        targets = None if log_targets is None else log_targets[order]
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            _layer_loss_grads(layers, grads, covariates[start:stop],
-                              labels[start:stop],
-                              None if targets is None else targets[start:stop],
-                              reg_weight, need_loss=False)
-            grad *= alpha
-            w -= grad
-    if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite weights after local training")
-    return w
+    covariates, onehot, log_targets = _pass(data.covariates, data.labels,
+                                            arch, target_table, reg_weight)
+    orders = (rng.permutation(len(data)) for _ in range(epochs))
+    passes = ((covariates[order], onehot[order],
+               None if log_targets is None else log_targets[order])
+              for order in orders)
+    return _descend(w, arch, alpha, reg_weight, passes, batch_size)
 
 
 def label_means(rows: np.ndarray, labels: np.ndarray, num_labels: int):
@@ -280,19 +264,20 @@ def average_logits(w: np.ndarray, data: LabeledDataset, sample_size: int,
 
 def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,
                      labels: np.ndarray, target_table: np.ndarray,
-                     alpha: float, arch: MlpArchitecture,
+                     alpha: float, arch: MlpArchitecture, steps: int,
                      reg_weight: float = 0.5) -> np.ndarray:
-    """One SGD step distilling at the mixed-up covariates.
+    """`steps` SGD steps distilling at the mixed-up covariates.
 
     Each row of `covariates` is one pseudo-sample with its entry of
     `labels`, regularized toward that label's row of the (L, L) exchanged
-    `target_table` exactly as in the regular distillation loss. An empty
+    `target_table` exactly as in the regular distillation loss; each step
+    takes the whole pseudo-batch, bit for bit one `sgd_step`. An empty
     batch leaves `w` as it is.
     """
     if len(labels) == 0:
         return w
-    return sgd_step(w, (covariates, labels), alpha, arch,
-                    target_table=target_table, reg_weight=reg_weight)
+    batch = _pass(covariates, labels, arch, target_table, reg_weight)
+    return _descend(w, arch, alpha, reg_weight, [batch] * steps, len(labels))
 
 
 def evaluate_accuracy(w: np.ndarray, test: LabeledDataset,

@@ -269,10 +269,7 @@ class _Run:
         pool = load_dataset(cfg.data, pool_needed, data_rng)
         self.shards, remainder = partition_shards(
             pool, cfg.num_devices, cfg.samples_per_device, data_rng)
-        if len(remainder) < 1:
-            raise ConfigurationError("no samples left over for the test set")
-        take = min(cfg.test_samples, len(remainder))
-        self.test = remainder.subset(np.arange(take))
+        self.test = remainder.subset(np.arange(cfg.test_samples))
         self.num_labels = pool.num_classes
         self.arch = MlpArchitecture.from_descriptor(cfg.model, pool.dim,
                                                     self.num_labels)
@@ -344,11 +341,10 @@ class _Run:
             rng = streams.derive_rng(cfg.master_seed, streams.TRAIN, k,
                                      iteration)
             if cfg.protocol == "hfd" and self.has_target[k]:
-                for _ in range(cfg.hfd_distill_steps):
-                    self.weights[k] = hfd_distill_step(
-                        self.weights[k], *self.pseudo_batches[k],
-                        self.targets[k], cfg.alpha, self.arch,
-                        reg_weight=cfg.reg_weight)
+                self.weights[k] = hfd_distill_step(
+                    self.weights[k], *self.pseudo_batches[k],
+                    self.targets[k], cfg.alpha, self.arch,
+                    cfg.hfd_distill_steps, reg_weight=cfg.reg_weight)
             fd = cfg.protocol == "fd" and self.has_target[k]
             self.weights[k] = run_local_epochs(
                 self.weights[k], self.shards[k], cfg.alpha, cfg.local_epochs,

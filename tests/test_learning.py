@@ -5,9 +5,9 @@ import pytest
 
 from fedsim.datasets import LabeledDataset
 from fedsim.learning import (
-    MlpArchitecture, average_logits, evaluate_accuracy, forward_logits_batch,
-    hfd_distill_step, init_weights, label_means, loss_and_gradient,
-    run_local_epochs, sgd_step, softmax,
+    PROB_FLOOR, MlpArchitecture, _layer_loss_grads, _unpack, average_logits,
+    evaluate_accuracy, forward_logits_batch, hfd_distill_step, init_weights,
+    label_means, run_local_epochs, sgd_step, softmax,
 )
 from fedsim.orchestrator import _target
 
@@ -23,6 +23,30 @@ def small_fixture(seed=0, n=6):
     covariates = gen.uniform(0, 1, (n, 3))
     labels = gen.integers(0, 2, n)
     return arch, w, covariates, labels, gen
+
+
+def loss_and_gradient(w, covariates, labels, arch, target_rows=None,
+                      reg_weight=0.0):
+    """Batch-mean loss and the training kernel's gradient of it.
+
+    The loss per sample is
+        (1 - reg_weight) * ce(onehot, prediction)
+        + reg_weight * ce(prediction, softmax(target_row)),
+    computed from `forward_logits_batch` and `softmax`, independent of the
+    kernel, so that finite differences of it check the kernel's gradient.
+    """
+    probs = softmax(forward_logits_batch(w, covariates, arch))
+    onehot = np.eye(arch.num_classes)[labels]
+    loss = -np.log(np.clip((probs * onehot).sum(axis=1), PROB_FLOOR, None))
+    log_targets = None
+    if target_rows is not None and reg_weight != 0.0:
+        log_targets = np.log(np.clip(softmax(target_rows), PROB_FLOOR, None))
+        loss = ((1.0 - reg_weight) * loss
+                - reg_weight * (probs * log_targets).sum(axis=1))
+    grad = np.empty(w.shape)
+    _layer_loss_grads(_unpack(w, arch), _unpack(grad, arch), covariates,
+                      onehot, log_targets, reg_weight)
+    return float(loss.mean()), grad
 
 
 def finite_difference_gradient(loss_fn, w, h=1e-6):
@@ -160,10 +184,27 @@ class TestGradients:
 
             alpha = 0.01
             stepped = hfd_distill_step(w, covariates, labels, tgt, alpha,
-                                       arch, reg_weight=0.5)
+                                       arch, 1, reg_weight=0.5)
             fd = finite_difference_gradient(loss, w)
             np.testing.assert_allclose(stepped, w - alpha * fd,
                                        rtol=1e-4, atol=1e-10)
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.5])
+    def test_sgd_step_is_w_minus_alpha_grad(self, reg_weight):
+        arch, w, covariates, labels, gen = small_fixture(seed=32)
+        table = gen.standard_normal((2, 2))
+        _, grad = loss_and_gradient(w, covariates, labels, arch,
+                                    target_rows=table[labels],
+                                    reg_weight=reg_weight)
+        np.testing.assert_array_equal(
+            sgd_step(w, (covariates, labels), 0.1, arch, target_table=table,
+                     reg_weight=reg_weight),
+            w - 0.1 * grad)
+
+    def test_empty_batch_rejected(self):
+        arch, w, _, _, _ = small_fixture(seed=33)
+        with pytest.raises(ValueError, match="empty batch"):
+            sgd_step(w, (np.zeros((0, 3)), np.zeros(0, dtype=int)), 0.1, arch)
 
     def test_zero_step_size_is_identity(self):
         arch, w, covariates, labels, _ = small_fixture(seed=30)
@@ -287,30 +328,51 @@ class TestHfdDistill:
         tgt = gen.standard_normal((2, 2))
         np.testing.assert_array_equal(
             hfd_distill_step(w, gen.uniform(0, 1, (2, 3)), np.array([0, 1]),
-                             tgt, 0.0, arch), w)
+                             tgt, 0.0, arch, 3), w)
 
     def test_empty_batch_noop(self):
         gen = np.random.default_rng(61)
         arch = small_arch()
         w = init_weights(arch, gen)
         out = hfd_distill_step(w, np.zeros((0, 3)), np.zeros(0, dtype=int),
-                               np.zeros((2, 2)), 0.1, arch)
+                               np.zeros((2, 2)), 0.1, arch, 3)
         np.testing.assert_array_equal(out, w)
 
-    def test_is_one_sgd_step_on_the_pseudo_batch(self):
-        # Bit for bit the explicit step w - alpha * grad, with each
-        # pseudo-sample regularized toward its label's row of the table.
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.5])
+    @pytest.mark.parametrize("steps", [1, 3, 8])
+    def test_equals_chained_sgd_steps(self, steps, reg_weight):
+        # Bit for bit `steps` explicit steps on the whole pseudo-batch, each
+        # pseudo-sample regularized toward its label's row of the table;
+        # label 1 has no pseudo-sample.
         gen = np.random.default_rng(62)
+        arch = MlpArchitecture((3, 4, 3))
+        w = init_weights(arch, gen)
+        covariates = gen.uniform(0, 1, (2, 3))
+        labels = np.array([2, 0])
+        tgt = gen.standard_normal((3, 3))
+        expected = w
+        for _ in range(steps):
+            expected = sgd_step(expected, (covariates, labels), 0.1, arch,
+                                target_table=tgt, reg_weight=reg_weight)
+        out = hfd_distill_step(w, covariates, labels, tgt, 0.1, arch, steps,
+                               reg_weight=reg_weight)
+        assert not np.array_equal(out, w)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_divergence_raises(self):
+        # The same diverging steps, taken at once and one by one.
+        gen = np.random.default_rng(63)
         arch = small_arch()
         w = init_weights(arch, gen)
-        covariates = gen.uniform(0, 1, (1, 3))
-        labels = np.array([1])
+        batch = (gen.uniform(0, 1, (2, 3)), np.array([0, 1]))
         tgt = gen.standard_normal((2, 2))
-        _, grad = loss_and_gradient(w, covariates, labels, arch,
-                                    target_rows=tgt[labels], reg_weight=0.5)
-        np.testing.assert_array_equal(
-            hfd_distill_step(w, covariates, labels, tgt, 0.1, arch),
-            w - 0.1 * grad)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite weights"):
+                hfd_distill_step(w, *batch, tgt, 1e300, arch, 4)
+            with pytest.raises(ValueError, match="non-finite weights"):
+                for _ in range(4):
+                    w = sgd_step(w, batch, 1e300, arch, target_table=tgt,
+                                 reg_weight=0.5)
 
 
 class TestEvaluateAccuracy:
@@ -407,5 +469,5 @@ class TestLocalEpochsKernel:
         arch, w, covariates, labels, _ = small_fixture(seed=94)
         covariates[2, 1] = np.inf
         with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match="non-finite loss"):
-            loss_and_gradient(w, covariates, labels, arch)
+                pytest.raises(ValueError, match="non-finite weights"):
+            sgd_step(w, (covariates, labels), 0.1, arch)
