@@ -1,7 +1,9 @@
 """Command-line front end: run one experiment or a sweep grid.
 
 Both commands read the settings format described in
-`fedsim.orchestrator.parse_settings`.
+`fedsim.orchestrator.parse_settings`. Each value flag of `fedsim run` is
+one settings value, read as a settings line reads it: `--pd-db pu+10`
+means `pd_db = pu+10`.
 """
 
 import argparse
@@ -11,8 +13,22 @@ import sys
 from .datasets import IdxParseError
 from .errors import ConfigurationError
 from .orchestrator import (
-    LINK_CODES, PROTOCOLS, ExperimentConfig, expand_settings, parse_settings,
+    PROTOCOLS, ExperimentConfig, expand_settings, parse_settings, parse_value,
     run_experiment, write_metrics,
+)
+
+# The value flags of `fedsim run`: (flag, settings key, help).
+_RUN_FLAGS = (
+    ("--protocol", "protocol", "/".join(PROTOCOLS)),
+    ("--link", "link", "dd, da, ad or aa: uplink then downlink mode, "
+                       "d = digital, a = analog"),
+    ("--T", "channel_uses", "channel uses per direction, an integer"),
+    ("--pu-db", "pu_db", "uplink SNR in dB"),
+    ("--pd-db", "pd_db", "downlink SNR in dB, or pu+<offset>"),
+    ("--k", "num_devices", "number of devices"),
+    ("--iters", "global_iterations", "global iterations"),
+    ("--seed", "master_seed", "master seed"),
+    ("--data", "data", "synthetic[:opts] or idx:<images>,<labels>"),
 )
 
 
@@ -20,7 +36,7 @@ def _read_settings(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             text = f.read()
     except OSError as exc:
         raise ConfigurationError(
@@ -36,11 +52,15 @@ def _run_to_csv(config: ExperimentConfig, path) -> float:
 
 
 def cmd_run(args) -> int:
-    configs = expand_settings(
-        _read_settings(args.config), protocol=args.protocol,
-        link=LINK_CODES.get(args.link), channel_uses=args.T, pu_db=args.pu_db,
-        pd_db=args.pd_db, num_devices=args.k, global_iterations=args.iters,
-        master_seed=args.seed, data=args.data)
+    settings = _read_settings(args.config)
+    for flag, key, _ in _RUN_FLAGS:
+        raw = getattr(args, key)
+        if raw is not None:
+            try:
+                settings[key] = [parse_value(key, raw)]
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{flag}: {exc}") from None
+    configs = expand_settings(settings)
     if len(configs) != 1:
         raise ConfigurationError(
             f"the settings describe {len(configs)} runs; fedsim run takes "
@@ -89,25 +109,20 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim",
-        description="cooperative training over simulated fading channels")
+        description="cooperative training over simulated fading channels",
+        epilog="Settings files hold `key = v1, v2, ...` lines; the keys are "
+               "the fields of fedsim.orchestrator.ExperimentConfig plus "
+               "`link`, and `pd_db = pu+<offset>` follows pu_db.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one experiment and write a CSV")
-    run.add_argument("--protocol", choices=PROTOCOLS)
-    run.add_argument("--link", choices=tuple(LINK_CODES),
-                     help="uplink/downlink modes, e.g. da = digital up, "
-                          "analog down")
-    run.add_argument("--T", type=int, dest="T",
-                     help="channel uses per direction")
-    run.add_argument("--pu-db", type=float, dest="pu_db")
-    run.add_argument("--pd-db", type=float, dest="pd_db")
-    run.add_argument("--k", type=int, help="number of devices")
-    run.add_argument("--iters", type=int, help="global iterations")
-    run.add_argument("--seed", type=int, help="master seed")
-    run.add_argument("--data",
-                     help="synthetic[:opts] or idx:<images>,<labels>")
+    run = sub.add_parser(
+        "run", help="run one experiment and write a CSV",
+        description="Each value flag is one settings line: --T 20 is "
+                    "channel_uses = 20, --pd-db pu+10 is pd_db = pu+10.")
+    for flag, key, text in _RUN_FLAGS:
+        run.add_argument(flag, dest=key, metavar=key, help=text)
     run.add_argument("--config",
-                     help="settings file with one value per key; flags "
+                     help="settings file of key = value lines; flags "
                           "override")
     run.add_argument("--out", required=True, help="output CSV path")
     run.set_defaults(func=cmd_run)

@@ -107,9 +107,8 @@ def _read_idx_pair(images_path, labels_path):
 
 
 def generate_synthetic(num_classes: int, dim: int, count: int,
-                       rng: np.random.Generator, noise: float = 0.18,
-                       spread: float = 0.25,
-                       flip: float = 0.0) -> LabeledDataset:
+                       rng: np.random.Generator, *, noise: float,
+                       spread: float, flip: float) -> LabeledDataset:
     """Gaussian class clusters with centers spread inside the unit box.
 
     `flip` relabels that fraction of samples uniformly at random, modelling

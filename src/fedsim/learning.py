@@ -265,7 +265,7 @@ def average_logits(w: np.ndarray, data: LabeledDataset, sample_size: int,
 def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,
                      labels: np.ndarray, target_table: np.ndarray,
                      alpha: float, arch: MlpArchitecture, steps: int,
-                     reg_weight: float = 0.5) -> np.ndarray:
+                     reg_weight: float) -> np.ndarray:
     """`steps` SGD steps distilling at the mixed-up covariates.
 
     Each row of `covariates` is one pseudo-sample with its entry of

@@ -542,7 +542,8 @@ class PuOffset:
     db: float
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """Read one settings value of `key` (a field name or `link`) from text."""
     if key == "link":
         if raw not in LINK_CODES:
             raise ConfigurationError(f"unknown link code {raw!r}; pick one of "
@@ -613,24 +614,22 @@ def parse_settings(text: str) -> dict:
             seen[name] = number
         pieces = [raw] if key in ("data", "model") else raw.split(",")
         try:
-            settings[key] = [_parse_value(key, p.strip()) for p in pieces]
+            settings[key] = [parse_value(key, p.strip()) for p in pieces]
         except ConfigurationError as exc:
             raise ConfigurationError(f"line {number}: {exc}") from None
     return settings
 
 
-def expand_settings(settings: dict, **overrides) -> list[ExperimentConfig]:
+def expand_settings(settings: dict) -> list[ExperimentConfig]:
     """The ExperimentConfig of every point of the settings' cross product.
 
-    An override that is not None replaces its key's values; `link` takes a
-    (uplink_mode, downlink_mode) pair and wins over either mode. Every
-    config is built, and so validated, before the list is returned.
+    A `link` value, an (uplink_mode, downlink_mode) pair, wins over either
+    mode. Every config is built, and so validated, before the list is
+    returned.
     """
-    grid = {**settings,
-            **{k: [v] for k, v in overrides.items() if v is not None}}
     configs = []
-    for combo in itertools.product(*grid.values()):
-        point = dict(zip(grid, combo))
+    for combo in itertools.product(*settings.values()):
+        point = dict(zip(settings, combo))
         if "link" in point:
             point["uplink_mode"], point["downlink_mode"] = point.pop("link")
         pd = point.get("pd_db")

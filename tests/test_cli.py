@@ -52,6 +52,47 @@ def test_run_config_pd_offset_follows_pu_flag(tmp_path):
     assert {(r.pu_db, r.pd_db) for r in read_metrics(out)} == {(-4.0, 6.0)}
 
 
+# A run of two distillation devices over 20 channel uses; each case of the
+# next test takes its key out and sets it by a flag or by a settings line.
+BASE = SMALL + "protocol = fd\nchannel_uses = 20\npu_db = -3\n"
+
+
+@pytest.mark.parametrize("flag,key,raw", [
+    ("--protocol", "protocol", "hfd"), ("--link", "link", "ad"),
+    ("--T", "channel_uses", "30"), ("--pu-db", "pu_db", "2.5"),
+    ("--pd-db", "pd_db", "pu+10"), ("--k", "num_devices", "3"),
+    ("--iters", "global_iterations", "2"), ("--seed", "master_seed", "7"),
+    ("--data", "data", "synthetic:classes=3,dim=5"),
+])
+def test_each_flag_is_its_settings_line(tmp_path, flag, key, raw):
+    base = "".join(line + "\n" for line in BASE.splitlines()
+                   if not line.startswith(key + " "))
+    (tmp_path / "base.cfg").write_text(base)
+    (tmp_path / "line.cfg").write_text(base + f"{key} = {raw}\n")
+
+    def run(config, *flags):
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(tmp_path / config), *flags,
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    flagged = run("base.cfg", flag, raw)
+    assert flagged == run("line.cfg")
+    assert flagged != run("base.cfg")
+
+
+def test_settings_file_may_start_with_a_bom(tmp_path):
+    text = SMALL + "protocol = fd\nchannel_uses = 20\n"
+    (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.cfg").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    for name in ("plain", "bom"):
+        assert main(["run", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == \
+        (tmp_path / "plain.csv").read_bytes()
+
+
 def test_sweep_writes_one_csv_per_grid_point(tmp_path):
     grid = tmp_path / "grid.txt"
     grid.write_text("protocol = il, fl\nlink = dd, aa\nchannel_uses = 20\n"
@@ -74,8 +115,8 @@ def test_configuration_error_is_one_line_with_status_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["run", "--k", "0", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("fedsim: error: num_devices must be an integer "
-                            ">= 1, got 0\n")
+    assert captured.err == ("fedsim: error: --k: num_devices must be an "
+                            "integer >= 1, got 0\n")
     assert captured.out == ""
     assert not out.exists()
 
@@ -274,16 +315,27 @@ def test_degenerate_idx_pair_is_one_line_error(tmp_path, capsys, count,
 
 
 @pytest.mark.parametrize("args,message", [
-    (["--pu-db", "4000"], "pu_db must be a finite dB value in [-300, 300], "
-                          "got 4000.0"),
+    (["--pu-db", "4000"], "--pu-db: pu_db must be a finite dB value in "
+                          "[-300, 300], got 4000.0"),
     (["--protocol", "fl", "--link", "aa", "--T", "20", "--pu-db", "3070"],
-     "pu_db must be a finite dB value in [-300, 300], got 3070.0"),
+     "--pu-db: pu_db must be a finite dB value in [-300, 300], got 3070.0"),
     (["--link", "da", "--pu-db", "3000", "--pd-db", "3000"],
-     "pu_db must be a finite dB value in [-300, 300], got 3000.0"),
-    (["--pd-db=-1e9"], "pd_db must be a finite dB value in [-300, 300], "
-                       "got -1000000000.0"),
+     "--pu-db: pu_db must be a finite dB value in [-300, 300], got 3000.0"),
+    (["--pd-db=-1e9"], "--pd-db: pd_db must be a finite dB value in "
+                       "[-300, 300], got -1000000000.0"),
 ], ids=["il-4000", "fl-aa-3070", "il-da-3000", "pd-minus-1e9"])
 def test_out_of_range_db_is_one_line_error(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--out", str(out)] + args + COMMON) == 2
+    _one_line_error(capsys, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--T", "1.5"], "--T: channel_uses expects an integer, got '1.5'"),
+    (["--protocol", "bogus"], "--protocol: protocol: unknown value 'bogus'"),
+], ids=["T-1.5", "protocol-bogus"])
+def test_bad_flag_value_is_one_line_error(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"
     assert main(["run", "--out", str(out)] + args + COMMON) == 2
     _one_line_error(capsys, message)

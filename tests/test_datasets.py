@@ -9,6 +9,10 @@ from fedsim.datasets import (
     generate_synthetic, load_dataset, parse_source, partition_shards,
 )
 
+# The noise, spread and flip of a bare "synthetic" descriptor.
+OPTIONS = {key: parse_source("synthetic")[key]
+           for key in ("noise", "spread", "flip")}
+
 
 def write_idx_pair(tmp_path, images, labels):
     images = np.asarray(images, dtype=np.uint8)
@@ -84,13 +88,14 @@ class TestIdxParsing:
 
 class TestSynthetic:
     def test_deterministic(self):
-        a = generate_synthetic(3, 5, 30, np.random.default_rng(42))
-        b = generate_synthetic(3, 5, 30, np.random.default_rng(42))
+        a = generate_synthetic(3, 5, 30, np.random.default_rng(42), **OPTIONS)
+        b = generate_synthetic(3, 5, 30, np.random.default_rng(42), **OPTIONS)
         np.testing.assert_array_equal(a.covariates, b.covariates)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_shapes_and_range(self):
-        data = generate_synthetic(4, 7, 100, np.random.default_rng(1))
+        data = generate_synthetic(4, 7, 100, np.random.default_rng(1),
+                                  **OPTIONS)
         assert data.covariates.shape == (100, 7)
         assert data.covariates.min() >= 0.0 and data.covariates.max() <= 1.0
         assert set(np.unique(data.labels)) <= set(range(4))
@@ -110,7 +115,8 @@ class TestSynthetic:
 
 class TestPartition:
     def test_disjoint_and_sized(self):
-        data = generate_synthetic(3, 4, 100, np.random.default_rng(3))
+        data = generate_synthetic(3, 4, 100, np.random.default_rng(3),
+                                  **OPTIONS)
         # Tag each sample uniquely through its first coordinate.
         covariates = data.covariates.copy()
         covariates[:, 0] = np.arange(100) / 100.0
@@ -124,6 +130,7 @@ class TestPartition:
         assert np.unique(seen).size == 100
 
     def test_too_small_pool(self):
-        data = generate_synthetic(2, 3, 10, np.random.default_rng(5))
+        data = generate_synthetic(2, 3, 10, np.random.default_rng(5),
+                                  **OPTIONS)
         with pytest.raises(ValueError):
             partition_shards(data, 3, 4, np.random.default_rng(6))

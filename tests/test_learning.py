@@ -328,14 +328,15 @@ class TestHfdDistill:
         tgt = gen.standard_normal((2, 2))
         np.testing.assert_array_equal(
             hfd_distill_step(w, gen.uniform(0, 1, (2, 3)), np.array([0, 1]),
-                             tgt, 0.0, arch, 3), w)
+                             tgt, 0.0, arch, 3, reg_weight=0.5), w)
 
     def test_empty_batch_noop(self):
         gen = np.random.default_rng(61)
         arch = small_arch()
         w = init_weights(arch, gen)
         out = hfd_distill_step(w, np.zeros((0, 3)), np.zeros(0, dtype=int),
-                               np.zeros((2, 2)), 0.1, arch, 3)
+                               np.zeros((2, 2)), 0.1, arch, 3,
+                               reg_weight=0.5)
         np.testing.assert_array_equal(out, w)
 
     @pytest.mark.parametrize("reg_weight", [0.0, 0.5])
@@ -368,7 +369,8 @@ class TestHfdDistill:
         tgt = gen.standard_normal((2, 2))
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match="non-finite weights"):
-                hfd_distill_step(w, *batch, tgt, 1e300, arch, 4)
+                hfd_distill_step(w, *batch, tgt, 1e300, arch, 4,
+                                 reg_weight=0.5)
             with pytest.raises(ValueError, match="non-finite weights"):
                 for _ in range(4):
                     w = sgd_step(w, batch, 1e300, arch, target_table=tgt,

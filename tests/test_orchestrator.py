@@ -626,14 +626,16 @@ class TestConfigParsing:
     def test_file_with_overrides(self):
         settings = parse_settings(
             "protocol = fd\nchannel_uses = 99\nmaster_seed = 5\n")
-        [config] = expand_settings(settings, master_seed=11, protocol=None)
+        [config] = expand_settings({**settings, "master_seed": [11]})
         assert config.protocol == "fd"
         assert config.channel_uses == 99
         assert config.master_seed == 11
 
     def test_pd_offset_tracks_pu(self):
         def pd(text, **overrides):
-            [config] = expand_settings(parse_settings(text), **overrides)
+            [config] = expand_settings(
+                {**parse_settings(text),
+                 **{key: [value] for key, value in overrides.items()}})
             return config.pd_db
 
         text = "pu_db = 3\npd_db = pu+10\n"
@@ -673,7 +675,9 @@ class TestConfigParsing:
         assert [(c.uplink_mode, c.downlink_mode)
                 for c in expand_settings(settings)] == [
             ("digital", "analog"), ("analog", "analog")]
-        [config] = expand_settings(settings, link=("digital", "digital"))
+        [config] = expand_settings(
+            {"uplink_mode": ["analog"], **settings,
+             "link": [("digital", "digital")]})
         assert (config.uplink_mode, config.downlink_mode) == \
             ("digital", "digital")
 
