@@ -19,18 +19,31 @@ one T=2500, W=1362 round). Past the message-passing phase transition
 (small T) the iteration path is chaotic and no per-decode bound holds: at
 T=100 the same comparison gave up to 0.16.
 
+BLAS threads: the products go to the BLAS, and a BLAS that threads a call
+(OpenBLAS does unless told otherwise) splits it at cuts that depend on its
+thread count. At large projections the products' last bits, and so an
+analog-FL run's weights and accuracies, then depend on that count: three
+FL iterations at T=2500, W=1362 ended in different weights under one and
+two OpenBLAS threads. The goldens and weight digests of `tests/golden/` use
+projections too small to be threaded, and results reproduce across hosts
+only under one BLAS thread (`OPENBLAS_NUM_THREADS=1`).
+
 Second core: `_map` is the one place fedsim uses one. It serves two uses,
 each a map over items that read no shared state: `draw_projections`, which
 draws an FL run's uplink and downlink projections at its first exchange,
 and `fl_analog_downlink`, whose K decodes depend only on their own
-receptions. From `_PARALLEL_BYTES` (8 MiB of float32 projection) up, when
-the process may use more than one CPU, it maps them in a pool of
-min(items, CPUs) threads; otherwise in the calling thread, importing no
-thread module. The bits do not depend on the pool: each matrix comes from
-its own seeded generator in `draw_projection`, and each decode is the one
+receptions. From `_PARALLEL_BYTES` (8 MiB of float32 projection) up, it
+maps them in a pool of min(items, workers) threads when that is more than
+one; otherwise in the calling thread, importing no thread module. The
+draws call no BLAS and take one worker per usable CPU. Each decode's
+products run on `_blas_threads()` CPUs, so the decodes take one worker per
+that many: under one BLAS thread as many as the draws, under OpenBLAS's
+default of one thread per CPU a single one, and they run one after
+another. The bits do not depend on the pool: each matrix comes from its
+own seeded generator in `draw_projection`, and each decode is the one
 `cs_decode` call it would be alone (`ProjectionMatrix` says why `matrix`
-is no `cached_property`). numpy's generator and its products
-release the GIL, so the items overlap on two cores. With one BLAS thread
+is no `cached_property`). numpy's generator and its products release the
+GIL, so the items overlap on two cores. With one BLAS thread
 on a 2-core host, a pair of draws took 8.2 ms pooled against 13.3 ms one
 after the other at 1 MiB (T=100), 55 against 97 ms at 8 MiB and 164
 against 318 ms at 26 MiB (T=2500). The 10 downlink decodes of one FL round
@@ -39,11 +52,10 @@ at W=1362 took 1.02 times as long pooled as one after another at 1 and
 0.61 at 8 MiB and 0.54 to 0.58 at 10 to 26 MiB (T=1000 to 2500); medians
 of 10 rounds, the same bits throughout. With two OpenBLAS threads per call
 the decode pool lost at every size: 1.56 to 1.62 times as long at 2.6 to
-6.2 MiB, 1.74 at 10 MiB and 1.86 at 26 MiB. The draws call no BLAS. So the
-pool starts at 8 MiB, past the one-thread break-even of the decodes, and
-draws of 1 to 8 MiB give up to about 40 ms a run to that shared gate;
-under a threaded BLAS the decodes lose at 8 MiB too, and when to pool them
-then is still open.
+6.2 MiB, 1.74 at 10 MiB and 1.86 at 26 MiB (10 decodes at T=2500: 1.78 to
+2.12 s pooled, 0.86 to 0.99 s one after another), hence the BLAS count. So
+the pool starts at 8 MiB, past the one-thread break-even of the decodes,
+and draws of 1 to 8 MiB give up to about 40 ms a run to that shared gate.
 """
 
 import math
@@ -95,13 +107,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map(fn, items, nbytes: int) -> list:
-    """`[fn(x) for x in items]`, in a pool of min(len(items), CPUs) threads
-    when `nbytes` (the projection each call reads or draws) is at least
-    `_PARALLEL_BYTES` and more than one CPU is usable. The pool is joined
-    before this returns, and an error raised in a worker is raised here.
+def _blas_threads() -> int:
+    """The threads the BLAS gives one call, read as OpenBLAS reads them: the
+    first positive count of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, else every usable CPU, and at most that many."""
+    cpus = _usable_cpus()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
+def _map(fn, items, nbytes: int, workers: int) -> list:
+    """`[fn(x) for x in items]`, in a pool of min(len(items), workers)
+    threads when `nbytes` (the projection each call reads or draws) is at
+    least `_PARALLEL_BYTES` and that pool has more than one thread. The
+    pool is joined before this returns, and an error raised in a worker is
+    raised here.
     """
-    workers = min(len(items), _usable_cpus())
+    workers = min(len(items), workers)
     if nbytes < _PARALLEL_BYTES or workers < 2:
         return [fn(x) for x in items]
     # Imported here, not at `import fedsim`: it costs every worker 5-9 ms.
@@ -160,7 +186,7 @@ def draw_projections(projections: list) -> None:
     """Draw the matrix of each projection, through `_map` on the size of the
     largest, so that from `_PARALLEL_BYTES` up they are drawn at once."""
     _map(lambda p: p.matrix, projections,
-         max((p.nbytes for p in projections), default=0))
+         max((p.nbytes for p in projections), default=0), _usable_cpus())
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -392,9 +418,9 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
 
     Each device recovers the broadcast from its own reception with one
     `cs_decode` call. The K calls go through `_map`, so from
-    `_PARALLEL_BYTES` up, with more than one usable CPU, they run in a pool
-    of min(K, CPUs) threads; the estimates come back in device order
-    either way (see "Second core" in the module docstring).
+    `_PARALLEL_BYTES` up they run in a pool of min(K, CPUs // BLAS threads)
+    threads when that is more than one; the estimates come back in device
+    order either way (see "Second core" in the module docstring).
     """
     update = np.asarray(update, dtype=np.float64)
     _check_projection(projection, update.size, channel_uses)
@@ -405,7 +431,7 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     # `cs_decode` is looked up when each call runs, so a wrapper patched
     # into this module sees every decode.
     return _map(lambda y: cs_decode(projection, y), receptions,
-                projection.nbytes), new_acc
+                projection.nbytes, _usable_cpus() // _blas_threads()), new_acc
 
 
 def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,

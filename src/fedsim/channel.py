@@ -63,9 +63,6 @@ class AnalogFrame:
             raise ValueError(
                 f"frame power {mean_power:.6g} exceeds budget {self.power_budget:.6g}")
 
-    def __len__(self) -> int:
-        return self.samples.size
-
 
 def sample_channel(rng: np.random.Generator, num_devices: int) -> ChannelState:
     """Draw fresh unit-variance complex Gaussian gains for both directions."""

@@ -22,8 +22,7 @@ IDX_LABELS_MAGIC = 0x00000801
 # Synthetic generator options: (default, type, least, upper bound excluded).
 _SYNTHETIC = {"classes": (2, int, 2, math.inf), "dim": (24, int, 1, math.inf),
               "noise": (0.18, float, 0.0, math.inf),
-              "spread": (0.25, float, 0.0, math.inf),
-              "flip": (0.0, float, 0.0, 1.0)}
+              "spread": (0.25, float, 0.0, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -108,21 +107,15 @@ def _read_idx_pair(images_path, labels_path):
 
 def generate_synthetic(num_classes: int, dim: int, count: int,
                        rng: np.random.Generator, *, noise: float,
-                       spread: float, flip: float) -> LabeledDataset:
+                       spread: float) -> LabeledDataset:
     """Gaussian class clusters with centers spread inside the unit box.
 
-    `flip` relabels that fraction of samples uniformly at random, modelling
-    annotation noise on top of the feature noise. `parse_source` checks
-    the option ranges.
+    `parse_source` checks the option ranges.
     """
     centers = 0.5 + spread * rng.standard_normal((num_classes, dim))
     labels = rng.integers(0, num_classes, size=count)
     covariates = centers[labels] + noise * rng.standard_normal((count, dim))
     covariates = np.clip(covariates, 0.0, 1.0)
-    if flip > 0.0:
-        flipped = rng.random(count) < flip
-        labels = np.where(flipped, rng.integers(0, num_classes, size=count),
-                          labels)
     return LabeledDataset(covariates, labels, num_classes)
 
 
@@ -171,8 +164,7 @@ def load_dataset(descriptor: str, count: int,
     opts = parse_source(descriptor)
     if opts["kind"] == "synthetic":
         return generate_synthetic(opts["classes"], opts["dim"], count, rng,
-                                  noise=opts["noise"], spread=opts["spread"],
-                                  flip=opts["flip"])
+                                  noise=opts["noise"], spread=opts["spread"])
     covariates, labels = _read_idx_pair(opts["images"], opts["labels"])
     if len(labels) < count:
         raise ConfigurationError(

@@ -249,17 +249,12 @@ def label_means(rows: np.ndarray, labels: np.ndarray, num_labels: int):
     return values, present
 
 
-def average_logits(w: np.ndarray, data: LabeledDataset, sample_size: int,
-                   rng: np.random.Generator,
+def average_logits(w: np.ndarray, data: LabeledDataset,
                    arch: MlpArchitecture) -> np.ndarray:
-    """(L, L) per-label mean logits over a random sample of the local shard;
-    a label absent from the sample is a zero row."""
-    if sample_size < 1:
-        raise ValueError("sample_size must be positive")
-    take = min(sample_size, len(data))
-    idx = rng.choice(len(data), size=take, replace=False)
-    logits = forward_logits_batch(w, data.covariates[idx], arch)
-    return label_means(logits, data.labels[idx], data.num_classes)[0]
+    """(L, L) per-label mean logits over the whole local shard, summed in
+    shard order; a label absent from the shard is a zero row."""
+    logits = forward_logits_batch(w, data.covariates, arch)
+    return label_means(logits, data.labels, data.num_classes)[0]
 
 
 def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,

@@ -62,9 +62,7 @@ CSV_HEADER = ("iteration,protocol,uplink,downlink,T,pu_db,pd_db,seed,scope,"
 
 def _check_kind(name: str, kind, value) -> None:
     """Raise unless `value` is of `kind`, the annotation of field `name`."""
-    if kind == int | None and value is None:
-        return
-    if kind in (int, int | None):
+    if kind is int:
         least = 0 if name == "master_seed" else 1
         wanted = f"an integer >= {least}"
         ok = isinstance(value, numbers.Integral) \
@@ -98,8 +96,8 @@ class ExperimentConfig:
     """Full description of one run; field names double as config-file keys.
 
     A field's annotation is its kind, which `__post_init__` checks and
-    `parse_settings` reads: `int` (>= 1; `master_seed` >= 0), `int | None`,
-    `float`, `bool` or `str`.
+    `parse_settings` reads: `int` (>= 1; `master_seed` >= 0), `float`,
+    `bool` or `str`.
     """
 
     protocol: str = "il"
@@ -112,7 +110,6 @@ class ExperimentConfig:
     global_iterations: int = 10
     alpha: float = 0.001
     quantizer_bits: int = 16
-    fl_analog_q: int | None = None      # default: floor(4T/5), capped at W
     reg_weight: float = 0.5
     local_epochs: int = 1
     batch_size: int = 8
@@ -120,7 +117,6 @@ class ExperimentConfig:
     master_seed: int = 0
     data: str = "synthetic"
     model: str = "mlp:64,32"
-    logit_sample_size: int | None = None  # default: the full local shard
     hfd_distill_steps: int = 5
     test_samples: int = 1000
     noise_enabled: bool = True
@@ -286,10 +282,8 @@ class _Run:
                          streams.derive_rng(seed, streams.INIT, 0 if fl else k))
             for k in range(cfg.num_devices)])
 
-        self.fl_q = cfg.fl_analog_q
-        if self.fl_q is None:
-            self.fl_q = (4 * cfg.channel_uses) // 5
-        self.fl_q = max(1, min(self.fl_q, self.dim))
+        # Analog FL keeps the floor(4T/5) largest entries, 1 to W of them.
+        self.fl_q = max(1, min((4 * cfg.channel_uses) // 5, self.dim))
 
         # Error feedback: weight updates only; tables carry none.
         self.up_accs = [ErrorAccumulator.zeros(self.dim) if fl else None
@@ -352,7 +346,7 @@ class _Run:
                 target_table=self.targets[k] if fd else None,
                 reg_weight=cfg.reg_weight if fd else 0.0)
 
-    def logit_tables(self, iteration: int) -> np.ndarray:
+    def logit_tables(self) -> np.ndarray:
         """The (K, L, L) block of the devices' tables: FD's per-label mean
         logits over each shard, HFD's logits at each device's
         pseudo-samples; a label with no row in either is a zero row."""
@@ -360,11 +354,7 @@ class _Run:
         tables = np.zeros((cfg.num_devices, self.num_labels, self.num_labels))
         for k, (w, shard) in enumerate(zip(self.weights, self.shards)):
             if cfg.protocol == "fd":
-                rng = streams.derive_rng(cfg.master_seed, streams.LOGITS, k,
-                                         iteration)
-                tables[k] = average_logits(
-                    w, shard, cfg.logit_sample_size or len(shard), rng,
-                    self.arch)
+                tables[k] = average_logits(w, shard, self.arch)
             else:
                 covariates, labels = self.pseudo_batches[k]
                 tables[k, labels] = forward_logits_batch(w, covariates,
@@ -486,8 +476,7 @@ class _Run:
             if cfg.noise_enabled:
                 noise_rng = streams.derive_rng(cfg.master_seed, streams.NOISE,
                                                iteration)
-        payloads = (self.weights - start if weights
-                    else self.logit_tables(iteration))
+        payloads = self.weights - start if weights else self.logit_tables()
         received, contributed, bits_up, bits_down = self.exchange(
             payloads, state, noise_rng)
         if weights:
@@ -552,8 +541,6 @@ def parse_value(key: str, raw: str):
     if key not in _CONFIG_TYPES:
         raise ConfigurationError(f"unknown config key {key!r}")
     kind = _CONFIG_TYPES[key]
-    if kind == int | None and raw.lower() in ("none", ""):
-        return None
     if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -591,9 +578,9 @@ def parse_settings(text: str) -> dict:
     gives one per key. Blank lines and # comments are skipped. `data` and
     `model` take the rest of the line as one value (`model = mlp:8,4`).
     `link = dd, da, ad, aa` sets uplink_mode and downlink_mode together;
-    `pd_db = pu+<offset>` follows each point's pu_db; optional integers
-    take `none`. A key may appear once (`link` sets both modes), and every
-    value is checked here, so an error names its line.
+    `pd_db = pu+<offset>` follows each point's pu_db. A key may appear
+    once (`link` sets both modes), and every value is checked here, so an
+    error names its line.
     """
     settings = {}
     seen = {}

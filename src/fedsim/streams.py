@@ -14,7 +14,7 @@ INIT = 1        # weight initialization
 TRAIN = 2       # minibatch shuffling, keyed by (device, iteration)
 CHANNEL = 3     # fading gains, keyed by iteration
 NOISE = 4       # receiver noise, keyed by iteration
-LOGITS = 5      # logit-averaging subsampling, keyed by (device, iteration)
+# 5 is unused: a domain keeps its number, which seeds every draw under it.
 PROJECTION = 6  # projection-matrix seeds, keyed by direction
 
 

@@ -22,6 +22,22 @@ def unit_state(k):
     return ChannelState(np.ones(k, complex), np.ones(k, complex))
 
 
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                  "OMP_NUM_THREADS")
+
+
+@pytest.fixture
+def blas_env(monkeypatch):
+    """blas_env(**values) sets the BLAS thread variables to `values`,
+    unsetting the others."""
+    def set_env(**values):
+        for name in BLAS_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in values.items():
+            monkeypatch.setenv(name, value)
+    return set_env
+
+
 class TestPackComplex:
     def test_basic(self):
         np.testing.assert_array_equal(pack_complex([1.0, 2.0, 3.0, 4.0]),
@@ -396,9 +412,13 @@ class PoolUseTests:
 
 class TestConcurrentDecodes(PoolUseTests):
     """fl_analog_downlink's K decodes, one cs_decode(projection, y) call
-    per reception y, in receiver order."""
+    per reception y, in receiver order, under one BLAS thread."""
 
     K = 3
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, blas_env):
+        blas_env(OPENBLAS_NUM_THREADS="1")
 
     def work(self, rows, cols):
         gen = np.random.default_rng(7)
@@ -420,9 +440,14 @@ class TestConcurrentDecodes(PoolUseTests):
 
 class TestConcurrentDraws(PoolUseTests):
     """draw_projections over an FL run's two projections, one
-    draw_projection(rows, cols, seed) call each."""
+    draw_projection(rows, cols, seed) call each, under OpenBLAS's default
+    thread count: the draws call no BLAS and pool whatever it is."""
 
     SEEDS = (3, 4)
+
+    @pytest.fixture(autouse=True)
+    def default_blas(self, blas_env):
+        blas_env()
 
     def work(self, rows, cols):
         def run():
@@ -435,6 +460,40 @@ class TestConcurrentDraws(PoolUseTests):
                          for seed in self.SEEDS],
                 run,
                 lambda call: call == (rows, cols, self.SEEDS[1]))
+
+
+class TestDecodePoolLeavesTheBlasItsCpus:
+    """The decodes take one worker per BLAS thread count of CPUs."""
+
+    @pytest.mark.parametrize("env,cpus,threads", [
+        ({}, 2, 2), ({}, 5, 5),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 1),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OMP_NUM_THREADS": "3"}, 4, 3),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "two", "GOTO_NUM_THREADS": "3"}, 4, 3),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 2),
+    ])
+    def test_blas_threads_are_read_as_openblas_reads_them(
+            self, blas_env, use_cpus, env, cpus, threads):
+        blas_env(**env)
+        use_cpus(cpus)
+        assert analog_link._blas_threads() == threads
+
+    @pytest.mark.parametrize("env,cpus,pooled", [
+        ({}, 2, 0), ({"OMP_NUM_THREADS": "2"}, 2, 0),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"GOTO_NUM_THREADS": "2"}, 4, 2),
+    ])
+    def test_decodes_pool_on_the_cpus_the_blas_leaves(
+            self, started, use_cpus, blas_env, env, cpus, pooled):
+        _, alone, run, _ = TestConcurrentDecodes().work(2048, 1024)
+        want = [r.tobytes() for r in alone()]
+        blas_env(**env)
+        use_cpus(cpus)
+        assert [r.tobytes() for r in run()] == want
+        assert len(started) == pooled
 
 
 class TestFlAnalogUplink:

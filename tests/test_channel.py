@@ -145,4 +145,4 @@ class TestAnalogFramePower:
 
     def test_at_budget_accepted(self):
         f = AnalogFrame(samples=np.array([1 + 0j, 1j]), power_budget=1.0)
-        assert len(f) == 2
+        assert f.samples.size == 2

@@ -9,9 +9,8 @@ from fedsim.datasets import (
     generate_synthetic, load_dataset, parse_source, partition_shards,
 )
 
-# The noise, spread and flip of a bare "synthetic" descriptor.
-OPTIONS = {key: parse_source("synthetic")[key]
-           for key in ("noise", "spread", "flip")}
+# The noise and spread of a bare "synthetic" descriptor.
+OPTIONS = {key: parse_source("synthetic")[key] for key in ("noise", "spread")}
 
 
 def write_idx_pair(tmp_path, images, labels):

@@ -230,9 +230,12 @@ class TestAverageLogits:
         arch = MlpArchitecture((3, 4, 3))
         w = init_weights(arch, gen)
         data = self.make_data(gen)
-        table = average_logits(w, data, len(data), gen, arch)
+        table = average_logits(w, data, arch)
         assert table.shape == (3, 3)
         logits = forward_logits_batch(w, data.covariates, arch)
+        # The whole shard, in shard order: bit for bit the label means.
+        np.testing.assert_array_equal(
+            table, label_means(logits, data.labels, 3)[0])
         for t in range(3):
             mask = data.labels == t
             if mask.any():
@@ -247,8 +250,7 @@ class TestAverageLogits:
         w = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         data = LabeledDataset(np.array([[1.0, 3.0], [3.0, 5.0], [0.5, 0.0]]),
                               np.array([0, 0, 1]), 2)
-        gen = np.random.default_rng(0)
-        table = average_logits(w, data, 3, gen, arch)
+        table = average_logits(w, data, arch)
         np.testing.assert_allclose(table[0], [2.0, 4.0])
         np.testing.assert_allclose(table[1], [0.5, 0.0])
 
@@ -258,7 +260,7 @@ class TestAverageLogits:
         w = init_weights(arch, gen)
         data = LabeledDataset(gen.uniform(0, 1, (4, 3)),
                               np.array([0, 0, 1, 1]), 3)
-        table = average_logits(w, data, 4, gen, arch)
+        table = average_logits(w, data, arch)
         np.testing.assert_array_equal(table[2], np.zeros(3))
 
 

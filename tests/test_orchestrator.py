@@ -150,10 +150,8 @@ class TestFdFixedPoint:
         # Force symmetric devices: same shard, same weights.
         run.shards = [run.shards[0]] * 3
         run.weights[:] = run.weights[0]
-        tables = np.array([average_logits(
-            run.weights[k], run.shards[k], len(run.shards[k]),
-            streams.derive_rng(0, streams.LOGITS, k, 1), run.arch)
-            for k in range(3)])
+        tables = np.array([average_logits(run.weights[k], run.shards[k],
+                                          run.arch) for k in range(3)])
         for t in tables[1:]:
             np.testing.assert_allclose(t, tables[0])
         received, contributed, _, _ = run.exchange(tables, None, None)
@@ -188,7 +186,7 @@ class TestExchangeRules:
                                 pd_db=10.0))
         self.hand_made_channel(monkeypatch, up, down)
         monkeypatch.setattr(run, "logit_tables",
-                            lambda iteration: np.array(self.TABLES))
+                            lambda: np.array(self.TABLES))
         previous = np.array([np.full((2, 2), 10.0 + k) for k in range(3)])
         run.targets = previous.copy()
         run.has_target[:] = True
@@ -485,8 +483,6 @@ class TestProtocolsRun:
            num_devices=st.integers(1, 4),
            channel_uses=st.sampled_from([1, 2, 3, 5, 8, 16, 50, 200]),
            quantizer_bits=st.integers(1, MAX_QUANTIZER_BITS),
-           fl_analog_q=st.none() | st.integers(1, 400),
-           logit_sample_size=st.none() | st.integers(1, 12),
            reg_weight=st.floats(0.0, 1.0), pu_db=DB_VALUES, pd_db=DB_VALUES,
            noise_enabled=st.booleans(), ideal_exchange=st.booleans(),
            classes=st.integers(2, 4),
@@ -614,10 +610,9 @@ class TestConfigParsing:
     def test_key_value_text(self):
         values = parse_settings(
             "# comment\nprotocol = fd\nchannel_uses=123\n\n"
-            "pu_db = -2.5\nnoise_enabled = false\nfl_analog_q = none\n")
+            "pu_db = -2.5\nnoise_enabled = false\n")
         assert values == dict(protocol=["fd"], channel_uses=[123],
-                              pu_db=[-2.5], noise_enabled=[False],
-                              fl_analog_q=[None])
+                              pu_db=[-2.5], noise_enabled=[False])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -653,10 +648,10 @@ class TestConfigParsing:
             protocol="hfd", uplink_mode="analog", downlink_mode="analog",
             num_devices=3, channel_uses=40, pu_db=-1.5, pd_db=2.5,
             global_iterations=4, alpha=0.02, quantizer_bits=8,
-            fl_analog_q=7, reg_weight=0.25, local_epochs=2, batch_size=5,
+            reg_weight=0.25, local_epochs=2, batch_size=5,
             samples_per_device=11, master_seed=9,
             data="synthetic:classes=3,dim=6", model="mlp:8,4",
-            logit_sample_size=6, hfd_distill_steps=2, test_samples=50,
+            hfd_distill_steps=2, test_samples=50,
             noise_enabled=False, ideal_exchange=True)
         assert all(getattr(config, f.name) != f.default
                    for f in dataclasses.fields(ExperimentConfig))
@@ -665,9 +660,6 @@ class TestConfigParsing:
                          if f.name != "pd_db")
         assert expand_settings(parse_settings(text + "\npd_db = pu+4\n")) \
             == [config]
-        none_text = text.replace("fl_analog_q = 7", "fl_analog_q = none")
-        [unset] = expand_settings(parse_settings(none_text + "\npd_db = 1\n"))
-        assert unset.fl_analog_q is None and unset.pd_db == 1.0
 
     def test_link_sets_both_modes(self):
         settings = parse_settings("link = da, aa\nprotocol = fl\n")
@@ -688,7 +680,7 @@ class TestConfigParsing:
             ExperimentConfig(reg_weight=1.5)
 
     @pytest.mark.parametrize("key,value", [
-        ("logit_sample_size", 0), ("fl_analog_q", -5), ("num_devices", 2.5),
+        ("num_devices", 2.5),
         ("alpha", float("nan")), ("alpha", float("inf")),
         ("pu_db", "3"), ("pu_db", True), ("pd_db", None),
         ("reg_weight", "0.5"), ("alpha", "0.1"),
@@ -732,15 +724,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=pattern):
             parse_settings(text)
 
+    @pytest.mark.parametrize("line,pattern", [
+        ("fl_analog_q = 5", "unknown config key 'fl_analog_q'"),
+        ("logit_sample_size = 6", "unknown config key 'logit_sample_size'"),
+        ("data = synthetic:flip=0.1", "unknown synthetic option 'flip'"),
+    ], ids=["fl_analog_q", "logit_sample_size", "flip"])
+    def test_removed_setting_names_its_line(self, line, pattern):
+        with pytest.raises(ConfigurationError, match=f"^line 2: .*{pattern}"):
+            parse_settings(f"protocol = fd\n{line}\n")
+
 
 class TestConfigSchema:
     """A field's annotation is its kind: what ExperimentConfig accepts and
-    how parse_settings reads it. Five kinds are handled."""
+    how parse_settings reads it. Four kinds are handled."""
 
     FIELDS = [field.name for field in dataclasses.fields(ExperimentConfig)]
 
     def test_every_annotation_is_a_handled_kind(self):
-        kinds = {int, int | None, float, bool, str}
+        kinds = {int, float, bool, str}
         assert {field.name: field.type
                 for field in dataclasses.fields(ExperimentConfig)
                 if field.type not in kinds} == {}
