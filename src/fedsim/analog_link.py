@@ -8,6 +8,11 @@ minimum-mean-square-error factor and a soft-threshold message-passing
 decoder to recover the sum. Logit tables are small enough to skip the
 projection; they use integer-redundancy repetition coding instead.
 
+The device axis is an array axis: the uplinks take the (K, W) or
+(K, L, L) block of the devices' payloads, the downlinks return the block of
+their copies, and the frames of one transmission are the rows of one
+(K, T) block, each its payload read as complex (`.view(np.complex128)`).
+
 Precision: the projection matrix is stored in float32 and its two products
 (`ProjectionMatrix.project` and `backproject`) run in single precision, so
 each decoder sweep reads half the bytes. Everything else, the decoder's
@@ -64,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AnalogFrame, ChannelState, downlink_bc, uplink_mac
+from .channel import ChannelState, check_frame_power, downlink_bc, uplink_mac
 from .compression import ErrorAccumulator, accumulate_error, top_k_sparsify
 from .errors import ConfigurationError
 
@@ -189,23 +194,6 @@ def draw_projections(projections: list) -> None:
          max((p.nbytes for p in projections), default=0), _usable_cpus())
 
 
-def pack_complex(v: np.ndarray) -> np.ndarray:
-    """Fold an even-length real vector into complex samples, two per use."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size % 2:
-        raise ValueError("pack_complex needs an even length; pad upstream")
-    return v[0::2] + 1j * v[1::2]
-
-
-def unpack_complex(x: np.ndarray) -> np.ndarray:
-    """Inverse of pack_complex."""
-    x = np.asarray(x, dtype=np.complex128)
-    out = np.empty(2 * x.size, dtype=np.float64)
-    out[0::2] = x.real
-    out[1::2] = x.imag
-    return out
-
-
 def full_power_gain(x: np.ndarray, power: float, channel_uses: int) -> float:
     """Transmit scale sqrt(P*T)/||x||; zero for an all-zero payload."""
     norm = float(np.linalg.norm(x))
@@ -219,23 +207,27 @@ def _derotation(gain: complex) -> complex:
     return 1.0 if gain == 0 else np.conj(gain) / abs(gain)
 
 
-def precompensate(x: np.ndarray, gain: complex, power: float,
-                  channel_uses: int) -> AnalogFrame:
-    """Scale to full power and pre-rotate away the channel phase.
+def precompensate(xs: np.ndarray, gains, power: float, channel_uses: int):
+    """Scale each row to full power and pre-rotate away its channel phase.
 
-    The payload occupies the leading entries of the frame; unused channel
-    uses (when the payload is shorter than T) carry zeros, so the whole
-    energy budget P*T is spent on the payload.
+    Takes the (K, n) block of complex payloads and the K gains; returns the
+    (K, T) frame block and the (K,) transmit scales. A payload occupies the
+    leading entries of its frame; unused channel uses (when the payload is
+    shorter than T) carry zeros, so the whole energy budget P*T is spent on
+    the payload. The frames pass `check_frame_power` before they return.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.size > channel_uses:
-        raise ConfigurationError(
-            f"payload of {x.size} samples exceeds {channel_uses} channel uses")
-    samples = np.zeros(channel_uses, dtype=np.complex128)
-    scale = full_power_gain(x, power, channel_uses)
-    if scale > 0.0:
-        samples[:x.size] = scale * _derotation(gain) * x
-    return AnalogFrame(samples=samples, power_budget=power)
+    xs = np.asarray(xs, dtype=np.complex128)
+    if xs.shape[1] > channel_uses:
+        raise ConfigurationError(f"payload of {xs.shape[1]} samples exceeds "
+                                 f"{channel_uses} channel uses")
+    # One norm per row: np.linalg.norm(xs, axis=1) differs in the last bit.
+    scales = np.array([full_power_gain(x, power, channel_uses) for x in xs])
+    frames = np.zeros((len(xs), channel_uses), dtype=np.complex128)
+    for frame, x, scale, gain in zip(frames, xs, scales, gains):
+        if scale > 0.0:
+            frame[:x.size] = scale * _derotation(gain) * x
+    check_frame_power(frames, power)
+    return frames, scales
 
 
 def mmse_factor_uplink(gammas: np.ndarray, habs: np.ndarray) -> float:
@@ -250,23 +242,6 @@ def mmse_factor_downlink(gamma: float, gabs: float) -> float:
     """Scalar MMSE factor at one device for the broadcast signal."""
     amp = gamma * gabs
     return amp / (0.5 + amp ** 2)
-
-
-def repetition_encode(s: np.ndarray, rho: int) -> np.ndarray:
-    """Stack the block rho times."""
-    if rho < 1:
-        raise ConfigurationError(
-            "redundancy must be at least 1; the payload does not fit the "
-            "channel (reduce the block or raise the channel uses)")
-    return np.tile(np.asarray(s, dtype=np.float64), rho)
-
-
-def repetition_decode(v: np.ndarray, rho: int) -> np.ndarray:
-    """Average the rho repetitions, dividing the noise variance by rho."""
-    v = np.asarray(v, dtype=np.float64)
-    if rho < 1 or v.size % rho:
-        raise ValueError(f"length {v.size} not divisible by redundancy {rho}")
-    return v.reshape(rho, v.size // rho).mean(axis=0)
 
 
 def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -326,95 +301,108 @@ def _check_projection(projection: ProjectionMatrix, dim: int,
         raise ConfigurationError("projection shape does not match link")
 
 
-def _uplink(payloads, state: ChannelState, power: float, channel_uses: int,
-            noise_rng) -> np.ndarray:
-    """Superpose the devices' real payloads over the MAC.
+def _uplink(payloads: np.ndarray, state: ChannelState, power: float,
+            channel_uses: int, noise_rng) -> np.ndarray:
+    """Superpose the (K, n) block of the devices' real payloads over the MAC.
 
-    Every device packs its payload two reals per channel use and transmits
-    at full power, pre-rotated against its own channel phase. Returns the
-    MMSE-scaled sum, unpacked and cut to the payload length.
+    Every device reads its payload as n/2 complex channel uses (an odd n
+    raises ValueError) and transmits at full power, pre-rotated against its
+    own channel phase. Returns the n reals of the MMSE-scaled sum.
     """
-    xs = [pack_complex(p) for p in payloads]
-    gammas = [full_power_gain(x, power, channel_uses) for x in xs]
-    frames = np.stack([precompensate(x, gain, power, channel_uses).samples
-                       for x, gain in zip(xs, state.uplink_gains)])
-    received = uplink_mac(frames, state, noise_rng)[:xs[0].size]
+    xs = np.ascontiguousarray(payloads, dtype=np.float64).view(np.complex128)
+    frames, gammas = precompensate(xs, state.uplink_gains, power,
+                                   channel_uses)
+    received = uplink_mac(frames, state, noise_rng)[:xs.shape[1]]
     factor = mmse_factor_uplink(gammas, np.abs(state.uplink_gains))
-    return unpack_complex(factor * received)
+    return (factor * received).view(np.float64)
 
 
 def _downlink(payload: np.ndarray, state: ChannelState, power: float,
-              channel_uses: int, noise_rng) -> list[np.ndarray]:
-    """Broadcast one real payload; returns each device's MMSE-scaled copy.
+              channel_uses: int, noise_rng) -> np.ndarray:
+    """Broadcast one real payload of n reals; returns the (K, n) block of the
+    devices' MMSE-scaled copies.
 
     Devices know their own downlink channel, so each one undoes its phase
-    before scaling by its own MMSE factor.
+    before scaling by its own MMSE factor. Each magnitude is Python's `abs`
+    of one gain: `np.abs` of the gain array differs from it in the last bit.
     """
-    x = pack_complex(payload)
-    gamma = full_power_gain(x, power, channel_uses)
-    frame = precompensate(x, 1.0 + 0j, power, channel_uses)
-    return [unpack_complex(mmse_factor_downlink(gamma, abs(gain))
-                           * (y[:x.size] * _derotation(gain)))
-            for gain, y in zip(state.downlink_gains,
-                               downlink_bc(frame.samples, state, noise_rng))]
+    x = np.ascontiguousarray(payload, dtype=np.float64).view(np.complex128)
+    frames, (gamma,) = precompensate(x[None], [1.0 + 0j], power,
+                                     channel_uses)
+    received = downlink_bc(frames[0], state, noise_rng)[:, :x.size]
+    for y, gain in zip(received, state.downlink_gains):
+        y *= _derotation(gain)
+        y *= mmse_factor_downlink(gamma, abs(gain))
+    return received.view(np.float64)
 
 
-def _repeat_table(table: np.ndarray, channel_uses: int):
-    """Repetition-code a logit table into the 2T reals of the link.
+def _repeat_table(tables: np.ndarray, channel_uses: int):
+    """Repetition-code the tables of a (..., L, L) block into the 2T reals of
+    the link: returns (rho, the (..., n) payload block).
 
-    Returns (rho, payload) with rho = floor(2T / table size); a trailing
-    zero pads the payload to the even length that packing needs.
+    Each table, flattened, is repeated rho = floor(2T / L^2) times; a
+    trailing zero pads the payload to the even length of a complex frame.
     """
-    rho = (2 * channel_uses) // table.size
-    encoded = repetition_encode(table.ravel(), rho)
-    if encoded.size % 2:
-        encoded = np.append(encoded, 0.0)
-    return rho, encoded
+    size = tables.shape[-2] * tables.shape[-1]
+    rho = (2 * channel_uses) // size
+    if rho < 1:
+        raise ConfigurationError(
+            "redundancy must be at least 1; the payload does not fit the "
+            "channel (reduce the block or raise the channel uses)")
+    n = rho * size
+    payloads = np.zeros(tables.shape[:-2] + (n + n % 2,))
+    payloads[..., :n] = np.tile(tables.reshape(tables.shape[:-2] + (size,)),
+                                rho)
+    return rho, payloads
 
 
 def _mean_table(reals: np.ndarray, rho: int, shape) -> np.ndarray:
-    """Inverse of _repeat_table: drop the padding, average the copies."""
-    return repetition_decode(reals[:rho * math.prod(shape)], rho).reshape(shape)
+    """Inverse of _repeat_table over the last axis of `reals`: drop the
+    padding and average the rho copies, dividing the noise variance by rho;
+    each copy comes back as a table of `shape`."""
+    lead, size = reals.shape[:-1], math.prod(shape)
+    copies = reals[..., :rho * size].reshape(lead + (rho, size))
+    return copies.mean(axis=-2).reshape(lead + tuple(shape))
 
 
 def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
                      state: ChannelState, power: float, channel_uses: int,
                      noise_rng):
-    """One over-the-air round for weight updates: returns (sum estimate, accs).
+    """One over-the-air round for the (K, W) block of weight updates:
+    returns (sum estimate, accs).
 
     Each device sparsifies its pending vector (update plus residual) and
     projects it; the receiver recovers the superposed sum by message
     passing. Residuals are advanced by exactly what was put on the air (the
     sparsified vector), not by what the receiver recovered.
     """
-    updates = [np.asarray(u, dtype=np.float64) for u in updates]
-    dim = updates[0].size
-    _check_projection(projection, dim, channel_uses)
+    updates = np.asarray(updates, dtype=np.float64)
+    _check_projection(projection, updates.shape[1], channel_uses)
     sparse = [top_k_sparsify(u + acc.residual, q)
               for u, acc in zip(updates, accs)]
     new_accs = [accumulate_error(acc, u, s)
                 for u, acc, s in zip(updates, accs, sparse)]
-    received = _uplink([projection.project(s) for s in sparse], state,
-                       power, channel_uses, noise_rng)
+    received = _uplink(np.array([projection.project(s) for s in sparse]),
+                       state, power, channel_uses, noise_rng)
     estimate = cs_decode(projection, received)
     return estimate, new_accs
 
 
 def fd_analog_uplink(tables, state: ChannelState, power: float,
                      channel_uses: int, noise_rng) -> np.ndarray:
-    """One over-the-air round for logit tables: returns the table-sum estimate."""
-    tables = [np.asarray(t, dtype=np.float64) for t in tables]
-    coded = [_repeat_table(t, channel_uses) for t in tables]
-    rho = coded[0][0]
-    received = _uplink([payload for _, payload in coded], state, power,
-                       channel_uses, noise_rng)
-    return _mean_table(received, rho, tables[0].shape)
+    """One over-the-air round for the (K, L, L) block of logit tables:
+    returns the table-sum estimate."""
+    tables = np.asarray(tables, dtype=np.float64)
+    rho, payloads = _repeat_table(tables, channel_uses)
+    received = _uplink(payloads, state, power, channel_uses, noise_rng)
+    return _mean_table(received, rho, tables.shape[1:])
 
 
 def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
                        projection: ProjectionMatrix, state: ChannelState,
                        power: float, channel_uses: int, noise_rng):
-    """Broadcast a weight vector analogically; returns (per-device estimates, acc).
+    """Broadcast a weight vector analogically; returns (the (K, W) block of
+    the devices' estimates, acc).
 
     Each device recovers the broadcast from its own reception with one
     `cs_decode` call. The K calls go through `_map`, so from
@@ -430,14 +418,16 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
                            channel_uses, noise_rng)
     # `cs_decode` is looked up when each call runs, so a wrapper patched
     # into this module sees every decode.
-    return _map(lambda y: cs_decode(projection, y), receptions,
-                projection.nbytes, _usable_cpus() // _blas_threads()), new_acc
+    return np.array(_map(lambda y: cs_decode(projection, y), receptions,
+                         projection.nbytes,
+                         _usable_cpus() // _blas_threads())), new_acc
 
 
 def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,
-                       channel_uses: int, noise_rng) -> list[np.ndarray]:
-    """Broadcast a logit table analogically; returns per-device table estimates."""
+                       channel_uses: int, noise_rng) -> np.ndarray:
+    """Broadcast a logit table analogically; returns the (K, L, L) block of
+    the devices' table estimates."""
     table = np.asarray(table, dtype=np.float64)
     rho, payload = _repeat_table(table, channel_uses)
-    return [_mean_table(y, rho, table.shape)
-            for y in _downlink(payload, state, power, channel_uses, noise_rng)]
+    return _mean_table(_downlink(payload, state, power, channel_uses,
+                                 noise_rng), rho, table.shape)

@@ -17,9 +17,9 @@ def reset() -> None:
     violations = 0
 
 
-def count_power_check() -> None:
+def count_power_check(frames: int) -> None:
     global power_checks
-    power_checks += 1
+    power_checks += frames
 
 
 def count_budget_check() -> None:

@@ -2,11 +2,12 @@
 
 Gains are Rayleigh: circularly-symmetric complex Gaussian, unit variance,
 i.i.d. across devices, directions, and global iterations. Receiver noise is
-complex Gaussian with unit variance per entry. Transmit power is accounted
-per frame as it is built (`AnalogFrame`): mean squared magnitude over the
-frame length must not exceed the declared budget. The channel moves sample
+complex Gaussian with unit variance per entry. The channel moves sample
 arrays with the device axis first: the uplink takes the (K, T) block of
 the device frames, the downlink returns the (K, T) block of receptions.
+Transmit power is checked on each frame block as it is built
+(`check_frame_power`): no row's mean squared magnitude may exceed the
+declared budget.
 """
 
 from dataclasses import dataclass
@@ -44,24 +45,23 @@ class ChannelState:
         return self.uplink_gains.shape[0]
 
 
-@dataclass(frozen=True)
-class AnalogFrame:
-    """One transmitted baseband block with its declared power budget."""
+def check_frame_power(frames: np.ndarray, power_budget: float) -> None:
+    """Check each row of a (K, T) frame block against the power budget.
 
-    samples: np.ndarray
-    power_budget: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ConfigurationError("frame must be a non-empty 1-d complex vector")
-        object.__setattr__(self, "samples", samples)
-        audit.count_power_check()
-        mean_power = float(np.sum(np.abs(samples) ** 2)) / samples.size
-        if mean_power > self.power_budget * (1.0 + POWER_RTOL):
-            audit.count_violation()
-            raise ValueError(
-                f"frame power {mean_power:.6g} exceeds budget {self.power_budget:.6g}")
+    Counts one power check per frame; raises ValueError, counting one
+    violation, if any frame's mean squared magnitude exceeds the budget.
+    """
+    frames = np.asarray(frames, dtype=np.complex128)
+    if frames.ndim != 2 or frames.shape[1] == 0:
+        raise ConfigurationError(
+            f"a frame block of shape {frames.shape}; need (K, T), T >= 1")
+    audit.count_power_check(len(frames))
+    mean_power = np.sum(np.abs(frames) ** 2, axis=1) / frames.shape[1]
+    worst = float(np.max(mean_power, initial=0.0))
+    if worst > power_budget * (1.0 + POWER_RTOL):
+        audit.count_violation()
+        raise ValueError(
+            f"frame power {worst:.6g} exceeds budget {power_budget:.6g}")
 
 
 def sample_channel(rng: np.random.Generator, num_devices: int) -> ChannelState:

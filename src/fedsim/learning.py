@@ -50,7 +50,11 @@ class MlpArchitecture:
         if descriptor == "linear":
             return cls((input_dim, num_classes))
         if descriptor.startswith("mlp:"):
-            hidden = tuple(int(h) for h in descriptor[4:].split(",") if h)
+            widths = descriptor[4:].split(",")
+            if not all(w.strip() for w in widths):
+                raise ValueError("an empty hidden width; write \"linear\" "
+                                 "for no hidden layer")
+            hidden = tuple(int(w) for w in widths)
             return cls((input_dim,) + hidden + (num_classes,))
         raise ValueError(f"unknown model descriptor {descriptor!r}")
 

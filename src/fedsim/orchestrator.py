@@ -443,7 +443,6 @@ class _Run:
         received = None
         if average is not None and cfg.downlink_mode == "analog":
             received, self.down_acc = air_down(average, self.down_acc)
-            received = np.array(received)
         elif average is not None:
             budget = downlink_budget(cfg.channel_uses, state.downlink_gains,
                                      cfg.downlink_power)

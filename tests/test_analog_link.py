@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fedsim import analog_link
+from fedsim import analog_link, audit
 from fedsim.analog_link import (
-    AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, cs_decode,
-    draw_projection, draw_projections, fd_analog_downlink, fd_analog_uplink,
-    fl_analog_downlink, fl_analog_uplink, full_power_gain,
-    mmse_factor_downlink, mmse_factor_uplink, pack_complex, precompensate,
-    repetition_decode, repetition_encode, unpack_complex,
+    AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, _downlink,
+    _mean_table, _repeat_table, _uplink, cs_decode, draw_projection,
+    draw_projections, fd_analog_downlink, fd_analog_uplink, fl_analog_downlink,
+    fl_analog_uplink, full_power_gain, mmse_factor_downlink,
+    mmse_factor_uplink, precompensate,
 )
-from fedsim.channel import ChannelState
+from fedsim.channel import ChannelState, downlink_bc
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
 from fedsim.errors import ConfigurationError
 
@@ -38,59 +38,91 @@ def blas_env(monkeypatch):
     return set_env
 
 
-class TestPackComplex:
-    def test_basic(self):
-        np.testing.assert_array_equal(pack_complex([1.0, 2.0, 3.0, 4.0]),
-                                      [1 + 2j, 3 + 4j])
+class TestComplexFrames:
+    """A real payload goes on the air two reals per complex channel use."""
 
-    def test_zeros(self):
-        np.testing.assert_array_equal(pack_complex([0.0, 0.0]), [0j])
+    def test_uplink_sends_reals_in_pairs(self, monkeypatch):
+        sent = []
 
-    def test_roundtrip(self):
-        gen = np.random.default_rng(0)
-        v = gen.standard_normal(64)
-        np.testing.assert_array_equal(unpack_complex(pack_complex(v)), v)
+        def noiseless_sum(frames, state, noise_rng):
+            sent.append(frames.copy())
+            return frames.sum(axis=0)
 
-    def test_odd_length_rejected(self):
+        monkeypatch.setattr(analog_link, "uplink_mac", noiseless_sum)
+        payload = np.array([[3.0, -4.0, 0.0, 1.0]])
+        estimate = _uplink(payload, unit_state(1), 1.0, 3, None)
+        scale = full_power_gain(np.array([3 - 4j, 1j]), 1.0, 3)
+        np.testing.assert_allclose(sent[0], [[scale * (3 - 4j), scale * 1j,
+                                              0j]], rtol=1e-12)
+        factor = mmse_factor_uplink([scale], [1.0])
+        np.testing.assert_allclose(estimate, factor * scale * payload[0],
+                                   rtol=1e-12)
+
+    def test_odd_length_payload_rejected(self):
         with pytest.raises(ValueError):
-            pack_complex([1.0, 2.0, 3.0])
+            _uplink(np.ones((2, 3)), unit_state(2), 1.0, 4, None)
+        with pytest.raises(ValueError):
+            _downlink(np.ones(3), unit_state(2), 1.0, 4, None)
 
 
 class TestPrecompensate:
     def test_full_power_scale(self):
-        x = np.array([2.0 + 0j])
-        frame = precompensate(x, 1.0 + 0j, power=1.0, channel_uses=1)
-        assert abs(np.sum(np.abs(frame.samples) ** 2) - 1.0) < 1e-12
+        frames, scales = precompensate(np.array([[2.0 + 0j]]), [1.0 + 0j],
+                                       power=1.0, channel_uses=1)
+        assert abs(np.sum(np.abs(frames) ** 2) - 1.0) < 1e-12
+        assert scales.tolist() == [0.5]
 
     def test_real_positive_gain_no_rotation(self):
-        x = np.array([1 + 1j, 2 - 1j])
-        frame = precompensate(x, 3.0 + 0j, power=1.0, channel_uses=2)
-        ratio = frame.samples / x
+        x = np.array([[1 + 1j, 2 - 1j]])
+        frames, _ = precompensate(x, [3.0 + 0j], power=1.0, channel_uses=2)
+        ratio = frames / x
         np.testing.assert_allclose(ratio.imag, 0.0, atol=1e-12)
         assert np.all(ratio.real > 0)
 
     def test_phase_cancellation(self):
         gen = np.random.default_rng(1)
-        for _ in range(10):
-            x = gen.standard_normal(6) + 1j * gen.standard_normal(6)
-            h = gen.standard_normal() + 1j * gen.standard_normal()
-            frame = precompensate(x, h, power=2.0, channel_uses=6)
-            arrived = h * frame.samples
-            ratio = arrived / x
+        xs = gen.standard_normal((10, 6)) + 1j * gen.standard_normal((10, 6))
+        gains = gen.standard_normal(10) + 1j * gen.standard_normal(10)
+        frames, scales = precompensate(xs, gains, power=2.0, channel_uses=6)
+        for x, h, frame, scale in zip(xs, gains, frames, scales):
+            ratio = h * frame / x
             np.testing.assert_allclose(ratio.imag, 0.0, atol=1e-9)
-            np.testing.assert_allclose(ratio.real, abs(h) * full_power_gain(
-                x, 2.0, 6), rtol=1e-9)
+            np.testing.assert_allclose(ratio.real, abs(h) * scale, rtol=1e-9)
+            assert scale == full_power_gain(x, 2.0, 6)
 
     def test_zero_payload_is_zero_frame(self):
-        frame = precompensate(np.zeros(3, complex), 1j, 1.0, 4)
-        np.testing.assert_array_equal(frame.samples, np.zeros(4, complex))
+        xs = np.array([[0j, 0j, 0j], [1j, 0j, 0j]])
+        frames, scales = precompensate(xs, [1j, 1j], 1.0, 4)
+        np.testing.assert_array_equal(frames[0], np.zeros(4, complex))
+        assert scales[0] == 0.0 and scales[1] == 2.0
+        np.testing.assert_array_equal(frames[1], [2, 0, 0, 0])
 
     def test_frame_power_exact(self):
         gen = np.random.default_rng(2)
-        x = gen.standard_normal(10) + 1j * gen.standard_normal(10)
-        frame = precompensate(x, 0.5 - 0.7j, power=3.0, channel_uses=16)
-        energy = np.sum(np.abs(frame.samples) ** 2)
-        assert abs(energy - 3.0 * 16) / (3.0 * 16) < 1e-9
+        xs = gen.standard_normal((3, 10)) + 1j * gen.standard_normal((3, 10))
+        frames, _ = precompensate(xs, [0.5 - 0.7j, 1j, -2.0], power=3.0,
+                                  channel_uses=16)
+        energy = np.sum(np.abs(frames) ** 2, axis=1)
+        np.testing.assert_allclose(energy, 3.0 * 16, rtol=1e-9)
+
+    def test_rows_are_the_lone_frames(self):
+        gen = np.random.default_rng(3)
+        xs = gen.standard_normal((4, 7)) + 1j * gen.standard_normal((4, 7))
+        gains = np.array([0.3 - 1.1j, 0j, 2.0 + 0j, -0.4 + 0.9j])
+        frames, scales = precompensate(xs, gains, 1.5, 9)
+        for x, gain, frame, scale in zip(xs, gains, frames, scales):
+            alone, (alone_scale,) = precompensate(x[None], [gain], 1.5, 9)
+            assert frame.tobytes() == alone[0].tobytes()
+            assert scale == alone_scale
+
+    def test_counts_one_power_check_per_device(self):
+        before = audit.power_checks
+        precompensate(np.ones((5, 2), complex), np.ones(5, complex), 1.0, 3)
+        assert audit.power_checks == before + 5
+
+    def test_payload_longer_than_frame_rejected(self):
+        with pytest.raises(ConfigurationError):
+            precompensate(np.ones((1, 4), complex), [1.0 + 0j], 1.0, 3)
 
 
 class TestMmseScaling:
@@ -129,9 +161,9 @@ class TestMmseScaling:
         # Noiseless links, one 2x2 table per device and T=2 (redundancy 1):
         # what arrives is each device's full-power amplitude times its table,
         # phase-aligned, and the receiver scales the sum by the MMSE factor.
-        tables = [np.array([[1.0, -2.0], [0.5, 3.0]]), np.full((2, 2), -0.5)]
+        tables = np.array([[[1.0, -2.0], [0.5, 3.0]], np.full((2, 2), -0.5)])
         gains = np.array([2j, 0.3 - 0.4j])
-        gammas = [full_power_gain(pack_complex(t.ravel()), 2.0, 2)
+        gammas = [full_power_gain(t.ravel().view(np.complex128), 2.0, 2)
                   for t in tables]
         state = ChannelState(gains, np.array([0.6 + 0.8j, 0.0]))
         estimate = fd_analog_uplink(tables, state, 2.0, 2, None)
@@ -149,39 +181,59 @@ class TestMmseScaling:
 
 class TestRepetition:
     def test_encode_basic(self):
-        np.testing.assert_array_equal(repetition_encode([1.0, 2.0], 2),
-                                      [1, 2, 1, 2])
+        rho, payload = _repeat_table(np.array([[1.0, 2.0], [3.0, 4.0]]), 4)
+        assert rho == 2
+        np.testing.assert_array_equal(payload, [1, 2, 3, 4, 1, 2, 3, 4])
+
+    def test_odd_length_padded_with_a_zero(self):
+        table = np.arange(9.0).reshape(3, 3)
+        rho, payload = _repeat_table(table, 7)
+        assert rho == 1
+        np.testing.assert_array_equal(payload, list(range(9)) + [0])
 
     def test_rho_one_identity(self):
-        s = np.array([3.0, -1.0])
-        np.testing.assert_array_equal(repetition_encode(s, 1), s)
-        np.testing.assert_array_equal(repetition_decode(s, 1), s)
+        table = np.array([[3.0, -1.0]])
+        rho, payload = _repeat_table(table, 1)
+        assert rho == 1
+        np.testing.assert_array_equal(payload, table.ravel())
+        np.testing.assert_array_equal(_mean_table(payload, 1, (1, 2)), table)
 
     def test_decode_mean(self):
-        np.testing.assert_array_equal(repetition_decode([1.0, 3.0], 2), [2.0])
+        np.testing.assert_array_equal(
+            _mean_table(np.array([1.0, 3.0]), 2, (1, 1)), [[2.0]])
 
     def test_roundtrip(self):
         gen = np.random.default_rng(4)
-        s = gen.standard_normal(9)
-        np.testing.assert_allclose(
-            repetition_decode(repetition_encode(s, 5), 5), s)
+        tables = gen.standard_normal((2, 3, 3))
+        rho, payloads = _repeat_table(tables, 23)
+        assert rho == 5 and payloads.shape == (2, 46)
+        np.testing.assert_allclose(_mean_table(payloads, rho, (3, 3)), tables)
+
+    def test_block_rows_are_the_lone_tables(self):
+        gen = np.random.default_rng(6)
+        tables = gen.standard_normal((3, 4, 4))
+        rho, payloads = _repeat_table(tables, 37)
+        noisy = payloads + gen.standard_normal(payloads.shape)
+        means = _mean_table(noisy, rho, (4, 4))
+        for table, payload, reals, mean in zip(tables, payloads, noisy, means):
+            lone_rho, lone_payload = _repeat_table(table, 37)
+            assert lone_rho == rho
+            assert lone_payload.tobytes() == payload.tobytes()
+            assert _mean_table(reals, rho, (4, 4)).tobytes() == mean.tobytes()
 
     def test_noise_variance_reduction(self):
         gen = np.random.default_rng(5)
         sigma2 = 0.8
-        block = 16
         for rho in (1, 2, 4):
-            trials = 10_000 // block + 1
-            residuals = []
-            for _ in range(trials):
-                noise = gen.standard_normal(rho * block) * np.sqrt(sigma2)
-                residuals.append(repetition_decode(noise, rho))
-            var = np.var(np.concatenate(residuals))
+            trials = 10_000 // 16 + 1
+            noise = gen.standard_normal((trials, rho * 16)) * np.sqrt(sigma2)
+            var = np.var(_mean_table(noise, rho, (4, 4)))
             assert abs(var - sigma2 / rho) / (sigma2 / rho) < 0.10
 
     def test_zero_redundancy_rejected(self):
+        # A 5 x 5 table needs 25 reals; T = 10 carries 20.
         with pytest.raises(ConfigurationError):
-            repetition_encode(np.ones(4), 0)
+            _repeat_table(np.ones((5, 5)), 10)
 
 
 class TestCsDecode:
@@ -540,9 +592,7 @@ class TestFdAnalog:
         estimate = fd_analog_uplink([table], state, power=2.0,
                                     channel_uses=uses, noise_rng=None)
         # Noiseless single device: output = (nu * gamma) * table exactly.
-        rho = (2 * uses) // (labels * labels)
-        x = pack_complex(repetition_encode(table.ravel(), rho)
-                         if (rho * labels * labels) % 2 == 0 else None)
+        x = _repeat_table(table, uses)[1].view(np.complex128)
         gamma = full_power_gain(x, 2.0, uses)
         shrink = gamma ** 2 / (0.5 + gamma ** 2)
         np.testing.assert_allclose(estimate, shrink * table, rtol=1e-9)
@@ -602,12 +652,58 @@ class TestAnalogDownlink:
                              np.array([1.0 + 0j, 0.5 + 0.5j]))
         estimates = fd_analog_downlink(table, state, power=1e6,
                                        channel_uses=uses, noise_rng=None)
-        rho = (2 * uses) // (labels * labels)
-        encoded = repetition_encode(table.ravel(), rho)
-        if encoded.size % 2:
-            encoded = np.append(encoded, 0.0)
-        gamma = full_power_gain(pack_complex(encoded), 1e6, uses)
+        _, payload = _repeat_table(table, uses)
+        gamma = full_power_gain(payload.view(np.complex128), 1e6, uses)
         for gain, est in zip(state.downlink_gains, estimates):
             amp = gamma * abs(gain)
             shrink = amp ** 2 / (0.5 + amp ** 2)
             np.testing.assert_allclose(est, shrink * table, rtol=1e-6)
+
+
+class TestDownlinkIsPerDevice:
+    """Device k scales its own reception y by the scalar expression
+    mmse_factor_downlink(gamma, abs(g)) * (y * conj(g) / abs(g)), with
+    Python's abs of its own gain g: np.abs over the gain array differs from
+    it in the last bit for some gains, and so would the copies."""
+
+    @staticmethod
+    def gains(k):
+        """k gains whose np.abs and abs differ."""
+        draws = np.random.default_rng(22).standard_normal((400, 2)) @ [1, 1j]
+        differ = draws[np.abs(draws) != np.array([abs(g) for g in draws])]
+        assert differ.size >= k
+        return differ[:k]
+
+    @staticmethod
+    def scalar_copies(payload, state, power, uses, noise_seed):
+        """The (K, n) block of the per-device scalar expressions."""
+        x = payload.view(np.complex128)
+        frames, (gamma,) = precompensate(x[None], [1.0 + 0j], power, uses)
+        receptions = downlink_bc(frames[0], state,
+                                 np.random.default_rng(noise_seed))
+        return np.array([
+            (mmse_factor_downlink(gamma, abs(g))
+             * (y[:x.size] * (np.conj(g) / abs(g)))).view(np.float64)
+            for g, y in zip(state.downlink_gains, receptions)])
+
+    def test_downlink_rows_bit_for_bit(self):
+        gains = self.gains(4)
+        state = ChannelState(gains, gains)
+        payload = np.random.default_rng(23).standard_normal(30)
+        want = self.scalar_copies(payload, state, 3.0, 20, 24)
+        got = _downlink(payload, state, 3.0, 20, np.random.default_rng(24))
+        assert got.shape == (4, 30)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_fd_downlink_tables_bit_for_bit(self):
+        gains = self.gains(3)
+        state = ChannelState(gains, gains)
+        table = np.random.default_rng(25).standard_normal((3, 3))
+        rho, payload = _repeat_table(table, 25)
+        copies = self.scalar_copies(payload, state, 2.0, 25, 26)
+        want = [np.mean(c[:rho * 9].reshape(rho, 9), axis=0).reshape(3, 3)
+                for c in copies]
+        got = fd_analog_downlink(table, state, 2.0, 25,
+                                 np.random.default_rng(26))
+        assert got.shape == (3, 3, 3)
+        assert got.tobytes() == np.array(want).tobytes()

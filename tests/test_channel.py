@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fedsim import audit
 from fedsim.channel import (
-    AnalogFrame, ChannelState, downlink_bc, sample_channel, uplink_mac,
+    ChannelState, check_frame_power, downlink_bc, sample_channel, uplink_mac,
 )
 from fedsim.errors import ConfigurationError
 
@@ -138,11 +139,29 @@ class TestDownlinkBc:
             assert r.tobytes() == (gain * frame + noise).tobytes()
 
 
-class TestAnalogFramePower:
+class TestFramePower:
     def test_over_budget_rejected(self):
         with pytest.raises(ValueError):
-            AnalogFrame(samples=np.array([2 + 0j]), power_budget=1.0)
+            check_frame_power(block([2 + 0j]), power_budget=1.0)
 
     def test_at_budget_accepted(self):
-        f = AnalogFrame(samples=np.array([1 + 0j, 1j]), power_budget=1.0)
-        assert f.samples.size == 2
+        check_frame_power(block([1 + 0j, 1j], [1j, -1 + 0j]), power_budget=1.0)
+
+    def test_each_row_is_checked_alone(self):
+        # Mean power 2.5 over the block, but row 1 alone is at 4.
+        frames = block([1 + 0j, 1j], [2 + 0j, 2j])
+        check_frame_power(frames[:1], power_budget=1.0)
+        violations = audit.violations
+        with pytest.raises(ValueError, match="frame power 4 exceeds"):
+            check_frame_power(frames, power_budget=3.0)
+        assert audit.violations == violations + 1
+
+    def test_counts_one_power_check_per_row(self):
+        before = audit.power_checks
+        check_frame_power(np.zeros((3, 5), complex), power_budget=1.0)
+        assert audit.power_checks == before + 3
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 0), (1, 2, 3)])
+    def test_block_without_frames_rejected(self, shape):
+        with pytest.raises(ConfigurationError):
+            check_frame_power(np.zeros(shape, complex), power_budget=1.0)

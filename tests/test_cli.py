@@ -193,6 +193,8 @@ def test_run_rejects_several_points(tmp_path, capsys):
      "line 2: num_devices must be an integer >= 1, got 0"),
     ("model = mlp:x\n", "line 1: model: bad descriptor 'mlp:x' (invalid "
      "literal for int() with base 10: 'x')"),
+    ("model = mlp:8,,4\n", "line 1: model: bad descriptor 'mlp:8,,4' (an "
+     "empty hidden width; write \"linear\" for no hidden layer)"),
     ("data = synthetic:dimm=4\n", "line 1: data: bad descriptor "
      "'synthetic:dimm=4' (unknown synthetic option 'dimm')"),
     ("protocol = fd\nlink = aa\nchannel_uses = 20, 1\n"

@@ -70,9 +70,11 @@ class TestArchitecture:
         assert MlpArchitecture.from_descriptor("linear", 5, 3).layer_sizes \
             == (5, 3)
 
-    def test_bad_descriptor(self):
+    @pytest.mark.parametrize("descriptor", [
+        "cnn", "mlp:", "mlp:8,", "mlp:,8", "mlp:8,,4", "mlp: ", "mlp:8, "])
+    def test_bad_descriptor(self, descriptor):
         with pytest.raises(ValueError):
-            MlpArchitecture.from_descriptor("cnn", 5, 3)
+            MlpArchitecture.from_descriptor(descriptor, 5, 3)
 
 
 class TestForward:

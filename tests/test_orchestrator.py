@@ -686,6 +686,8 @@ class TestConfigParsing:
         ("reg_weight", "0.5"), ("alpha", "0.1"),
         ("noise_enabled", "no"), ("ideal_exchange", "false"),
         ("ideal_exchange", 1), ("model", "mlp:x"), ("model", None),
+        ("model", "mlp:"), ("model", "mlp:8,"), ("model", "mlp:,8"),
+        ("model", "mlp:8,,4"),
         ("data", "synthetic:dimm=4"), ("data", "synthetic_typo"),
         ("data", "synthetic:classes=1"), ("data", "synthetic:dim=0"),
         ("data", "synthetic:flip=1.5"), ("data", "synthetic:noise=nan"),
