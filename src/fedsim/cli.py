@@ -11,7 +11,7 @@ import os
 import sys
 
 from .datasets import IdxParseError
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .orchestrator import (
     PROTOCOLS, ExperimentConfig, expand_settings, parse_settings, parse_value,
     run_experiment, write_metrics,
@@ -101,7 +101,11 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     print(f"sweep: {len(configs)} runs -> {args.out}")
     for config, name in zip(configs, names):
-        accuracy = _run_to_csv(config, os.path.join(args.out, name))
+        path = os.path.join(args.out, name)
+        try:
+            accuracy = _run_to_csv(config, path)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{path}: {exc}") from None
         print(f"  {name}: accuracy {accuracy:.4f}")
     return 0
 
@@ -140,7 +144,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, IdxParseError) as exc:
+    except (ConfigurationError, DivergenceError, IdxParseError) as exc:
         message = str(exc)
     except OSError as exc:  # a data file to read, or an output to create
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc

@@ -7,3 +7,8 @@ class ConfigurationError(ValueError):
 
 class DecodeError(ValueError):
     """A received payload that cannot be reconstructed (corrupt indices etc.)."""
+
+
+class DivergenceError(ValueError):
+    """Training whose weights left the finite numbers (a step size too large
+    for the data, or non-finite inputs)."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
+from .errors import DivergenceError
 
 PROB_FLOOR = 1e-12  # clamp inside logs so losses stay finite
 
@@ -84,25 +85,18 @@ def _unpack(w: np.ndarray, arch: MlpArchitecture):
     return layers
 
 
-def _forward(layers, x):
-    """(inputs, logits): the input of every layer, `x` first, and the
-    logits of the batch `x` under the (matrix, bias) `layers`."""
-    inputs = [x]
-    for mat, bias in layers[:-1]:
-        act = inputs[-1] @ mat
-        act += bias
-        np.maximum(act, 0.0, out=act)
-        inputs.append(act)
-    mat, bias = layers[-1]
-    logits = inputs[-1] @ mat
-    logits += bias
-    return inputs, logits
-
-
 def forward_logits_batch(w: np.ndarray, covariates: np.ndarray,
                          arch: MlpArchitecture) -> np.ndarray:
-    return _forward(_unpack(np.asarray(w, dtype=np.float64), arch),
-                    np.asarray(covariates, dtype=np.float64))[1]
+    layers = _unpack(np.asarray(w, dtype=np.float64), arch)
+    x = np.asarray(covariates, dtype=np.float64)
+    for mat, bias in layers[:-1]:
+        x = x @ mat
+        x += bias
+        np.maximum(x, 0.0, out=x)
+    mat, bias = layers[-1]
+    logits = x @ mat
+    logits += bias
+    return logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -118,9 +112,9 @@ def _log_targets(target_rows: np.ndarray) -> np.ndarray:
     return np.log(np.clip(softmax(target_rows), PROB_FLOOR, None))
 
 
-def _layer_loss_grads(layers, grads, covariates, onehot, log_targets,
-                      reg_weight):
-    """Write the gradient of the batch-mean loss into `grads` (hot path).
+def _gradient_kernel(layers, grads, rows, reg_weight):
+    """A function `kernel(covariates, onehot, log_targets)` that writes into
+    `grads` the gradient of the batch-mean loss (hot path).
 
     The loss per sample is
         (1 - reg_weight) * ce(onehot, prediction)
@@ -129,41 +123,94 @@ def _layer_loss_grads(layers, grads, covariates, onehot, log_targets,
     this is plain cross-entropy training.
 
     `layers` and `grads` are the (matrix, bias) views `_unpack` gives of the
-    weights and of a gradient buffer laid out like them. `onehot` holds the
-    batch's one-hot label rows and `log_targets` the matching rows of
-    `_log_targets(target table)`, or None for plain cross-entropy. The
-    logits are turned into probabilities and then into the output delta in
-    place.
-    """
-    n = covariates.shape[0]
-    inputs, probs = _forward(layers, covariates)
-    # The in-place steps below repeat softmax() and the textbook delta
-    # expressions operation by operation; reordering them changes the last
-    # bits of the weights and, through them, the metrics CSVs.
-    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=1, keepdims=True)
-    if log_targets is None:
-        probs -= onehot
-    else:
-        weighted = np.add.reduce(probs * log_targets, axis=1, keepdims=True)
-        # d/ds of -sum_l p_l log b_l is p * (sum_l p_l log b_l - log b).
-        d_distill = weighted - log_targets
-        d_distill *= probs
-        d_distill *= reg_weight
-        probs -= onehot
-        probs *= 1.0 - reg_weight
-        probs += d_distill
-    probs /= n
+    weights and of a gradient buffer laid out like them. A batch holds at
+    most `rows` rows: `onehot` its one-hot label rows and `log_targets` the
+    matching rows of `_log_targets(target table)`, or None for plain
+    cross-entropy.
 
-    delta = probs
-    for i in range(len(layers) - 1, -1, -1):
-        gmat, gbias = grads[i]
-        np.matmul(inputs[i].T, delta, out=gmat)
+    Small arrays make numpy's per-call overhead, not arithmetic, the cost,
+    so the kernel makes few calls and allocates nothing. The activation,
+    ReLU-mask, delta and row buffers, the transposed weight views and the
+    scalars (as 0-d arrays) are made here once; a batch of n rows uses
+    [:n] slices of the buffers, made once per n. Every product is
+    `np.dot(a, b, out=...)`, the same dgemm as `@`, and every ufunc writes
+    through `out=`. The logits are turned into probabilities and then into
+    the output delta in place.
+    """
+    widths = [mat.shape[1] for mat, _ in layers]
+    acts = [np.empty((rows, width)) for width in widths]
+    masks = [np.empty((rows, width)) for width in widths[:-1]]
+    deltas = [np.empty((rows, width)) for width in widths[:-1]]
+    peaks = np.empty((rows, 1))
+    works = np.empty((rows, widths[-1]))
+    zero, mix, keep = (np.array(v) for v in (0.0, reg_weight,
+                                              1.0 - reg_weight))
+    mats_t = [mat.T for mat, _ in layers]
+    top_mat, top_bias = layers[-1]
+    plans = {}
+
+    def plan(n):
+        """Everything a batch of n rows reads besides its own rows: the
+        forward tuples of the hidden layers, the logit, row and scratch
+        buffers, n as a 0-d array, and the backward tuples of layers
+        len(layers) - 1 down to 1 (each layer's input^T and gradient views,
+        its matrix^T, and the delta and mask of the layer below)."""
+        cut = [a[:n] for a in acts]
+        forward = [(mat, bias, act, mask[:n]) for (mat, bias), act, mask
+                   in zip(layers[:-1], cut, masks)]
+        backward = [(cut[i - 1].T, *grads[i], mats_t[i], deltas[i - 1][:n],
+                     masks[i - 1][:n]) for i in range(len(layers) - 1, 0, -1)]
+        plans[n] = (forward, cut[-1], peaks[:n], works[:n],
+                    np.array(float(n)), backward)
+        return plans[n]
+
+    def kernel(covariates, onehot, log_targets):
+        forward, probs, peak, work, count, backward = (
+            plans.get(len(covariates)) or plan(len(covariates)))
+        x = covariates
+        for mat, bias, act, mask in forward:
+            np.dot(x, mat, out=act)
+            np.add(act, bias, out=act)
+            np.maximum(act, zero, out=act)
+            # ReLU outputs are >= 0, so their sign is the 0/1 mask exactly.
+            np.sign(act, out=mask)
+            x = act
+        np.dot(x, top_mat, out=probs)
+        np.add(probs, top_bias, out=probs)
+        # The in-place steps below repeat softmax() and the textbook delta
+        # expressions operation by operation; reordering them changes the
+        # last bits of the weights and, through them, the metrics CSVs.
+        np.maximum.reduce(probs, axis=1, keepdims=True, out=peak)
+        np.subtract(probs, peak, out=probs)
+        np.exp(probs, out=probs)
+        np.add.reduce(probs, axis=1, keepdims=True, out=peak)
+        np.divide(probs, peak, out=probs)
+        if log_targets is None:
+            np.subtract(probs, onehot, out=probs)
+        else:
+            np.multiply(probs, log_targets, out=work)
+            np.add.reduce(work, axis=1, keepdims=True, out=peak)
+            # d/ds of -sum_l p_l log b_l is p * (sum_l p_l log b_l - log b).
+            np.subtract(peak, log_targets, out=work)
+            np.multiply(work, probs, out=work)
+            np.multiply(work, mix, out=work)
+            np.subtract(probs, onehot, out=probs)
+            np.multiply(probs, keep, out=probs)
+            np.add(probs, work, out=probs)
+        np.divide(probs, count, out=probs)
+
+        delta = probs
+        for act_t, gmat, gbias, mat_t, below, mask in backward:
+            np.dot(act_t, delta, out=gmat)
+            np.add.reduce(delta, axis=0, out=gbias)
+            np.dot(delta, mat_t, out=below)
+            np.multiply(below, mask, out=below)
+            delta = below
+        gmat, gbias = grads[0]
+        np.dot(covariates.T, delta, out=gmat)
         np.add.reduce(delta, axis=0, out=gbias)
-        if i > 0:
-            delta = delta @ layers[i][0].T
-            delta *= inputs[i] > 0.0
+
+    return kernel
 
 
 def _pass(covariates, labels, arch, target_table, reg_weight):
@@ -179,43 +226,40 @@ def _pass(covariates, labels, arch, target_table, reg_weight):
 
 
 def _descend(w, arch, alpha, reg_weight, passes, batch_size):
-    """SGD from a copy of `w` over each `_pass` triple of `passes` in turn,
-    in contiguous minibatches of `batch_size` rows; the one place where
-    weights are stepped.
+    """SGD from a copy of `w` over each `_pass` triple of the list `passes`
+    in turn, in contiguous minibatches of `batch_size` rows; the one place
+    where weights are stepped.
 
     The copy is trained in place, and every gradient lands in one flat
-    buffer of the same layout, so a step ends in `grad *= alpha; w -= grad`,
-    bit for bit `w - alpha * grad`.
+    buffer of the same layout, so a step ends in `grad *= alpha; w -= grad`
+    (as `out=` calls), bit for bit `w - alpha * grad`. One
+    `_gradient_kernel` serves the whole call: its buffers are made once per
+    call, not once per step, and a short last minibatch uses [:n] slices of
+    them. The weights equal, bit for bit, those of the textbook kernel and
+    minibatch loop kept as the reference in `tests/test_learning.py`
+    (`reference_descend`); the tests and the golden CSVs hold it to that.
     """
     w = np.array(w, dtype=np.float64)
     grad = np.empty(w.shape)
-    layers, grads = _unpack(w, arch), _unpack(grad, arch)
-    for covariates, onehot, log_targets in passes:
-        for start in range(0, len(covariates), batch_size):
-            stop = start + batch_size
-            _layer_loss_grads(
-                layers, grads, covariates[start:stop], onehot[start:stop],
-                None if log_targets is None else log_targets[start:stop],
-                reg_weight)
-            grad *= alpha
-            w -= grad
+    rows = min(batch_size, max((len(p[0]) for p in passes), default=0))
+    kernel = _gradient_kernel(_unpack(w, arch), _unpack(grad, arch), rows,
+                              reg_weight)
+    step = np.array(alpha, dtype=np.float64)
+    # Overflow on the way shows in the finiteness check below, which
+    # raises it as one error instead of numpy's warnings.
+    with np.errstate(all="ignore"):
+        for covariates, onehot, log_targets in passes:
+            for start in range(0, len(covariates), batch_size):
+                stop = start + batch_size
+                kernel(covariates[start:stop], onehot[start:stop],
+                       None if log_targets is None
+                       else log_targets[start:stop])
+                np.multiply(grad, step, out=grad)
+                np.subtract(w, grad, out=w)
     if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite weights after SGD")
+        raise DivergenceError(f"non-finite weights after SGD at step size "
+                              f"{alpha:g}")
     return w
-
-
-def sgd_step(w: np.ndarray, batch, alpha: float, arch: MlpArchitecture,
-             target_table: np.ndarray | None = None,
-             reg_weight: float = 0.0) -> np.ndarray:
-    """One SGD step on the (optionally distillation-regularized) batch loss."""
-    if alpha < 0:
-        raise ValueError("step size must be non-negative")
-    covariates, labels = batch
-    if len(labels) == 0:
-        raise ValueError("SGD step on an empty batch")
-    return _descend(w, arch, alpha, reg_weight,
-                    [_pass(covariates, labels, arch, target_table,
-                           reg_weight)], len(labels))
 
 
 def run_local_epochs(w: np.ndarray, data: LabeledDataset, alpha: float,
@@ -225,18 +269,20 @@ def run_local_epochs(w: np.ndarray, data: LabeledDataset, alpha: float,
                      reg_weight: float = 0.0) -> np.ndarray:
     """Minibatch SGD over the local shard for a number of epochs.
 
-    Bit-identical to `sgd_step` over the minibatches of each epoch's
-    `rng.permutation(len(data))`. The log-targets are computed once per
-    call; each epoch gathers covariates, one-hot labels and log-target rows
-    in shuffled order once, and `_descend` slices contiguous minibatches
-    from them.
+    Each epoch walks `rng.permutation(len(data))` in contiguous minibatches
+    of `batch_size` rows, the last one short if the shard does not divide.
+    All epochs' permutations are drawn first, in order, and covariates,
+    one-hot labels and log-target rows are gathered through them in one go;
+    the log-targets are computed once per call.
     """
-    covariates, onehot, log_targets = _pass(data.covariates, data.labels,
-                                            arch, target_table, reg_weight)
-    orders = (rng.permutation(len(data)) for _ in range(epochs))
-    passes = ((covariates[order], onehot[order],
-               None if log_targets is None else log_targets[order])
-              for order in orders)
+    batch = _pass(data.covariates, data.labels, arch, target_table,
+                  reg_weight)
+    orders = np.array([rng.permutation(len(data)) for _ in range(epochs)],
+                      dtype=np.int64).reshape(epochs, len(data))
+    covariates, onehot, log_targets = (
+        None if rows is None else rows[orders] for rows in batch)
+    passes = list(zip(covariates, onehot, [None] * epochs
+                      if log_targets is None else log_targets))
     return _descend(w, arch, alpha, reg_weight, passes, batch_size)
 
 
@@ -270,8 +316,8 @@ def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,
     Each row of `covariates` is one pseudo-sample with its entry of
     `labels`, regularized toward that label's row of the (L, L) exchanged
     `target_table` exactly as in the regular distillation loss; each step
-    takes the whole pseudo-batch, bit for bit one `sgd_step`. An empty
-    batch leaves `w` as it is.
+    takes the whole pseudo-batch as one minibatch. An empty batch leaves
+    `w` as it is.
     """
     if len(labels) == 0:
         return w

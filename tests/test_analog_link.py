@@ -285,6 +285,34 @@ class TestCsDecode:
             means.append(np.mean(vals))
         assert means[0] >= means[1] >= means[2]
 
+    # Donoho-Maleki-Montanari's l1 phase transition: noiseless AMP recovers
+    # a k-sparse vector from m = delta * n measurements when rho = k / m
+    # lies under their curve rho(delta), near 0.38 at delta = 0.5, and
+    # fails above it. n is the benchmark model's weight count.
+    PHASE_DIM, PHASE_DRAWS = 1362, 5
+
+    def phase_errors(self, delta, rho):
+        """Relative squared errors of noiseless decodes at (delta, rho),
+        one per seeded draw of a Gaussian vector on a random support."""
+        rows = round(delta * self.PHASE_DIM)
+        errors = []
+        for seed in range(self.PHASE_DRAWS):
+            proj, y, truth = self.sparse_instance(
+                self.PHASE_DIM, rows, round(rho * rows), seed)
+            estimate = cs_decode(proj, y)
+            errors.append(np.sum((estimate - truth) ** 2)
+                          / np.sum(truth ** 2))
+        return errors
+
+    @pytest.mark.parametrize("delta", [0.3, 0.5])
+    @pytest.mark.parametrize("rho", [0.05, 0.10])
+    def test_recovers_well_inside_the_phase_transition(self, delta, rho):
+        assert max(self.phase_errors(delta, rho)) < 1e-9
+
+    @pytest.mark.parametrize("delta", [0.3, 0.5])
+    def test_fails_well_past_the_phase_transition(self, delta):
+        assert min(self.phase_errors(delta, 0.5)) > 1e-2
+
     def test_projection_regeneration_bit_exact(self):
         a = ProjectionMatrix(rows=64, cols=128, seed=42)
         b = ProjectionMatrix(rows=64, cols=128, seed=42)

@@ -238,6 +238,37 @@ def _one_line_error(capsys, message):
     assert (captured.out, captured.err) == ("", f"fedsim: error: {message}\n")
 
 
+# A hidden layer and a huge step size: the weights overflow in the first
+# local epoch.
+DIVERGING = ("num_devices = 2\nsamples_per_device = 10\ntest_samples = 30\n"
+             "model = mlp:8\ndata = synthetic:classes=2,dim=4\n"
+             "alpha = 1e300\n")
+
+
+def test_diverging_run_is_one_line_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(DIVERGING)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(config), "--protocol", "il",
+                 "--link", "dd", "--T", "100", "--iters", "1",
+                 "--out", str(out)]) == 2
+    _one_line_error(capsys, "non-finite weights after SGD at step size "
+                            "1e+300")
+    assert not out.exists()
+
+
+def test_diverging_sweep_point_names_its_csv(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(DIVERGING + "protocol = fl\nglobal_iterations = 1\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
+    csv = out / "fl_dd_T2500_pu0_pd10_seed0.csv"
+    assert capsys.readouterr().err == (
+        f"fedsim: error: {csv}: non-finite weights after SGD at step size "
+        f"1e+300\n")
+    assert not csv.exists()
+
+
 def test_missing_data_file_is_one_line_error(tmp_path, capsys):
     images, labels = tmp_path / "nope1", tmp_path / "nope2"
     assert main(["run", "--data", f"idx:{images},{labels}",

@@ -4,12 +4,97 @@ import numpy as np
 import pytest
 
 from fedsim.datasets import LabeledDataset
+from fedsim.errors import DivergenceError
 from fedsim.learning import (
-    PROB_FLOOR, MlpArchitecture, _layer_loss_grads, _unpack, average_logits,
-    evaluate_accuracy, forward_logits_batch, hfd_distill_step, init_weights,
-    label_means, run_local_epochs, sgd_step, softmax,
+    PROB_FLOOR, MlpArchitecture, _gradient_kernel, _pass, _unpack,
+    average_logits, evaluate_accuracy, forward_logits_batch, hfd_distill_step,
+    init_weights, label_means, run_local_epochs, softmax,
 )
 from fedsim.orchestrator import _target
+
+
+# The reference: the textbook kernel and minibatch loop that
+# `learning._descend` replaced, kept as they were. `_descend` must reproduce
+# their weights bit for bit (TestReferenceKernel); they allocate every
+# array per step, which makes them slow but easy to read.
+
+def reference_forward(layers, x):
+    """(inputs, logits): the input of every layer, `x` first, and the
+    logits of the batch `x` under the (matrix, bias) `layers`."""
+    inputs = [x]
+    for mat, bias in layers[:-1]:
+        act = inputs[-1] @ mat
+        act += bias
+        np.maximum(act, 0.0, out=act)
+        inputs.append(act)
+    mat, bias = layers[-1]
+    logits = inputs[-1] @ mat
+    logits += bias
+    return inputs, logits
+
+
+def reference_loss_grads(layers, grads, covariates, onehot, log_targets,
+                         reg_weight):
+    """Write the gradient of the batch-mean loss into `grads`."""
+    n = covariates.shape[0]
+    inputs, probs = reference_forward(layers, covariates)
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    if log_targets is None:
+        probs -= onehot
+    else:
+        weighted = np.add.reduce(probs * log_targets, axis=1, keepdims=True)
+        # d/ds of -sum_l p_l log b_l is p * (sum_l p_l log b_l - log b).
+        d_distill = weighted - log_targets
+        d_distill *= probs
+        d_distill *= reg_weight
+        probs -= onehot
+        probs *= 1.0 - reg_weight
+        probs += d_distill
+    probs /= n
+
+    delta = probs
+    for i in range(len(layers) - 1, -1, -1):
+        gmat, gbias = grads[i]
+        np.matmul(inputs[i].T, delta, out=gmat)
+        np.add.reduce(delta, axis=0, out=gbias)
+        if i > 0:
+            delta = delta @ layers[i][0].T
+            delta *= inputs[i] > 0.0
+
+
+def reference_descend(w, arch, alpha, reg_weight, passes, batch_size):
+    """SGD from a copy of `w` over each `_pass` triple of `passes` in turn,
+    in contiguous minibatches of `batch_size` rows."""
+    w = np.array(w, dtype=np.float64)
+    grad = np.empty(w.shape)
+    layers, grads = _unpack(w, arch), _unpack(grad, arch)
+    for covariates, onehot, log_targets in passes:
+        for start in range(0, len(covariates), batch_size):
+            stop = start + batch_size
+            reference_loss_grads(
+                layers, grads, covariates[start:stop], onehot[start:stop],
+                None if log_targets is None else log_targets[start:stop],
+                reg_weight)
+            grad *= alpha
+            w -= grad
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite weights after SGD")
+    return w
+
+
+def sgd_step(w, batch, alpha, arch, target_table=None, reg_weight=0.0):
+    """One reference SGD step on the (optionally distillation-regularized)
+    batch loss."""
+    if alpha < 0:
+        raise ValueError("step size must be non-negative")
+    covariates, labels = batch
+    if len(labels) == 0:
+        raise ValueError("SGD step on an empty batch")
+    return reference_descend(w, arch, alpha, reg_weight,
+                             [_pass(covariates, labels, arch, target_table,
+                                    reg_weight)], len(labels))
 
 
 def small_arch():
@@ -44,8 +129,9 @@ def loss_and_gradient(w, covariates, labels, arch, target_rows=None,
         loss = ((1.0 - reg_weight) * loss
                 - reg_weight * (probs * log_targets).sum(axis=1))
     grad = np.empty(w.shape)
-    _layer_loss_grads(_unpack(w, arch), _unpack(grad, arch), covariates,
-                      onehot, log_targets, reg_weight)
+    kernel = _gradient_kernel(_unpack(w, arch), _unpack(grad, arch),
+                              len(covariates), reg_weight)
+    kernel(covariates, onehot, log_targets)
     return float(loss.mean()), grad
 
 
@@ -202,6 +288,11 @@ class TestGradients:
             sgd_step(w, (covariates, labels), 0.1, arch, target_table=table,
                      reg_weight=reg_weight),
             w - 0.1 * grad)
+
+    def test_negative_step_size_rejected(self):
+        arch, w, covariates, labels, _ = small_fixture(seed=33)
+        with pytest.raises(ValueError, match="non-negative"):
+            sgd_step(w, (covariates, labels), -0.1, arch)
 
     def test_empty_batch_rejected(self):
         arch, w, _, _, _ = small_fixture(seed=33)
@@ -474,6 +565,90 @@ class TestLocalEpochsKernel:
     def test_infinite_covariates_raise(self):
         arch, w, covariates, labels, _ = small_fixture(seed=94)
         covariates[2, 1] = np.inf
+        data = LabeledDataset(covariates, labels, 2)
         with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match="non-finite weights"):
-            sgd_step(w, (covariates, labels), 0.1, arch)
+                pytest.raises(DivergenceError, match="non-finite weights"):
+            run_local_epochs(w, data, 0.1, 1, len(data),
+                             np.random.default_rng(0), arch)
+
+
+def reference_epochs(w, data, alpha, epochs, batch_size, rng, arch,
+                     target_table, reg_weight):
+    """`run_local_epochs` through `reference_descend`: each epoch gathers its
+    own permutation and walks it in minibatches."""
+    covariates, onehot, log_targets = _pass(data.covariates, data.labels,
+                                            arch, target_table, reg_weight)
+    orders = (rng.permutation(len(data)) for _ in range(epochs))
+    passes = ((covariates[order], onehot[order],
+               None if log_targets is None else log_targets[order])
+              for order in orders)
+    return reference_descend(w, arch, alpha, reg_weight, passes, batch_size)
+
+
+MODELS = {"linear": (), "1-hidden": (9,), "2-hidden": (12, 7)}
+
+
+class TestReferenceKernel:
+    """`_descend`, through `run_local_epochs` and `hfd_distill_step`, equals
+    the reference kernel and loop bit for bit."""
+
+    DIM, SAMPLES = 6, 22
+
+    def setup(self, model, classes, seed):
+        gen = np.random.default_rng(seed)
+        arch = MlpArchitecture((self.DIM,) + MODELS[model] + (classes,))
+        return arch, init_weights(arch, gen), gen
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_local_epochs(self, model, classes, batch_size, reg_weight,
+                          with_table):
+        # 22 rows in minibatches of 5 leave a short last one of 2.
+        arch, w, gen = self.setup(model, classes, 100 + classes)
+        data = LabeledDataset(gen.uniform(-1, 1, (self.SAMPLES, self.DIM)),
+                              gen.integers(0, classes, self.SAMPLES), classes)
+        table = gen.standard_normal((classes, classes)) * 2.0 \
+            if with_table else None
+        args = (w, data, 0.4, 3, batch_size)
+        out = run_local_epochs(*args, np.random.default_rng(7), arch,
+                               target_table=table, reg_weight=reg_weight)
+        expected = reference_epochs(*args, np.random.default_rng(7), arch,
+                                    table, reg_weight)
+        assert not np.array_equal(out, w)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("pseudo", [1, 2])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.5, 1.0])
+    def test_hfd_distill_step(self, model, classes, pseudo, reg_weight):
+        arch, w, gen = self.setup(model, classes, 200 + classes)
+        covariates = gen.uniform(-1, 1, (pseudo, self.DIM))
+        labels = gen.permutation(classes)[:pseudo]
+        table = gen.standard_normal((classes, classes)) * 2.0
+        out = hfd_distill_step(w, covariates, labels, table, 0.4, arch, 5,
+                               reg_weight)
+        expected = reference_descend(
+            w, arch, 0.4, reg_weight,
+            [_pass(covariates, labels, arch, table, reg_weight)] * 5, pseudo)
+        assert not np.array_equal(out, w)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_kernel_reuses_its_buffers_across_batch_sizes(self):
+        # One kernel serves full and short batches in any order; each call
+        # writes the reference gradient of its own rows.
+        arch, w, gen = self.setup("2-hidden", 3, 300)
+        covariates = gen.uniform(-1, 1, (5, self.DIM))
+        batch = _pass(covariates, gen.integers(0, 3, 5), arch,
+                      gen.standard_normal((3, 3)), 0.5)
+        grad, expected = np.empty(w.shape), np.empty(w.shape)
+        kernel = _gradient_kernel(_unpack(w, arch), _unpack(grad, arch), 5,
+                                  0.5)
+        for n in (5, 2, 5, 1, 2):
+            kernel(*(rows[:n] for rows in batch))
+            reference_loss_grads(_unpack(w, arch), _unpack(expected, arch),
+                                 *(rows[:n] for rows in batch), 0.5)
+            assert grad.tobytes() == expected.tobytes()
