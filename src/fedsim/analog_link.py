@@ -71,7 +71,7 @@ import numpy as np
 
 from .channel import ChannelState, check_frame_power, downlink_bc, uplink_mac
 from .compression import ErrorAccumulator, accumulate_error, top_k_sparsify
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 
 # Message-passing decoder: threshold multiplier on the noise estimate, the
 # iteration cap, and the relative residual change that counts as a stall.
@@ -336,6 +336,18 @@ def _downlink(payload: np.ndarray, state: ChannelState, power: float,
     return received.view(np.float64)
 
 
+def _project_sent(projection: ProjectionMatrix, sparse: np.ndarray):
+    """`projection.project(sparse)`; a diverged update, too large for the
+    single-precision product, raises DivergenceError instead of numpy's
+    warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sent = projection.project(sparse)
+    if not np.all(np.isfinite(sent)):
+        raise DivergenceError("weight update too large for the "
+                              "single-precision analog link")
+    return sent
+
+
 def _repeat_table(tables: np.ndarray, channel_uses: int):
     """Repetition-code the tables of a (..., L, L) block into the 2T reals of
     the link: returns (rho, the (..., n) payload block).
@@ -382,7 +394,8 @@ def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
               for u, acc in zip(updates, accs)]
     new_accs = [accumulate_error(acc, u, s)
                 for u, acc, s in zip(updates, accs, sparse)]
-    received = _uplink(np.array([projection.project(s) for s in sparse]),
+    received = _uplink(np.array([_project_sent(projection, s)
+                                 for s in sparse]),
                        state, power, channel_uses, noise_rng)
     estimate = cs_decode(projection, received)
     return estimate, new_accs
@@ -414,7 +427,7 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     _check_projection(projection, update.size, channel_uses)
     sparse = top_k_sparsify(update + acc.residual, q)
     new_acc = accumulate_error(acc, update, sparse)
-    receptions = _downlink(projection.project(sparse), state, power,
+    receptions = _downlink(_project_sent(projection, sparse), state, power,
                            channel_uses, noise_rng)
     # `cs_decode` is looked up when each call runs, so a wrapper patched
     # into this module sees every decode.

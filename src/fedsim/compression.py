@@ -56,9 +56,10 @@ def top_k_sparsify(u: np.ndarray, q: int) -> np.ndarray:
 
 
 def top_k_indices(u: np.ndarray, q: int) -> np.ndarray:
-    """Indices of the q largest-magnitude entries, ties broken by position."""
+    """Indices of the q largest-magnitude entries along the last axis, ties
+    broken by position."""
     # Stable sort on -|u| makes the selection deterministic under ties.
-    return np.argsort(-np.abs(u), kind="stable")[:q]
+    return np.argsort(-np.abs(u), axis=-1, kind="stable")[..., :q]
 
 
 # A float64 has a 53-bit significand: finer levels are not distinct values,
@@ -66,12 +67,13 @@ def top_k_indices(u: np.ndarray, q: int) -> np.ndarray:
 MAX_QUANTIZER_BITS = 53
 
 
-def quantize_uniform(values: np.ndarray, bits: int):
-    """Mid-tread uniform quantization of values onto 2^bits levels.
+def quantize_rows(values: np.ndarray, bits: int) -> np.ndarray:
+    """Mid-tread uniform quantization of each row onto 2^bits levels.
 
-    The levels span [min(values), max(values)]; the range is returned as
-    (codes, lo, hi) and is assumed conveyed to the decoder out of band.
-    A degenerate range (all values equal) quantizes exactly with code 0.
+    A row is the last axis. Its levels span [min(row), max(row)], and that
+    range is assumed conveyed to the decoder out of band. Returns the
+    reconstructed values, which are what the decoder reads; a flat row (all
+    values equal) comes back exactly.
     """
     values = np.asarray(values, dtype=np.float64)
     if not 1 <= bits <= MAX_QUANTIZER_BITS:
@@ -79,22 +81,15 @@ def quantize_uniform(values: np.ndarray, bits: int):
                          f"got {bits}")
     if values.size == 0:
         raise ValueError("nothing to quantize")
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi == lo:
-        return np.zeros(values.shape, dtype=np.int64), lo, hi
+    lo = values.min(axis=-1, keepdims=True)
+    hi = values.max(axis=-1, keepdims=True)
     levels = 2 ** bits - 1
     step = (hi - lo) / levels
-    codes = np.clip(np.rint((values - lo) / step), 0, levels).astype(np.int64)
-    return codes, lo, hi
-
-
-def dequantize_uniform(codes: np.ndarray, bits: int, lo: float, hi: float) -> np.ndarray:
-    codes = np.asarray(codes, dtype=np.int64)
-    if hi == lo:
-        return np.full(codes.shape, lo, dtype=np.float64)
-    step = (hi - lo) / (2 ** bits - 1)
-    return lo + codes.astype(np.float64) * step
+    flat = hi == lo
+    # Codes up to 2^53 - 1 are exact floats, so no integer cast is needed.
+    codes = np.clip(np.rint((values - lo) / np.where(flat, 1.0, step)),
+                    0, levels)
+    return np.where(flat, lo, lo + codes * step)
 
 
 @dataclass(frozen=True)
@@ -136,8 +131,12 @@ def log2_binomial(n: int, k: int) -> float:
 def max_sparsity_within_budget(budget: float, cost, q_max: int) -> int:
     """Largest q in [1, q_max] with cost(q) <= budget, or 0 if none fits.
 
-    cost must be non-decreasing in q; the search is a bisection over the
-    feasibility boundary, checked exactly at the returned point.
+    The search is a bisection over the feasibility boundary, checked
+    exactly at the returned point. It is exact when the step
+    cost(q + 1) - cost(q) never grows with q. Then the q that miss the
+    budget form one interval, so once q_max misses it the q that fit form a
+    prefix. cost need not be monotone: FD's step L * (bits + log2((L - q) /
+    (q + 1))) turns negative near q = L.
     """
     if q_max < 1:
         return 0
@@ -159,14 +158,14 @@ def max_sparsity_within_budget(budget: float, cost, q_max: int) -> int:
 class SparsePayload:
     """Index set plus the values the receiver decodes, with the exact bit bill.
 
-    Two shapes are used. Weight-update payloads carry a flat support and one
-    shared magnitude (values has shape (1,)). Logit-table payloads carry one
-    row of indices and values per label (shape (L, q)). The values are
-    already dequantized, so they are what the decoder reads; the quantizer
-    ranges travel out of band and are billed in neither shape. bit_count is
-    the producing pipeline's accounting formula evaluated exactly; it is
-    real-valued because index costs are information-theoretic (log2 of a
-    binomial).
+    The indices run along the last axis, and the values broadcast along
+    them: a weight update carries a flat support with one shared magnitude
+    (values of shape (1,)), a logit table one row of q indices and q values
+    per label (shape (L, q)). The values are already dequantized, so they
+    are what the decoder reads; the quantizer ranges travel out of band and
+    are billed in neither shape. bit_count is the producing pipeline's
+    accounting formula evaluated exactly; it is real-valued because index
+    costs are information-theoretic (log2 of a binomial).
     """
 
     indices: np.ndarray

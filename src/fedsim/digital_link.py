@@ -14,9 +14,9 @@ import numpy as np
 
 from . import audit
 from .compression import (
-    ErrorAccumulator, SparsePayload, accumulate_error, dequantize_uniform,
-    log2_binomial, max_sparsity_within_budget, quantize_uniform,
-    sparse_binary_compress, top_k_indices,
+    ErrorAccumulator, SparsePayload, accumulate_error, log2_binomial,
+    max_sparsity_within_budget, quantize_rows, sparse_binary_compress,
+    top_k_indices,
 )
 from .errors import DecodeError
 
@@ -95,16 +95,26 @@ def fl_digital_encode(update: np.ndarray, acc: ErrorAccumulator,
     return payload, accumulate_error(acc, update, compressed)
 
 
-def fl_digital_decode(payload: SparsePayload, dim: int) -> np.ndarray:
-    """Rebuild the sparse update; an empty payload decodes to zeros."""
-    out = np.zeros(dim, dtype=np.float64)
+def _scatter(payload: SparsePayload, shape) -> np.ndarray:
+    """A zero array of `shape` with the payload's values written at its
+    indices along the last axis; an empty payload decodes to zeros."""
+    out = np.zeros(shape, dtype=np.float64)
     if payload.is_empty:
         return out
     idx = np.asarray(payload.indices, dtype=np.int64)
-    if idx.min() < 0 or idx.max() >= dim:
-        raise DecodeError(f"payload index out of range for dimension {dim}")
-    out[idx] = payload.values[0]
+    if idx.shape[:-1] != out.shape[:-1]:
+        raise DecodeError(f"payload indices of shape {idx.shape} do not fit "
+                          f"a decoded shape of {out.shape}")
+    if idx.min() < 0 or idx.max() >= out.shape[-1]:
+        raise DecodeError(f"payload index out of range for {out.shape[-1]} "
+                          f"entries")
+    np.put_along_axis(out, idx, payload.values, axis=-1)
     return out
+
+
+def fl_digital_decode(payload: SparsePayload, dim: int) -> np.ndarray:
+    """Rebuild the sparse update: the one value on its whole support."""
+    return _scatter(payload, (dim,))
 
 
 def fd_digital_encode(table: np.ndarray, budget: BitBudget,
@@ -113,7 +123,8 @@ def fd_digital_encode(table: np.ndarray, budget: BitBudget,
 
     One q is chosen for the whole table, the largest with
     L * (bits * q + log2 C(L, q)) within budget. Each row keeps its own
-    quantizer range. Infeasible budgets yield an empty payload.
+    quantizer range (`quantize_rows`). Infeasible budgets yield an empty
+    payload.
     """
     table = np.asarray(table, dtype=np.float64)
     num_labels = table.shape[0]
@@ -127,28 +138,13 @@ def fd_digital_encode(table: np.ndarray, budget: BitBudget,
     if q == 0:
         return SparsePayload.empty()
 
-    indices = np.zeros((num_labels, q), dtype=np.int64)
-    values = np.zeros((num_labels, q), dtype=np.float64)
-    for row in range(num_labels):
-        keep = np.sort(top_k_indices(table[row], q))
-        codes, lo, hi = quantize_uniform(table[row, keep], bits)
-        indices[row] = keep
-        values[row] = dequantize_uniform(codes, bits, lo, hi)
+    indices = np.sort(top_k_indices(table, q), axis=-1)
+    values = quantize_rows(np.take_along_axis(table, indices, axis=-1), bits)
     payload = SparsePayload(indices=indices, values=values, bit_count=cost(q))
     _check_budget(payload, budget)
     return payload
 
 
 def fd_digital_decode(payload: SparsePayload, num_labels: int) -> np.ndarray:
-    """Rebuild the logit table; an empty payload decodes to zeros."""
-    out = np.zeros((num_labels, num_labels), dtype=np.float64)
-    if payload.is_empty:
-        return out
-    idx = np.asarray(payload.indices, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[0] != num_labels:
-        raise DecodeError("logit payload must carry one index row per label")
-    if idx.min() < 0 or idx.max() >= num_labels:
-        raise DecodeError(f"payload index out of range for {num_labels} labels")
-    for row in range(num_labels):
-        out[row, idx[row]] = payload.values[row]
-    return out
+    """Rebuild the L x L logit table from its rows of kept values."""
+    return _scatter(payload, (num_labels, num_labels))

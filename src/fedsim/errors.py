@@ -10,5 +10,6 @@ class DecodeError(ValueError):
 
 
 class DivergenceError(ValueError):
-    """Training whose weights left the finite numbers (a step size too large
-    for the data, or non-finite inputs)."""
+    """Training whose weights, logits or analog payload left the numbers they
+    are carried in (a step size too large for the data, or non-finite
+    inputs)."""

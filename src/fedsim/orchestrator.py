@@ -43,7 +43,7 @@ from .digital_link import (
     downlink_budget, fd_digital_decode, fd_digital_encode, fl_digital_decode,
     fl_digital_encode, uplink_budget,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .learning import (
     MlpArchitecture, average_logits, evaluate_accuracy, forward_logits_batch,
     hfd_distill_step, init_weights, label_means, run_local_epochs,
@@ -213,28 +213,6 @@ def write_metrics(records, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def read_metrics(path) -> list[MetricsRecord]:
-    """Parse a CSV produced by write_metrics back into records."""
-    with open(path, "r", encoding="utf-8") as f:
-        rows = [(number, line.rstrip("\n"))
-                for number, line in enumerate(f, start=1) if line.strip()]
-    if not rows or rows[0][1] != CSV_HEADER:
-        raise ValueError(f"{path}: unexpected metrics header")
-    kinds = [field.type for field in fields(MetricsRecord)]
-    records = []
-    for number, line in rows[1:]:
-        parts = line.split(",")
-        try:
-            if len(parts) != len(kinds):
-                raise ValueError(
-                    f"expected {len(kinds)} fields, got {len(parts)}")
-            records.append(MetricsRecord(
-                *(kind(part) for kind, part in zip(kinds, parts))))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from exc
-    return records
-
-
 def _target(average, own, contributed, count):
     """What each device learns toward from an average of `count` payloads.
 
@@ -349,16 +327,24 @@ class _Run:
     def logit_tables(self) -> np.ndarray:
         """The (K, L, L) block of the devices' tables: FD's per-label mean
         logits over each shard, HFD's logits at each device's
-        pseudo-samples; a label with no row in either is a zero row."""
+        pseudo-samples; a label with no row in either is a zero row.
+
+        Weights large enough to overflow the logits raise DivergenceError
+        here, before any link or target sees the table.
+        """
         cfg = self.cfg
         tables = np.zeros((cfg.num_devices, self.num_labels, self.num_labels))
-        for k, (w, shard) in enumerate(zip(self.weights, self.shards)):
-            if cfg.protocol == "fd":
-                tables[k] = average_logits(w, shard, self.arch)
-            else:
-                covariates, labels = self.pseudo_batches[k]
-                tables[k, labels] = forward_logits_batch(w, covariates,
-                                                         self.arch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (w, shard) in enumerate(zip(self.weights, self.shards)):
+                if cfg.protocol == "fd":
+                    tables[k] = average_logits(w, shard, self.arch)
+                else:
+                    covariates, labels = self.pseudo_batches[k]
+                    tables[k, labels] = forward_logits_batch(w, covariates,
+                                                             self.arch)
+        if not np.all(np.isfinite(tables)):
+            raise DivergenceError(f"non-finite logit table at step size "
+                                  f"{cfg.alpha:g}")
         return tables
 
     # -- the exchange --

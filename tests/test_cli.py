@@ -10,9 +10,9 @@ from fedsim import cli
 from fedsim.cli import main
 from fedsim.errors import ConfigurationError
 from fedsim.orchestrator import (
-    ExperimentConfig, parse_settings, read_metrics, run_experiment,
-    write_metrics,
+    ExperimentConfig, parse_settings, run_experiment, write_metrics,
 )
+from metrics_csv import read_metrics
 
 COMMON = ["--k", "2", "--iters", "2", "--data", "synthetic:classes=2,dim=4"]
 SMALL = ("num_devices = 2\nglobal_iterations = 1\nsamples_per_device = 10\n"
@@ -267,6 +267,34 @@ def test_diverging_sweep_point_names_its_csv(tmp_path, capsys):
         f"fedsim: error: {csv}: non-finite weights after SGD at step size "
         f"1e+300\n")
     assert not csv.exists()
+
+
+# Three devices, a hidden layer and a step size that leaves the weights
+# finite: each case breaks at the first value that cannot be carried.
+OVERFLOWING = ("num_devices = 3\nsamples_per_device = 16\nmodel = mlp:8\n"
+               "data = synthetic:classes=3\nalpha = {alpha}\n")
+
+
+@pytest.mark.parametrize("alpha,protocol,link,message", [
+    # The weight update fits a float64 but not the float32 projection.
+    pytest.param("1e20", "fl", "aa", "weight update too large for the "
+                 "single-precision analog link", id="fl-aa"),
+    # The weights are finite, their logits are not.
+    pytest.param("1e100", "fd", "aa", "non-finite logit table at step size "
+                 "1e+100", id="fd-aa"),
+    pytest.param("1e100", "hfd", "dd", "non-finite logit table at step "
+                 "size 1e+100", id="hfd-dd"),
+])
+def test_overflow_past_local_sgd_is_one_line_error(tmp_path, capsys, alpha,
+                                                   protocol, link, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(OVERFLOWING.format(alpha=alpha))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(config), "--protocol", protocol,
+                 "--link", link, "--T", "100", "--iters", "3",
+                 "--out", str(out)]) == 2
+    _one_line_error(capsys, message)
+    assert not out.exists()
 
 
 def test_missing_data_file_is_one_line_error(tmp_path, capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fedsim.compression import (
-    ErrorAccumulator, accumulate_error, dequantize_uniform, log2_binomial,
-    max_sparsity_within_budget, quantize_uniform, sparse_binary_compress,
-    top_k_sparsify,
+    ErrorAccumulator, accumulate_error, log2_binomial,
+    max_sparsity_within_budget, quantize_rows, sparse_binary_compress,
+    top_k_indices, top_k_sparsify,
 )
 
 
@@ -73,46 +73,67 @@ class TestTopKSparsify:
             assert support.size <= q
 
 
-class TestQuantizeUniform:
-    def test_two_level_endpoints(self):
-        codes, lo, hi = quantize_uniform(np.array([1.0, 2.0]), 1)
-        np.testing.assert_array_equal(codes, [0, 1])
-        np.testing.assert_allclose(dequantize_uniform(codes, 1, lo, hi),
-                                   [1.0, 2.0])
+class TestTopKIndices:
+    def test_ties_go_to_the_lower_position(self):
+        np.testing.assert_array_equal(
+            top_k_indices(np.array([1.0, -2.0, 2.0, -1.0]), 3), [1, 2, 0])
 
-    def test_degenerate_range_exact(self):
-        for bits in (1, 4, 16):
-            codes, lo, hi = quantize_uniform(np.array([5.0]), bits)
-            np.testing.assert_array_equal(codes, [0])
-            np.testing.assert_array_equal(
-                dequantize_uniform(codes, bits, lo, hi), [5.0])
+    def test_rows_pick_independently(self):
+        gen = np.random.default_rng(8)
+        rows = np.round(gen.standard_normal((6, 7)))  # many tied magnitudes
+        picked = top_k_indices(rows, 4)
+        assert picked.shape == (6, 4)
+        for row, expected in zip(rows, picked):
+            np.testing.assert_array_equal(top_k_indices(row, 4), expected)
+
+
+class TestQuantizeRows:
+    def test_two_level_endpoints(self):
+        np.testing.assert_array_equal(quantize_rows(np.array([1.0, 2.0]), 1),
+                                      [1.0, 2.0])
+
+    def test_flat_row_exact(self):
+        for bits in (1, 4, 16, 53):
+            for value in (5.0, -0.0, 1e-300):
+                out = quantize_rows(np.full(3, value), bits)
+                assert out.tobytes() == np.full(3, value).tobytes()
 
     def test_half_step_bound(self):
         gen = np.random.default_rng(2)
         for bits in (1, 2, 4, 8):
-            values = gen.standard_normal(200) * 3.0
-            codes, lo, hi = quantize_uniform(values, bits)
-            recon = dequantize_uniform(codes, bits, lo, hi)
-            bound = (hi - lo) / (2 * (2 ** bits - 1))
-            assert np.max(np.abs(recon - values)) <= bound + 1e-12
+            values = gen.standard_normal((5, 200)) * 3.0
+            recon = quantize_rows(values, bits)
+            bound = np.ptp(values, axis=1) / (2 * (2 ** bits - 1))
+            assert np.all(np.abs(recon - values).max(axis=1)
+                          <= bound + 1e-12)
+
+    def test_rows_quantize_independently(self):
+        gen = np.random.default_rng(9)
+        values = gen.standard_normal((4, 6))
+        values[2] = 0.25  # one flat row among the others
+        recon = quantize_rows(values, 3)
+        for row, expected in zip(values, recon):
+            assert quantize_rows(row, 3).tobytes() == expected.tobytes()
 
     def test_bits_beyond_a_float64_significand_rejected(self):
         values = np.array([0.1, 0.5, 0.9, 0.3])
-        codes, lo, hi = quantize_uniform(values, 53)
-        np.testing.assert_allclose(dequantize_uniform(codes, 53, lo, hi),
-                                   values, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(quantize_rows(values, 53), values,
+                                   rtol=0, atol=1e-15)
         for bits in (0, 54, 63, 64):
             with pytest.raises(ValueError, match="bits"):
-                quantize_uniform(values, bits)
+                quantize_rows(values, bits)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="nothing to quantize"):
+            quantize_rows(np.zeros((3, 0)), 4)
 
     def test_on_level_values_roundtrip_exactly(self):
         # Values that already sit on quantizer levels come back unchanged.
         lo, hi, bits = -1.0, 3.0, 3
         step = (hi - lo) / (2 ** bits - 1)
         values = lo + step * np.array([0, 2, 5, 7], dtype=np.float64)
-        codes, qlo, qhi = quantize_uniform(values, bits)
-        np.testing.assert_allclose(dequantize_uniform(codes, bits, qlo, qhi),
-                                   values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(quantize_rows(values, bits), values,
+                                   rtol=0, atol=1e-12)
 
 
 class TestErrorAccumulator:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fedsim import digital_link
 from fedsim.compression import (
-    ErrorAccumulator, log2_binomial, sparse_binary_compress, top_k_sparsify,
+    ErrorAccumulator, SparsePayload, log2_binomial, sparse_binary_compress,
+    top_k_sparsify,
 )
 from fedsim.digital_link import (
     BitBudget, downlink_budget, fd_digital_decode, fd_digital_encode,
@@ -15,6 +17,43 @@ from fedsim.errors import DecodeError
 
 def budget_of(bits):
     return BitBudget(bits=bits)
+
+
+# The logit-table codec as it was written one row at a time, kept as the
+# reference the array codec must equal bit for bit.
+
+def reference_quantize(values, bits):
+    """quantize_uniform then dequantize_uniform over one row's kept values."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi == lo:
+        return np.full(values.shape, lo, dtype=np.float64)
+    levels = 2 ** bits - 1
+    step = (hi - lo) / levels
+    codes = np.clip(np.rint((values - lo) / step), 0, levels).astype(np.int64)
+    return lo + codes.astype(np.float64) * ((hi - lo) / (2 ** bits - 1))
+
+
+def reference_fd_encode(table, q, bits):
+    """(indices, values) of the table's per-row top-q at q kept entries."""
+    num_labels = table.shape[0]
+    indices = np.zeros((num_labels, q), dtype=np.int64)
+    values = np.zeros((num_labels, q), dtype=np.float64)
+    for row in range(num_labels):
+        keep = np.sort(np.argsort(-np.abs(table[row]), kind="stable")[:q])
+        indices[row] = keep
+        values[row] = reference_quantize(table[row, keep], bits)
+    return indices, values
+
+
+def reference_fd_decode(indices, values, num_labels):
+    out = np.zeros((num_labels, num_labels), dtype=np.float64)
+    for row in range(num_labels):
+        out[row, indices[row]] = values[row]
+    return out
+
+
+def fd_cost(num_labels, bits, q):
+    return num_labels * (bits * q + log2_binomial(num_labels, q))
 
 
 class TestUplinkBudget:
@@ -171,3 +210,56 @@ class TestFdDigital:
             table = gen.standard_normal((8, 8))
             payload = fd_digital_encode(table, budget_of(budget), 16)
             assert payload.bit_count <= budget
+
+    @pytest.mark.parametrize("num_labels", [2, 3, 10])
+    @pytest.mark.parametrize("bits", [1, 2, 16, 53])
+    def test_matches_row_loop_bit_for_bit(self, monkeypatch, num_labels,
+                                          bits):
+        # Every q is forced through the real encoder: at 1 or 2 bits the
+        # budget search never returns some q, since cost(L) is below them.
+        gen = np.random.default_rng(100 * num_labels + bits)
+        tables = [gen.standard_normal((num_labels, num_labels)),
+                  np.round(gen.standard_normal((num_labels, num_labels)))
+                  * 0.5]  # tied magnitudes, signed zeros and flat rows
+        tables[0][0] = 0.75
+        tables[1][-1] = -0.0
+        for q in range(1, num_labels + 1):
+            monkeypatch.setattr(digital_link, "max_sparsity_within_budget",
+                                lambda budget, cost, q_max: q)
+            for table in tables:
+                payload = fd_digital_encode(table, budget_of(math.inf), bits)
+                indices, values = reference_fd_encode(table, q, bits)
+                np.testing.assert_array_equal(payload.indices, indices)
+                assert payload.values.tobytes() == values.tobytes()
+                assert payload.bit_count == fd_cost(num_labels, bits, q)
+                decoded = fd_digital_decode(payload, num_labels)
+                assert decoded.tobytes() == reference_fd_decode(
+                    indices, values, num_labels).tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    def test_budget_search_matches_scan_where_cost_falls(self, bits):
+        # The cost is not monotone here (at 1 bit, cost(9) ~ 123.2 but
+        # cost(10) = 100), yet the q that fit a budget that q = 10 misses
+        # are a prefix, so the bisection finds the same q as a scan.
+        table = np.random.default_rng(10).standard_normal((10, 10))
+        costs = [fd_cost(10, bits, q) for q in range(1, 11)]
+        assert costs[8] > costs[9]
+        budgets = [0.0] + [b for c in costs
+                           for b in (np.nextafter(c, 0), c, np.nextafter(
+                               c, math.inf), c - 0.5, c + 0.5)]
+        for budget in budgets:
+            best = max((q for q, c in enumerate(costs, start=1)
+                        if c <= budget), default=0)
+            payload = fd_digital_encode(table, budget_of(budget), bits)
+            q = 0 if payload.is_empty else payload.indices.shape[1]
+            assert q == best, budget
+
+    @pytest.mark.parametrize("indices", [np.array([[0, 1], [1, 2]]),
+                                         np.array([[0, 1], [1, 3], [0, 2]]),
+                                         np.array([[0, -1], [1, 2], [0, 2]]),
+                                         np.array([0, 1, 2])])
+    def test_corrupt_indices_rejected(self, indices):
+        bad = SparsePayload(indices=indices, values=np.ones(indices.shape),
+                            bit_count=1.0)
+        with pytest.raises(DecodeError):
+            fd_digital_decode(bad, 3)

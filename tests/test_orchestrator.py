@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 import threading
 
@@ -21,8 +22,9 @@ from fedsim.learning import (
 from fedsim.orchestrator import (
     CSV_HEADER, LINK_CODES, MAX_ABS_DB, PROTOCOLS, ExperimentConfig,
     MetricsRecord, _Run, _target, expand_settings, parse_settings,
-    read_metrics, run_experiment, write_metrics,
+    run_experiment, write_metrics,
 )
+from metrics_csv import read_metrics
 
 SMALL_DATA = "synthetic:classes=2,dim=6"
 LINKS = st.sampled_from(sorted(LINK_CODES.values()))
@@ -598,6 +600,13 @@ class TestMetricsCsv:
         row = path.read_text().splitlines()[1]
         assert "0.333333" in row
 
+    @pytest.mark.parametrize("up,down", [(math.nan, math.inf), (0.0, math.inf),
+                                         (math.nan, 0.0), (-1.0, 0.0)])
+    def test_bad_bit_counter_rejected(self, up, down):
+        with pytest.raises(ValueError, match="bit counters must be finite "
+                                             "and non-negative"):
+            self.rec(bits_sent_uplink=up, bits_sent_downlink=down)
+
     def test_field_order_fixed(self, tmp_path):
         path = tmp_path / "m.csv"
         write_metrics([self.rec()], path)
@@ -757,33 +766,6 @@ class TestConfigSchema:
     def test_every_default_reads_back(self, name):
         default = getattr(ExperimentConfig(), name)
         assert parse_settings(f"{name} = {default}\n") == {name: [default]}
-
-
-class TestMetricsCsvErrors:
-    def test_short_row_names_its_line(self, tmp_path):
-        path = tmp_path / "m.csv"
-        write_metrics(run_experiment(small_config()), path)
-        lines = path.read_text().splitlines()
-        lines[3] = ",".join(lines[3].split(",")[:5])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 4: expected 12 fields"):
-            read_metrics(path)
-
-    def test_bad_value_names_its_line(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text(CSV_HEADER + "\n\nx,il,digital,digital,1,0,0,0,avg,"
-                        "0.5,0,0\n")
-        with pytest.raises(ValueError, match="line 3"):
-            read_metrics(path)
-
-    @pytest.mark.parametrize("bits", ["nan,inf", "0,inf", "nan,0", "-1,0"])
-    def test_bad_bit_counter_names_its_line(self, tmp_path, bits):
-        path = tmp_path / "m.csv"
-        path.write_text(CSV_HEADER + "\n1,il,digital,digital,1,0,0,0,avg,"
-                        f"0.5,{bits}\n")
-        with pytest.raises(ValueError, match="line 2: bit counters must be "
-                                             "finite and non-negative"):
-            read_metrics(path)
 
 
 class TestAudit:
