@@ -195,10 +195,14 @@ def draw_projections(projections: list) -> None:
 
 
 def full_power_gain(x: np.ndarray, power: float, channel_uses: int) -> float:
-    """Transmit scale sqrt(P*T)/||x||; zero for an all-zero payload."""
-    norm = float(np.linalg.norm(x))
+    """Transmit scale sqrt(P*T)/||x||; zero for an all-zero payload, and
+    DivergenceError for a norm that overflows (not a frame of zeros)."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return 0.0
+    if not math.isfinite(norm):
+        raise DivergenceError("payload norm overflows the analog link")
     return math.sqrt(power * channel_uses) / norm
 
 

@@ -13,6 +13,7 @@ are a small batch of pseudo-samples, one per label that has one.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -112,107 +113,6 @@ def _log_targets(target_rows: np.ndarray) -> np.ndarray:
     return np.log(np.clip(softmax(target_rows), PROB_FLOOR, None))
 
 
-def _gradient_kernel(layers, grads, rows, reg_weight):
-    """A function `kernel(covariates, onehot, log_targets)` that writes into
-    `grads` the gradient of the batch-mean loss (hot path).
-
-    The loss per sample is
-        (1 - reg_weight) * ce(onehot, prediction)
-        + reg_weight * ce(prediction, softmax(target_row)),
-    where target_row is that sample's exchanged logit row. With no targets
-    this is plain cross-entropy training.
-
-    `layers` and `grads` are the (matrix, bias) views `_unpack` gives of the
-    weights and of a gradient buffer laid out like them. A batch holds at
-    most `rows` rows: `onehot` its one-hot label rows and `log_targets` the
-    matching rows of `_log_targets(target table)`, or None for plain
-    cross-entropy.
-
-    Small arrays make numpy's per-call overhead, not arithmetic, the cost,
-    so the kernel makes few calls and allocates nothing. The activation,
-    ReLU-mask, delta and row buffers, the transposed weight views and the
-    scalars (as 0-d arrays) are made here once; a batch of n rows uses
-    [:n] slices of the buffers, made once per n. Every product is
-    `np.dot(a, b, out=...)`, the same dgemm as `@`, and every ufunc writes
-    through `out=`. The logits are turned into probabilities and then into
-    the output delta in place.
-    """
-    widths = [mat.shape[1] for mat, _ in layers]
-    acts = [np.empty((rows, width)) for width in widths]
-    masks = [np.empty((rows, width)) for width in widths[:-1]]
-    deltas = [np.empty((rows, width)) for width in widths[:-1]]
-    peaks = np.empty((rows, 1))
-    works = np.empty((rows, widths[-1]))
-    zero, mix, keep = (np.array(v) for v in (0.0, reg_weight,
-                                              1.0 - reg_weight))
-    mats_t = [mat.T for mat, _ in layers]
-    top_mat, top_bias = layers[-1]
-    plans = {}
-
-    def plan(n):
-        """Everything a batch of n rows reads besides its own rows: the
-        forward tuples of the hidden layers, the logit, row and scratch
-        buffers, n as a 0-d array, and the backward tuples of layers
-        len(layers) - 1 down to 1 (each layer's input^T and gradient views,
-        its matrix^T, and the delta and mask of the layer below)."""
-        cut = [a[:n] for a in acts]
-        forward = [(mat, bias, act, mask[:n]) for (mat, bias), act, mask
-                   in zip(layers[:-1], cut, masks)]
-        backward = [(cut[i - 1].T, *grads[i], mats_t[i], deltas[i - 1][:n],
-                     masks[i - 1][:n]) for i in range(len(layers) - 1, 0, -1)]
-        plans[n] = (forward, cut[-1], peaks[:n], works[:n],
-                    np.array(float(n)), backward)
-        return plans[n]
-
-    def kernel(covariates, onehot, log_targets):
-        forward, probs, peak, work, count, backward = (
-            plans.get(len(covariates)) or plan(len(covariates)))
-        x = covariates
-        for mat, bias, act, mask in forward:
-            np.dot(x, mat, out=act)
-            np.add(act, bias, out=act)
-            np.maximum(act, zero, out=act)
-            # ReLU outputs are >= 0, so their sign is the 0/1 mask exactly.
-            np.sign(act, out=mask)
-            x = act
-        np.dot(x, top_mat, out=probs)
-        np.add(probs, top_bias, out=probs)
-        # The in-place steps below repeat softmax() and the textbook delta
-        # expressions operation by operation; reordering them changes the
-        # last bits of the weights and, through them, the metrics CSVs.
-        np.maximum.reduce(probs, axis=1, keepdims=True, out=peak)
-        np.subtract(probs, peak, out=probs)
-        np.exp(probs, out=probs)
-        np.add.reduce(probs, axis=1, keepdims=True, out=peak)
-        np.divide(probs, peak, out=probs)
-        if log_targets is None:
-            np.subtract(probs, onehot, out=probs)
-        else:
-            np.multiply(probs, log_targets, out=work)
-            np.add.reduce(work, axis=1, keepdims=True, out=peak)
-            # d/ds of -sum_l p_l log b_l is p * (sum_l p_l log b_l - log b).
-            np.subtract(peak, log_targets, out=work)
-            np.multiply(work, probs, out=work)
-            np.multiply(work, mix, out=work)
-            np.subtract(probs, onehot, out=probs)
-            np.multiply(probs, keep, out=probs)
-            np.add(probs, work, out=probs)
-        np.divide(probs, count, out=probs)
-
-        delta = probs
-        for act_t, gmat, gbias, mat_t, below, mask in backward:
-            np.dot(act_t, delta, out=gmat)
-            np.add.reduce(delta, axis=0, out=gbias)
-            np.dot(delta, mat_t, out=below)
-            np.multiply(below, mask, out=below)
-            delta = below
-        gmat, gbias = grads[0]
-        np.dot(covariates.T, delta, out=gmat)
-        np.add.reduce(delta, axis=0, out=gbias)
-
-    return kernel
-
-
 def _pass(covariates, labels, arch, target_table, reg_weight):
     """(covariates, one-hot rows, log-target rows) of a batch, as `_descend`
     takes them. The log-target rows are None, for plain cross-entropy,
@@ -230,36 +130,125 @@ def _descend(w, arch, alpha, reg_weight, passes, batch_size):
     in turn, in contiguous minibatches of `batch_size` rows; the one place
     where weights are stepped.
 
-    The copy is trained in place, and every gradient lands in one flat
-    buffer of the same layout, so a step ends in `grad *= alpha; w -= grad`
-    (as `out=` calls), bit for bit `w - alpha * grad`. One
-    `_gradient_kernel` serves the whole call: its buffers are made once per
-    call, not once per step, and a short last minibatch uses [:n] slices of
-    them. The weights equal, bit for bit, those of the textbook kernel and
-    minibatch loop kept as the reference in `tests/test_learning.py`
-    (`reference_descend`); the tests and the golden CSVs hold it to that.
+    The loop (`_sgd`) makes each minibatch's calls of the reference kernel
+    and loop in `tests/test_learning.py` (`reference_loss_grads`,
+    `reference_descend`) on the same values in the same order, into
+    buffers made once per call; its ReLU mask is a 0/1 float array where
+    the reference's is boolean. So the weights equal the reference's bit
+    for bit, as the tests and golden CSVs check.
     """
     w = np.array(w, dtype=np.float64)
-    grad = np.empty(w.shape)
-    rows = min(batch_size, max((len(p[0]) for p in passes), default=0))
-    kernel = _gradient_kernel(_unpack(w, arch), _unpack(grad, arch), rows,
-                              reg_weight)
-    step = np.array(alpha, dtype=np.float64)
     # Overflow on the way shows in the finiteness check below, which
     # raises it as one error instead of numpy's warnings.
     with np.errstate(all="ignore"):
-        for covariates, onehot, log_targets in passes:
-            for start in range(0, len(covariates), batch_size):
-                stop = start + batch_size
-                kernel(covariates[start:stop], onehot[start:stop],
-                       None if log_targets is None
-                       else log_targets[start:stop])
-                np.multiply(grad, step, out=grad)
-                np.subtract(w, grad, out=w)
+        _sgd(w, np.empty(w.shape), arch, alpha, reg_weight, passes,
+             batch_size)
     if not np.all(np.isfinite(w)):
         raise DivergenceError(f"non-finite weights after SGD at step size "
                               f"{alpha:g}")
     return w
+
+
+def _sgd(w, grad, arch, alpha, reg_weight, passes, batch_size):
+    """Step `w` in place over the minibatches of `passes` (hot path), with
+    `grad`, laid out like `w`, as the gradient buffer.
+
+    The loss per sample is
+        (1 - reg_weight) * ce(onehot, prediction)
+        + reg_weight * ce(prediction, softmax(target_row)),
+    where target_row is that sample's exchanged logit row, or plain
+    cross-entropy in a pass whose log-target rows are None. A step writes
+    the gradient of the batch-mean loss into `grad` and ends in
+    `grad *= alpha; w -= grad`, bit for bit `w - alpha * grad`.
+
+    Numpy's per-call overhead, not arithmetic, is the cost on small arrays,
+    so the loop makes few calls, through local names and positional `out`,
+    and allocates nothing per step: buffers, transposed views and 0-d
+    scalars are made once per call, and a batch of n rows uses [:n] slices
+    of them, made once per n (`plan`) and unpacked once per pass.
+    """
+    layers, grads = _unpack(w, arch), _unpack(grad, arch)
+    rows = min(batch_size, max((len(p[0]) for p in passes), default=0))
+    widths = arch.layer_sizes[1:]
+    acts = [np.empty((rows, width)) for width in widths]
+    masks, deltas = ([np.empty((rows, width)) for width in widths[:-1]]
+                     for _ in range(2))
+    peaks = np.empty((rows, 1))
+    works = np.empty((rows, widths[-1]))
+    zero, mix, keep, step = (np.array(float(v)) for v in (
+        0.0, reg_weight, 1.0 - reg_weight, alpha))
+    mats_t = [mat.T for mat, _ in layers]
+    (top_mat, top_bias), (first_gmat, first_gbias) = layers[-1], grads[0]
+
+    @cache
+    def plan(n):
+        """What a batch of n rows reads besides its rows: forward tuples,
+        logit, row and scratch buffers, n as a 0-d array, and backward
+        tuples (input^T, gradient views, matrix^T, delta and mask below)."""
+        cut = [a[:n] for a in acts]
+        forward = [(mat, bias, act, mask[:n]) for (mat, bias), act, mask
+                   in zip(layers[:-1], cut, masks)]
+        backward = [(cut[i - 1].T, *grads[i], mats_t[i], deltas[i - 1][:n],
+                     masks[i - 1][:n]) for i in range(len(layers) - 1, 0, -1)]
+        return (forward, cut[-1], peaks[:n], works[:n], np.array(float(n)),
+                backward)
+
+    dot, add, subtract, multiply, divide, exp, sign, maximum = (
+        np.dot, np.add, np.subtract, np.multiply, np.divide, np.exp, np.sign,
+        np.maximum)
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+    for covariates, onehot, log_targets in passes:
+        size = len(covariates)
+        cut = size - size % batch_size
+        for first, last, n in ((0, cut, batch_size), (cut, size, size - cut)):
+            if first == last:
+                continue
+            forward, probs, peak, work, count, backward = plan(n)
+            for start in range(first, last, n):
+                stop = start + n
+                x = inputs = covariates[start:stop]
+                for mat, bias, act, mask in forward:
+                    dot(x, mat, act)
+                    add(act, bias, act)
+                    # np.maximum takes its out only by keyword.
+                    maximum(act, zero, out=act)
+                    # ReLU outputs are >= 0: their sign is the 0/1 mask.
+                    sign(act, mask)
+                    x = act
+                dot(x, top_mat, probs)
+                add(probs, top_bias, probs)
+                # softmax() and the textbook delta, call by call: reordering
+                # them changes the weights' last bits and the metrics CSVs.
+                max_reduce(probs, 1, None, peak, True)
+                subtract(probs, peak, probs)
+                exp(probs, probs)
+                add_reduce(probs, 1, None, peak, True)
+                divide(probs, peak, probs)
+                if log_targets is None:
+                    subtract(probs, onehot[start:stop], probs)
+                else:
+                    targets = log_targets[start:stop]
+                    multiply(probs, targets, work)
+                    add_reduce(work, 1, None, peak, True)
+                    # d/ds of -sum p_l log b_l is p * (sum p_l log b_l - log b)
+                    subtract(peak, targets, work)
+                    multiply(work, probs, work)
+                    multiply(work, mix, work)
+                    subtract(probs, onehot[start:stop], probs)
+                    multiply(probs, keep, probs)
+                    add(probs, work, probs)
+                divide(probs, count, probs)
+                delta = probs
+                for act_t, gmat, gbias, mat_t, below, mask in backward:
+                    dot(act_t, delta, gmat)
+                    add_reduce(delta, 0, None, gbias)
+                    dot(delta, mat_t, below)
+                    multiply(below, mask, below)
+                    delta = below
+                dot(inputs.T, delta, first_gmat)
+                add_reduce(delta, 0, None, first_gbias)
+                multiply(grad, step, grad)
+                subtract(w, grad, w)
 
 
 def run_local_epochs(w: np.ndarray, data: LabeledDataset, alpha: float,
@@ -327,9 +316,13 @@ def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,
 
 def evaluate_accuracy(w: np.ndarray, test: LabeledDataset,
                       arch: MlpArchitecture) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest label."""
+    """Fraction of argmax-correct predictions; ties go to the lowest label.
+    Test logits that overflow raise DivergenceError."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    logits = forward_logits_batch(w, test.covariates, arch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward_logits_batch(w, test.covariates, arch)
+    if not np.all(np.isfinite(logits)):
+        raise DivergenceError("non-finite test logits")
     predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == test.labels))

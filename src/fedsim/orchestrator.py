@@ -481,8 +481,11 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
     records = []
     for iteration in range(1, cfg.global_iterations + 1):
         bits_up, bits_down = run.step(iteration)
-        accuracies = [evaluate_accuracy(w, run.test, run.arch)
-                      for w in run.weights]
+        try:
+            accuracies = [evaluate_accuracy(w, run.test, run.arch)
+                          for w in run.weights]
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} at step size {cfg.alpha:g}") from None
         common = dict(iteration=iteration, protocol=cfg.protocol,
                       uplink_mode=cfg.uplink_mode,
                       downlink_mode=cfg.downlink_mode,

@@ -284,6 +284,14 @@ OVERFLOWING = ("num_devices = 3\nsamples_per_device = 16\nmodel = mlp:8\n"
                  "1e+100", id="fd-aa"),
     pytest.param("1e100", "hfd", "dd", "non-finite logit table at step "
                  "size 1e+100", id="hfd-dd"),
+    # Finite tables whose norms overflow on the analog link.
+    pytest.param("1e60", "fd", "aa", "payload norm overflows the analog "
+                 "link", id="fd-aa-norm"),
+    pytest.param("1e60", "hfd", "ad", "payload norm overflows the analog "
+                 "link", id="hfd-ad-norm"),
+    # Finite weights whose test logits are not.
+    pytest.param("1e100", "il", "dd", "non-finite test logits at step size "
+                 "1e+100", id="il-dd"),
 ])
 def test_overflow_past_local_sgd_is_one_line_error(tmp_path, capsys, alpha,
                                                    protocol, link, message):
@@ -295,6 +303,18 @@ def test_overflow_past_local_sgd_is_one_line_error(tmp_path, capsys, alpha,
                  "--out", str(out)]) == 2
     _one_line_error(capsys, message)
     assert not out.exists()
+
+
+def test_huge_step_size_with_finite_logits_completes(tmp_path, capsys):
+    # FL at 1e100 keeps its test logits finite: the run ends normally.
+    config = tmp_path / "run.cfg"
+    config.write_text(OVERFLOWING.format(alpha="1e100"))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(config), "--protocol", "fl",
+                 "--link", "dd", "--T", "100", "--iters", "3",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
 
 
 def test_missing_data_file_is_one_line_error(tmp_path, capsys):

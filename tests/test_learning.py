@@ -6,7 +6,7 @@ import pytest
 from fedsim.datasets import LabeledDataset
 from fedsim.errors import DivergenceError
 from fedsim.learning import (
-    PROB_FLOOR, MlpArchitecture, _gradient_kernel, _pass, _unpack,
+    PROB_FLOOR, MlpArchitecture, _pass, _sgd, _unpack,
     average_logits, evaluate_accuracy, forward_logits_batch, hfd_distill_step,
     init_weights, label_means, run_local_epochs, softmax,
 )
@@ -128,10 +128,11 @@ def loss_and_gradient(w, covariates, labels, arch, target_rows=None,
         log_targets = np.log(np.clip(softmax(target_rows), PROB_FLOOR, None))
         loss = ((1.0 - reg_weight) * loss
                 - reg_weight * (probs * log_targets).sum(axis=1))
+    # One step of the production loop at alpha 1 leaves the gradient in
+    # its buffer exactly, since grad *= 1.0 changes no bit.
     grad = np.empty(w.shape)
-    kernel = _gradient_kernel(_unpack(w, arch), _unpack(grad, arch),
-                              len(covariates), reg_weight)
-    kernel(covariates, onehot, log_targets)
+    _sgd(w.copy(), grad, arch, 1.0, reg_weight,
+         [(covariates, onehot, log_targets)], len(covariates))
     return float(loss.mean()), grad
 
 
@@ -602,7 +603,7 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("classes", [2, 3, 10])
     @pytest.mark.parametrize("batch_size", [1, 5])
-    @pytest.mark.parametrize("reg_weight", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("with_table", [False, True])
     def test_local_epochs(self, model, classes, batch_size, reg_weight,
                           with_table):
@@ -623,7 +624,7 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("classes", [2, 3, 10])
     @pytest.mark.parametrize("pseudo", [1, 2])
-    @pytest.mark.parametrize("reg_weight", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.3, 0.5, 1.0])
     def test_hfd_distill_step(self, model, classes, pseudo, reg_weight):
         arch, w, gen = self.setup(model, classes, 200 + classes)
         covariates = gen.uniform(-1, 1, (pseudo, self.DIM))
@@ -638,17 +639,15 @@ class TestReferenceKernel:
         assert out.tobytes() == expected.tobytes()
 
     def test_kernel_reuses_its_buffers_across_batch_sizes(self):
-        # One kernel serves full and short batches in any order; each call
-        # writes the reference gradient of its own rows.
+        # One call walks full and short batches of 5, 2, 5, 1 and 2 rows;
+        # each step must read the reference gradient of its own rows.
         arch, w, gen = self.setup("2-hidden", 3, 300)
-        covariates = gen.uniform(-1, 1, (5, self.DIM))
-        batch = _pass(covariates, gen.integers(0, 3, 5), arch,
-                      gen.standard_normal((3, 3)), 0.5)
-        grad, expected = np.empty(w.shape), np.empty(w.shape)
-        kernel = _gradient_kernel(_unpack(w, arch), _unpack(grad, arch), 5,
-                                  0.5)
-        for n in (5, 2, 5, 1, 2):
-            kernel(*(rows[:n] for rows in batch))
-            reference_loss_grads(_unpack(w, arch), _unpack(expected, arch),
-                                 *(rows[:n] for rows in batch), 0.5)
-            assert grad.tobytes() == expected.tobytes()
+        covariates = gen.uniform(-1, 1, (7, self.DIM))
+        batch = _pass(covariates, gen.integers(0, 3, 7), arch,
+                      gen.standard_normal((3, 3)), 0.3)
+        passes = [tuple(rows[:n] for rows in batch) for n in (7, 6, 2)]
+        out = w.copy()
+        _sgd(out, np.empty(w.shape), arch, 0.4, 0.3, passes, 5)
+        expected = reference_descend(w, arch, 0.4, 0.3, passes, 5)
+        assert not np.array_equal(out, w)
+        assert out.tobytes() == expected.tobytes()
