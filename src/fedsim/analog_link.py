@@ -1,8 +1,8 @@
 """Over-the-air computation: analog joint source-channel coding.
 
 Weight updates are magnitude-top-q sparsified, passed through a shared
-Gaussian random projection, packed two reals per complex channel use, and
-sent simultaneously at full power with transmit-side phase rotation so the
+random projection, packed two reals per complex channel use, and sent
+simultaneously at full power with transmit-side phase rotation so the
 superposition arrives coherently. The receiver applies a scalar
 minimum-mean-square-error factor and a soft-threshold message-passing
 decoder to recover the sum. Logit tables are small enough to skip the
@@ -13,59 +13,28 @@ The device axis is an array axis: the uplinks take the (K, W) or
 their copies, and the frames of one transmission are the rows of one
 (K, T) block, each its payload read as complex (`.view(np.complex128)`).
 
-Precision: the projection matrix is stored in float32 and its two products
-(`ProjectionMatrix.project` and `backproject`) run in single precision, so
-each decoder sweep reads half the bytes. Everything else, the decoder's
-iterate, residual and threshold, the power scaling and the channel, stays
-float64. Where the decode is well posed (2T well above the number of
-nonzeros) it agrees with an all-float64 decode of the same inputs to a
-relative squared error below 1e-12 (8e-15 to 7e-14 over the decodes of
-one T=2500, W=1362 round). Past the message-passing phase transition
-(small T) the iteration path is chaotic and no per-decode bound holds: at
-T=100 the same comparison gave up to 0.16.
-
-BLAS threads: the products go to the BLAS, and a BLAS that threads a call
-(OpenBLAS does unless told otherwise) splits it at cuts that depend on its
-thread count. At large projections the products' last bits, and so an
-analog-FL run's weights and accuracies, then depend on that count: three
-FL iterations at T=2500, W=1362 ended in different weights under one and
-two OpenBLAS threads. The goldens and weight digests of `tests/golden/` use
-projections too small to be threaded, and results reproduce across hosts
-only under one BLAS thread (`OPENBLAS_NUM_THREADS=1`).
-
-Second core: `_map` is the one place fedsim uses one. It serves two uses,
-each a map over items that read no shared state: `draw_projections`, which
-draws an FL run's uplink and downlink projections at its first exchange,
-and `fl_analog_downlink`, whose K decodes depend only on their own
-receptions. From `_PARALLEL_BYTES` (8 MiB of float32 projection) up, it
-maps them in a pool of min(items, workers) threads when that is more than
-one; otherwise in the calling thread, importing no thread module. The
-draws call no BLAS and take one worker per usable CPU. Each decode's
-products run on `_blas_threads()` CPUs, so the decodes take one worker per
-that many: under one BLAS thread as many as the draws, under OpenBLAS's
-default of one thread per CPU a single one, and they run one after
-another. The bits do not depend on the pool: each matrix comes from its
-own seeded generator in `draw_projection`, and each decode is the one
-`cs_decode` call it would be alone (`ProjectionMatrix` says why `matrix`
-is no `cached_property`). numpy's generator and its products release the
-GIL, so the items overlap on two cores. With one BLAS thread
-on a 2-core host, a pair of draws took 8.2 ms pooled against 13.3 ms one
-after the other at 1 MiB (T=100), 55 against 97 ms at 8 MiB and 164
-against 318 ms at 26 MiB (T=2500). The 10 downlink decodes of one FL round
-at W=1362 took 1.02 times as long pooled as one after another at 1 and
-2.6 MiB (T=100 and 250), 0.76 at 3.1 MiB, 0.57 to 0.63 at 4.2 to 6.2 MiB,
-0.61 at 8 MiB and 0.54 to 0.58 at 10 to 26 MiB (T=1000 to 2500); medians
-of 10 rounds, the same bits throughout. With two OpenBLAS threads per call
-the decode pool lost at every size: 1.56 to 1.62 times as long at 2.6 to
-6.2 MiB, 1.74 at 10 MiB and 1.86 at 26 MiB (10 decodes at T=2500: 1.78 to
-2.12 s pooled, 0.86 to 0.99 s one after another), hence the BLAS count. So
-the pool starts at 8 MiB, past the one-thread break-even of the decodes,
-and draws of 1 to 8 MiB give up to about 40 ms a run to that shared gate.
+The projection departs from Amiri and Gunduz's analog FL
+(arXiv:1901.00844), whose A is an i.i.d. Gaussian matrix. Here A is a
+structurally random matrix (Do, Gan, Nguyen and Tran, IEEE TSP 2012; the
+fast Johnson-Lindenstrauss transform of Ailon and Chazelle, SIAM J.
+Comput. 2009): random signs, an orthonormal real FFT and a random pick of
+rows (`ProjectionMatrix`). The reasons are cost and noiseless recovery,
+not FL accuracy. A product costs O(W log W) against O(TW), and the state
+is a few hundred KB, where a dense 2T x W matrix per direction takes 2TW
+floats (54 MB in float64 at T=2500, W=1362). With `cs_decode` as it is,
+noiseless recovery of rho * 2T nonzeros out of W = 1362 from 2T = delta *
+W measurements (median relative squared error of 5 draws) was better than
+with a Gaussian A at every point with delta in {0.3, 0.5, 0.8} and rho in
+{0.2, 0.3, 0.5} (at delta = 0.5, rho = 0.3: 7e-7 against 8e-3), and both
+were exact at rho = 0.1; at delta = 0.15 it was worse (rho = 0.2: 9e-3
+against 2e-3). All of it runs in float64, and numpy's FFT calls no BLAS,
+so an analog-FL run's bits do not depend on the host's BLAS thread count.
 """
 
 import math
-import os
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,119 +48,114 @@ AMP_KAPPA = 1.5
 AMP_MAX_ITER = 50
 AMP_TOL = 1e-6
 
-# The projection is drawn in row blocks of about this many bytes of float64
-# draws, so no full-size float64 temporary is ever allocated.
-_DRAW_BLOCK_BYTES = 1 << 18
 
-# From a projection of this many bytes up, `_map` takes a pool (see "Second
-# core" above).
-_PARALLEL_BYTES = 8 << 20
+def _fft_length(cols: int) -> int:
+    """The smallest even length >= cols with no prime factor above 5.
 
-
-def draw_projection(rows: int, cols: int, seed: int) -> np.ndarray:
-    """The float32 projection of (rows, cols, seed), freshly drawn.
-
-    Bit for bit `(default_rng(seed).standard_normal((rows, cols)) /
-    sqrt(rows))` rounded to single precision, filled in row blocks so no
-    full-size float64 temporary is allocated. It reads no shared state, so
-    two draws may run at once in two threads.
+    numpy's FFT is fastest at such lengths: at W = 1362 = 2 * 3 * 227 a
+    real FFT takes about 4 times as long as at the padded length 1440.
     """
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(rows)
-    out = np.empty((rows, cols), dtype=np.float32)
-    step = max(1, _DRAW_BLOCK_BYTES // (8 * cols))
-    for start in range(0, rows, step):
-        block = out[start:start + step]
-        block[...] = rng.standard_normal(block.shape) / scale
-    return out
+    n = cols + cols % 2
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 2
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+class _Plan(NamedTuple):
+    """What `ProjectionMatrix` draws once, and the buffers of its products
+    with the views they are read and written through.
 
-
-def _blas_threads() -> int:
-    """The threads the BLAS gives one call, read as OpenBLAS reads them: the
-    first positive count of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS, else every usable CPU, and at most that many."""
-    cpus = _usable_cpus()
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cpus)
-    return cpus
-
-
-def _map(fn, items, nbytes: int, workers: int) -> list:
-    """`[fn(x) for x in items]`, in a pool of min(len(items), workers)
-    threads when `nbytes` (the projection each call reads or draws) is at
-    least `_PARALLEL_BYTES` and that pool has more than one thread. The
-    pool is joined before this returns, and an error raised in a worker is
-    raised here.
+    A buffer holds what the last product left in it; `signal` stays zero
+    past column W, and `adjoint` zero but at the picks.
     """
-    workers = min(len(items), workers)
-    if nbytes < _PARALLEL_BYTES or workers < 2:
-        return [fn(x) for x in items]
-    # Imported here, not at `import fedsim`: it costs every worker 5-9 ms.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
+
+    signs: np.ndarray      # (B, W) of +-1.0, one row per block
+    picks: np.ndarray      # (2T,) positions in the float view of B spectra
+    forward: np.ndarray    # (2T,) scale of each picked coordinate in A
+    backward: np.ndarray   # (2T,) its scale in A.T
+    signal: np.ndarray     # (B, N): the signed input, zero-padded
+    signed: np.ndarray     # signal[:, :W]
+    spectrum: np.ndarray   # (B, N/2 + 1) complex: the real FFT of signal
+    spectrum_reals: np.ndarray  # spectrum as B * (N + 2) floats
+    adjoint: np.ndarray    # (B, N/2 + 1) complex: the scattered input
+    adjoint_reals: np.ndarray   # adjoint as B * (N + 2) floats
+    inverse: np.ndarray    # (B, N): the inverse real FFT of adjoint
+    unsigned: np.ndarray   # inverse[:, :W]
 
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """Seeded Gaussian projection shared verbatim by transmitter and receiver.
+    """Seeded structurally random projection of `rows` x `cols`, shared
+    verbatim by transmitter and receiver.
 
-    Entries are i.i.d. zero-mean with variance 1/rows, so projecting a
-    vector roughly preserves its squared norm. Regenerating from the same
-    (rows, cols, seed) triple is bit-exact.
+    A = c P [F D_1; ...; F D_B]. Each D_b flips the signs of x and
+    zero-pads it to N = `_fft_length(cols)`. F is the orthonormal real DFT
+    of length N, read as N reals: the real parts of the DC and Nyquist bins
+    and the real and imaginary parts of the bins between, those scaled by
+    sqrt(2), so F is orthogonal. P keeps `rows` of the B * N coordinates,
+    picked without replacement and kept in ascending order, with
+    B = ceil(rows / N) blocks, and c = sqrt(N / rows) makes each column's
+    squared norm 1 in expectation. The signs are drawn from
+    `default_rng(seed)` first, then the picks, so regenerating from the
+    same (rows, cols, seed) is bit-exact.
 
-    `matrix` is `draw_projection(rows, cols, seed)`, drawn on first use (or
-    by `draw_projections`) and kept. It is not a `functools.cached_property`:
-    on Python 3.11 that holds one lock for the whole class while it
-    computes, so two pooled draws would run one after the other. Multiply
-    through `project` and `backproject`, which take and return float64
-    vectors; a float64 vector on the right of the float32 matrix would
-    silently copy the whole matrix to float64. Each product is one float32
-    call.
+    The plan (signs, picks and the two scale vectors) is drawn at the first
+    product and kept, so a projection no run multiplies by costs nothing.
+    The products work in buffers of the plan, so they are not reentrant;
+    each returns a new float64 vector.
     """
 
     rows: int
     cols: int
     seed: int
 
-    @property
-    def matrix(self) -> np.ndarray:
-        drawn = self.__dict__.get("_drawn")
-        if drawn is None:
-            drawn = draw_projection(self.rows, self.cols, self.seed)
-            object.__setattr__(self, "_drawn", drawn)
-        return drawn
-
-    @property
-    def nbytes(self) -> int:
-        """The size of `matrix` (float32), known without drawing it."""
-        return 4 * self.rows * self.cols
+    @cached_property
+    def _plan(self) -> _Plan:
+        n = _fft_length(self.cols)
+        count = -(-self.rows // n)
+        rng = np.random.default_rng(self.seed)
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(count, self.cols))
+        picks = np.sort(rng.choice(count * n, size=self.rows, replace=False))
+        # A block's spectrum, read as floats, holds its N reals at positions
+        # 0 to N but for position 1, the DC bin's imaginary part. The DC and
+        # Nyquist reals (coordinates 0 and N - 1) keep scale 1 and the rest
+        # take sqrt(2). numpy's unscaled FFT pair leaves F's 1/sqrt(N) to
+        # the scales: c / sqrt(N) = 1 / sqrt(rows).
+        block, j = np.divmod(picks, n)
+        root2 = np.where((j > 0) & (j < n - 1), math.sqrt(2.0), 1.0)
+        signal, inverse = np.zeros((2, count, n))
+        spectra = np.zeros((2, count, n // 2 + 1), dtype=np.complex128)
+        reals = spectra.view(np.float64).reshape(2, -1)
+        return _Plan(signs=signs, picks=block * (n + 2) + j + (j > 0),
+                     forward=root2 / math.sqrt(self.rows),
+                     backward=1.0 / (root2 * math.sqrt(self.rows)),
+                     signal=signal, signed=signal[:, :self.cols],
+                     spectrum=spectra[0], spectrum_reals=reals[0],
+                     adjoint=spectra[1], adjoint_reals=reals[1],
+                     inverse=inverse, unsigned=inverse[:, :self.cols])
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """A @ v in single precision, returned as float64."""
-        return (self.matrix @ np.asarray(v, dtype=np.float32)).astype(
-            np.float64)
+        """A @ v: the signs, one real FFT per block, the picks."""
+        plan = self._plan
+        np.multiply(plan.signs, v, out=plan.signed)
+        np.fft.rfft(plan.signal, out=plan.spectrum)
+        return plan.spectrum_reals[plan.picks] * plan.forward
 
     def backproject(self, z: np.ndarray) -> np.ndarray:
-        """A.T @ z in single precision, returned as float64."""
-        return (self.matrix.T @ np.asarray(z, dtype=np.float32)).astype(
-            np.float64)
-
-
-def draw_projections(projections: list) -> None:
-    """Draw the matrix of each projection, through `_map` on the size of the
-    largest, so that from `_PARALLEL_BYTES` up they are drawn at once."""
-    _map(lambda p: p.matrix, projections,
-         max((p.nbytes for p in projections), default=0), _usable_cpus())
+        """A.T @ z, the exact adjoint: one scatter into the zero spectrum,
+        one inverse real FFT per block, the signs, a sum over blocks."""
+        plan = self._plan
+        plan.adjoint_reals[plan.picks] = z * plan.backward
+        np.fft.irfft(plan.adjoint, n=plan.inverse.shape[1], norm="forward",
+                     out=plan.inverse)
+        if len(plan.signs) == 1:
+            return plan.unsigned[0] * plan.signs[0]
+        return (plan.unsigned * plan.signs).sum(axis=0)
 
 
 def full_power_gain(x: np.ndarray, power: float, channel_uses: int) -> float:
@@ -259,9 +223,7 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     absolute deviation of the residual). Iterations stop after AMP_MAX_ITER,
     when the residual norm stalls (relative change below AMP_TOL), or when
     it grows past ten times its running minimum; the best-residual iterate
-    is returned, which makes divergence a graceful fallback. It runs in the
-    calling thread, each product one float32 call; `fl_analog_downlink`
-    may run several of these decodes at once through `_map`.
+    is returned, which makes divergence a graceful fallback.
     """
     m, n = projection.rows, projection.cols
     y = np.asarray(y_est, dtype=np.float64)
@@ -341,14 +303,13 @@ def _downlink(payload: np.ndarray, state: ChannelState, power: float,
 
 
 def _project_sent(projection: ProjectionMatrix, sparse: np.ndarray):
-    """`projection.project(sparse)`; a diverged update, too large for the
-    single-precision product, raises DivergenceError instead of numpy's
-    warnings."""
+    """`projection.project(sparse)`; an update whose projection overflows
+    float64 raises DivergenceError instead of numpy's warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         sent = projection.project(sparse)
     if not np.all(np.isfinite(sent)):
-        raise DivergenceError("weight update too large for the "
-                              "single-precision analog link")
+        raise DivergenceError("weight update overflows the analog link's "
+                              "projection")
     return sent
 
 
@@ -422,10 +383,7 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     the devices' estimates, acc).
 
     Each device recovers the broadcast from its own reception with one
-    `cs_decode` call. The K calls go through `_map`, so from
-    `_PARALLEL_BYTES` up they run in a pool of min(K, CPUs // BLAS threads)
-    threads when that is more than one; the estimates come back in device
-    order either way (see "Second core" in the module docstring).
+    `cs_decode` call, in device order.
     """
     update = np.asarray(update, dtype=np.float64)
     _check_projection(projection, update.size, channel_uses)
@@ -435,9 +393,7 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
                            channel_uses, noise_rng)
     # `cs_decode` is looked up when each call runs, so a wrapper patched
     # into this module sees every decode.
-    return np.array(_map(lambda y: cs_decode(projection, y), receptions,
-                         projection.nbytes,
-                         _usable_cpus() // _blas_threads())), new_acc
+    return np.array([cs_decode(projection, y) for y in receptions]), new_acc
 
 
 def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,

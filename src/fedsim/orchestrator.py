@@ -33,8 +33,8 @@ import numpy as np
 
 from . import streams
 from .analog_link import (
-    ProjectionMatrix, draw_projections, fd_analog_downlink, fd_analog_uplink,
-    fl_analog_downlink, fl_analog_uplink,
+    ProjectionMatrix, fd_analog_downlink, fd_analog_uplink, fl_analog_downlink,
+    fl_analog_uplink,
 )
 from .channel import sample_channel
 from .compression import MAX_QUANTIZER_BITS, ErrorAccumulator
@@ -273,12 +273,6 @@ class _Run:
         self.proj_down = ProjectionMatrix(
             rows=2 * cfg.channel_uses, cols=self.dim,
             seed=streams.derive_seed(seed, streams.PROJECTION, 1))
-        # The ones the links use are drawn at the first exchange, by one
-        # `draw_projections` call, not here, so that set-up stays short.
-        links = ((self.proj_up, cfg.uplink_mode),
-                 (self.proj_down, cfg.downlink_mode))
-        self.undrawn = [proj for proj, mode in links
-                        if fl and mode == "analog"]
 
         # Device k's (L, L) logit-row target, once has_target[k] is set.
         self.targets = np.zeros((cfg.num_devices, self.num_labels,
@@ -401,9 +395,6 @@ class _Run:
         if cfg.ideal_exchange:
             return (np.broadcast_to(np.mean(payloads, axis=0), payloads.shape),
                     contributed, bits_up, bits_down)
-        if self.undrawn:
-            draw_projections(self.undrawn)
-            self.undrawn = []
         encode, decode, air_up, air_down = self._codec(state, noise_rng)
 
         average = None

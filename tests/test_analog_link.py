@@ -1,41 +1,22 @@
-import math
-import threading
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fedsim import analog_link, audit
 from fedsim.analog_link import (
     AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, _downlink,
-    _mean_table, _repeat_table, _uplink, cs_decode, draw_projection,
-    draw_projections, fd_analog_downlink, fd_analog_uplink, fl_analog_downlink,
+    _fft_length, _mean_table, _repeat_table, _uplink, cs_decode,
+    fd_analog_downlink, fd_analog_uplink, fl_analog_downlink,
     fl_analog_uplink, full_power_gain, mmse_factor_downlink,
     mmse_factor_uplink, precompensate,
 )
 from fedsim.channel import ChannelState, downlink_bc
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
-from fedsim.errors import ConfigurationError
+from fedsim.errors import ConfigurationError, DivergenceError
 
 
 def unit_state(k):
     return ChannelState(np.ones(k, complex), np.ones(k, complex))
-
-
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                  "OMP_NUM_THREADS")
-
-
-@pytest.fixture
-def blas_env(monkeypatch):
-    """blas_env(**values) sets the BLAS thread variables to `values`,
-    unsetting the others."""
-    def set_env(**values):
-        for name in BLAS_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in values.items():
-            monkeypatch.setenv(name, value)
-    return set_env
 
 
 class TestComplexFrames:
@@ -316,18 +297,31 @@ class TestCsDecode:
     def test_projection_regeneration_bit_exact(self):
         a = ProjectionMatrix(rows=64, cols=128, seed=42)
         b = ProjectionMatrix(rows=64, cols=128, seed=42)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        v = np.random.default_rng(0).standard_normal(128)
+        assert a.project(v).tobytes() == b.project(v).tobytes()
+        for drawn in ("signs", "picks", "forward", "backward"):
+            assert getattr(a._plan, drawn).tobytes() \
+                == getattr(b._plan, drawn).tobytes()
 
     def test_matrix_is_drawn_once_and_kept(self):
         proj = ProjectionMatrix(rows=20, cols=30, seed=5)
-        assert proj.matrix is proj.matrix
-        assert np.array_equal(proj.matrix, draw_projection(20, 30, 5))
+        assert "_plan" not in vars(proj)
+        plan = proj._plan
+        proj.project(np.ones(30))
+        proj.backproject(np.ones(20))
+        assert proj._plan is plan
 
-
-def float64_draw(rows, cols, seed):
-    """The projection as drawn before rounding to float32."""
-    return (np.random.default_rng(seed).standard_normal((rows, cols))
-            / math.sqrt(rows))
+    @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
+                                           (61, 150), (1, 4)])
+    def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
+        for seed in range(3):
+            proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
+            gen = np.random.default_rng(seed)
+            truth = gen.standard_normal(cols) * (gen.random(cols) < 0.3)
+            y = proj.project(truth) + 0.05 * gen.standard_normal(rows)
+            assert np.array_equal(
+                cs_decode(proj, y),
+                reference_amp(y, proj.project, proj.backproject))
 
 
 def reference_amp(y, project, backproject):
@@ -354,226 +348,72 @@ def reference_amp(y, project, backproject):
     return best_x
 
 
-def single_call(matrix):
-    """(v -> A @ v, z -> A.T @ z) for a float32 matrix A, each product one
-    float32 call returned as float64."""
-    def product(a):
-        return lambda v: (a @ np.asarray(v, dtype=np.float32)).astype(
-            np.float64)
-    return product(matrix), product(matrix.T)
+def dense(proj):
+    """The rows x cols matrix of `proj`, one product per column."""
+    return np.array([proj.project(e) for e in np.eye(proj.cols)]).T
 
 
-def decode_is_the_loop(proj, seed):
-    """cs_decode of a noisy sparse signal equals reference_amp over
-    single-call float32 products, bit for bit."""
-    gen = np.random.default_rng(seed)
-    truth = gen.standard_normal(proj.cols) * (gen.random(proj.cols) < 0.3)
-    project, backproject = single_call(proj.matrix)
-    y = project(truth) + 0.05 * gen.standard_normal(proj.rows)
-    assert np.array_equal(cs_decode(proj, y),
-                          reference_amp(y, project, backproject))
+class TestProjectionMatrix:
+    """A = c P [F D_1; ...; F D_B]: signs, an orthonormal real FFT of the
+    5-smooth length N, and a pick of rows out of B blocks."""
 
+    # (rows, cols, N, B): B = 1 and B > 1, even and odd W, and W = 1.
+    SHAPES = [(1, 4, 4, 1), (20, 56, 60, 1), (200, 1362, 1440, 1),
+              (5000, 1362, 1440, 4), (7, 5, 6, 2), (50, 77, 80, 1),
+              (3, 1, 2, 2)]
 
-class TestProjectionPrecision:
+    @pytest.mark.parametrize("rows,cols,n,blocks", SHAPES)
+    def test_adjoint(self, rows, cols, n, blocks):
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=rows + cols)
+        assert _fft_length(cols) == n
+        assert proj._plan.signs.shape == (blocks, cols)
+        gen = np.random.default_rng(cols)
+        for _ in range(3):
+            x, z = gen.standard_normal(cols), gen.standard_normal(rows)
+            ax_z, x_atz = proj.project(x) @ z, x @ proj.backproject(z)
+            assert abs(ax_z - x_atz) <= 1e-12 * abs(x_atz)
+
     @settings(max_examples=25, deadline=None)
-    @given(rows=st.integers(1, 80), cols=st.integers(1, 3000),
+    @given(rows=st.integers(1, 400), cols=st.integers(1, 400),
            seed=st.integers(0, 2 ** 32 - 1))
-    @example(rows=50, cols=1362, seed=0)  # blocks of 24 rows, the last short
-    def test_matrix_is_the_rounded_float64_draw(self, rows, cols, seed):
-        matrix = ProjectionMatrix(rows=rows, cols=cols, seed=seed).matrix
-        assert matrix.dtype == np.float32 and matrix.shape == (rows, cols)
-        rounded = float64_draw(rows, cols, seed).astype(np.float32)
-        assert matrix.tobytes() == rounded.tobytes()
+    def test_backproject_is_the_transpose(self, rows, cols, seed):
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed)
+        a = dense(proj)
+        assert a.shape == (rows, cols)
+        columns = np.array([proj.backproject(e) for e in np.eye(rows)]).T
+        np.testing.assert_allclose(columns, a.T, rtol=0, atol=1e-12)
 
-    def test_products_are_float64_near_the_float64_product(self):
-        gen = np.random.default_rng(3)
-        proj = ProjectionMatrix(rows=300, cols=120, seed=4)
-        a = float64_draw(300, 120, 4)
-        v, z = gen.standard_normal(120), gen.standard_normal(300)
-        for got, want in ((proj.project(v), a @ v),
-                          (proj.backproject(z), a.T @ z)):
-            assert got.dtype == np.float64
-            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    @pytest.mark.parametrize("cols", [1, 56, 60, 77])
+    def test_every_coordinate_picked_is_an_isometry(self, cols):
+        # rows = N keeps all N coordinates of one block: c = 1 and A is
+        # F D on the zero-padded x, whose columns are orthonormal.
+        rows = _fft_length(cols)
+        a = dense(ProjectionMatrix(rows=rows, cols=cols, seed=cols))
+        np.testing.assert_allclose(a.T @ a, np.eye(cols), rtol=0,
+                                   atol=1e-12)
 
-    @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
-                                           (61, 150), (1, 4)])
-    def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
-        for seed in range(3):
-            proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
-            decode_is_the_loop(proj, seed)
+    def test_column_norms_near_one_at_5000_rows(self):
+        norms = np.linalg.norm(dense(ProjectionMatrix(5000, 1362, 9)),
+                               axis=0)
+        assert 0.98 <= norms.min() and norms.max() <= 1.02
 
-    def test_a_lone_decode_at_8_mib_starts_no_thread(self, started, use_cpus):
-        # 2048 x 1024 float32 is 8 MiB, the size from which
-        # fl_analog_downlink pools its decodes. A lone decode there runs in
-        # the calling thread.
-        proj = ProjectionMatrix(rows=2048, cols=1024, seed=50)
-        assert proj.nbytes == analog_link._PARALLEL_BYTES
-        use_cpus(2)
-        decode_is_the_loop(proj, 0)
-        assert started == []
+    def test_plan_is_small(self):
+        # Two dense 5000 x 1362 float32 matrices took 27 MB each.
+        proj = ProjectionMatrix(5000, 1362, 0)
+        owners = {id(owner): owner.nbytes for owner in (
+            array if array.base is None else array.base
+            for array in proj._plan)}
+        assert sum(owners.values()) < 400_000
 
-    def test_decode_matches_float64_amp_when_overdetermined(self):
-        # 2T = 600 measurements of 200 dense entries, with noise: the regime
-        # of the T=2500 benchmark, where the decode is well posed.
-        for seed in range(4):
-            gen = np.random.default_rng(seed)
-            proj = ProjectionMatrix(rows=600, cols=200, seed=seed + 100)
-            a = float64_draw(600, 200, seed + 100)
-            y = a @ gen.standard_normal(200) + 0.1 * gen.standard_normal(600)
-            want = reference_amp(y, lambda v: a @ v, lambda z: a.T @ z)
-            got = cs_decode(proj, y)
-            assert np.sum((got - want) ** 2) <= 1e-10 * np.sum(want ** 2)
-
-
-class PoolUseTests:
-    """The tests of `_map`, run through one of its uses by each subclass.
-
-    A subclass's `work(rows, cols)` returns (target, alone, run,
-    is_second) at that projection shape: `target` names the analog_link
-    function called once per item, `alone()` gives the items' results
-    called one by one, `run()` their results through the use, and
-    `is_second(args)` says whether a call of `target` is the second item's.
-    """
-
-    def test_pooled_results_are_the_sequential_calls(self, started, use_cpus,
-                                                      monkeypatch):
-        # 2048 x 1024 float32 is 8 MiB, the smallest pooled size.
-        target, alone, run, _ = self.work(2048, 1024)
-        want = [r.tobytes() for r in alone()]
-        assert len(set(want)) == len(want)
-        use_cpus(1)
-        assert [r.tobytes() for r in run()] == want
-        assert started == []
-
-        callers = []
-        real = getattr(analog_link, target)
-
-        def counted(*args):
-            callers.append(threading.current_thread())
-            return real(*args)
-
-        monkeypatch.setattr(analog_link, target, counted)
-        use_cpus(2)
-        before = threading.active_count()
-        assert [r.tobytes() for r in run()] == want
-        # One call per item, each in a pool thread, the pool joined.
-        assert len(callers) == len(want) and set(callers) <= set(started)
-        assert len(started) == 2
-        assert not any(thread.is_alive() for thread in started)
-        assert threading.active_count() == before
-
-    def test_no_thread_below_the_threshold(self, started, use_cpus):
-        target, alone, run, _ = self.work(2046, 1024)
-        assert 4 * 2046 * 1024 < analog_link._PARALLEL_BYTES
-        use_cpus(2)
-        assert [r.tobytes() for r in run()] == \
-            [r.tobytes() for r in alone()]
-        assert started == []
-
-    def test_a_failing_call_is_raised_in_the_caller(self, started, use_cpus,
-                                                    monkeypatch):
-        target, _, run, is_second = self.work(2048, 1024)
-        real = getattr(analog_link, target)
-
-        def fails_on_the_second(*args):
-            if is_second(args):
-                raise RuntimeError("second item failed")
-            return real(*args)
-
-        monkeypatch.setattr(analog_link, target, fails_on_the_second)
-        use_cpus(2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="second item failed"):
-            run()
-        assert len(started) == 2
-        assert not any(thread.is_alive() for thread in started)
-        assert threading.active_count() == before
-
-
-class TestConcurrentDecodes(PoolUseTests):
-    """fl_analog_downlink's K decodes, one cs_decode(projection, y) call
-    per reception y, in receiver order, under one BLAS thread."""
-
-    K = 3
-
-    @pytest.fixture(autouse=True)
-    def one_blas_thread(self, blas_env):
-        blas_env(OPENBLAS_NUM_THREADS="1")
-
-    def work(self, rows, cols):
-        gen = np.random.default_rng(7)
-        proj = ProjectionMatrix(rows=rows, cols=cols, seed=3)
-        update = gen.standard_normal(cols)
-        gains = gen.standard_normal((self.K, 2)) @ [1, 1j]
-        args = (update, ErrorAccumulator.zeros(cols), cols // 8, proj,
-                ChannelState(gains, gains), 10.0, rows // 2)
-        sent = proj.project(top_k_sparsify(update, cols // 8))
-        receptions = analog_link._downlink(sent, *args[4:],
-                                           np.random.default_rng(9))
-        return ("cs_decode",
-                lambda: [cs_decode(proj, y) for y in receptions],
-                lambda: fl_analog_downlink(*args,
-                                           np.random.default_rng(9))[0],
-                lambda call: (call[0] is proj
-                              and np.array_equal(call[1], receptions[1])))
-
-
-class TestConcurrentDraws(PoolUseTests):
-    """draw_projections over an FL run's two projections, one
-    draw_projection(rows, cols, seed) call each, under OpenBLAS's default
-    thread count: the draws call no BLAS and pool whatever it is."""
-
-    SEEDS = (3, 4)
-
-    @pytest.fixture(autouse=True)
-    def default_blas(self, blas_env):
-        blas_env()
-
-    def work(self, rows, cols):
-        def run():
-            projs = [ProjectionMatrix(rows, cols, seed) for seed in self.SEEDS]
-            draw_projections(projs)
-            return [proj.matrix for proj in projs]
-
-        return ("draw_projection",
-                lambda: [draw_projection(rows, cols, seed)
-                         for seed in self.SEEDS],
-                run,
-                lambda call: call == (rows, cols, self.SEEDS[1]))
-
-
-class TestDecodePoolLeavesTheBlasItsCpus:
-    """The decodes take one worker per BLAS thread count of CPUs."""
-
-    @pytest.mark.parametrize("env,cpus,threads", [
-        ({}, 2, 2), ({}, 5, 5),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 1),
-        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
-        ({"OMP_NUM_THREADS": "3"}, 4, 3),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "two", "GOTO_NUM_THREADS": "3"}, 4, 3),
-        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 2),
-    ])
-    def test_blas_threads_are_read_as_openblas_reads_them(
-            self, blas_env, use_cpus, env, cpus, threads):
-        blas_env(**env)
-        use_cpus(cpus)
-        assert analog_link._blas_threads() == threads
-
-    @pytest.mark.parametrize("env,cpus,pooled", [
-        ({}, 2, 0), ({"OMP_NUM_THREADS": "2"}, 2, 0),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-        ({"GOTO_NUM_THREADS": "2"}, 4, 2),
-    ])
-    def test_decodes_pool_on_the_cpus_the_blas_leaves(
-            self, started, use_cpus, blas_env, env, cpus, pooled):
-        _, alone, run, _ = TestConcurrentDecodes().work(2048, 1024)
-        want = [r.tobytes() for r in alone()]
-        blas_env(**env)
-        use_cpus(cpus)
-        assert [r.tobytes() for r in run()] == want
-        assert len(started) == pooled
+    def test_products_return_new_float64_vectors(self):
+        proj = ProjectionMatrix(rows=30, cols=40, seed=1)
+        x, z = np.ones(40), np.ones(30)
+        first, back = proj.project(x), proj.backproject(z)
+        assert first.dtype == back.dtype == np.float64
+        proj.project(-x)
+        proj.backproject(-z)
+        assert first.tobytes() == proj.project(x).tobytes()
+        assert back.tobytes() == proj.backproject(z).tobytes()
 
 
 class TestFlAnalogUplink:
@@ -610,6 +450,26 @@ class TestFlAnalogUplink:
         truth = k * top_k_sparsify(update, q)
         assert np.sum((estimate - truth) ** 2) / np.sum(truth ** 2) <= 1e-3
 
+
+    @pytest.mark.parametrize("downlink", [False, True])
+    def test_a_projection_that_overflows_is_one_error(self, downlink):
+        # Under random signs the sums of 1362 entries of 1e306 stay finite;
+        # at 1e307 the FFT overflows, and numpy warns of it unless told not
+        # to, so a check of the sent norm alone would come too late.
+        dim, uses = 1362, 100
+        proj = ProjectionMatrix(rows=2 * uses, cols=dim, seed=3)
+        assert np.all(np.isfinite(proj.project(np.full(dim, 1e306))))
+        update = np.full(dim, 1e307)
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            proj.project(update)
+        with pytest.raises(DivergenceError, match="^weight update overflows "
+                           "the analog link's projection$"):
+            if downlink:
+                fl_analog_downlink(update, ErrorAccumulator.zeros(dim), dim,
+                                   proj, unit_state(2), 1.0, uses, None)
+            else:
+                fl_analog_uplink([update], [ErrorAccumulator.zeros(dim)],
+                                 dim, proj, unit_state(1), 1.0, uses, None)
 
 class TestFdAnalog:
     def test_noiseless_bias_matches_closed_form(self):

@@ -276,9 +276,9 @@ OVERFLOWING = ("num_devices = 3\nsamples_per_device = 16\nmodel = mlp:8\n"
 
 
 @pytest.mark.parametrize("alpha,protocol,link,message", [
-    # The weight update fits a float64 but not the float32 projection.
-    pytest.param("1e20", "fl", "aa", "weight update too large for the "
-                 "single-precision analog link", id="fl-aa"),
+    # The weight update is finite, its norm is not.
+    pytest.param("1e100", "fl", "aa", "payload norm overflows the analog "
+                 "link", id="fl-aa"),
     # The weights are finite, their logits are not.
     pytest.param("1e100", "fd", "aa", "non-finite logit table at step size "
                  "1e+100", id="fd-aa"),

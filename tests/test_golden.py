@@ -5,7 +5,11 @@ written by this module before the analog link pipelines were merged, and
 the eight extra scenarios (ideal exchanges, noiseless analog links, and
 digital logit exchanges at a T where some payloads drop out and others get
 through) before the two exchange paths were merged; a refactor must
-reproduce them exactly.
+reproduce them exactly. The 13 scenarios of FL over an analog link
+(fl_aa, fl_ad and fl_da) were recorded again, with their digests, when the
+dense Gaussian projection gave way to the structurally random one of
+`fedsim.analog_link.ProjectionMatrix`: that changes what the analog FL
+links compute. The other 59 are as first recorded.
 They print accuracies to 6 digits, so a last-bit change in the training
 arithmetic can pass them; weights.sha256 holds the sha256 of each
 scenario's concatenated final weights, which sees every bit. To re-record

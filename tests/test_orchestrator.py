@@ -1,14 +1,16 @@
 import dataclasses
 import math
+import os
 import struct
-import threading
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fedsim import analog_link, audit, orchestrator, streams
-from fedsim.analog_link import ProjectionMatrix
+from fedsim import audit, orchestrator, streams
 from fedsim.channel import ChannelState
 from fedsim.compression import (
     MAX_QUANTIZER_BITS, ErrorAccumulator, top_k_sparsify,
@@ -365,105 +367,92 @@ class TestDeterminism:
         assert avg_accuracies(a) != avg_accuracies(b)
 
 
+# Runs one FL iteration over digital links, then two at T=2500 over analog
+# links with W = 1362 weights, and prints whether numpy.fft was loaded
+# before the analog run and the sha256 of the final weights.
+FL_RUN_SCRIPT = """
+import hashlib, sys
+from fedsim.orchestrator import ExperimentConfig, _Run
+def run(link, iterations):
+    run = _Run(ExperimentConfig(
+        protocol="fl", uplink_mode=link, downlink_mode=link,
+        channel_uses=2500, global_iterations=iterations,
+        data="synthetic:classes=2,dim=24", model="mlp:32,16"))
+    for iteration in range(1, iterations + 1):
+        run.step(iteration)
+    return run
+run("digital", 1)
+loaded = "numpy.fft" in sys.modules
+weights = run("analog", 2).weights
+print(loaded, hashlib.sha256(weights.tobytes()).hexdigest())
+"""
+
+
+def run_fl_script(**env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FL_RUN_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout
+
+
+class TestAnalogFlBits:
+    """numpy's FFT calls no BLAS, so an analog-FL run's bits do not depend
+    on the BLAS thread count; and only an analog-FL product loads it."""
+
+    def test_same_weights_under_one_and_two_blas_threads(self):
+        one = run_fl_script(OPENBLAS_NUM_THREADS="1")
+        assert run_fl_script(OPENBLAS_NUM_THREADS="2") == one
+        assert one.startswith("False ")
+
+
 class TestProjectionDraw:
-    """An FL run draws the projections its analog links use at its first
-    exchange, in one `draw_projections` call; `analog_link`'s
-    `TestConcurrentDraws` holds the tests of that call's pool."""
+    """A projection's plan is drawn at its first product and kept: an FL
+    run draws the plan of each analog link at that link's first exchange,
+    and a run that sends no weights over an analog link draws none."""
 
     @staticmethod
     def fl_run(up="analog", down="analog", **kw):
-        # W = 290 weights and 2T = 2000 rows unless channel_uses is given.
-        kw = dict(dict(channel_uses=1000, model="mlp:32"), **kw)
+        # W = 290 weights and 2T = 2000 rows.
         return _Run(small_config(protocol="fl", uplink_mode=up,
                                  downlink_mode=down, global_iterations=1,
-                                 **kw))
+                                 channel_uses=1000, model="mlp:32", **kw))
 
-    def test_nothing_is_drawn_during_set_up(self, monkeypatch):
-        monkeypatch.setattr(analog_link, "draw_projection",
-                            lambda *a: pytest.fail("drawn during set-up"))
-        run = self.fl_run()
-        assert run.undrawn == [run.proj_up, run.proj_down]
+    @staticmethod
+    def plans(run):
+        return [vars(proj).get("_plan") for proj in (run.proj_up,
+                                                     run.proj_down)]
+
+    def test_nothing_is_drawn_during_set_up(self):
+        assert self.plans(self.fl_run()) == [None, None]
 
     @pytest.mark.parametrize("up,down", [
         ("analog", "analog"), ("analog", "digital"),
         ("digital", "analog"), ("digital", "digital")])
-    def test_the_first_exchange_draws_each_projection_once(
-            self, monkeypatch, up, down):
+    def test_the_first_exchange_draws_each_projection_once(self, up, down):
         run = self.fl_run(up, down)
-        want = [proj for proj, mode in ((run.proj_up, up),
-                                        (run.proj_down, down))
-                if mode == "analog"]
-        assert run.undrawn == want
-        calls, seeds = [], []
-        draw_all = orchestrator.draw_projections
-        draw = analog_link.draw_projection
+        run.step(1)
+        drawn = self.plans(run)
+        assert [plan is not None for plan in drawn] == \
+            [up == "analog", down == "analog"]
+        run.step(2)
+        assert all(a is b for a, b in zip(self.plans(run), drawn))
 
-        def counted_all(projections):
-            calls.append(list(projections))
-            draw_all(projections)
-
-        def counted(rows, cols, seed):
-            seeds.append(seed)
-            return draw(rows, cols, seed)
-
-        monkeypatch.setattr(orchestrator, "draw_projections", counted_all)
-        monkeypatch.setattr(analog_link, "draw_projection", counted)
+    @pytest.mark.parametrize("protocol,link,ideal", [
+        ("il", "aa", False), ("fd", "aa", False), ("hfd", "aa", False),
+        ("fl", "dd", False), ("fl", "aa", True)],
+        ids=["il", "fd", "hfd", "fl-digital", "fl-ideal"])
+    def test_runs_without_weight_projections_draw_none(self, protocol, link,
+                                                       ideal):
+        up, down = LINK_CODES[link]
+        run = _Run(small_config(protocol=protocol, uplink_mode=up,
+                                downlink_mode=down, channel_uses=16,
+                                ideal_exchange=ideal))
         run.step(1)
         run.step(2)
-        assert calls == ([want] if want else [])
-        assert seeds == [proj.seed for proj in want]
-        assert run.undrawn == []
-
-    @pytest.mark.parametrize("up,down,threads", [
-        ("analog", "digital", 0), ("digital", "analog", 0),
-        ("digital", "digital", 0)])
-    def test_step_leaves_no_thread_behind(self, started, up, down, threads):
-        run = self.fl_run(up, down)
-        before = threading.active_count()
-        run.step(1)
-        assert threading.active_count() == before
-        assert len(started) == threads and run.undrawn == []
-
-    def test_an_analog_mix_sized_step_starts_no_thread(self, started,
-                                                       use_cpus):
-        # Two 200 x 1362 projections (T = 100, W = 1362), about 1 MiB
-        # each: below the pool's threshold, drawn and decoded in turn.
-        run = self.fl_run(channel_uses=100, model="mlp:32,16",
-                          data="synthetic:classes=2,dim=24")
-        assert (run.proj_up.rows, run.dim) == (200, 1362)
-        use_cpus(2)
-        run.step(1)
-        assert started == [] and run.undrawn == []
-
-    def test_one_cpu_draws_an_8_mib_pair_in_the_calling_thread(
-            self, started, use_cpus, monkeypatch):
-        # 2T = 7232 rows of W = 290: just over 8 MiB each.
-        run = self.fl_run(channel_uses=3616)
-        assert run.proj_up.nbytes >= analog_link._PARALLEL_BYTES
-        callers = []
-        draw = analog_link.draw_projection
-
-        def counted(rows, cols, seed):
-            callers.append(threading.current_thread())
-            return draw(rows, cols, seed)
-
-        monkeypatch.setattr(analog_link, "draw_projection", counted)
-        use_cpus(1)
-        run.step(1)
-        assert callers == [threading.current_thread()] * 2
-        assert started == []
-
-    @pytest.mark.parametrize("protocol", ["il", "fd", "hfd"])
-    def test_runs_without_weight_projections_start_no_thread(
-            self, started, protocol):
-        run_experiment(small_config(protocol=protocol, uplink_mode="analog",
-                                    downlink_mode="analog", channel_uses=16))
-        assert started == []
-
-    def test_ideal_fl_starts_no_thread(self, started):
-        run = self.fl_run(ideal_exchange=True)
-        run.step(1)
-        assert started == []
+        assert self.plans(run) == [None, None]
 
 
 class TestProtocolsRun:
