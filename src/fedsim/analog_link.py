@@ -114,6 +114,11 @@ class ProjectionMatrix:
     cols: int
     seed: int
 
+    def __post_init__(self):
+        for field, value in (("rows", self.rows), ("cols", self.cols)):
+            if value < 1:
+                raise ValueError(f"need {field} >= 1, got {value}")
+
     @cached_property
     def _plan(self) -> _Plan:
         n = _fft_length(self.cols)
@@ -212,10 +217,6 @@ def mmse_factor_downlink(gamma: float, gabs: float) -> float:
     return amp / (0.5 + amp ** 2)
 
 
-def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-
-
 def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     """Approximate message passing with a soft-threshold denoiser.
 
@@ -229,10 +230,13 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     y = np.asarray(y_est, dtype=np.float64)
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match {m} rows")
-    # The median of |z| is the mean of its middle order statistics (two, as
-    # m = 2T is even on a link), and the norm is sqrt(z.z): both equal
-    # np.median and np.linalg.norm bit for bit, with less overhead.
-    middle = ((m - 1) // 2, m // 2)
+    # Two identities keep this np.median and np.sign's soft threshold bit for
+    # bit: after partition(m // 2), the lower of the two middle values (m is
+    # even, 2T, on a link) is the largest left of the upper; and
+    # r - clip(r, -t, t) = sign(r) max(|r| - t, 0) up to a zero's sign. The
+    # norm is sqrt(z.z), np.linalg.norm's value.
+    half = m // 2
+    magnitudes = np.empty(m)
     x = np.zeros(n)
     z = y.copy()
     best_x = x
@@ -241,14 +245,17 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     if best_res == 0.0:
         return best_x
     for _ in range(AMP_MAX_ITER):
-        magnitudes = np.abs(z)
-        magnitudes.partition(middle)
-        sigma = float((magnitudes[middle[0]] + magnitudes[middle[1]]) / 2) \
-            / 0.6745
-        r = x + projection.backproject(z)
-        x = _soft_threshold(r, AMP_KAPPA * sigma)
+        np.abs(z, out=magnitudes)
+        magnitudes.partition(half)
+        middle = magnitudes[half] if m % 2 else \
+            (magnitudes[:half].max() + magnitudes[half]) / 2
+        thresh = AMP_KAPPA * (float(middle) / 0.6745)
+        r = projection.backproject(z)
+        r += x
+        x = r - np.minimum(np.maximum(r, -thresh), thresh)
         onsager = (np.count_nonzero(x) / m) * z
-        z = y - projection.project(x) + onsager
+        z = y - projection.project(x)
+        z += onsager
         res = math.sqrt(float(z @ z))
         if res < best_res:
             best_res = res

@@ -47,6 +47,8 @@ def top_k_sparsify(u: np.ndarray, q: int) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if q < 0 or q > u.size:
         raise ValueError(f"need 0 <= q <= dim, got q={q}, dim={u.size}")
+    if q == u.size:
+        return u.copy()
     out = np.zeros_like(u)
     if q == 0:
         return out

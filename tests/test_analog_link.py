@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedsim import analog_link, audit
 from fedsim.analog_link import (
@@ -311,8 +311,9 @@ class TestCsDecode:
         proj.backproject(np.ones(20))
         assert proj._plan is plan
 
+    # (5000, 1362) is amp_T2500's shape: 2T = 5000 rows in 4 FFT blocks.
     @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
-                                           (61, 150), (1, 4)])
+                                           (61, 150), (1, 4), (5000, 1362)])
     def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
         for seed in range(3):
             proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
@@ -322,6 +323,23 @@ class TestCsDecode:
             assert np.array_equal(
                 cs_decode(proj, y),
                 reference_amp(y, proj.project, proj.backproject))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 600), cols=st.integers(1, 400),
+           density=st.floats(0, 1), noise=st.floats(0, 1),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(rows=61, cols=150, density=0.3, noise=0.05, seed=0)
+    @example(rows=600, cols=200, density=0.3, noise=0.05, seed=0)
+    def test_decode_is_the_reference_on_drawn_instances(self, rows, cols,
+                                                        density, noise,
+                                                        seed):
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed)
+        gen = np.random.default_rng(seed)
+        truth = gen.standard_normal(cols) * (gen.random(cols) < density)
+        y = proj.project(truth) + noise * gen.standard_normal(rows)
+        assert np.array_equal(
+            cs_decode(proj, y),
+            reference_amp(y, proj.project, proj.backproject))
 
 
 def reference_amp(y, project, backproject):
@@ -404,6 +422,12 @@ class TestProjectionMatrix:
             array if array.base is None else array.base
             for array in proj._plan)}
         assert sum(owners.values()) < 400_000
+
+    @pytest.mark.parametrize("rows,cols,field", [
+        (4, 0, "cols"), (4, -3, "cols"), (0, 4, "rows"), (-1, 4, "rows")])
+    def test_rows_and_cols_must_be_positive(self, rows, cols, field):
+        with pytest.raises(ValueError, match=f"need {field} >= 1"):
+            ProjectionMatrix(rows=rows, cols=cols, seed=0)
 
     def test_products_return_new_float64_vectors(self):
         proj = ProjectionMatrix(rows=30, cols=40, seed=1)

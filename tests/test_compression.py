@@ -59,6 +59,15 @@ class TestTopKSparsify:
         u = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(top_k_sparsify(u, 3), u)
 
+    def test_keeping_every_entry_is_the_scatter_byte_for_byte(self):
+        u = np.array([2.0, -0.0, 0.0, -2.0, 1.5, 0.0, -1.5, 2.0, -0.0])
+        scattered = np.zeros_like(u)
+        idx = top_k_indices(u, u.size)
+        scattered[idx] = u[idx]
+        out = top_k_sparsify(u, u.size)
+        assert out.tobytes() == scattered.tobytes()
+        assert not np.shares_memory(out, u)
+
     def test_q_zero(self):
         np.testing.assert_array_equal(top_k_sparsify(np.ones(4), 0), np.zeros(4))
 
