@@ -32,9 +32,6 @@ so an analog-FL run's bits do not depend on the host's BLAS thread count.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,29 +63,6 @@ def _fft_length(cols: int) -> int:
         n += 2
 
 
-class _Plan(NamedTuple):
-    """What `ProjectionMatrix` draws once, and the buffers of its products
-    with the views they are read and written through.
-
-    A buffer holds what the last product left in it; `signal` stays zero
-    past column W, and `adjoint` zero but at the picks.
-    """
-
-    signs: np.ndarray      # (B, W) of +-1.0, one row per block
-    picks: np.ndarray      # (2T,) positions in the float view of B spectra
-    forward: np.ndarray    # (2T,) scale of each picked coordinate in A
-    backward: np.ndarray   # (2T,) its scale in A.T
-    signal: np.ndarray     # (B, N): the signed input, zero-padded
-    signed: np.ndarray     # signal[:, :W]
-    spectrum: np.ndarray   # (B, N/2 + 1) complex: the real FFT of signal
-    spectrum_reals: np.ndarray  # spectrum as B * (N + 2) floats
-    adjoint: np.ndarray    # (B, N/2 + 1) complex: the scattered input
-    adjoint_reals: np.ndarray   # adjoint as B * (N + 2) floats
-    inverse: np.ndarray    # (B, N): the inverse real FFT of adjoint
-    unsigned: np.ndarray   # inverse[:, :W]
-
-
-@dataclass(frozen=True)
 class ProjectionMatrix:
     """Seeded structurally random projection of `rows` x `cols`, shared
     verbatim by transmitter and receiver.
@@ -104,28 +78,23 @@ class ProjectionMatrix:
     `default_rng(seed)` first, then the picks, so regenerating from the
     same (rows, cols, seed) is bit-exact.
 
-    The plan (signs, picks and the two scale vectors) is drawn at the first
-    product and kept, so a projection no run multiplies by costs nothing.
-    The products work in buffers of the plan, so they are not reentrant;
-    each returns a new float64 vector.
+    The plan is drawn when the projection is built: `signs` (B, W),
+    `picks` (the 2T positions in the float view of B spectra) and the
+    scales of each picked coordinate in A (`forward`) and in A.T
+    (`backward`). The products work in buffers made with it, so they are
+    not reentrant; each returns a new float64 vector.
     """
 
-    rows: int
-    cols: int
-    seed: int
-
-    def __post_init__(self):
-        for field, value in (("rows", self.rows), ("cols", self.cols)):
+    def __init__(self, rows: int, cols: int, seed: int):
+        for field, value in (("rows", rows), ("cols", cols)):
             if value < 1:
                 raise ValueError(f"need {field} >= 1, got {value}")
-
-    @cached_property
-    def _plan(self) -> _Plan:
-        n = _fft_length(self.cols)
-        count = -(-self.rows // n)
-        rng = np.random.default_rng(self.seed)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(count, self.cols))
-        picks = np.sort(rng.choice(count * n, size=self.rows, replace=False))
+        self.rows, self.cols, self.seed = rows, cols, seed
+        n = _fft_length(cols)
+        count = -(-rows // n)
+        rng = np.random.default_rng(seed)
+        self.signs = 1.0 - 2.0 * rng.integers(0, 2, size=(count, cols))
+        picks = np.sort(rng.choice(count * n, size=rows, replace=False))
         # A block's spectrum, read as floats, holds its N reals at positions
         # 0 to N but for position 1, the DC bin's imaginary part. The DC and
         # Nyquist reals (coordinates 0 and N - 1) keep scale 1 and the rest
@@ -133,34 +102,36 @@ class ProjectionMatrix:
         # the scales: c / sqrt(N) = 1 / sqrt(rows).
         block, j = np.divmod(picks, n)
         root2 = np.where((j > 0) & (j < n - 1), math.sqrt(2.0), 1.0)
-        signal, inverse = np.zeros((2, count, n))
+        self.picks = block * (n + 2) + j + (j > 0)
+        self.forward = root2 / math.sqrt(rows)
+        self.backward = 1.0 / (root2 * math.sqrt(rows))
+        # The buffers, each with what the last product left in it: the
+        # signed input, zero past column W (`signal`, written through
+        # `signed`), its spectrum, the scattered input, zero but at the
+        # picks (`adjoint`), and its inverse FFT (read through `unsigned`).
+        self.signal, self.inverse = np.zeros((2, count, n))
         spectra = np.zeros((2, count, n // 2 + 1), dtype=np.complex128)
-        reals = spectra.view(np.float64).reshape(2, -1)
-        return _Plan(signs=signs, picks=block * (n + 2) + j + (j > 0),
-                     forward=root2 / math.sqrt(self.rows),
-                     backward=1.0 / (root2 * math.sqrt(self.rows)),
-                     signal=signal, signed=signal[:, :self.cols],
-                     spectrum=spectra[0], spectrum_reals=reals[0],
-                     adjoint=spectra[1], adjoint_reals=reals[1],
-                     inverse=inverse, unsigned=inverse[:, :self.cols])
+        self.spectrum, self.adjoint = spectra
+        self.spectrum_reals, self.adjoint_reals = \
+            spectra.view(np.float64).reshape(2, -1)
+        self.signed = self.signal[:, :cols]
+        self.unsigned = self.inverse[:, :cols]
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """A @ v: the signs, one real FFT per block, the picks."""
-        plan = self._plan
-        np.multiply(plan.signs, v, out=plan.signed)
-        np.fft.rfft(plan.signal, out=plan.spectrum)
-        return plan.spectrum_reals[plan.picks] * plan.forward
+        np.multiply(self.signs, v, out=self.signed)
+        np.fft.rfft(self.signal, out=self.spectrum)
+        return self.spectrum_reals[self.picks] * self.forward
 
     def backproject(self, z: np.ndarray) -> np.ndarray:
         """A.T @ z, the exact adjoint: one scatter into the zero spectrum,
         one inverse real FFT per block, the signs, a sum over blocks."""
-        plan = self._plan
-        plan.adjoint_reals[plan.picks] = z * plan.backward
-        np.fft.irfft(plan.adjoint, n=plan.inverse.shape[1], norm="forward",
-                     out=plan.inverse)
-        if len(plan.signs) == 1:
-            return plan.unsigned[0] * plan.signs[0]
-        return (plan.unsigned * plan.signs).sum(axis=0)
+        self.adjoint_reals[self.picks] = z * self.backward
+        np.fft.irfft(self.adjoint, n=self.inverse.shape[1], norm="forward",
+                     out=self.inverse)
+        if len(self.signs) == 1:
+            return self.unsigned[0] * self.signs[0]
+        return (self.unsigned * self.signs).sum(axis=0)
 
 
 def full_power_gain(x: np.ndarray, power: float, channel_uses: int) -> float:
@@ -268,12 +239,6 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     return best_x
 
 
-def _check_projection(projection: ProjectionMatrix, dim: int,
-                      channel_uses: int) -> None:
-    if projection.cols != dim or projection.rows != 2 * channel_uses:
-        raise ConfigurationError("projection shape does not match link")
-
-
 def _uplink(payloads: np.ndarray, state: ChannelState, power: float,
             channel_uses: int, noise_rng) -> np.ndarray:
     """Superpose the (K, n) block of the devices' real payloads over the MAC.
@@ -309,15 +274,24 @@ def _downlink(payload: np.ndarray, state: ChannelState, power: float,
     return received.view(np.float64)
 
 
-def _project_sent(projection: ProjectionMatrix, sparse: np.ndarray):
-    """`projection.project(sparse)`; an update whose projection overflows
-    float64 raises DivergenceError instead of numpy's warnings."""
+def _send_sparse(projection: ProjectionMatrix, update: np.ndarray,
+                 acc: ErrorAccumulator, q: int, channel_uses: int):
+    """What one sender puts on the air for a weight update: returns (the
+    projection of the top q of update plus residual, acc advanced by that
+    sparse vector).
+
+    An update whose projection overflows float64 raises DivergenceError
+    instead of numpy's warnings.
+    """
+    if projection.cols != update.size or projection.rows != 2 * channel_uses:
+        raise ConfigurationError("projection shape does not match link")
+    sparse = top_k_sparsify(update + acc.residual, q)
     with np.errstate(over="ignore", invalid="ignore"):
         sent = projection.project(sparse)
     if not np.all(np.isfinite(sent)):
         raise DivergenceError("weight update overflows the analog link's "
                               "projection")
-    return sent
+    return sent, accumulate_error(acc, update, sparse)
 
 
 def _repeat_table(tables: np.ndarray, channel_uses: int):
@@ -360,17 +334,11 @@ def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
     passing. Residuals are advanced by exactly what was put on the air (the
     sparsified vector), not by what the receiver recovered.
     """
-    updates = np.asarray(updates, dtype=np.float64)
-    _check_projection(projection, updates.shape[1], channel_uses)
-    sparse = [top_k_sparsify(u + acc.residual, q)
-              for u, acc in zip(updates, accs)]
-    new_accs = [accumulate_error(acc, u, s)
-                for u, acc, s in zip(updates, accs, sparse)]
-    received = _uplink(np.array([_project_sent(projection, s)
-                                 for s in sparse]),
-                       state, power, channel_uses, noise_rng)
-    estimate = cs_decode(projection, received)
-    return estimate, new_accs
+    sent, new_accs = zip(*(
+        _send_sparse(projection, u, acc, q, channel_uses)
+        for u, acc in zip(np.asarray(updates, dtype=np.float64), accs)))
+    received = _uplink(np.array(sent), state, power, channel_uses, noise_rng)
+    return cs_decode(projection, received), list(new_accs)
 
 
 def fd_analog_uplink(tables, state: ChannelState, power: float,
@@ -392,12 +360,10 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     Each device recovers the broadcast from its own reception with one
     `cs_decode` call, in device order.
     """
-    update = np.asarray(update, dtype=np.float64)
-    _check_projection(projection, update.size, channel_uses)
-    sparse = top_k_sparsify(update + acc.residual, q)
-    new_acc = accumulate_error(acc, update, sparse)
-    receptions = _downlink(_project_sent(projection, sparse), state, power,
-                           channel_uses, noise_rng)
+    sent, new_acc = _send_sparse(projection,
+                                 np.asarray(update, dtype=np.float64), acc, q,
+                                 channel_uses)
+    receptions = _downlink(sent, state, power, channel_uses, noise_rng)
     # `cs_decode` is looked up when each call runs, so a wrapper patched
     # into this module sees every decode.
     return np.array([cs_decode(projection, y) for y in receptions]), new_acc

@@ -144,8 +144,7 @@ def _descend(w, arch, alpha, reg_weight, passes, batch_size):
         _sgd(w, np.empty(w.shape), arch, alpha, reg_weight, passes,
              batch_size)
     if not np.all(np.isfinite(w)):
-        raise DivergenceError(f"non-finite weights after SGD at step size "
-                              f"{alpha:g}")
+        raise DivergenceError("non-finite weights after SGD")
     return w
 
 

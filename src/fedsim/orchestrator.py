@@ -267,12 +267,14 @@ class _Run:
         self.up_accs = [ErrorAccumulator.zeros(self.dim) if fl else None
                         for _ in range(cfg.num_devices)]
         self.down_acc = ErrorAccumulator.zeros(self.dim) if fl else None
-        self.proj_up = ProjectionMatrix(
-            rows=2 * cfg.channel_uses, cols=self.dim,
-            seed=streams.derive_seed(seed, streams.PROJECTION, 0))
-        self.proj_down = ProjectionMatrix(
-            rows=2 * cfg.channel_uses, cols=self.dim,
-            seed=streams.derive_seed(seed, streams.PROJECTION, 1))
+        # One projection per direction in which FL sends weights over an
+        # analog link, up (key 0) and down (key 1); None where none is sent.
+        sends = fl and not cfg.ideal_exchange
+        self.proj_up, self.proj_down = (
+            ProjectionMatrix(2 * cfg.channel_uses, self.dim,
+                             streams.derive_seed(seed, streams.PROJECTION, d))
+            if sends and mode == "analog" else None
+            for d, mode in enumerate((cfg.uplink_mode, cfg.downlink_mode)))
 
         # Device k's (L, L) logit-row target, once has_target[k] is set.
         self.targets = np.zeros((cfg.num_devices, self.num_labels,
@@ -337,8 +339,7 @@ class _Run:
                     tables[k, labels] = forward_logits_batch(w, covariates,
                                                              self.arch)
         if not np.all(np.isfinite(tables)):
-            raise DivergenceError(f"non-finite logit table at step size "
-                                  f"{cfg.alpha:g}")
+            raise DivergenceError("non-finite logit table")
         return tables
 
     # -- the exchange --
@@ -471,8 +472,10 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
     cfg = config
     records = []
     for iteration in range(1, cfg.global_iterations + 1):
-        bits_up, bits_down = run.step(iteration)
+        # Every divergence, in training, on a link or in evaluation, names
+        # the step size here.
         try:
+            bits_up, bits_down = run.step(iteration)
             accuracies = [evaluate_accuracy(w, run.test, run.arch)
                           for w in run.weights]
         except DivergenceError as exc:

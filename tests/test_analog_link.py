@@ -19,6 +19,10 @@ def unit_state(k):
     return ChannelState(np.ones(k, complex), np.ones(k, complex))
 
 
+# What `ProjectionMatrix` draws from its seed, the products' buffers aside.
+DRAWN = ("signs", "picks", "forward", "backward")
+
+
 class TestComplexFrames:
     """A real payload goes on the air two reals per complex channel use."""
 
@@ -299,17 +303,21 @@ class TestCsDecode:
         b = ProjectionMatrix(rows=64, cols=128, seed=42)
         v = np.random.default_rng(0).standard_normal(128)
         assert a.project(v).tobytes() == b.project(v).tobytes()
-        for drawn in ("signs", "picks", "forward", "backward"):
-            assert getattr(a._plan, drawn).tobytes() \
-                == getattr(b._plan, drawn).tobytes()
+        for drawn in DRAWN:
+            assert getattr(a, drawn).tobytes() == getattr(b, drawn).tobytes()
 
-    def test_matrix_is_drawn_once_and_kept(self):
-        proj = ProjectionMatrix(rows=20, cols=30, seed=5)
-        assert "_plan" not in vars(proj)
-        plan = proj._plan
-        proj.project(np.ones(30))
-        proj.backproject(np.ones(20))
-        assert proj._plan is plan
+    @pytest.mark.parametrize("rows,cols", [(20, 30), (5000, 1362)])
+    def test_products_leave_the_drawn_arrays_untouched(self, rows, cols):
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=5)
+        drawn = {name: getattr(proj, name) for name in DRAWN}
+        copies = {name: array.copy() for name, array in drawn.items()}
+        gen = np.random.default_rng(5)
+        for _ in range(2):
+            proj.project(gen.standard_normal(cols))
+            proj.backproject(gen.standard_normal(rows))
+        for name, array in drawn.items():
+            assert getattr(proj, name) is array
+            assert array.tobytes() == copies[name].tobytes()
 
     # (5000, 1362) is amp_T2500's shape: 2T = 5000 rows in 4 FFT blocks.
     @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
@@ -384,7 +392,7 @@ class TestProjectionMatrix:
     def test_adjoint(self, rows, cols, n, blocks):
         proj = ProjectionMatrix(rows=rows, cols=cols, seed=rows + cols)
         assert _fft_length(cols) == n
-        assert proj._plan.signs.shape == (blocks, cols)
+        assert proj.signs.shape == (blocks, cols)
         gen = np.random.default_rng(cols)
         for _ in range(3):
             x, z = gen.standard_normal(cols), gen.standard_normal(rows)
@@ -418,9 +426,11 @@ class TestProjectionMatrix:
     def test_plan_is_small(self):
         # Two dense 5000 x 1362 float32 matrices took 27 MB each.
         proj = ProjectionMatrix(5000, 1362, 0)
+        arrays = [value for value in vars(proj).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 12  # 4 drawn, 4 buffers and 4 views of them
         owners = {id(owner): owner.nbytes for owner in (
-            array if array.base is None else array.base
-            for array in proj._plan)}
+            array if array.base is None else array.base for array in arrays)}
         assert sum(owners.values()) < 400_000
 
     @pytest.mark.parametrize("rows,cols,field", [
@@ -494,6 +504,25 @@ class TestFlAnalogUplink:
             else:
                 fl_analog_uplink([update], [ErrorAccumulator.zeros(dim)],
                                  dim, proj, unit_state(1), 1.0, uses, None)
+
+    @pytest.mark.parametrize("rows,cols", [(202, 40), (200, 41)],
+                             ids=["rows", "cols"])
+    @pytest.mark.parametrize("downlink", [False, True],
+                             ids=["uplink", "downlink"])
+    def test_projection_shape_must_match_link(self, rows, cols, downlink):
+        # The link carries 2T = 200 reals of a W = 40 update.
+        dim, uses = 40, 100
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=4)
+        update = np.ones(dim)
+        with pytest.raises(ConfigurationError, match="^projection shape does "
+                           "not match link$"):
+            if downlink:
+                fl_analog_downlink(update, ErrorAccumulator.zeros(dim), 10,
+                                   proj, unit_state(2), 1.0, uses, None)
+            else:
+                fl_analog_uplink([update], [ErrorAccumulator.zeros(dim)], 10,
+                                 proj, unit_state(1), 1.0, uses, None)
+
 
 class TestFdAnalog:
     def test_noiseless_bias_matches_closed_form(self):

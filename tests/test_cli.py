@@ -278,7 +278,7 @@ OVERFLOWING = ("num_devices = 3\nsamples_per_device = 16\nmodel = mlp:8\n"
 @pytest.mark.parametrize("alpha,protocol,link,message", [
     # The weight update is finite, its norm is not.
     pytest.param("1e100", "fl", "aa", "payload norm overflows the analog "
-                 "link", id="fl-aa"),
+                 "link at step size 1e+100", id="fl-aa"),
     # The weights are finite, their logits are not.
     pytest.param("1e100", "fd", "aa", "non-finite logit table at step size "
                  "1e+100", id="fd-aa"),
@@ -286,9 +286,9 @@ OVERFLOWING = ("num_devices = 3\nsamples_per_device = 16\nmodel = mlp:8\n"
                  "size 1e+100", id="hfd-dd"),
     # Finite tables whose norms overflow on the analog link.
     pytest.param("1e60", "fd", "aa", "payload norm overflows the analog "
-                 "link", id="fd-aa-norm"),
+                 "link at step size 1e+60", id="fd-aa-norm"),
     pytest.param("1e60", "hfd", "ad", "payload norm overflows the analog "
-                 "link", id="hfd-ad-norm"),
+                 "link at step size 1e+60", id="hfd-ad-norm"),
     # Finite weights whose test logits are not.
     pytest.param("1e100", "il", "dd", "non-finite test logits at step size "
                  "1e+100", id="il-dd"),

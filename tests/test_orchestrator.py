@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fedsim import audit, orchestrator, streams
+from fedsim.analog_link import ProjectionMatrix
 from fedsim.channel import ChannelState
 from fedsim.compression import (
     MAX_QUANTIZER_BITS, ErrorAccumulator, top_k_sparsify,
@@ -409,36 +410,55 @@ class TestAnalogFlBits:
 
 
 class TestProjectionDraw:
-    """A projection's plan is drawn at its first product and kept: an FL
-    run draws the plan of each analog link at that link's first exchange,
-    and a run that sends no weights over an analog link draws none."""
+    """A run holds a projection for each direction in which FL sends weights
+    over an analog link, drawn when the run is set up and kept; every other
+    run holds None in its place."""
 
     @staticmethod
-    def fl_run(up="analog", down="analog", **kw):
+    def fl_run(link):
         # W = 290 weights and 2T = 2000 rows.
+        up, down = LINK_CODES[link]
         return _Run(small_config(protocol="fl", uplink_mode=up,
                                  downlink_mode=down, global_iterations=1,
-                                 channel_uses=1000, model="mlp:32", **kw))
+                                 channel_uses=1000, model="mlp:32"))
 
     @staticmethod
-    def plans(run):
-        return [vars(proj).get("_plan") for proj in (run.proj_up,
-                                                     run.proj_down)]
+    def fresh(run, direction):
+        """The projection a run of `run`'s config sends over in
+        `direction` (0 up, 1 down), drawn anew."""
+        cfg = run.cfg
+        return ProjectionMatrix(
+            2 * cfg.channel_uses, run.dim,
+            streams.derive_seed(cfg.master_seed, streams.PROJECTION,
+                                direction))
 
-    def test_nothing_is_drawn_during_set_up(self):
-        assert self.plans(self.fl_run()) == [None, None]
+    def test_set_up_draws_each_analog_projection(self):
+        run = self.fl_run("aa")
+        for direction, proj in enumerate((run.proj_up, run.proj_down)):
+            fresh = self.fresh(run, direction)
+            assert (proj.rows, proj.cols) == (2000, 290)
+            for drawn in ("signs", "picks", "forward", "backward"):
+                assert getattr(proj, drawn).tobytes() \
+                    == getattr(fresh, drawn).tobytes()
 
-    @pytest.mark.parametrize("up,down", [
-        ("analog", "analog"), ("analog", "digital"),
-        ("digital", "analog"), ("digital", "digital")])
-    def test_the_first_exchange_draws_each_projection_once(self, up, down):
-        run = self.fl_run(up, down)
+    @pytest.mark.parametrize("link", ["aa", "ad", "da"])
+    def test_fl_holds_one_projection_per_analog_link(self, link):
+        run = self.fl_run(link)
+        held = [run.proj_up, run.proj_down]
+        assert [isinstance(proj, ProjectionMatrix) for proj in held] == \
+            [mode == "analog" for mode in LINK_CODES[link]]
         run.step(1)
-        drawn = self.plans(run)
-        assert [plan is not None for plan in drawn] == \
-            [up == "analog", down == "analog"]
         run.step(2)
-        assert all(a is b for a, b in zip(self.plans(run), drawn))
+        assert all(a is b for a, b in zip((run.proj_up, run.proj_down), held))
+        gen = np.random.default_rng(7)
+        x, z = gen.standard_normal(290), gen.standard_normal(2000)
+        for direction, proj in enumerate(held):
+            if proj is not None:
+                fresh = self.fresh(run, direction)
+                assert proj.project(x).tobytes() == \
+                    fresh.project(x).tobytes()
+                assert proj.backproject(z).tobytes() == \
+                    fresh.backproject(z).tobytes()
 
     @pytest.mark.parametrize("protocol,link,ideal", [
         ("il", "aa", False), ("fd", "aa", False), ("hfd", "aa", False),
@@ -452,7 +472,7 @@ class TestProjectionDraw:
                                 ideal_exchange=ideal))
         run.step(1)
         run.step(2)
-        assert self.plans(run) == [None, None]
+        assert [run.proj_up, run.proj_down] == [None, None]
 
 
 class TestProtocolsRun:
