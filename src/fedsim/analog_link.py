@@ -21,14 +21,15 @@ Comput. 2009): random signs, an orthonormal real FFT and a random pick of
 rows (`ProjectionMatrix`). The reasons are cost and noiseless recovery,
 not FL accuracy. A product costs O(W log W) against O(TW), and the state
 is a few hundred KB, where a dense 2T x W matrix per direction takes 2TW
-floats (54 MB in float64 at T=2500, W=1362). With `cs_decode` as it is,
-noiseless recovery of rho * 2T nonzeros out of W = 1362 from 2T = delta *
-W measurements (median relative squared error of 5 draws) was better than
-with a Gaussian A at every point with delta in {0.3, 0.5, 0.8} and rho in
-{0.2, 0.3, 0.5} (at delta = 0.5, rho = 0.3: 7e-7 against 8e-3), and both
-were exact at rho = 0.1; at delta = 0.15 it was worse (rho = 0.2: 9e-3
-against 2e-3). All of it runs in float64, and numpy's FFT calls no BLAS,
-so an analog-FL run's bits do not depend on the host's BLAS thread count.
+floats (54 MB in float64 at T=2500, W=1362). With `cs_decode` at a 1e-6
+stall tolerance, noiseless recovery of rho * 2T nonzeros out of W = 1362
+from 2T = delta * W measurements (median relative squared error of 5
+draws) was better than with a Gaussian A at every point with delta in
+{0.3, 0.5, 0.8} and rho in {0.2, 0.3, 0.5} (at delta = 0.5, rho = 0.3:
+7e-7 against 8e-3), and both were exact at rho = 0.1; at delta = 0.15 it
+was worse (rho = 0.2: 9e-3 against 2e-3). All of it runs in float64, and
+numpy's FFT calls no BLAS, so an analog-FL run's bits do not depend on the
+host's BLAS thread count.
 """
 
 import math
@@ -41,9 +42,14 @@ from .errors import ConfigurationError, DivergenceError
 
 # Message-passing decoder: threshold multiplier on the noise estimate, the
 # iteration cap, and the relative residual change that counts as a stall.
+# A 0.1% stall ends a decode: 50 iterations that each lowered the residual by
+# no more than that would lower it by under 5% in all. Noiseless recovery
+# inside AMP's phase transition does not stall there, since its residual
+# shrinks geometrically until rounding, and noisy decodes reach their floor
+# in a few iterations (`cs_decode` gives what was measured).
 AMP_KAPPA = 1.5
 AMP_MAX_ITER = 50
-AMP_TOL = 1e-6
+AMP_TOL = 1e-3
 
 
 def _fft_length(cols: int) -> int:
@@ -196,6 +202,20 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     when the residual norm stalls (relative change below AMP_TOL), or when
     it grows past ten times its running minimum; the best-residual iterate
     is returned, which makes divergence a graceful fallback.
+
+    With receiver noise and 2T > W the stall rule seldom changes the
+    estimate: by the time the residual moves by under 0.1%, the
+    best-residual iterate has almost always been found. On the 264 decodes
+    of amp_T2500 (2T = 5000, W = 1362, master seeds 0-7, 3 iterations each)
+    every estimate was the one a 1e-6 stall returns, bit for bit, in 6.4
+    products A @ x on average where 1e-6 took 14.7; of the golden tests'
+    decodes at 2T = 800, W = 83, one stopped 0.17% away from it. At
+    analog_mix's T = 100 (2T = 200 < W, past AMP's phase transition) a
+    decode takes about 37 products against the cap's 50, and two thirds of
+    those decodes return the estimate of a 1e-6 stall. Noiseless decodes
+    close to the transition converge slowly enough to stop short: at
+    delta = 0.15, rho = 0.2 the median error of 5 draws rose from 1e-2 to
+    5e-2 (structured A) and from 2e-3 to 2e-2 (Gaussian A).
     """
     m, n = projection.rows, projection.cols
     y = np.asarray(y_est, dtype=np.float64)

@@ -223,9 +223,9 @@ class TestRepetition:
 
 class TestCsDecode:
     @staticmethod
-    def sparse_instance(dim, rows, sparsity, seed):
+    def sparse_instance(dim, rows, sparsity, seed, operator=ProjectionMatrix):
         gen = np.random.default_rng(seed)
-        proj = ProjectionMatrix(rows=rows, cols=dim, seed=seed + 1000)
+        proj = operator(rows, dim, seed + 1000)
         truth = np.zeros(dim)
         support = gen.choice(dim, sparsity, replace=False)
         truth[support] = gen.standard_normal(sparsity)
@@ -276,14 +276,14 @@ class TestCsDecode:
     # fails above it. n is the benchmark model's weight count.
     PHASE_DIM, PHASE_DRAWS = 1362, 5
 
-    def phase_errors(self, delta, rho):
+    def phase_errors(self, delta, rho, operator=ProjectionMatrix):
         """Relative squared errors of noiseless decodes at (delta, rho),
         one per seeded draw of a Gaussian vector on a random support."""
         rows = round(delta * self.PHASE_DIM)
         errors = []
         for seed in range(self.PHASE_DRAWS):
             proj, y, truth = self.sparse_instance(
-                self.PHASE_DIM, rows, round(rho * rows), seed)
+                self.PHASE_DIM, rows, round(rho * rows), seed, operator)
             estimate = cs_decode(proj, y)
             errors.append(np.sum((estimate - truth) ** 2)
                           / np.sum(truth ** 2))
@@ -349,11 +349,53 @@ class TestCsDecode:
             cs_decode(proj, y),
             reference_amp(y, proj.project, proj.backproject))
 
+    # amp_T2500's shape, W = 1362, at 2T = 5000 and at 2T = 2000, with a
+    # dense vector (top-q keeps every weight there) and noise at a fifth of
+    # the measurements' rms: with 2T > W the residual reaches its floor in a
+    # few iterations, where a 1e-6 stall keeps iterating to the same
+    # estimate.
+    @pytest.mark.parametrize("rows", [2000, 5000])
+    def test_noisy_decodes_stop_in_half_the_products(self, rows):
+        products, reference_products = 0, 0
+        for seed in range(3):
+            proj = ProjectionMatrix(rows=rows, cols=1362, seed=seed + 70)
+            gen = np.random.default_rng(seed)
+            truth = gen.standard_normal(1362)
+            clean = proj.project(truth)
+            y = clean + (0.2 * np.sqrt(np.mean(clean ** 2))
+                         * gen.standard_normal(rows))
+            counted, reference = CountedProducts(proj), CountedProducts(proj)
+            error = np.sum((cs_decode(counted, y) - truth) ** 2)
+            reference_error = np.sum((reference_amp(
+                y, reference.project, reference.backproject, tol=1e-6)
+                - truth) ** 2)
+            assert abs(error - reference_error) <= 1e-6 * reference_error
+            products += counted.products
+            reference_products += reference.products
+        assert 2 * products <= reference_products
 
-def reference_amp(y, project, backproject):
+    # Noiseless state evolution (Donoho, Maleki and Montanari; Bayati and
+    # Montanari prove it tracks AMP on Gaussian matrices as W grows): at
+    # (delta, rho) = (0.5, 0.2) AMP converges, at (0.5, 0.3) it stalls at a
+    # nonzero error. Either way a decode must not stop short of where the
+    # recursion says it is after AMP_MAX_ITER steps. Converging errors fall
+    # geometrically at a rate that varies from draw to draw (here from 7e-10
+    # to 3e-7 after 50 steps), so the mean of their logs, which averages
+    # the rates, is compared, not their median. Only the upper side is a
+    # bound: at (0.5, 0.3) decodes at W = 1362 settle below the asymptotic
+    # prediction (0.4 times it, the median of 40 draws).
+    @pytest.mark.parametrize("rho", [0.2, 0.3])
+    def test_gaussian_decodes_follow_state_evolution(self, rho):
+        errors = self.phase_errors(0.5, rho, GaussianOperator)
+        predicted = state_evolution_error(0.5, rho, AMP_MAX_ITER)
+        assert np.exp(np.mean(np.log(errors))) <= 3 * predicted
+
+
+def reference_amp(y, project, backproject, tol=AMP_TOL):
     """cs_decode's loop written with np.median and np.linalg.norm (it takes
     the median by partition and the norm as sqrt(z.z)), its products A @ x
-    and A.T @ z taken by `project` and `backproject`."""
+    and A.T @ z taken by `project` and `backproject`, and its stall
+    tolerance `tol` (AMP_TOL by default)."""
     rows = y.size
     z = y.copy()
     x = np.zeros_like(backproject(z))  # one entry per column of A
@@ -362,16 +404,76 @@ def reference_amp(y, project, backproject):
     for _ in range(AMP_MAX_ITER):
         sigma = float(np.median(np.abs(z))) / 0.6745
         r = x + backproject(z)
-        x = np.sign(r) * np.maximum(np.abs(r) - AMP_KAPPA * sigma, 0.0)
+        x = soft_threshold(r, AMP_KAPPA * sigma)
         z = y - project(x) + (np.count_nonzero(x) / rows) * z
         res = float(np.linalg.norm(z))
         if res < best_res:
             best_res, best_x = res, x
         if res > 10.0 * best_res \
-                or abs(res - prev_res) <= AMP_TOL * max(prev_res, 1e-300):
+                or abs(res - prev_res) <= tol * max(prev_res, 1e-300):
             break
         prev_res = res
     return best_x
+
+
+class CountedProducts:
+    """A projection whose A @ x products are counted."""
+
+    def __init__(self, projection):
+        self.projection, self.products = projection, 0
+        self.rows, self.cols = projection.rows, projection.cols
+
+    def project(self, v):
+        self.products += 1
+        return self.projection.project(v)
+
+    def backproject(self, z):
+        return self.projection.backproject(z)
+
+
+class GaussianOperator:
+    """A seeded i.i.d. N(0, 1/rows) rows x cols matrix, the A of AMP's
+    state evolution, with the products `cs_decode` takes."""
+
+    def __init__(self, rows, cols, seed):
+        self.rows, self.cols = rows, cols
+        self.matrix = (np.random.default_rng(seed).standard_normal((rows, cols))
+                       / np.sqrt(rows))
+
+    def project(self, v):
+        return self.matrix @ v
+
+    def backproject(self, z):
+        return self.matrix.T @ z
+
+
+def state_evolution_error(delta, rho, steps):
+    """Noiseless state evolution of soft-threshold AMP at AMP_KAPPA: the
+    relative squared error of the estimate after `steps` iterations.
+
+    The prior is Bernoulli(eps = rho * delta)-Gaussian and tau^2 starts at
+    E[X^2] / delta; each step sets tau^2 = E[(eta(X + tau Z; kappa tau) -
+    X)^2] / delta, the expectations over standard normals taken by 80-point
+    Gauss-Hermite quadrature.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(80)
+    normal, weights = np.sqrt(2.0) * nodes, weights / np.sqrt(np.pi)
+    signal, noise = normal[:, None], normal[None, :]
+    eps = rho * delta
+    tau2 = eps / delta
+    for _ in range(steps):
+        tau = np.sqrt(tau2)
+        thresh = AMP_KAPPA * tau
+        at_zero = weights @ soft_threshold(tau * normal, thresh) ** 2
+        at_signal = weights @ (soft_threshold(signal + tau * noise, thresh)
+                               - signal) ** 2 @ weights
+        mse = (1 - eps) * at_zero + eps * at_signal
+        tau2 = mse / delta
+    return mse / eps
+
+
+def soft_threshold(u, thresh):
+    return np.sign(u) * np.maximum(np.abs(u) - thresh, 0.0)
 
 
 def dense(proj):

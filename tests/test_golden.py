@@ -9,7 +9,11 @@ reproduce them exactly. The 13 scenarios of FL over an analog link
 (fl_aa, fl_ad and fl_da) were recorded again, with their digests, when the
 dense Gaussian projection gave way to the structurally random one of
 `fedsim.analog_link.ProjectionMatrix`: that changes what the analog FL
-links compute. The other 59 are as first recorded.
+links compute. When the decoder's stall tolerance `AMP_TOL` went from 1e-6
+to 1e-3, fl_aa_T16_seed0 and fl_aa_T16_seed1 (CSV and digest) and the
+digest of fl_da_T400_seed0 were recorded again: some of their decodes stop
+at an earlier iterate, while the other analog-FL decodes return the same
+estimate. The other 59 are as first recorded.
 They print accuracies to 6 digits, so a last-bit change in the training
 arithmetic can pass them; weights.sha256 holds the sha256 of each
 scenario's concatenated final weights, which sees every bit. To re-record
