@@ -12,6 +12,9 @@ The device axis is an array axis: the uplinks take the (K, W) or
 (K, L, L) block of the devices' payloads, the downlinks return the block of
 their copies, and the frames of one transmission are the rows of one
 (K, T) block, each its payload read as complex (`.view(np.complex128)`).
+Per-device Python stays only where an array form changes bits (one norm
+per payload row, one `abs` per gain) and in the K `cs_decode` calls of an
+analog-FL downlink, which `perfbench/test_tracing.py` counts.
 
 The projection departs from Amiri and Gunduz's analog FL
 (arXiv:1901.00844), whose A is an i.i.d. Gaussian matrix. Here A is a
@@ -172,10 +175,9 @@ def precompensate(xs: np.ndarray, gains, power: float, channel_uses: int):
                                  f"{channel_uses} channel uses")
     # One norm per row: np.linalg.norm(xs, axis=1) differs in the last bit.
     scales = np.array([full_power_gain(x, power, channel_uses) for x in xs])
+    factors = scales * np.array([_derotation(gain) for gain in gains])
     frames = np.zeros((len(xs), channel_uses), dtype=np.complex128)
-    for frame, x, scale, gain in zip(frames, xs, scales, gains):
-        if scale > 0.0:
-            frame[:x.size] = scale * _derotation(gain) * x
+    np.multiply(factors[:, None], xs, out=frames[:, :xs.shape[1]])
     check_frame_power(frames, power)
     return frames, scales
 
@@ -280,17 +282,18 @@ def _downlink(payload: np.ndarray, state: ChannelState, power: float,
     """Broadcast one real payload of n reals; returns the (K, n) block of the
     devices' MMSE-scaled copies.
 
-    Devices know their own downlink channel, so each one undoes its phase
-    before scaling by its own MMSE factor. Each magnitude is Python's `abs`
-    of one gain: `np.abs` of the gain array differs from it in the last bit.
+    Devices know their own downlink channel, so each one undoes its phase,
+    then scales by its own MMSE factor: two columns in turn, as their
+    product differs in the last bit, and so does `np.abs` of the gains.
     """
     x = np.ascontiguousarray(payload, dtype=np.float64).view(np.complex128)
     frames, (gamma,) = precompensate(x[None], [1.0 + 0j], power,
                                      channel_uses)
     received = downlink_bc(frames[0], state, noise_rng)[:, :x.size]
-    for y, gain in zip(received, state.downlink_gains):
-        y *= _derotation(gain)
-        y *= mmse_factor_downlink(gamma, abs(gain))
+    gains = state.downlink_gains
+    received *= np.array([_derotation(gain) for gain in gains])[:, None]
+    received *= np.array([mmse_factor_downlink(gamma, abs(gain))
+                          for gain in gains])[:, None]
     return received.view(np.float64)
 
 

@@ -34,15 +34,10 @@ class ChannelState:
         down = np.asarray(self.downlink_gains, dtype=np.complex128)
         if up.ndim != 1 or down.ndim != 1 or up.shape != down.shape:
             raise ConfigurationError("gain vectors must be 1-d with equal length")
-        if not (np.all(np.isfinite(up.view(np.float64)))
-                and np.all(np.isfinite(down.view(np.float64)))):
+        if not (np.all(np.isfinite(up)) and np.all(np.isfinite(down))):
             raise ConfigurationError("channel gains must be finite")
         object.__setattr__(self, "uplink_gains", up)
         object.__setattr__(self, "downlink_gains", down)
-
-    @property
-    def num_devices(self) -> int:
-        return self.uplink_gains.shape[0]
 
 
 def check_frame_power(frames: np.ndarray, power_budget: float) -> None:
@@ -91,9 +86,9 @@ def uplink_mac(frames: np.ndarray, state: ChannelState,
     frames` is not. Pass noise_rng=None to disable the additive noise
     (deterministic round-trip testing only; real links always carry noise).
     """
-    if np.ndim(frames) != 2 or len(frames) != state.num_devices:
+    if np.ndim(frames) != 2 or len(frames) != len(state.uplink_gains):
         raise ConfigurationError(f"a frame block of shape {np.shape(frames)} "
-                                 f"for {state.num_devices} devices")
+                                 f"for {len(state.uplink_gains)} devices")
     received = np.sum(state.uplink_gains[:, None] * frames, axis=0)
     if noise_rng is not None:
         received += _complex_gaussian(noise_rng, frames.shape[1:])

@@ -129,7 +129,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"protocol: unknown value {self.protocol!r}")
         for name in ("uplink_mode", "downlink_mode"):
             if getattr(self, name) not in LINK_MODES:
-                raise ConfigurationError(f"{name} must be digital or analog")
+                raise ConfigurationError(f"{name} must be digital or analog, "
+                                         f"got {getattr(self, name)!r}")
         if self.quantizer_bits > MAX_QUANTIZER_BITS:
             raise ConfigurationError(
                 f"quantizer_bits must be at most {MAX_QUANTIZER_BITS} (the "

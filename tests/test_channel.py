@@ -17,6 +17,17 @@ def block(*frames):
     return np.array(frames, dtype=np.complex128)
 
 
+class TestChannelState:
+    @pytest.mark.parametrize("up,down", [
+        (np.ones(2, complex), np.ones(3, complex)),
+        (np.array([1 + 0j, np.nan]), np.ones(2, complex)),
+        (np.ones(1, complex), np.array([complex(0.0, np.inf)])),
+    ], ids=["unequal_lengths", "nan_uplink", "inf_downlink"])
+    def test_rejected(self, up, down):
+        with pytest.raises(ConfigurationError):
+            ChannelState(up, down)
+
+
 class TestSampleChannel:
     def test_same_seed_same_state(self):
         a = sample_channel(rng(7), 5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim import digital_link
+from fedsim import audit, digital_link
 from fedsim.compression import (
     ErrorAccumulator, SparsePayload, log2_binomial, sparse_binary_compress,
     top_k_sparsify,
@@ -98,6 +98,16 @@ class TestFlDigital:
         np.testing.assert_array_equal(acc.residual, update)
         np.testing.assert_array_equal(fl_digital_decode(payload, 4),
                                       np.zeros(4))
+
+    def test_over_budget_payload_raises_and_counts(self, monkeypatch):
+        # A q search that ignores the budget: the audit catches its bill.
+        monkeypatch.setattr(digital_link, "max_sparsity_within_budget",
+                            lambda budget, cost, q_max: q_max)
+        audit.reset()
+        with pytest.raises(ValueError, match="exceeds budget 10$"):
+            fl_digital_encode(np.arange(1.0, 21.0),
+                              ErrorAccumulator.zeros(20), budget_of(10.0), 16)
+        assert (audit.budget_checks, audit.violations) == (1, 1)
 
     def test_q_choice_matches_scan(self):
         gen = np.random.default_rng(0)

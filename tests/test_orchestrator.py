@@ -716,6 +716,7 @@ class TestConfigParsing:
         ("pu_db", MAX_ABS_DB + 0.5), ("pd_db", -MAX_ABS_DB - 0.5),
         ("pu_db", float("-inf")), ("pd_db", float("nan")),
         ("alpha", 10 ** 400),
+        ("uplink_mode", "analgo"), ("downlink_mode", "Digital"),
     ])
     def test_invalid_value_names_its_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
@@ -739,6 +740,10 @@ class TestConfigParsing:
         ("channel_uses = 20\nnum_devices = 2, 0\n",
          "line 2: num_devices must be an integer >= 1, got 0"),
         ("pd_db = pu+inf\n", "line 1: pd_db must be a finite"),
+        ("noise_enabled = maybe\n",
+         "^line 1: noise_enabled expects a boolean, got 'maybe'$"),
+        ("protocol = fl\nuplink_mode = analgo\n",
+         "^line 2: uplink_mode must be digital or analog, got 'analgo'$"),
     ])
     def test_bad_line_names_key_and_line(self, text, pattern):
         with pytest.raises(ConfigurationError, match=pattern):
