@@ -4,9 +4,13 @@ Weight updates are magnitude-top-q sparsified, passed through a shared
 random projection, packed two reals per complex channel use, and sent
 simultaneously at full power with transmit-side phase rotation so the
 superposition arrives coherently. The receiver applies a scalar
-minimum-mean-square-error factor and a soft-threshold message-passing
-decoder to recover the sum. Logit tables are small enough to skip the
-projection; they use integer-redundancy repetition coding instead.
+minimum-mean-square-error factor and recovers the sum with `cs_decode`, in
+one of two regimes. Where the link carries at least as many reals as there
+are weights (2T >= W), the sum is overdetermined, and least squares by
+conjugate gradients recovers it. Below that, soft-threshold approximate
+message passing (AMP) recovers it as a sparse vector. Logit tables are small
+enough to skip the projection; they use integer-redundancy repetition
+coding instead.
 
 The device axis is an array axis: the uplinks take the (K, W) or
 (K, L, L) block of the devices' payloads, the downlinks return the block of
@@ -24,15 +28,17 @@ Comput. 2009): random signs, an orthonormal real FFT and a random pick of
 rows (`ProjectionMatrix`). The reasons are cost and noiseless recovery,
 not FL accuracy. A product costs O(W log W) against O(TW), and the state
 is a few hundred KB, where a dense 2T x W matrix per direction takes 2TW
-floats (54 MB in float64 at T=2500, W=1362). With `cs_decode` at a 1e-6
-stall tolerance, noiseless recovery of rho * 2T nonzeros out of W = 1362
+floats (54 MB in float64 at T=2500, W=1362). With AMP at a 1e-6 stall
+tolerance, noiseless recovery of rho * 2T nonzeros out of W = 1362
 from 2T = delta * W measurements (median relative squared error of 5
 draws) was better than with a Gaussian A at every point with delta in
 {0.3, 0.5, 0.8} and rho in {0.2, 0.3, 0.5} (at delta = 0.5, rho = 0.3:
 7e-7 against 8e-3), and both were exact at rho = 0.1; at delta = 0.15 it
-was worse (rho = 0.2: 9e-3 against 2e-3). All of it runs in float64, and
-numpy's FFT calls no BLAS, so an analog-FL run's bits do not depend on the
-host's BLAS thread count.
+was worse (rho = 0.2: 9e-3 against 2e-3). All of it runs in float64.
+Neither numpy's FFT nor CG's dot products (`_dot`) call BLAS, so where
+2T >= W an analog-FL run's bits do not depend on the host's BLAS thread
+count. AMP decides when to stop on BLAS dot products, which sum alike under
+any thread count up to 10000 reals (2T < W here, so W > 10000 to exceed it).
 """
 
 import math
@@ -43,13 +49,14 @@ from .channel import ChannelState, check_frame_power, downlink_bc, uplink_mac
 from .compression import ErrorAccumulator, accumulate_error, top_k_sparsify
 from .errors import ConfigurationError, DivergenceError
 
-# Message-passing decoder: threshold multiplier on the noise estimate, the
-# iteration cap, and the relative residual change that counts as a stall.
+# AMP's threshold multiplier on the noise estimate, and both decoders'
+# iteration cap and the relative residual change that counts as a stall.
 # A 0.1% stall ends a decode: 50 iterations that each lowered the residual by
 # no more than that would lower it by under 5% in all. Noiseless recovery
-# inside AMP's phase transition does not stall there, since its residual
-# shrinks geometrically until rounding, and noisy decodes reach their floor
-# in a few iterations (`cs_decode` gives what was measured).
+# (by CG well above 2T = W, or by AMP inside its phase transition) does not
+# stall there, since its residual shrinks geometrically until rounding, and
+# noisy decodes reach their floor in a few iterations (`cs_decode` gives
+# what was measured).
 AMP_KAPPA = 1.5
 AMP_MAX_ITER = 50
 AMP_TOL = 1e-3
@@ -197,6 +204,107 @@ def mmse_factor_downlink(gamma: float, gabs: float) -> float:
 
 
 def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
+    """Recover x from y_est = A x + noise, A being `projection`.
+
+    Where A has at least as many rows as columns (2T >= W on a link), the
+    link measures more reals than there are weights, and the sum it carries
+    is dense: at T = 2500 top-q keeps all W = 1362 weights. Least squares is
+    the unbiased estimate there, and `_least_squares` finds it by conjugate
+    gradients. With fewer rows, `_amp` runs soft-threshold AMP, which
+    assumes a sparse x. A step of either takes one A @ v and one A.T @ z.
+    Either stops when the residual norm ||y - A x|| moves by at most AMP_TOL
+    of itself, or after AMP_MAX_ITER steps; AMP also stops on a residual
+    that diverges.
+
+    Measured on FL over analog links in the benchmark's configuration
+    (`perfbench/workloads.py`: W = 1362, K = 10, pu 0 dB, pd 10 dB), master
+    seeds 0-1, iterations 1-3, both decoders run on the same receptions:
+    the median NMSE of a decode against the noiseless sum the receiver
+    sees, and the mean products A @ v a decode (the uplink's 6 decodes and
+    the downlink's 60 per cell).
+
+        T     link   CG NMSE  AMP NMSE  CG products  AMP products
+        2500  up     0.0044   0.0106     5.0          9.5
+        2500  down   0.063    0.100      3.9          6.3
+        1000  up     0.017    0.063     10.8         11.3
+        1000  down   0.240    0.219      8.2          7.3
+         700  up     0.028    0.095     12.2         12.0
+         700  down   0.536    0.257     11.8          9.1
+
+    CG's median NMSE is exact least squares' to the digits shown at
+    T = 2500 and on the T = 1000 uplink; elsewhere its early stop
+    regularises (exact least squares: 0.244 on the T = 1000 downlink, 0.033
+    and 0.74 at T = 700). On the downlink at T <= 1000 a device in a deep
+    fade gets a least-squares estimate noisier than zero (NMSE up to 22 at
+    T = 700), where AMP's threshold shrinks it towards zero. The mean final
+    accuracy of 10 iterations over seeds 0-2 still rises with CG: 0.4873 to
+    0.5734 at T = 700, 0.5035 to 0.5739 at T = 1000 and 0.5315 to 0.5742 at
+    T = 2500, where digital FL reads 0.5207, 0.5287 and 0.5300.
+    """
+    m = projection.rows
+    y = np.asarray(y_est, dtype=np.float64)
+    if y.shape != (m,):
+        raise ValueError(f"measurement length {y.shape} does not match {m} rows")
+    if m >= projection.cols:
+        return _least_squares(projection, y)
+    return _amp(projection, y)
+
+
+def _least_squares(projection: ProjectionMatrix, y: np.ndarray) -> np.ndarray:
+    """The least-squares x of y = A x, by conjugate gradients on
+    A.T A x = A.T y from x = 0 (CGLS: Hestenes and Stiefel, J. Res. NBS
+    1952; Paige and Saunders, ACM TOMS 1982).
+
+    CGLS carries the residual r = y - A x by recurrence, and its norm falls
+    at every step. A noisy residual reaches its floor, the noise outside A's
+    range, within a few steps, where the stall rule stops the decode near
+    the least-squares x. A noiseless one shrinks geometrically until
+    rounding, so recovery is exact: at 5000 x 1362 to a relative squared
+    error of about 1e-31, in 27 steps. Close to square, A.T A has
+    eigenvalues near zero and the residual falls slower: at 2000 x 1362 the
+    cap ends noiseless decodes at about 1e-21, and at 1400 x 1362 one of
+    three draws stalled at 4e-4. A step whose A p is zero (after a zero
+    A.T y, or once A.T r = 0 at the exact solution) or whose norms are not
+    finite ends the decode at the last iterate with a finite residual: y = 0
+    and a y whose norm overflows give x = 0.
+    """
+    x = np.zeros(projection.cols)
+    r = y
+    s = projection.backproject(r)
+    gamma = _dot(s, s)
+    prev_res = math.sqrt(_dot(r, r))
+    p = s
+    for _ in range(AMP_MAX_ITER):
+        q = projection.project(p)
+        qq = _dot(q, q)
+        if not 0.0 < qq < math.inf:
+            break
+        alpha = gamma / qq
+        r_next = r - alpha * q
+        res = math.sqrt(_dot(r_next, r_next))
+        if not res < math.inf:
+            break
+        x = x + alpha * p
+        r = r_next
+        if prev_res - res <= AMP_TOL * prev_res:
+            break
+        prev_res = res
+        s = projection.backproject(r)
+        gamma_next = _dot(s, s)
+        p = s + (gamma_next / gamma) * p
+        gamma = gamma_next
+    return x
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v without BLAS. OpenBLAS's ddot splits vectors longer than 10000
+    over its threads, and the sum's last bits then change with the thread
+    count (checked at 20000 under one and two threads); einsum's loop is
+    the same under any."""
+    return float(np.einsum("i,i", u, v))
+
+
+def _amp(projection: ProjectionMatrix, y: np.ndarray) -> np.ndarray:
     """Approximate message passing with a soft-threshold denoiser.
 
     The threshold tracks AMP_KAPPA times a robust noise estimate (median
@@ -205,24 +313,14 @@ def cs_decode(projection: ProjectionMatrix, y_est: np.ndarray) -> np.ndarray:
     it grows past ten times its running minimum; the best-residual iterate
     is returned, which makes divergence a graceful fallback.
 
-    With receiver noise and 2T > W the stall rule seldom changes the
-    estimate: by the time the residual moves by under 0.1%, the
-    best-residual iterate has almost always been found. On the 264 decodes
-    of amp_T2500 (2T = 5000, W = 1362, master seeds 0-7, 3 iterations each)
-    every estimate was the one a 1e-6 stall returns, bit for bit, in 6.4
-    products A @ x on average where 1e-6 took 14.7; of the golden tests'
-    decodes at 2T = 800, W = 83, one stopped 0.17% away from it. At
-    analog_mix's T = 100 (2T = 200 < W, past AMP's phase transition) a
-    decode takes about 37 products against the cap's 50, and two thirds of
-    those decodes return the estimate of a 1e-6 stall. Noiseless decodes
-    close to the transition converge slowly enough to stop short: at
-    delta = 0.15, rho = 0.2 the median error of 5 draws rose from 1e-2 to
-    5e-2 (structured A) and from 2e-3 to 2e-2 (Gaussian A).
+    At analog_mix's T = 100 (2T = 200 < W = 1362, past AMP's phase
+    transition) a decode takes about 37 products against the cap's 50, and
+    two thirds of those decodes return the estimate of a 1e-6 stall.
+    Noiseless decodes close to the transition converge slowly enough to
+    stop short: at delta = 0.15, rho = 0.2 the median error of 5 draws rose
+    from 1e-2 to 5e-2 (structured A) and from 2e-3 to 2e-2 (Gaussian A).
     """
     m, n = projection.rows, projection.cols
-    y = np.asarray(y_est, dtype=np.float64)
-    if y.shape != (m,):
-        raise ValueError(f"measurement length {y.shape} does not match {m} rows")
     # Two identities keep this np.median and np.sign's soft threshold bit for
     # bit: after partition(m // 2), the lower of the two middle values (m is
     # even, 2T, on a link) is the largest left of the upper; and

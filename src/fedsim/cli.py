@@ -81,26 +81,55 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _csv_name(config: ExperimentConfig) -> str:
+# The settings keys that every sweep file name spells out.
+_NAME_KEYS = ("protocol", "link", "uplink_mode", "downlink_mode",
+              "channel_uses", "pu_db", "pd_db", "master_seed")
+
+
+def _csv_name(config: ExperimentConfig, varied) -> str:
+    """protocol, link, T, the two SNRs and the seed of one grid point, then
+    `_<key><value>` for each key of `varied`, a float written by `:g`.
+
+    A grid line gives `data` and `model` one value each, so every key that
+    can vary outside the name's first six holds a number or a boolean.
+    """
+    extra = ""
+    for key in varied:
+        value = getattr(config, key)
+        extra += f"_{key}{value:g}" if isinstance(value, float) \
+            else f"_{key}{value}"
     return (f"{config.protocol}_{config.uplink_mode[0]}"
             f"{config.downlink_mode[0]}_T{config.channel_uses}"
             f"_pu{config.pu_db:g}_pd{config.pd_db:g}"
-            f"_seed{config.master_seed}.csv")
+            f"_seed{config.master_seed}{extra}.csv")
 
 
-def cmd_sweep(args) -> int:
-    configs = expand_settings(_read_settings(args.grid))
-    names = [_csv_name(config) for config in configs]
+def _sweep_points(settings: dict) -> list:
+    """(config, CSV name) of every point of a sweep grid.
+
+    A name holds the keys of `_csv_name` and every other key the grid gives
+    more than one value, in the grid's order. Two points whose names read
+    the same are one ConfigurationError.
+    """
+    configs = expand_settings(settings)
+    varied = [key for key, values in settings.items()
+              if len(values) > 1 and key not in _NAME_KEYS]
+    names = [_csv_name(config, varied) for config in configs]
     seen = set()
     for name in names:
         if name in seen:
             raise ConfigurationError(
-                f"grid points share the output file {name}; its name holds "
-                f"only protocol, link, T, pu_db, pd_db and seed")
+                f"grid points share the output file {name}; no key in its "
+                f"name tells them apart")
         seen.add(name)
+    return list(zip(configs, names))
+
+
+def cmd_sweep(args) -> int:
+    points = _sweep_points(_read_settings(args.grid))
     os.makedirs(args.out, exist_ok=True)
-    print(f"sweep: {len(configs)} runs -> {args.out}")
-    for config, name in zip(configs, names):
+    print(f"sweep: {len(points)} runs -> {args.out}")
+    for config, name in points:
         path = os.path.join(args.out, name)
         try:
             accuracy = _run_to_csv(config, path)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -319,9 +324,11 @@ class TestCsDecode:
             assert getattr(proj, name) is array
             assert array.tobytes() == copies[name].tobytes()
 
-    # (5000, 1362) is amp_T2500's shape: 2T = 5000 rows in 4 FFT blocks.
-    @pytest.mark.parametrize("rows,cols", [(200, 1362), (600, 200),
-                                           (61, 150), (1, 4), (5000, 1362)])
+    # AMP runs where rows < cols (2T < W on a link), so always on one FFT
+    # block: analog_mix's T = 100 and T = 500 at W = 1362, odd row counts
+    # (the median of two middle values) and one row short of square.
+    @pytest.mark.parametrize("rows,cols", [(200, 1362), (1000, 1362),
+                                           (61, 150), (1, 4), (199, 200)])
     def test_decode_is_the_median_and_norm_loop_bit_for_bit(self, rows, cols):
         for seed in range(3):
             proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 50)
@@ -333,14 +340,15 @@ class TestCsDecode:
                 reference_amp(y, proj.project, proj.backproject))
 
     @settings(max_examples=40, deadline=None)
-    @given(rows=st.integers(1, 600), cols=st.integers(1, 400),
+    @given(shape=st.integers(2, 400).flatmap(lambda cols: st.tuples(
+               st.integers(1, cols - 1), st.just(cols))),
            density=st.floats(0, 1), noise=st.floats(0, 1),
            seed=st.integers(0, 2 ** 32 - 1))
-    @example(rows=61, cols=150, density=0.3, noise=0.05, seed=0)
-    @example(rows=600, cols=200, density=0.3, noise=0.05, seed=0)
-    def test_decode_is_the_reference_on_drawn_instances(self, rows, cols,
-                                                        density, noise,
-                                                        seed):
+    @example(shape=(61, 150), density=0.3, noise=0.05, seed=0)
+    @example(shape=(199, 200), density=0.3, noise=0.05, seed=0)
+    def test_decode_is_the_reference_on_drawn_instances(self, shape, density,
+                                                        noise, seed):
+        rows, cols = shape
         proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed)
         gen = np.random.default_rng(seed)
         truth = gen.standard_normal(cols) * (gen.random(cols) < density)
@@ -349,30 +357,126 @@ class TestCsDecode:
             cs_decode(proj, y),
             reference_amp(y, proj.project, proj.backproject))
 
-    # amp_T2500's shape, W = 1362, at 2T = 5000 and at 2T = 2000, with a
-    # dense vector (top-q keeps every weight there) and noise at a fifth of
-    # the measurements' rms: with 2T > W the residual reaches its floor in a
-    # few iterations, where a 1e-6 stall keeps iterating to the same
-    # estimate.
-    @pytest.mark.parametrize("rows", [2000, 5000])
-    def test_noisy_decodes_stop_in_half_the_products(self, rows):
-        products, reference_products = 0, 0
+    # Where rows >= cols (2T >= W on a link), cs_decode is least squares by
+    # conjugate gradients.
+
+    @staticmethod
+    def dense_instance(rows, cols, seed, noise):
+        """(projection, y, x) for a dense Gaussian x and y = A x plus noise
+        at `noise` times the rms of A x."""
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed + 70)
+        gen = np.random.default_rng(seed)
+        truth = gen.standard_normal(cols)
+        clean = proj.project(truth)
+        y = clean + (noise * np.sqrt(np.mean(clean ** 2))
+                     * gen.standard_normal(rows))
+        return proj, y, truth
+
+    # One FFT block (60, 56) and several (7, 5), (200, 60); odd W (78, 77);
+    # W = 1 (3, 1); and square: (1, 1), (56, 56) and (60, 60), whose A is
+    # orthogonal. The stall rule stops short of the exact solution by a
+    # relative squared distance of at most 2.4e-6 (at (200, 60), over
+    # seeds 0-19); elsewhere the two agree to rounding.
+    @pytest.mark.parametrize("rows,cols", [(60, 56), (7, 5), (200, 60),
+                                           (78, 77), (3, 1), (1, 1),
+                                           (56, 56), (60, 60)])
+    def test_decode_is_lstsq_on_small_shapes(self, rows, cols):
         for seed in range(3):
-            proj = ProjectionMatrix(rows=rows, cols=1362, seed=seed + 70)
-            gen = np.random.default_rng(seed)
-            truth = gen.standard_normal(1362)
-            clean = proj.project(truth)
-            y = clean + (0.2 * np.sqrt(np.mean(clean ** 2))
-                         * gen.standard_normal(rows))
-            counted, reference = CountedProducts(proj), CountedProducts(proj)
-            error = np.sum((cs_decode(counted, y) - truth) ** 2)
-            reference_error = np.sum((reference_amp(
-                y, reference.project, reference.backproject, tol=1e-6)
-                - truth) ** 2)
-            assert abs(error - reference_error) <= 1e-6 * reference_error
-            products += counted.products
-            reference_products += reference.products
-        assert 2 * products <= reference_products
+            proj, y, _ = self.dense_instance(rows, cols, seed, noise=0.2)
+            want = np.linalg.lstsq(dense(proj), y, rcond=None)[0]
+            got = cs_decode(proj, y)
+            assert np.sum((got - want) ** 2) <= 1e-5 * np.sum(want ** 2)
+
+    # amp_T2500's 5000 x 1362 (four FFT blocks), 2T = 2000 at the same W,
+    # and the goldens' T = 400 at W = 83. Most decodes end at rounding
+    # (about 1e-31); at 2000 x 1362 the cap ends them near 1e-21.
+    @pytest.mark.parametrize("rows,cols", [(5000, 1362), (2000, 1362),
+                                           (800, 83), (200, 100)])
+    def test_noiseless_overdetermined_recovery_is_exact(self, rows, cols):
+        for seed in range(3):
+            proj, y, truth = self.dense_instance(rows, cols, seed, noise=0.0)
+            error = np.sum((cs_decode(proj, y) - truth) ** 2)
+            assert error <= 1e-18 * np.sum(truth ** 2)
+
+    # amp_T2500's W = 1362 at 2T = 5000 and 2T = 2000, with noise at a fifth
+    # of the measurements' rms: the residual reaches its floor within a few
+    # steps (4-5 at 5000, 9-10 at 2000), near the least-squares x.
+    @pytest.mark.parametrize("rows,steps", [(2000, 12), (5000, 6)])
+    def test_noisy_overdetermined_decodes_are_least_squares(self, rows,
+                                                            steps):
+        for seed in range(3):
+            proj, y, _ = self.dense_instance(rows, 1362, seed, noise=0.2)
+            counted = CountedProducts(proj)
+            estimate = cs_decode(counted, y)
+            assert counted.products <= steps
+            want = np.linalg.lstsq(dense(proj), y, rcond=None)[0]
+            assert np.sum((estimate - want) ** 2) <= 1e-3 * np.sum(want ** 2)
+
+    # A dense x where 2T >= W: AMP's threshold shrinks every entry, least
+    # squares is unbiased. AMP is reached as cs_decode reaches it below
+    # 2T = W.
+    @pytest.mark.parametrize("rows", [1400, 2000, 5000])
+    def test_least_squares_beats_amp_where_overdetermined(self, rows):
+        for seed in range(3):
+            proj, y, truth = self.dense_instance(rows, 1362, seed, noise=0.2)
+            amp_error = np.sum((analog_link._amp(proj, y) - truth) ** 2)
+            assert np.sum((cs_decode(proj, y) - truth) ** 2) < amp_error
+
+    # CGLS's residual falls at every step, so the estimate never fits y
+    # worse than x = 0 does (up to rounding in recomputing A x).
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.integers(1, 300).flatmap(lambda cols: st.tuples(
+               st.integers(cols, 600), st.just(cols))),
+           density=st.floats(0, 1), noise=st.floats(0, 1),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(shape=(1, 1), density=0.0, noise=1.0, seed=0)
+    @example(shape=(600, 1), density=1.0, noise=1.0, seed=0)
+    def test_least_squares_is_finite_and_fits_y(self, shape, density, noise,
+                                                seed):
+        rows, cols = shape
+        proj = ProjectionMatrix(rows=rows, cols=cols, seed=seed)
+        gen = np.random.default_rng(seed)
+        truth = gen.standard_normal(cols) * (gen.random(cols) < density)
+        y = proj.project(truth) + noise * gen.standard_normal(rows)
+        estimate = cs_decode(proj, y)
+        assert np.all(np.isfinite(estimate))
+        misfit = np.linalg.norm(y - proj.project(estimate))
+        assert misfit <= (1 + 1e-12) * np.linalg.norm(y)
+
+    def test_least_squares_guards(self):
+        proj = ProjectionMatrix(rows=200, cols=100, seed=3)
+        zeros = np.zeros(100)
+        # A zero A.T y, and a norm of y that overflows: no step is taken.
+        assert np.array_equal(cs_decode(proj, np.zeros(200)), zeros)
+        assert np.array_equal(cs_decode(proj, np.full(200, 1e200)), zeros)
+        # y outside A's range: A.T y is rounding, and so is the estimate.
+        a = dense(proj)
+        z = np.random.default_rng(3).standard_normal(200)
+        y = z - a @ np.linalg.lstsq(a, z, rcond=None)[0]
+        assert np.linalg.norm(cs_decode(proj, y)) <= 1e-12 * np.linalg.norm(y)
+
+    # OpenBLAS's ddot splits vectors longer than 10000 over its threads,
+    # which changes a sum's last bits, and CG's step sizes are such sums:
+    # a decode at 2T = 20000 must not see the thread count.
+    def test_least_squares_bits_do_not_depend_on_blas_threads(self):
+        script = ("import hashlib, numpy as np\n"
+                  "from fedsim.analog_link import ProjectionMatrix, cs_decode\n"
+                  "for seed in range(3):\n"
+                  "    proj = ProjectionMatrix(20000, 1362, seed)\n"
+                  "    gen = np.random.default_rng(seed)\n"
+                  "    y = (proj.project(gen.standard_normal(1362))\n"
+                  "         + 0.2 * gen.standard_normal(20000))\n"
+                  "    x = cs_decode(proj, y)\n"
+                  "    print(hashlib.sha256(x.tobytes()).hexdigest())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", script], check=True,
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src,
+                         OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")}
+        assert len(digests) == 1
 
     # Noiseless state evolution (Donoho, Maleki and Montanari; Bayati and
     # Montanari prove it tracks AMP on Gaussian matrices as W grows): at

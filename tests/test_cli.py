@@ -111,6 +111,27 @@ def test_sweep_writes_one_csv_per_grid_point(tmp_path):
         assert all(r.pd_db == 8.0 for r in records)
 
 
+def test_sweep_names_the_other_keys_its_grid_varies(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(SMALL + "protocol = fd\nchannel_uses = 20\n"
+                    "reg_weight = 0.3, 0.5\nnoise_enabled = yes, no\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"fd_dd_T20_pu0_pd10_seed0_reg_weight{weight}"
+        f"_noise_enabled{noise}.csv"
+        for weight in ("0.3", "0.5") for noise in ("False", "True")]
+
+
+def test_readme_grid_keeps_its_file_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    grid = readme.split("cat > runs/grid.txt <<'EOF'\n")[1].split("EOF")[0]
+    assert [name for _, name in cli._sweep_points(parse_settings(grid))] == [
+        f"{protocol}_{link}_T100_pu0_pd10_seed0.csv"
+        for protocol in ("fd", "hfd") for link in ("dd", "aa")]
+
+
 def test_configuration_error_is_one_line_with_status_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["run", "--k", "0", "--out", str(out)]) == 2
@@ -200,9 +221,9 @@ def test_run_rejects_several_points(tmp_path, capsys):
     ("protocol = fd\nlink = aa\nchannel_uses = 20, 1\n"
      "data = synthetic:classes=2,dim=4\n", "channel_uses: analog logit "
      "exchange needs 2T >= L^2; got T=1, L=2"),
-    ("alpha = 0.1, 0.2\n", "grid points share the output file "
-     "il_dd_T2500_pu0_pd10_seed0.csv; its name holds only protocol, link, "
-     "T, pu_db, pd_db and seed"),
+    ("alpha = 0.1, 0.10\n", "grid points share the output file "
+     "il_dd_T2500_pu0_pd10_seed0_alpha0.1.csv; no key in its name tells "
+     "them apart"),
     ("data = synthetic:classes=1\n", "line 1: data: bad descriptor "
      "'synthetic:classes=1' (classes must lie in [2, inf), got 1)"),
     ("data = synthetic:classes=3,noise=nan\n", "line 1: data: bad "

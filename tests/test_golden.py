@@ -13,7 +13,12 @@ links compute. When the decoder's stall tolerance `AMP_TOL` went from 1e-6
 to 1e-3, fl_aa_T16_seed0 and fl_aa_T16_seed1 (CSV and digest) and the
 digest of fl_da_T400_seed0 were recorded again: some of their decodes stop
 at an earlier iterate, while the other analog-FL decodes return the same
-estimate. The other 59 are as first recorded.
+estimate. When `cs_decode` took to least squares by conjugate gradients
+where 2T >= W, the six T=400 scenarios of FL over an analog link, where
+2T = 800 >= W = 83, were recorded again (CSV and digest): fl_aa_T400,
+fl_ad_T400 and fl_da_T400, seeds 0 and 1. The T=16 ones (2T = 32 < W)
+still decode by AMP and did not change. The other 59 are as first
+recorded.
 They print accuracies to 6 digits, so a last-bit change in the training
 arithmetic can pass them; weights.sha256 holds the sha256 of each
 scenario's concatenated final weights, which sees every bit. To re-record

@@ -400,8 +400,10 @@ def run_fl_script(**env):
 
 
 class TestAnalogFlBits:
-    """numpy's FFT calls no BLAS, so an analog-FL run's bits do not depend
-    on the BLAS thread count; and only an analog-FL product loads it."""
+    """Neither numpy's FFT nor the least-squares decoder's dot products
+    call BLAS, so an analog-FL run's bits at T=2500 (2T >= W) do not depend
+    on the BLAS thread count; and only an analog-FL product loads numpy's
+    FFT."""
 
     def test_same_weights_under_one_and_two_blas_threads(self):
         one = run_fl_script(OPENBLAS_NUM_THREADS="1")
