@@ -451,9 +451,11 @@ def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
     returns (sum estimate, accs).
 
     Each device sparsifies its pending vector (update plus residual) and
-    projects it; the receiver recovers the superposed sum by message
-    passing. Residuals are advanced by exactly what was put on the air (the
-    sparsified vector), not by what the receiver recovered.
+    projects it; the receiver recovers the superposed sum with
+    `cs_decode`: least squares by conjugate gradients where 2T >= W,
+    message passing below that. Residuals are advanced by exactly what was
+    put on the air (the sparsified vector), not by what the receiver
+    recovered.
     """
     sent, new_accs = zip(*(
         _send_sparse(projection, u, acc, q, channel_uses)

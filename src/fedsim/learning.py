@@ -2,14 +2,20 @@
 used by the cooperative protocols.
 
 The model is a small rectifier network over a flat weight vector, trained
-by plain SGD. Besides the usual cross-entropy there is a distillation term:
-the cross entropy between the local prediction and the probability vector
-of an exchanged logit row, mixed in with a configurable weight. Per-label
-averages (of logits or covariates) are the quantities the distillation
-protocols exchange; their leave-one-out counterparts, the targets, are
-computed in `orchestrator._target`. They are plain arrays: a logit table is
-(L, L) with a zero row for an absent label, and HFD's mixed-up covariates
-are a small batch of pseudo-samples, one per label that has one.
+by plain SGD. Besides the usual cross-entropy there is a distillation term,
+the knowledge-distillation loss -sum_l b_l log p_l of the local
+prediction p against b, the probability vector of an exchanged logit row,
+mixed in with a configurable weight r. Over p it is least at p = b. With the usual
+term, its gradient in the logits is p - s for the soft label
+s = (1 - r) * onehot + r * b, so a distilled step is the plain
+cross-entropy step toward s.
+
+Per-label averages (of logits or covariates) are the quantities the
+distillation protocols exchange; their leave-one-out counterparts, the
+targets, are computed in `orchestrator._target`. They are plain arrays: a
+logit table is (L, L) with a zero row for an absent label, and HFD's
+mixed-up covariates are a small batch of pseudo-samples, one per label
+that has one.
 """
 
 from dataclasses import dataclass
@@ -19,8 +25,6 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import DivergenceError
-
-PROB_FLOOR = 1e-12  # clamp inside logs so losses stay finite
 
 
 @dataclass(frozen=True)
@@ -108,25 +112,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _log_targets(target_rows: np.ndarray) -> np.ndarray:
-    """log(softmax(target_rows)) with the probabilities clamped away from 0."""
-    return np.log(np.clip(softmax(target_rows), PROB_FLOOR, None))
-
-
 def _pass(covariates, labels, arch, target_table, reg_weight):
-    """(covariates, one-hot rows, log-target rows) of a batch, as `_descend`
-    takes them. The log-target rows are None, for plain cross-entropy,
-    unless a table is given and reg_weight > 0."""
+    """(covariates, label rows) of a batch, as `_descend` takes them.
+
+    A sample's label row is its soft label
+        (1 - reg_weight) * onehot + reg_weight * softmax(target_row),
+    target_row being its label's row of `target_table`; it is the one-hot
+    row exactly when no table is given or reg_weight is 0.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    log_targets = None
+    rows = np.eye(arch.num_classes)[labels]
     if target_table is not None and reg_weight > 0.0:
-        log_targets = _log_targets(target_table)[labels]
-    return (np.asarray(covariates, dtype=np.float64),
-            np.eye(arch.num_classes)[labels], log_targets)
+        rows *= 1.0 - reg_weight
+        rows += reg_weight * softmax(target_table)[labels]
+    return np.asarray(covariates, dtype=np.float64), rows
 
 
-def _descend(w, arch, alpha, reg_weight, passes, batch_size):
-    """SGD from a copy of `w` over each `_pass` triple of the list `passes`
+def _descend(w, arch, alpha, passes, batch_size):
+    """SGD from a copy of `w` over each `_pass` pair of the list `passes`
     in turn, in contiguous minibatches of `batch_size` rows; the one place
     where weights are stepped.
 
@@ -141,24 +144,21 @@ def _descend(w, arch, alpha, reg_weight, passes, batch_size):
     # Overflow on the way shows in the finiteness check below, which
     # raises it as one error instead of numpy's warnings.
     with np.errstate(all="ignore"):
-        _sgd(w, np.empty(w.shape), arch, alpha, reg_weight, passes,
-             batch_size)
+        _sgd(w, np.empty(w.shape), arch, alpha, passes, batch_size)
     if not np.all(np.isfinite(w)):
         raise DivergenceError("non-finite weights after SGD")
     return w
 
 
-def _sgd(w, grad, arch, alpha, reg_weight, passes, batch_size):
+def _sgd(w, grad, arch, alpha, passes, batch_size):
     """Step `w` in place over the minibatches of `passes` (hot path), with
     `grad`, laid out like `w`, as the gradient buffer.
 
-    The loss per sample is
-        (1 - reg_weight) * ce(onehot, prediction)
-        + reg_weight * ce(prediction, softmax(target_row)),
-    where target_row is that sample's exchanged logit row, or plain
-    cross-entropy in a pass whose log-target rows are None. A step writes
-    the gradient of the batch-mean loss into `grad` and ends in
-    `grad *= alpha; w -= grad`, bit for bit `w - alpha * grad`.
+    The loss per sample is the cross entropy ce(label_row, prediction) of
+    its `_pass` label row, whose gradient in the logits is
+    prediction - label_row. A step writes the gradient of the batch-mean
+    loss into `grad` and ends in `grad *= alpha; w -= grad`, bit for bit
+    `w - alpha * grad`.
 
     Numpy's per-call overhead, not arithmetic, is the cost on small arrays,
     so the loop makes few calls, through local names and positional `out`,
@@ -173,36 +173,33 @@ def _sgd(w, grad, arch, alpha, reg_weight, passes, batch_size):
     masks, deltas = ([np.empty((rows, width)) for width in widths[:-1]]
                      for _ in range(2))
     peaks = np.empty((rows, 1))
-    works = np.empty((rows, widths[-1]))
-    zero, mix, keep, step = (np.array(float(v)) for v in (
-        0.0, reg_weight, 1.0 - reg_weight, alpha))
+    zero, step = np.array(0.0), np.array(float(alpha))
     mats_t = [mat.T for mat, _ in layers]
     (top_mat, top_bias), (first_gmat, first_gbias) = layers[-1], grads[0]
 
     @cache
     def plan(n):
         """What a batch of n rows reads besides its rows: forward tuples,
-        logit, row and scratch buffers, n as a 0-d array, and backward
+        logit and row-max buffers, n as a 0-d array, and backward
         tuples (input^T, gradient views, matrix^T, delta and mask below)."""
         cut = [a[:n] for a in acts]
         forward = [(mat, bias, act, mask[:n]) for (mat, bias), act, mask
                    in zip(layers[:-1], cut, masks)]
         backward = [(cut[i - 1].T, *grads[i], mats_t[i], deltas[i - 1][:n],
                      masks[i - 1][:n]) for i in range(len(layers) - 1, 0, -1)]
-        return (forward, cut[-1], peaks[:n], works[:n], np.array(float(n)),
-                backward)
+        return forward, cut[-1], peaks[:n], np.array(float(n)), backward
 
     dot, add, subtract, multiply, divide, exp, sign, maximum = (
         np.dot, np.add, np.subtract, np.multiply, np.divide, np.exp, np.sign,
         np.maximum)
     add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
-    for covariates, onehot, log_targets in passes:
+    for covariates, label_rows in passes:
         size = len(covariates)
         cut = size - size % batch_size
         for first, last, n in ((0, cut, batch_size), (cut, size, size - cut)):
             if first == last:
                 continue
-            forward, probs, peak, work, count, backward = plan(n)
+            forward, probs, peak, count, backward = plan(n)
             for start in range(first, last, n):
                 stop = start + n
                 x = inputs = covariates[start:stop]
@@ -223,19 +220,7 @@ def _sgd(w, grad, arch, alpha, reg_weight, passes, batch_size):
                 exp(probs, probs)
                 add_reduce(probs, 1, None, peak, True)
                 divide(probs, peak, probs)
-                if log_targets is None:
-                    subtract(probs, onehot[start:stop], probs)
-                else:
-                    targets = log_targets[start:stop]
-                    multiply(probs, targets, work)
-                    add_reduce(work, 1, None, peak, True)
-                    # d/ds of -sum p_l log b_l is p * (sum p_l log b_l - log b)
-                    subtract(peak, targets, work)
-                    multiply(work, probs, work)
-                    multiply(work, mix, work)
-                    subtract(probs, onehot[start:stop], probs)
-                    multiply(probs, keep, probs)
-                    add(probs, work, probs)
+                subtract(probs, label_rows[start:stop], probs)
                 divide(probs, count, probs)
                 delta = probs
                 for act_t, gmat, gbias, mat_t, below, mask in backward:
@@ -259,19 +244,17 @@ def run_local_epochs(w: np.ndarray, data: LabeledDataset, alpha: float,
 
     Each epoch walks `rng.permutation(len(data))` in contiguous minibatches
     of `batch_size` rows, the last one short if the shard does not divide.
-    All epochs' permutations are drawn first, in order, and covariates,
-    one-hot labels and log-target rows are gathered through them in one go;
-    the log-targets are computed once per call.
+    All epochs' permutations are drawn first, in order, and covariates and
+    label rows (`_pass`'s soft labels, toward `target_table` with weight
+    `reg_weight`) are gathered through them in one go; the label rows are
+    computed once per call.
     """
-    batch = _pass(data.covariates, data.labels, arch, target_table,
-                  reg_weight)
+    covariates, label_rows = _pass(data.covariates, data.labels, arch,
+                                   target_table, reg_weight)
     orders = np.array([rng.permutation(len(data)) for _ in range(epochs)],
                       dtype=np.int64).reshape(epochs, len(data))
-    covariates, onehot, log_targets = (
-        None if rows is None else rows[orders] for rows in batch)
-    passes = list(zip(covariates, onehot, [None] * epochs
-                      if log_targets is None else log_targets))
-    return _descend(w, arch, alpha, reg_weight, passes, batch_size)
+    passes = list(zip(covariates[orders], label_rows[orders]))
+    return _descend(w, arch, alpha, passes, batch_size)
 
 
 def label_means(rows: np.ndarray, labels: np.ndarray, num_labels: int):
@@ -302,15 +285,15 @@ def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,
     """`steps` SGD steps distilling at the mixed-up covariates.
 
     Each row of `covariates` is one pseudo-sample with its entry of
-    `labels`, regularized toward that label's row of the (L, L) exchanged
-    `target_table` exactly as in the regular distillation loss; each step
+    `labels`, learning toward the soft label of that label's row of the
+    (L, L) exchanged `target_table` exactly as in `run_local_epochs`; each step
     takes the whole pseudo-batch as one minibatch. An empty batch leaves
     `w` as it is.
     """
     if len(labels) == 0:
         return w
     batch = _pass(covariates, labels, arch, target_table, reg_weight)
-    return _descend(w, arch, alpha, reg_weight, [batch] * steps, len(labels))
+    return _descend(w, arch, alpha, [batch] * steps, len(labels))
 
 
 def evaluate_accuracy(w: np.ndarray, test: LabeledDataset,

@@ -20,8 +20,12 @@ contributor keeps what it had, and a device left out of the average (its
 digital payload dropped out, or it does not hold the label) takes the
 average whole. It is one array call over all devices, for FD's logit
 targets and for HFD's offline per-label covariates; a label without a
-target is a zero logit row in FD and no pseudo-sample in HFD. Everything
-is deterministic given the master seed."""
+target is a zero logit row in FD and no pseudo-sample in HFD. An FD
+device learns toward the soft label that `learning._pass` builds from its
+target row, so a zero row is a uniform target: with weight reg_weight it
+pulls the prediction for that label toward 1/L. (Under the reverse form
+-sum p log b of the distillation loss, a uniform b gave no gradient.)
+Everything is deterministic given the master seed."""
 
 import itertools
 import math

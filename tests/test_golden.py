@@ -17,8 +17,15 @@ estimate. When `cs_decode` took to least squares by conjugate gradients
 where 2T >= W, the six T=400 scenarios of FL over an analog link, where
 2T = 800 >= W = 83, were recorded again (CSV and digest): fl_aa_T400,
 fl_ad_T400 and fl_da_T400, seeds 0 and 1. The T=16 ones (2T = 32 < W)
-still decode by AMP and did not change. The other 59 are as first
-recorded.
+still decode by AMP and did not change. When the distillation loss took
+the knowledge-distillation form -sum b log p, whose minimum is the target,
+in place of -sum p log b (a distilled step is now the cross-entropy step
+toward a soft label), the 26 scenarios in which an FD or HFD device gets
+a target were recorded again (CSV and digest), 13 each for fd and hfd:
+aa_T16 seeds 0 and 1, aa_T16_seed0_noiseless, aa_T400, ad_T400, da_T400
+and dd_T400, seeds 0 and 1, dd_T48_seed0 and ideal_T16_seed0. In the
+fd and hfd ad_T16, da_T16 and dd_T16 scenarios no device ever gets a
+target, and they did not change. The other 33 are as first recorded.
 They print accuracies to 6 digits, so a last-bit change in the training
 arithmetic can pass them; weights.sha256 holds the sha256 of each
 scenario's concatenated final weights, which sees every bit. To re-record

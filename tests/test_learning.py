@@ -6,17 +6,19 @@ import pytest
 from fedsim.datasets import LabeledDataset
 from fedsim.errors import DivergenceError
 from fedsim.learning import (
-    PROB_FLOOR, MlpArchitecture, _pass, _sgd, _unpack,
+    MlpArchitecture, _pass, _sgd, _unpack,
     average_logits, evaluate_accuracy, forward_logits_batch, hfd_distill_step,
     init_weights, label_means, run_local_epochs, softmax,
 )
 from fedsim.orchestrator import _target
 
 
-# The reference: the textbook kernel and minibatch loop that
-# `learning._descend` replaced, kept as they were. `_descend` must reproduce
-# their weights bit for bit (TestReferenceKernel); they allocate every
-# array per step, which makes them slow but easy to read.
+# The reference: the textbook kernel and minibatch loop. `learning._descend`
+# must reproduce their weights bit for bit (TestReferenceKernel); they
+# allocate every array per step, which makes them slow but easy to read.
+
+# Clamp inside the test's logs so its losses stay finite.
+LOG_FLOOR = 1e-12
 
 def reference_forward(layers, x):
     """(inputs, logits): the input of every layer, `x` first, and the
@@ -33,25 +35,15 @@ def reference_forward(layers, x):
     return inputs, logits
 
 
-def reference_loss_grads(layers, grads, covariates, onehot, log_targets,
-                         reg_weight):
-    """Write the gradient of the batch-mean loss into `grads`."""
+def reference_loss_grads(layers, grads, covariates, label_rows):
+    """Write the gradient of the batch-mean cross entropy against the
+    (soft) `label_rows` into `grads`."""
     n = covariates.shape[0]
     inputs, probs = reference_forward(layers, covariates)
     probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=1, keepdims=True)
-    if log_targets is None:
-        probs -= onehot
-    else:
-        weighted = np.add.reduce(probs * log_targets, axis=1, keepdims=True)
-        # d/ds of -sum_l p_l log b_l is p * (sum_l p_l log b_l - log b).
-        d_distill = weighted - log_targets
-        d_distill *= probs
-        d_distill *= reg_weight
-        probs -= onehot
-        probs *= 1.0 - reg_weight
-        probs += d_distill
+    probs -= label_rows
     probs /= n
 
     delta = probs
@@ -64,19 +56,17 @@ def reference_loss_grads(layers, grads, covariates, onehot, log_targets,
             delta *= inputs[i] > 0.0
 
 
-def reference_descend(w, arch, alpha, reg_weight, passes, batch_size):
-    """SGD from a copy of `w` over each `_pass` triple of `passes` in turn,
+def reference_descend(w, arch, alpha, passes, batch_size):
+    """SGD from a copy of `w` over each `_pass` pair of `passes` in turn,
     in contiguous minibatches of `batch_size` rows."""
     w = np.array(w, dtype=np.float64)
     grad = np.empty(w.shape)
     layers, grads = _unpack(w, arch), _unpack(grad, arch)
-    for covariates, onehot, log_targets in passes:
+    for covariates, label_rows in passes:
         for start in range(0, len(covariates), batch_size):
             stop = start + batch_size
-            reference_loss_grads(
-                layers, grads, covariates[start:stop], onehot[start:stop],
-                None if log_targets is None else log_targets[start:stop],
-                reg_weight)
+            reference_loss_grads(layers, grads, covariates[start:stop],
+                                 label_rows[start:stop])
             grad *= alpha
             w -= grad
     if not np.all(np.isfinite(w)):
@@ -92,7 +82,7 @@ def sgd_step(w, batch, alpha, arch, target_table=None, reg_weight=0.0):
     covariates, labels = batch
     if len(labels) == 0:
         raise ValueError("SGD step on an empty batch")
-    return reference_descend(w, arch, alpha, reg_weight,
+    return reference_descend(w, arch, alpha,
                              [_pass(covariates, labels, arch, target_table,
                                     reg_weight)], len(labels))
 
@@ -116,23 +106,22 @@ def loss_and_gradient(w, covariates, labels, arch, target_rows=None,
 
     The loss per sample is
         (1 - reg_weight) * ce(onehot, prediction)
-        + reg_weight * ce(prediction, softmax(target_row)),
+        + reg_weight * ce(softmax(target_row), prediction)
+    = -sum_l s_l log prediction_l for the soft label
+        s = (1 - reg_weight) * onehot + reg_weight * softmax(target_row),
     computed from `forward_logits_batch` and `softmax`, independent of the
-    kernel, so that finite differences of it check the kernel's gradient.
+    kernel and of `_pass`, so that finite differences of it check the
+    kernel's gradient, prediction - s.
     """
     probs = softmax(forward_logits_batch(w, covariates, arch))
-    onehot = np.eye(arch.num_classes)[labels]
-    loss = -np.log(np.clip((probs * onehot).sum(axis=1), PROB_FLOOR, None))
-    log_targets = None
+    soft = np.eye(arch.num_classes)[labels]
     if target_rows is not None and reg_weight != 0.0:
-        log_targets = np.log(np.clip(softmax(target_rows), PROB_FLOOR, None))
-        loss = ((1.0 - reg_weight) * loss
-                - reg_weight * (probs * log_targets).sum(axis=1))
+        soft = (1.0 - reg_weight) * soft + reg_weight * softmax(target_rows)
+    loss = -(soft * np.log(np.clip(probs, LOG_FLOOR, None))).sum(axis=1)
     # One step of the production loop at alpha 1 leaves the gradient in
     # its buffer exactly, since grad *= 1.0 changes no bit.
     grad = np.empty(w.shape)
-    _sgd(w.copy(), grad, arch, 1.0, reg_weight,
-         [(covariates, onehot, log_targets)], len(covariates))
+    _sgd(w.copy(), grad, arch, 1.0, [(covariates, soft)], len(covariates))
     return float(loss.mean()), grad
 
 
@@ -289,6 +278,23 @@ class TestGradients:
             sgd_step(w, (covariates, labels), 0.1, arch, target_table=table,
                      reg_weight=reg_weight),
             w - 0.1 * grad)
+
+    def test_distilled_loss_is_least_at_the_target(self):
+        # A linear model with a zero matrix predicts softmax(bias) for every
+        # sample; with the bias at the target row and reg_weight 1 that is
+        # the target's probability vector, where the distillation loss is
+        # least, so a step moves no weight beyond rounding.
+        gen = np.random.default_rng(34)
+        arch = MlpArchitecture((3, 4))
+        target = np.array([1.5, -0.7, 0.2, 0.0])
+        w = np.zeros(arch.param_count)
+        w[-4:] = target
+        covariates = gen.uniform(0, 1, (6, 3))
+        labels = np.array([0, 1, 2, 3, 1, 2])
+        stepped = hfd_distill_step(w, covariates, labels,
+                                   np.tile(target, (4, 1)), 1.0, arch, 1,
+                                   reg_weight=1.0)
+        np.testing.assert_allclose(stepped, w, rtol=0, atol=1e-15)
 
     def test_negative_step_size_rejected(self):
         arch, w, covariates, labels, _ = small_fixture(seed=33)
@@ -577,13 +583,11 @@ def reference_epochs(w, data, alpha, epochs, batch_size, rng, arch,
                      target_table, reg_weight):
     """`run_local_epochs` through `reference_descend`: each epoch gathers its
     own permutation and walks it in minibatches."""
-    covariates, onehot, log_targets = _pass(data.covariates, data.labels,
-                                            arch, target_table, reg_weight)
+    covariates, label_rows = _pass(data.covariates, data.labels, arch,
+                                   target_table, reg_weight)
     orders = (rng.permutation(len(data)) for _ in range(epochs))
-    passes = ((covariates[order], onehot[order],
-               None if log_targets is None else log_targets[order])
-              for order in orders)
-    return reference_descend(w, arch, alpha, reg_weight, passes, batch_size)
+    passes = ((covariates[order], label_rows[order]) for order in orders)
+    return reference_descend(w, arch, alpha, passes, batch_size)
 
 
 MODELS = {"linear": (), "1-hidden": (9,), "2-hidden": (12, 7)}
@@ -633,7 +637,7 @@ class TestReferenceKernel:
         out = hfd_distill_step(w, covariates, labels, table, 0.4, arch, 5,
                                reg_weight)
         expected = reference_descend(
-            w, arch, 0.4, reg_weight,
+            w, arch, 0.4,
             [_pass(covariates, labels, arch, table, reg_weight)] * 5, pseudo)
         assert not np.array_equal(out, w)
         assert out.tobytes() == expected.tobytes()
@@ -647,7 +651,7 @@ class TestReferenceKernel:
                       gen.standard_normal((3, 3)), 0.3)
         passes = [tuple(rows[:n] for rows in batch) for n in (7, 6, 2)]
         out = w.copy()
-        _sgd(out, np.empty(w.shape), arch, 0.4, 0.3, passes, 5)
-        expected = reference_descend(w, arch, 0.4, 0.3, passes, 5)
+        _sgd(out, np.empty(w.shape), arch, 0.4, passes, 5)
+        expected = reference_descend(w, arch, 0.4, passes, 5)
         assert not np.array_equal(out, w)
         assert out.tobytes() == expected.tobytes()
