@@ -5,9 +5,11 @@ i.i.d. across devices, directions, and global iterations. Receiver noise is
 complex Gaussian with unit variance per entry. The channel moves sample
 arrays with the device axis first: the uplink takes the (K, T) block of
 the device frames, the downlink returns the (K, T) block of receptions.
-Transmit power is checked on each frame block as it is built
-(`check_frame_power`): no row's mean squared magnitude may exceed the
-declared budget.
+Neither makes another (K, T) array: the uplink sums the faded rows into one
+(T,) reception, and the downlink draws its noise as the reception block and
+adds each device's faded copy to its row. Transmit power is checked on each
+frame block as it is built (`check_frame_power`): no row's mean squared
+magnitude may exceed the declared budget.
 """
 
 from dataclasses import dataclass
@@ -45,13 +47,16 @@ def check_frame_power(frames: np.ndarray, power_budget: float) -> None:
 
     Counts one power check per frame; raises ValueError, counting one
     violation, if any frame's mean squared magnitude exceeds the budget.
+    A row's energy is the sum of squares of its 2T reals, read through the
+    block's float view, so the check makes no (K, T) temporary.
     """
-    frames = np.asarray(frames, dtype=np.complex128)
+    frames = np.ascontiguousarray(frames, dtype=np.complex128)
     if frames.ndim != 2 or frames.shape[1] == 0:
         raise ConfigurationError(
             f"a frame block of shape {frames.shape}; need (K, T), T >= 1")
     audit.count_power_check(len(frames))
-    mean_power = np.sum(np.abs(frames) ** 2, axis=1) / frames.shape[1]
+    reals = frames.view(np.float64)
+    mean_power = np.einsum("ij,ij->i", reals, reals) / frames.shape[1]
     worst = float(np.max(mean_power, initial=0.0))
     if worst > power_budget * (1.0 + POWER_RTOL):
         audit.count_violation()
@@ -81,26 +86,45 @@ def uplink_mac(frames: np.ndarray, state: ChannelState,
                noise_rng: np.random.Generator | None) -> np.ndarray:
     """Superpose the (K, T) frame block through the fading gains, add noise.
 
-    Summing the rows in device order, `np.sum(gains[:, None] * frames,
-    axis=0)`, is bit for bit a running sum over the devices; `gains @
-    frames` is not. Pass noise_rng=None to disable the additive noise
-    (deterministic round-trip testing only; real links always carry noise).
+    The faded rows are summed in device order into one (T,) reception, each
+    `gain * frame` through one (T,) buffer: bit for bit `np.sum(gains[:,
+    None] * frames, axis=0)` without its (K, T) product; `gains @ frames`
+    is not. The frame block is only read. Pass noise_rng=None to disable
+    the additive noise (deterministic round-trip testing only; real links
+    always carry noise).
     """
-    if np.ndim(frames) != 2 or len(frames) != len(state.uplink_gains):
+    gains = state.uplink_gains
+    if np.ndim(frames) != 2 or not len(frames) or len(frames) != len(gains):
         raise ConfigurationError(f"a frame block of shape {np.shape(frames)} "
-                                 f"for {len(state.uplink_gains)} devices")
-    received = np.sum(state.uplink_gains[:, None] * frames, axis=0)
+                                 f"for {len(gains)} devices")
+    received = gains[0] * frames[0]
+    faded = np.empty_like(received)
+    for gain, frame in zip(gains[1:], frames[1:]):
+        received += np.multiply(gain, frame, out=faded)
     if noise_rng is not None:
-        received += _complex_gaussian(noise_rng, frames.shape[1:])
+        received += _complex_gaussian(noise_rng, received.shape)
     return received
 
 
 def downlink_bc(frame: np.ndarray, state: ChannelState,
                 noise_rng: np.random.Generator | None) -> np.ndarray:
     """Broadcast one frame of T samples; row k of the (K, T) block returned
-    is what device k sees, through its own gain and with its own noise. The
-    noise is one (K, T) draw, bit for bit K draws of T in device order."""
-    received = state.downlink_gains[:, None] * frame
-    if noise_rng is not None:
-        received += _complex_gaussian(noise_rng, received.shape)
+    is what device k sees, through its own gain and with its own noise.
+
+    The noise is one (K, T) draw, bit for bit K draws of T in device order,
+    and it is the block returned: each device's `gain * frame` is added to
+    its row in place, through one (T,) buffer. IEEE addition commutes, so
+    noise + faded copy is faded copy + noise bit for bit. Anything but one
+    row of T >= 1 samples raises ConfigurationError.
+    """
+    gains = state.downlink_gains
+    if np.ndim(frame) != 1 or not np.size(frame):
+        raise ConfigurationError(f"a frame of shape {np.shape(frame)}; need "
+                                 "one row of T >= 1 samples")
+    if noise_rng is None:
+        return gains[:, None] * frame
+    received = _complex_gaussian(noise_rng, (len(gains), len(frame)))
+    faded = np.empty(len(frame), dtype=np.complex128)
+    for gain, row in zip(gains, received):
+        row += np.multiply(gain, frame, out=faded)
     return received

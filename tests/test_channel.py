@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,12 @@ def rng(seed=0):
 def block(*frames):
     """The (K, T) block of K frames of T samples."""
     return np.array(frames, dtype=np.complex128)
+
+
+# The benchmark's link: K = 10 devices, T = 2500 channel uses. A (T,) complex
+# row takes 40 KB and the (K, T) block 400 KB.
+K, T = 10, 2500
+ROW_BYTES = 16 * T
 
 
 class TestChannelState:
@@ -110,6 +118,14 @@ class TestUplinkMac:
         with pytest.raises(ConfigurationError):
             uplink_mac(block([1 + 0j, 2 + 0j]), state, None)
 
+    def test_sums_without_a_block_of_products(self, traced_peak):
+        # The reception, one faded row and the noise draw: 3 rows, where a
+        # (K, T) product alone takes K.
+        state = sample_channel(rng(15), K)
+        frames = rng(16).standard_normal((K, T)) + 0j
+        assert traced_peak(uplink_mac, frames, state, rng(17)) \
+            <= 3.5 * ROW_BYTES
+
 
 class TestDownlinkBc:
     def test_identity(self):
@@ -149,6 +165,23 @@ class TestDownlinkBc:
             noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
             assert r.tobytes() == (gain * frame + noise).tobytes()
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (), (0,)])
+    def test_frame_must_be_one_row_of_samples(self, shape):
+        # A (K, T) frame would broadcast against the K gains and go out as
+        # per-device frames; a 0-d one as a frame of one sample.
+        state = ChannelState(np.ones(2, complex), np.ones(2, complex))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"a frame of shape {shape}")):
+            downlink_bc(np.ones(shape, complex), state, rng(18))
+
+    def test_the_noise_draw_is_the_reception_block(self, traced_peak):
+        # The (K, T) block returned and one faded row, where adding the
+        # noise to a (K, T) product takes two blocks.
+        state = sample_channel(rng(19), K)
+        frame = rng(20).standard_normal(T) + 0j
+        assert traced_peak(downlink_bc, frame, state, rng(21)) \
+            <= (K + 1.5) * ROW_BYTES
+
 
 class TestFramePower:
     def test_over_budget_rejected(self):
@@ -176,3 +209,8 @@ class TestFramePower:
     def test_block_without_frames_rejected(self, shape):
         with pytest.raises(ConfigurationError):
             check_frame_power(np.zeros(shape, complex), power_budget=1.0)
+
+    def test_reads_the_block_without_temporaries(self, traced_peak):
+        # np.abs(frames) ** 2 would take two (K, T) float arrays, one block.
+        frames = np.full((K, T), 0.6 + 0.8j)
+        assert traced_peak(check_frame_power, frames, 1.0) <= 0.25 * ROW_BYTES
