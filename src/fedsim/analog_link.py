@@ -19,15 +19,16 @@ complex frame block that the link function allocates (one row on a
 downlink). The senders write their reals straight into the
 block's float view, two per channel use: in FL each device's projection
 lands in its row (`_send_sparse`), in FD the repetition-coded tables do
-(`_repeat_table`). `precompensate` then scales the payload columns in
-place and `check_frame_power` reads the block, `uplink_mac` sums its faded
-rows into one (T,) reception, and `downlink_bc` returns its noise draw as
-the (K, T) reception block, the faded copies added in place; the copies are
-derotated and scaled in that block. An uplink round thus allocates one
-(K, T) array, the frame block, and a downlink round one, the reception
-block; an analog-FL downlink also writes its K decodes into one (K, W)
-block. Per-device Python stays only where an array form changes bits (one
-norm per payload row, one `abs` per gain, one faded row at a time in the
+(`_repeat_table`). The zeros after a sender's payload pad its row to T
+channel uses. `precompensate` then scales each row whole, in place: the
+padding adds no energy and stays zero. `check_frame_power` reads the block,
+`uplink_mac` sums its faded rows into one (T,) reception, and `downlink_bc`
+returns its noise draw as the (K, T) reception block, the faded copies
+added in place; the copies are derotated and scaled in that block. An
+uplink round thus allocates one (K, T) array, the frame block, and a
+downlink round one, the reception block; an analog-FL downlink also writes
+its K decodes into one (K, W) block. Per-device Python stays only where an
+array form changes bits (one `abs` per gain, one faded row at a time in the
 channel) and in the K `cs_decode` calls of an analog-FL downlink, which
 `perfbench/test_tracing.py` counts.
 
@@ -46,17 +47,19 @@ draws) was better than with a Gaussian A at every point with delta in
 {0.3, 0.5, 0.8} and rho in {0.2, 0.3, 0.5} (at delta = 0.5, rho = 0.3:
 7e-7 against 8e-3), and both were exact at rho = 0.1; at delta = 0.15 it
 was worse (rho = 0.2: 9e-3 against 2e-3). All of it runs in float64.
-Neither numpy's FFT nor CG's dot products (`_dot`) call BLAS, so where
-2T >= W an analog-FL run's bits do not depend on the host's BLAS thread
-count. AMP decides when to stop on BLAS dot products, which sum alike under
-any thread count up to 10000 reals (2T < W here, so W > 10000 to exceed it).
+No arithmetic of the link calls BLAS: the products are numpy's FFTs, and
+the frame energies (`frame_energies`) and both decoders' dot products
+(`_dot`) are einsum sums. So an analog run's bits do not depend on the
+host's BLAS thread count, at any T.
 """
 
 import math
 
 import numpy as np
 
-from .channel import ChannelState, check_frame_power, downlink_bc, uplink_mac
+from .channel import (
+    ChannelState, check_frame_power, downlink_bc, frame_energies, uplink_mac,
+)
 from .compression import ErrorAccumulator, accumulate_error, top_k_sparsify
 from .errors import ConfigurationError, DivergenceError
 
@@ -164,46 +167,32 @@ class ProjectionMatrix:
         return (self.unsigned * self.signs).sum(axis=0)
 
 
-def full_power_gain(x: np.ndarray, power: float, channel_uses: int) -> float:
-    """Transmit scale sqrt(P*T)/||x||; zero for an all-zero payload, and
-    DivergenceError for a norm that overflows (not a frame of zeros)."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        return 0.0
-    if not math.isfinite(norm):
-        raise DivergenceError("payload norm overflows the analog link")
-    return math.sqrt(power * channel_uses) / norm
-
-
 def _derotation(gain: complex) -> complex:
     """The unit phasor that undoes a known channel phase (1 for a null gain)."""
     return 1.0 if gain == 0 else np.conj(gain) / abs(gain)
 
 
-def precompensate(frames: np.ndarray, gains, power: float, samples: int):
+def precompensate(frames: np.ndarray, gains, power: float):
     """Scale each row to full power and pre-rotate away its channel phase,
     in place.
 
-    Takes the (K, T) frame block a link function built, each row's payload
-    in its first `samples` entries and zeros after them, and the K gains;
-    returns the (K,) transmit scales. Only the payload columns are scaled,
-    so unused channel uses keep their zeros and the whole energy budget P*T
-    is spent on the payload. The block passes `check_frame_power` before
-    the scales return. A caller's array is never handed in: the link's
-    senders write into a block of its own.
+    Takes the (K, T) frame block a link function built and the K gains;
+    returns the (K,) transmit scales, sqrt(P*T) over the root of each row's
+    `frame_energies`: zero for an all-zero row, and DivergenceError for an
+    energy that overflows. Each row is scaled whole. Its unused channel uses
+    hold zeros, which add no energy and stay zero, so the whole energy
+    budget P*T is spent on the payload. The block passes `check_frame_power`
+    before the scales return. A caller's array is never handed in: the
+    link's senders write into a block of its own.
     """
-    channel_uses = frames.shape[1]
-    if samples > channel_uses:
-        raise ConfigurationError(f"payload of {samples} samples exceeds "
-                                 f"{channel_uses} channel uses")
-    payloads = frames[:, :samples]
-    # One norm per row: np.linalg.norm(payloads, axis=1) differs in the last
-    # bit.
-    scales = np.array([full_power_gain(x, power, channel_uses)
-                       for x in payloads])
+    norms = np.sqrt(frame_energies(frames))
+    if not np.all(np.isfinite(norms)):
+        raise DivergenceError("payload norm overflows the analog link")
+    scales = np.zeros(len(frames))
+    np.divide(math.sqrt(power * frames.shape[1]), norms, out=scales,
+              where=norms > 0.0)
     factors = scales * np.array([_derotation(gain) for gain in gains])
-    np.multiply(factors[:, None], payloads, out=payloads)
+    np.multiply(factors[:, None], frames, out=frames)
     check_frame_power(frames, power)
     return scales
 
@@ -346,13 +335,13 @@ def _amp(projection: ProjectionMatrix, y: np.ndarray) -> np.ndarray:
     # bit: after partition(m // 2), the lower of the two middle values (m is
     # even, 2T, on a link) is the largest left of the upper; and
     # r - clip(r, -t, t) = sign(r) max(|r| - t, 0) up to a zero's sign. The
-    # norm is sqrt(z.z), np.linalg.norm's value.
+    # residual norm is sqrt(z.z) by `_dot`, as in `_least_squares`.
     half = m // 2
     magnitudes = np.empty(m)
     x = np.zeros(n)
     z = y.copy()
     best_x = x
-    best_res = math.sqrt(float(z @ z))
+    best_res = math.sqrt(_dot(z, z))
     prev_res = best_res
     if best_res == 0.0:
         return best_x
@@ -368,7 +357,7 @@ def _amp(projection: ProjectionMatrix, y: np.ndarray) -> np.ndarray:
         onsager = (np.count_nonzero(x) / m) * z
         z = y - projection.project(x)
         z += onsager
-        res = math.sqrt(float(z @ z))
+        res = math.sqrt(_dot(z, z))
         if res < best_res:
             best_res = res
             best_x = x
@@ -380,34 +369,32 @@ def _amp(projection: ProjectionMatrix, y: np.ndarray) -> np.ndarray:
     return best_x
 
 
-def _uplink(frames: np.ndarray, samples: int, state: ChannelState,
-            power: float, noise_rng) -> np.ndarray:
-    """Superpose the (K, T) frame block over the MAC.
+def _uplink(frames: np.ndarray, state: ChannelState, power: float,
+            noise_rng) -> np.ndarray:
+    """Superpose the (K, T) frame block over the MAC, one device a row.
 
-    Each row carries a device's payload in its first `samples` channel uses.
     Every device transmits at full power, pre-rotated against its own
-    channel phase (`precompensate`, in place). Returns the 2 * samples reals
-    of the MMSE-scaled sum.
+    channel phase (`precompensate`, in place). Returns the 2T reals of the
+    MMSE-scaled sum.
     """
-    gammas = precompensate(frames, state.uplink_gains, power, samples)
-    received = uplink_mac(frames, state, noise_rng)[:samples]
+    gammas = precompensate(frames, state.uplink_gains, power)
+    received = uplink_mac(frames, state, noise_rng)
     factor = mmse_factor_uplink(gammas, np.abs(state.uplink_gains))
     return (factor * received).view(np.float64)
 
 
-def _downlink(frames: np.ndarray, samples: int, state: ChannelState,
-              power: float, noise_rng) -> np.ndarray:
-    """Broadcast the one-row (1, T) frame block, its payload in the first
-    `samples` channel uses; returns the (K, 2 * samples) block of the
-    devices' MMSE-scaled copies, a view of the reception block.
+def _downlink(frames: np.ndarray, state: ChannelState, power: float,
+              noise_rng) -> np.ndarray:
+    """Broadcast the one-row (1, T) frame block; returns the (K, 2T) block
+    of the devices' MMSE-scaled copies, a view of the reception block.
 
     Devices know their own downlink channel, so each one undoes its phase,
     then scales by its own MMSE factor: two columns in turn, in place, as
     their product differs in the last bit, and so does `np.abs` of the
     gains.
     """
-    (gamma,) = precompensate(frames, [1.0 + 0j], power, samples)
-    received = downlink_bc(frames[0], state, noise_rng)[:, :samples]
+    (gamma,) = precompensate(frames, [1.0 + 0j], power)
+    received = downlink_bc(frames[0], state, noise_rng)
     gains = state.downlink_gains
     received *= np.array([_derotation(gain) for gain in gains])[:, None]
     received *= np.array([mmse_factor_downlink(gamma, abs(gain))
@@ -437,12 +424,11 @@ def _send_sparse(projection: ProjectionMatrix, update: np.ndarray,
 
 def _repeat_table(tables: np.ndarray, frames: np.ndarray):
     """Repetition-code the tables of a (..., L, L) block into the (..., T)
-    frame block `frames`, one table a row: returns (rho, the channel uses
-    the payload takes).
+    frame block `frames`, one table a row: returns rho.
 
     Each table, flattened, is written rho = floor(2T / L^2) times into the
-    frame's float view; the frame's zeros after it pad the payload to the
-    even length of whole channel uses.
+    frame's float view; the frame's zeros after it pad the payload to T
+    channel uses.
     """
     size = tables.shape[-2] * tables.shape[-1]
     rho = (2 * frames.shape[-1]) // size
@@ -454,7 +440,7 @@ def _repeat_table(tables: np.ndarray, frames: np.ndarray):
     # Splitting the last axis of the float view is a view, never a copy.
     copies = frames.view(np.float64)[..., :n].reshape(lead + (rho, size))
     copies[...] = tables.reshape(lead + (1, size))
-    return rho, -(-n // 2)
+    return rho
 
 
 def _mean_table(reals: np.ndarray, rho: int, shape) -> np.ndarray:
@@ -484,7 +470,7 @@ def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
     new_accs = [_send_sparse(projection, u, acc, q, row)
                 for u, acc, row in zip(updates, accs,
                                        frames.view(np.float64))]
-    received = _uplink(frames, channel_uses, state, power, noise_rng)
+    received = _uplink(frames, state, power, noise_rng)
     return cs_decode(projection, received), new_accs
 
 
@@ -494,8 +480,8 @@ def fd_analog_uplink(tables, state: ChannelState, power: float,
     returns the table-sum estimate."""
     tables = np.asarray(tables, dtype=np.float64)
     frames = np.zeros((len(tables), channel_uses), dtype=np.complex128)
-    rho, samples = _repeat_table(tables, frames)
-    received = _uplink(frames, samples, state, power, noise_rng)
+    rho = _repeat_table(tables, frames)
+    received = _uplink(frames, state, power, noise_rng)
     return _mean_table(received, rho, tables.shape[1:])
 
 
@@ -511,7 +497,7 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     frames = np.zeros((1, channel_uses), dtype=np.complex128)
     new_acc = _send_sparse(projection, np.asarray(update, dtype=np.float64),
                            acc, q, frames.view(np.float64)[0])
-    receptions = _downlink(frames, channel_uses, state, power, noise_rng)
+    receptions = _downlink(frames, state, power, noise_rng)
     estimates = np.empty((len(receptions), projection.cols))
     # `cs_decode` is looked up when each call runs, so a wrapper patched
     # into this module sees every decode.
@@ -526,6 +512,6 @@ def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,
     the devices' table estimates."""
     table = np.asarray(table, dtype=np.float64)
     frames = np.zeros((1, channel_uses), dtype=np.complex128)
-    rho, samples = _repeat_table(table[None], frames)
-    return _mean_table(_downlink(frames, samples, state, power, noise_rng),
-                       rho, table.shape)
+    rho = _repeat_table(table[None], frames)
+    return _mean_table(_downlink(frames, state, power, noise_rng), rho,
+                       table.shape)

@@ -6,10 +6,11 @@ complex Gaussian with unit variance per entry. The channel moves sample
 arrays with the device axis first: the uplink takes the (K, T) block of
 the device frames, the downlink returns the (K, T) block of receptions.
 Neither makes another (K, T) array: the uplink sums the faded rows into one
-(T,) reception, and the downlink draws its noise as the reception block and
-adds each device's faded copy to its row. Transmit power is checked on each
-frame block as it is built (`check_frame_power`): no row's mean squared
-magnitude may exceed the declared budget.
+(T,) reception, and the downlink draws its noise as the reception block (or
+starts it as zeros on a noiseless link) and adds each device's faded copy
+to its row. Transmit power is checked on each frame block as it is built
+(`check_frame_power`): no row's mean squared magnitude may exceed the
+declared budget.
 """
 
 from dataclasses import dataclass
@@ -42,21 +43,29 @@ class ChannelState:
         object.__setattr__(self, "downlink_gains", down)
 
 
+def frame_energies(frames: np.ndarray) -> np.ndarray:
+    """The (K,) energies of a contiguous (K, T) complex frame block: each
+    row's sum of squares of its 2T reals, read through the block's float
+    view, so no (K, T) temporary is made. einsum's loop sums alike under
+    any BLAS thread count, where OpenBLAS's ddot splits a vector over
+    10000 long across its threads and its last bits change with them."""
+    reals = frames.view(np.float64)
+    return np.einsum("ij,ij->i", reals, reals)
+
+
 def check_frame_power(frames: np.ndarray, power_budget: float) -> None:
     """Check each row of a (K, T) frame block against the power budget.
 
     Counts one power check per frame; raises ValueError, counting one
-    violation, if any frame's mean squared magnitude exceeds the budget.
-    A row's energy is the sum of squares of its 2T reals, read through the
-    block's float view, so the check makes no (K, T) temporary.
+    violation, if any frame's mean squared magnitude exceeds the budget,
+    its `frame_energies` over T.
     """
     frames = np.ascontiguousarray(frames, dtype=np.complex128)
     if frames.ndim != 2 or frames.shape[1] == 0:
         raise ConfigurationError(
             f"a frame block of shape {frames.shape}; need (K, T), T >= 1")
     audit.count_power_check(len(frames))
-    reals = frames.view(np.float64)
-    mean_power = np.einsum("ij,ij->i", reals, reals) / frames.shape[1]
+    mean_power = frame_energies(frames) / frames.shape[1]
     worst = float(np.max(mean_power, initial=0.0))
     if worst > power_budget * (1.0 + POWER_RTOL):
         audit.count_violation()
@@ -114,16 +123,17 @@ def downlink_bc(frame: np.ndarray, state: ChannelState,
     The noise is one (K, T) draw, bit for bit K draws of T in device order,
     and it is the block returned: each device's `gain * frame` is added to
     its row in place, through one (T,) buffer. IEEE addition commutes, so
-    noise + faded copy is faded copy + noise bit for bit. Anything but one
-    row of T >= 1 samples raises ConfigurationError.
+    noise + faded copy is faded copy + noise bit for bit. Pass
+    noise_rng=None for a noiseless block, which starts as zeros. Anything
+    but one row of T >= 1 samples raises ConfigurationError.
     """
     gains = state.downlink_gains
     if np.ndim(frame) != 1 or not np.size(frame):
         raise ConfigurationError(f"a frame of shape {np.shape(frame)}; need "
                                  "one row of T >= 1 samples")
-    if noise_rng is None:
-        return gains[:, None] * frame
-    received = _complex_gaussian(noise_rng, (len(gains), len(frame)))
+    shape = (len(gains), len(frame))
+    received = np.zeros(shape, dtype=np.complex128) if noise_rng is None \
+        else _complex_gaussian(noise_rng, shape)
     faded = np.empty(len(frame), dtype=np.complex128)
     for gain, row in zip(gains, received):
         row += np.multiply(gain, frame, out=faded)

@@ -23,9 +23,8 @@ targets and for HFD's offline per-label covariates; a label without a
 target is a zero logit row in FD and no pseudo-sample in HFD. An FD
 device learns toward the soft label that `learning._pass` builds from its
 target row, so a zero row is a uniform target: with weight reg_weight it
-pulls the prediction for that label toward 1/L. (Under the reverse form
--sum p log b of the distillation loss, a uniform b gave no gradient.)
-Everything is deterministic given the master seed."""
+pulls the prediction for that label toward 1/L. Everything is
+deterministic given the master seed."""
 
 import itertools
 import math

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ from fedsim.analog_link import (
     AMP_KAPPA, AMP_MAX_ITER, AMP_TOL, ProjectionMatrix, _downlink,
     _fft_length, _mean_table, _repeat_table, _uplink, cs_decode,
     fd_analog_downlink, fd_analog_uplink, fl_analog_downlink,
-    fl_analog_uplink, full_power_gain, mmse_factor_downlink,
-    mmse_factor_uplink, precompensate,
+    fl_analog_uplink, mmse_factor_downlink, mmse_factor_uplink,
+    precompensate,
 )
 from fedsim.channel import (
     POWER_RTOL, ChannelState, check_frame_power, downlink_bc, sample_channel,
@@ -38,15 +39,21 @@ def frame_block(xs, uses):
 def precompensated(xs, gains, power, uses):
     """(frames, scales) of `precompensate` on a frame block of xs."""
     frames = frame_block(xs, uses)
-    return frames, precompensate(frames, gains, power, np.shape(xs)[1])
+    return frames, precompensate(frames, gains, power)
+
+
+def reference_scale(reals, power, uses):
+    """The full-power transmit scale sqrt(P*T) / sqrt(sum of reals^2) of a
+    frame row of `uses` channel uses, given as its 2 * uses reals."""
+    return math.sqrt(power * uses) / math.sqrt(np.einsum("i,i", reals, reals))
 
 
 def repeated(tables, uses):
-    """(rho, payload reals) `_repeat_table` writes into a zero frame block of
+    """(rho, frame reals) `_repeat_table` writes into a zero frame block of
     T = uses per table, the padding included."""
     frames = np.zeros(np.shape(tables)[:-2] + (uses,), complex)
-    rho, samples = _repeat_table(np.asarray(tables), frames)
-    return rho, frames.view(np.float64)[..., :2 * samples]
+    rho = _repeat_table(np.asarray(tables), frames)
+    return rho, frames.view(np.float64)
 
 
 # What `ProjectionMatrix` draws from its seed, the products' buffers aside.
@@ -64,11 +71,10 @@ class TestComplexFrames:
             return frames.sum(axis=0)
 
         monkeypatch.setattr(analog_link, "uplink_mac", noiseless_sum)
-        payload = np.array([[3.0, -4.0, 0.0, 1.0]])
-        frames = np.zeros((1, 3), complex)
-        frames.view(np.float64)[:, :4] = payload
-        estimate = _uplink(frames, 2, unit_state(1), 1.0, None)
-        scale = full_power_gain(np.array([3 - 4j, 1j]), 1.0, 3)
+        payload = np.array([[3.0, -4.0, 0.0, 1.0, 0.0, 0.0]])
+        frames = payload.copy().view(np.complex128)
+        estimate = _uplink(frames, unit_state(1), 1.0, None)
+        scale = reference_scale(payload[0], 1.0, 3)
         np.testing.assert_allclose(sent[0], [[scale * (3 - 4j), scale * 1j,
                                               0j]], rtol=1e-12)
         factor = mmse_factor_uplink([scale], [1.0])
@@ -99,7 +105,7 @@ class TestPrecompensate:
             ratio = h * frame / x
             np.testing.assert_allclose(ratio.imag, 0.0, atol=1e-9)
             np.testing.assert_allclose(ratio.real, abs(h) * scale, rtol=1e-9)
-            assert scale == full_power_gain(x, 2.0, 6)
+            assert scale == reference_scale(x.view(np.float64), 2.0, 6)
 
     def test_zero_payload_is_zero_frame(self):
         xs = np.array([[0j, 0j, 0j], [1j, 0j, 0j]])
@@ -131,9 +137,11 @@ class TestPrecompensate:
         precompensated(np.ones((5, 2), complex), np.ones(5, complex), 1.0, 3)
         assert audit.power_checks == before + 5
 
-    def test_payload_longer_than_frame_rejected(self):
-        with pytest.raises(ConfigurationError):
-            precompensate(np.ones((1, 3), complex), [1.0 + 0j], 1.0, 4)
+    def test_an_energy_that_overflows_is_one_error(self):
+        frames = frame_block([[1.0 + 0j], [1e200 + 0j]], 2)
+        with pytest.raises(DivergenceError,
+                           match="^payload norm overflows the analog link$"):
+            precompensate(frames, [1.0 + 0j, 1.0 + 0j], 1.0)
 
     @settings(max_examples=150, deadline=None)
     @given(devices=st.integers(1, 12), uses=st.integers(1, 300),
@@ -154,7 +162,7 @@ class TestPrecompensate:
                 row[:2 * samples] = gen.uniform(0.5, 1.0, 2 * samples) \
                     * gen.choice([-1.0, 1.0], 2 * samples) * 10.0 ** exponent
         gains = gen.standard_normal(devices) + 1j * gen.standard_normal(devices)
-        scales = precompensate(frames, gains, power, samples)
+        scales = precompensate(frames, gains, power)
         check_frame_power(frames, power)
         assert not np.any(frames[:, samples:])
         mean_power = np.sum(np.abs(frames) ** 2, axis=1) / uses
@@ -204,8 +212,7 @@ class TestMmseScaling:
         # phase-aligned, and the receiver scales the sum by the MMSE factor.
         tables = np.array([[[1.0, -2.0], [0.5, 3.0]], np.full((2, 2), -0.5)])
         gains = np.array([2j, 0.3 - 0.4j])
-        gammas = [full_power_gain(t.ravel().view(np.complex128), 2.0, 2)
-                  for t in tables]
+        gammas = [reference_scale(t.ravel(), 2.0, 2) for t in tables]
         state = ChannelState(gains, np.array([0.6 + 0.8j, 0.0]))
         estimate = fd_analog_uplink(tables, state, 2.0, 2, None)
         nu = mmse_factor_uplink(gammas, np.abs(gains))
@@ -230,7 +237,7 @@ class TestRepetition:
         table = np.arange(9.0).reshape(3, 3)
         rho, payload = repeated(table, 7)
         assert rho == 1
-        np.testing.assert_array_equal(payload, list(range(9)) + [0])
+        np.testing.assert_array_equal(payload, list(range(9)) + [0] * 5)
 
     def test_rho_one_identity(self):
         table = np.array([[3.0, -1.0]])
@@ -547,21 +554,21 @@ class TestCsDecode:
 
 
 def reference_amp(y, project, backproject, tol=AMP_TOL):
-    """cs_decode's loop written with np.median and np.linalg.norm (it takes
-    the median by partition and the norm as sqrt(z.z)), its products A @ x
-    and A.T @ z taken by `project` and `backproject`, and its stall
-    tolerance `tol` (AMP_TOL by default)."""
+    """cs_decode's loop written with np.median (it takes the median by
+    partition) and the residual norm as the root of einsum's z.z, the sum
+    its `_dot` takes, its products A @ x and A.T @ z taken by `project` and
+    `backproject`, and its stall tolerance `tol` (AMP_TOL by default)."""
     rows = y.size
     z = y.copy()
     x = np.zeros_like(backproject(z))  # one entry per column of A
     best_x = x
-    best_res = prev_res = float(np.linalg.norm(z))
+    best_res = prev_res = math.sqrt(np.einsum("i,i", z, z))
     for _ in range(AMP_MAX_ITER):
         sigma = float(np.median(np.abs(z))) / 0.6745
         r = x + backproject(z)
         x = soft_threshold(r, AMP_KAPPA * sigma)
         z = y - project(x) + (np.count_nonzero(x) / rows) * z
-        res = float(np.linalg.norm(z))
+        res = math.sqrt(np.einsum("i,i", z, z))
         if res < best_res:
             best_res, best_x = res, x
         if res > 10.0 * best_res \
@@ -824,8 +831,7 @@ class TestFdAnalog:
         estimate = fd_analog_uplink([table], state, power=2.0,
                                     channel_uses=uses, noise_rng=None)
         # Noiseless single device: output = (nu * gamma) * table exactly.
-        x = repeated(table, uses)[1].view(np.complex128)
-        gamma = full_power_gain(x, 2.0, uses)
+        gamma = reference_scale(repeated(table, uses)[1], 2.0, uses)
         shrink = gamma ** 2 / (0.5 + gamma ** 2)
         np.testing.assert_allclose(estimate, shrink * table, rtol=1e-9)
         bias = 1.0 - shrink
@@ -884,8 +890,7 @@ class TestAnalogDownlink:
                              np.array([1.0 + 0j, 0.5 + 0.5j]))
         estimates = fd_analog_downlink(table, state, power=1e6,
                                        channel_uses=uses, noise_rng=None)
-        _, payload = repeated(table, uses)
-        gamma = full_power_gain(payload.view(np.complex128), 1e6, uses)
+        gamma = reference_scale(repeated(table, uses)[1], 1e6, uses)
         for gain, est in zip(state.downlink_gains, estimates):
             amp = gamma * abs(gain)
             shrink = amp ** 2 / (0.5 + amp ** 2)
@@ -908,14 +913,14 @@ class TestDownlinkIsPerDevice:
 
     @staticmethod
     def scalar_copies(payload, state, power, uses, noise_seed):
-        """The (K, n) block of the per-device scalar expressions."""
+        """The (K, 2 * uses) block of the per-device scalar expressions."""
         x = payload.view(np.complex128)
         frames, (gamma,) = precompensated(x[None], [1.0 + 0j], power, uses)
         receptions = downlink_bc(frames[0], state,
                                  np.random.default_rng(noise_seed))
         return np.array([
             (mmse_factor_downlink(gamma, abs(g))
-             * (y[:x.size] * (np.conj(g) / abs(g)))).view(np.float64)
+             * (y * (np.conj(g) / abs(g)))).view(np.float64)
             for g, y in zip(state.downlink_gains, receptions)])
 
     def test_downlink_rows_bit_for_bit(self):
@@ -924,8 +929,8 @@ class TestDownlinkIsPerDevice:
         payload = np.random.default_rng(23).standard_normal(30)
         want = self.scalar_copies(payload, state, 3.0, 20, 24)
         frames = frame_block(payload.view(np.complex128)[None], 20)
-        got = _downlink(frames, 15, state, 3.0, np.random.default_rng(24))
-        assert got.shape == (4, 30)
+        got = _downlink(frames, state, 3.0, np.random.default_rng(24))
+        assert got.shape == (4, 40)
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_fd_downlink_tables_bit_for_bit(self):

@@ -28,8 +28,17 @@ fd and hfd ad_T16, da_T16 and dd_T16 scenarios no device ever gets a
 target, and they did not change. The other 33 are as first recorded.
 They print accuracies to 6 digits, so a last-bit change in the training
 arithmetic can pass them; weights.sha256 holds the sha256 of each
-scenario's concatenated final weights, which sees every bit. To re-record
-both after an intended change in what is simulated:
+scenario's concatenated final weights, which sees every bit. When the
+analog link took to summing each frame's energy by one einsum over its
+whole row and AMP its residual norms by `_dot`, in place of BLAS dot
+products, the digests of 26 analog scenarios were recorded again, their
+CSVs unchanged: fl_aa_T16_seed0, fl_ad_T16_seed1, fl_da_T16, and
+fl_aa_T400, fl_ad_T400 and fl_da_T400; fd_aa_T16_seed0,
+fd_aa_T16_seed0_noiseless, and fd_aa_T400, fd_ad_T400 and fd_da_T400;
+hfd_aa_T16, and hfd_aa_T400, hfd_ad_T400 and hfd_da_T400 (seeds 0 and 1
+where none is named). Those sums change the last bits of the power scales
+and of some AMP iterates. To re-record both after an intended change in
+what is simulated:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """

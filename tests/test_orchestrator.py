@@ -370,22 +370,26 @@ class TestDeterminism:
 
 # Runs one FL iteration over digital links, then two at T=2500 over analog
 # links with W = 1362 weights, and prints whether numpy.fft was loaded
-# before the analog run and the sha256 of the final weights.
+# before the analog run and the sha256 of the final weights. Then prints
+# the final weights' sha256 of FL and of FD over analog links at T=12000
+# (K = 4), whose frames hold 24000 reals, past the 10000 at which
+# OpenBLAS's ddot splits a sum over its threads.
 FL_RUN_SCRIPT = """
 import hashlib, sys
 from fedsim.orchestrator import ExperimentConfig, _Run
-def run(link, iterations):
+def run(protocol, link, uses, iterations, **extra):
     run = _Run(ExperimentConfig(
-        protocol="fl", uplink_mode=link, downlink_mode=link,
-        channel_uses=2500, global_iterations=iterations,
-        data="synthetic:classes=2,dim=24", model="mlp:32,16"))
+        protocol=protocol, uplink_mode=link, downlink_mode=link,
+        channel_uses=uses, global_iterations=iterations,
+        data="synthetic:classes=2,dim=24", model="mlp:32,16", **extra))
     for iteration in range(1, iterations + 1):
         run.step(iteration)
-    return run
-run("digital", 1)
+    return hashlib.sha256(run.weights.tobytes()).hexdigest()
+run("fl", "digital", 2500, 1)
 loaded = "numpy.fft" in sys.modules
-weights = run("analog", 2).weights
-print(loaded, hashlib.sha256(weights.tobytes()).hexdigest())
+print(loaded, run("fl", "analog", 2500, 2))
+for protocol in ("fl", "fd"):
+    print(protocol, run(protocol, "analog", 12000, 2, num_devices=4))
 """
 
 
@@ -400,15 +404,16 @@ def run_fl_script(**env):
 
 
 class TestAnalogFlBits:
-    """Neither numpy's FFT nor the least-squares decoder's dot products
-    call BLAS, so an analog-FL run's bits at T=2500 (2T >= W) do not depend
-    on the BLAS thread count; and only an analog-FL product loads numpy's
-    FFT."""
+    """No arithmetic of an analog link calls BLAS, so an analog run's bits
+    do not depend on the BLAS thread count: FL at T=2500, and FL and FD at
+    T=12000, where a frame's energy sums 24000 reals. Only an analog-FL
+    product loads numpy's FFT."""
 
     def test_same_weights_under_one_and_two_blas_threads(self):
-        one = run_fl_script(OPENBLAS_NUM_THREADS="1")
-        assert run_fl_script(OPENBLAS_NUM_THREADS="2") == one
-        assert one.startswith("False ")
+        one = run_fl_script(OPENBLAS_NUM_THREADS="1").splitlines()
+        two = run_fl_script(OPENBLAS_NUM_THREADS="2").splitlines()
+        assert [line.split()[0] for line in one] == ["False", "fl", "fd"]
+        assert two == one
 
 
 class TestProjectionDraw:
