@@ -60,7 +60,7 @@ import numpy as np
 from .channel import (
     ChannelState, check_frame_power, downlink_bc, frame_energies, uplink_mac,
 )
-from .compression import ErrorAccumulator, accumulate_error, top_k_sparsify
+from .compression import ErrorAccumulator, top_k_sparsify
 from .errors import ConfigurationError, DivergenceError
 
 # AMP's threshold multiplier on the noise estimate, and both decoders'
@@ -405,21 +405,23 @@ def _downlink(frames: np.ndarray, state: ChannelState, power: float,
 def _send_sparse(projection: ProjectionMatrix, update: np.ndarray,
                  acc: ErrorAccumulator, q: int, out: np.ndarray):
     """Put one sender's weight update on the air: writes the projection of
-    the top q of update plus residual into `out`, the 2T reals of the
-    sender's frame, and returns acc advanced by that sparse vector.
+    the top q of the pending vector, update plus residual, into `out`, the
+    2T reals of the sender's frame, and returns the new residual, pending
+    minus that sparse vector.
 
-    An update whose projection overflows float64 raises DivergenceError
-    instead of numpy's warnings.
+    An update whose pending vector or projection overflows float64 raises
+    DivergenceError instead of numpy's warnings.
     """
     if projection.cols != update.size or projection.rows != out.size:
         raise ConfigurationError("projection shape does not match link")
-    sparse = top_k_sparsify(update + acc.residual, q)
     with np.errstate(over="ignore", invalid="ignore"):
+        pending = update + acc.residual
+        sparse = top_k_sparsify(pending, q)
         projection.project(sparse, out=out)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("weight update overflows the analog link's "
                               "projection")
-    return accumulate_error(acc, update, sparse)
+    return ErrorAccumulator(pending - sparse)
 
 
 def _repeat_table(tables: np.ndarray, frames: np.ndarray):
@@ -428,14 +430,11 @@ def _repeat_table(tables: np.ndarray, frames: np.ndarray):
 
     Each table, flattened, is written rho = floor(2T / L^2) times into the
     frame's float view; the frame's zeros after it pad the payload to T
-    channel uses.
+    channel uses. A run's configuration guarantees rho >= 1
+    (`_check_logit_room` in the orchestrator).
     """
     size = tables.shape[-2] * tables.shape[-1]
     rho = (2 * frames.shape[-1]) // size
-    if rho < 1:
-        raise ConfigurationError(
-            "redundancy must be at least 1; the payload does not fit the "
-            "channel (reduce the block or raise the channel uses)")
     lead, n = tables.shape[:-2], rho * size
     # Splitting the last axis of the float view is a view, never a copy.
     copies = frames.view(np.float64)[..., :n].reshape(lead + (rho, size))

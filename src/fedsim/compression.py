@@ -4,7 +4,8 @@ These are the primitives shared by both digital pipelines: sign-mean sparse
 compression for weight updates, magnitude top-k for logit rows, a uniform
 mid-tread quantizer over the empirical value range, and the combinatorial
 index-cost bookkeeping used to pick the largest sparsity level that fits a
-capacity budget.
+capacity budget. `ErrorAccumulator` records a weight sender's error
+feedback, whose arithmetic the senders do themselves.
 """
 
 import math
@@ -96,29 +97,21 @@ def quantize_rows(values: np.ndarray, bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ErrorAccumulator:
-    """Residual of everything a sender has not yet managed to transmit."""
+    """Residual of everything a sender has not yet managed to transmit.
+
+    A sender adds the residual to its update once, puts part of that
+    pending vector on the air, and returns ErrorAccumulator(pending - sent)
+    (Ahn, Simeone and Kang, arXiv:2002.01337; Amiri and Gunduz,
+    arXiv:1901.00844). A sender whose arithmetic overflows raises
+    DivergenceError first, so a residual is always finite. The
+    benchmark's tracer reads `residual`.
+    """
 
     residual: np.ndarray
-
-    def __post_init__(self):
-        residual = np.asarray(self.residual, dtype=np.float64)
-        if not np.all(np.isfinite(residual)):
-            raise ValueError("accumulator residual must be finite")
-        object.__setattr__(self, "residual", residual)
 
     @classmethod
     def zeros(cls, dim: int) -> "ErrorAccumulator":
         return cls(residual=np.zeros(dim, dtype=np.float64))
-
-
-def accumulate_error(acc: ErrorAccumulator, update: np.ndarray,
-                     sent: np.ndarray) -> ErrorAccumulator:
-    """residual <- residual + update - sent (error feedback across rounds)."""
-    update = np.asarray(update, dtype=np.float64)
-    sent = np.asarray(sent, dtype=np.float64)
-    if update.shape != acc.residual.shape or sent.shape != acc.residual.shape:
-        raise ValueError("accumulator, update, and sent vector must share shape")
-    return ErrorAccumulator(residual=acc.residual + update - sent)
 
 
 def log2_binomial(n: int, k: int) -> float:

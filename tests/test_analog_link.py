@@ -278,11 +278,6 @@ class TestRepetition:
             var = np.var(_mean_table(noise, rho, (4, 4)))
             assert abs(var - sigma2 / rho) / (sigma2 / rho) < 0.10
 
-    def test_zero_redundancy_rejected(self):
-        # A 5 x 5 table needs 25 reals; T = 10 carries 20.
-        with pytest.raises(ConfigurationError):
-            _repeat_table(np.ones((5, 5)), np.zeros(10, complex))
-
 
 class TestCsDecode:
     @staticmethod
@@ -860,10 +855,6 @@ class TestFdAnalog:
             variances[rho_target] = np.var(np.concatenate(errs))
         assert abs(variances[2] / variances[1] - 0.5) < 0.15
         assert abs(variances[4] / variances[2] - 0.5) < 0.15
-
-    def test_too_small_channel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fd_analog_uplink([np.zeros((5, 5))], unit_state(1), 1.0, 10, None)
 
 
 class TestAnalogDownlink:

@@ -326,6 +326,45 @@ def test_overflow_past_local_sgd_is_one_line_error(tmp_path, capsys, alpha,
     assert not out.exists()
 
 
+# A linear model at the largest step size: local SGD keeps the weights
+# finite, and the first digital uplink's sign-mean overflows.
+SIGN_MEAN_OVERFLOW = ("num_devices = 3\nsamples_per_device = 16\n"
+                      "test_samples = 30\nmodel = linear\n"
+                      "data = synthetic:classes=3\nalpha = 1e308\n")
+SIGN_MEAN_MESSAGE = ("weight update overflows the digital link's sign-mean "
+                     "at step size 1e+308")
+
+
+@pytest.mark.parametrize("link", ["dd", "da"])
+def test_digital_sign_mean_overflow_is_one_line_error(tmp_path, capsys,
+                                                      link):
+    config = tmp_path / "run.cfg"
+    config.write_text(SIGN_MEAN_OVERFLOW)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(config), "--protocol", "fl",
+                 "--link", link, "--T", "100", "--iters", "3",
+                 "--out", str(out)]) == 2
+    _one_line_error(capsys, SIGN_MEAN_MESSAGE)
+    assert not out.exists()
+
+
+def test_digital_sign_mean_overflow_warns_nothing(tmp_path):
+    # Under -W error a numpy RuntimeWarning would end the process first.
+    config = tmp_path / "run.cfg"
+    config.write_text(SIGN_MEAN_OVERFLOW)
+    out = tmp_path / "x.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fedsim.cli", "run",
+         "--config", str(config), "--protocol", "fl", "--link", "dd",
+         "--T", "100", "--iters", "3", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"fedsim: error: {SIGN_MEAN_MESSAGE}\n")
+    assert not out.exists()
+
+
 def test_huge_step_size_with_finite_logits_completes(tmp_path, capsys):
     # FL at 1e100 keeps its test logits finite: the run ends normally.
     config = tmp_path / "run.cfg"

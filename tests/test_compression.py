@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fedsim.compression import (
-    ErrorAccumulator, accumulate_error, log2_binomial,
-    max_sparsity_within_budget, quantize_rows, sparse_binary_compress,
-    top_k_indices, top_k_sparsify,
+from fedsim.analog_link import (
+    ProjectionMatrix, fl_analog_downlink, fl_analog_uplink,
 )
+from fedsim.channel import ChannelState
+from fedsim.compression import (
+    ErrorAccumulator, log2_binomial, max_sparsity_within_budget,
+    quantize_rows, sparse_binary_compress, top_k_indices, top_k_sparsify,
+)
+from fedsim.digital_link import BitBudget, fl_digital_decode, fl_digital_encode
+from test_digital_link import BUDGETS
 
 
 class TestSparseBinaryCompress:
@@ -145,24 +151,88 @@ class TestQuantizeRows:
                                    rtol=0, atol=1e-12)
 
 
+def scaled_rows(data, gen, rows, dim, label):
+    """A (rows, dim) block of uniform draws from (-1, 1) at a drawn
+    magnitude from 1e-150 to 1e150, or all zero (None)."""
+    exponent = data.draw(st.none() | st.floats(-150.0, 150.0), label=label)
+    if exponent is None:
+        return np.zeros((rows, dim))
+    return gen.uniform(-1.0, 1.0, (rows, dim)) * 10.0 ** exponent
+
+
+def analog_link_args(gen, devices, dim, uses):
+    """(projection, state, power, T, noise) of a noisy analog link with
+    drawn gains, for the FL links' arguments after q."""
+    gains = gen.standard_normal((2, devices)) \
+        + 1j * gen.standard_normal((2, devices))
+    return (ProjectionMatrix(2 * uses, dim, int(gen.integers(2 ** 32))),
+            ChannelState(*gains), 1.0, uses, gen)
+
+
 class TestErrorAccumulator:
+    """The error-feedback rule each weight sender applies to its
+    accumulator: pending = update + residual, and the new residual is
+    pending minus what was sent. A digital sender sends its payload as
+    decoded, an analog one the top q of pending."""
+
     def test_perfect_transmission(self):
-        acc = ErrorAccumulator.zeros(3)
-        u = np.array([1.0, -2.0, 3.0])
-        acc = accumulate_error(acc, u, u)
-        np.testing.assert_array_equal(acc.residual, np.zeros(3))
+        # Four equal entries at an ample budget: the sign-mean keeps them
+        # all. Top-q at q = W keeps every entry of an analog sender's.
+        update = np.full(4, 2.0)
+        acc = ErrorAccumulator(np.array([0.5, 0.5, 0.5, 0.5]))
+        payload, new = fl_digital_encode(update, acc, BitBudget(math.inf), 16)
+        np.testing.assert_array_equal(fl_digital_decode(payload, 4),
+                                      np.full(4, 2.5))
+        np.testing.assert_array_equal(new.residual, np.zeros(4))
+        gen = np.random.default_rng(5)
+        _, new = fl_analog_downlink(gen.standard_normal(4), acc, 4,
+                                    *analog_link_args(gen, 2, 4, 3))
+        np.testing.assert_array_equal(new.residual, np.zeros(4))
 
     def test_nothing_sent(self):
-        acc = ErrorAccumulator.zeros(3)
-        u = np.array([1.0, -2.0, 3.0])
-        acc = accumulate_error(acc, u, np.zeros(3))
-        np.testing.assert_array_equal(acc.residual, u)
+        update = np.array([1.0, -2.0, 3.0])
+        acc = ErrorAccumulator(np.array([0.25, 0.5, -4.0]))
+        payload, new = fl_digital_encode(update, acc, BitBudget(0.0), 16)
+        assert payload.is_empty
+        np.testing.assert_array_equal(new.residual, update + acc.residual)
 
-    def test_definitional(self):
-        gen = np.random.default_rng(3)
-        a, u, s = gen.standard_normal((3, 5))
-        acc = accumulate_error(ErrorAccumulator(a), u, s)
-        np.testing.assert_allclose(acc.residual, a + u - s)
+    @settings(max_examples=120, deadline=None)
+    @given(sender=st.sampled_from(["fl_digital_encode", "fl_analog_uplink",
+                                   "fl_analog_downlink"]),
+           dim=st.integers(1, 300), data=st.data())
+    def test_definitional(self, sender, dim, data):
+        # new residual == update + residual - sent, bit for bit.
+        gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        devices = data.draw(st.integers(1, 4), label="devices") \
+            if sender == "fl_analog_uplink" else 1
+        updates = scaled_rows(data, gen, devices, dim, "update magnitude")
+        residuals = scaled_rows(data, gen, devices, dim,
+                                "residual magnitude")
+        accs = [ErrorAccumulator(r) for r in residuals]
+        if sender == "fl_digital_encode":
+            budget = BitBudget(data.draw(BUDGETS, label="budget"))
+            bits = data.draw(st.integers(1, 53), label="bits")
+            payload, new = fl_digital_encode(updates[0], accs[0], budget,
+                                             bits)
+            new_accs, sent = [new], [fl_digital_decode(payload, dim)]
+        else:
+            q = data.draw(st.integers(1, dim), label="q")
+            uses = data.draw(st.integers(1, 200), label="uses")
+            link_args = analog_link_args(gen, devices, dim, uses)
+            if sender == "fl_analog_uplink":
+                _, new_accs = fl_analog_uplink(updates, accs, q, *link_args)
+            else:
+                _, new = fl_analog_downlink(updates[0], accs[0], q,
+                                            *link_args)
+                new_accs = [new]
+            sent = [top_k_sparsify(u + r, q)
+                    for u, r in zip(updates, residuals)]
+        assert len(new_accs) == devices
+        for new, update, residual, vector in zip(new_accs, updates,
+                                                 residuals, sent):
+            np.testing.assert_array_equal(new.residual,
+                                          update + residual - vector)
 
     def test_telescoping(self):
         # After N rounds: sum(sent) + residual == sum(updates).
@@ -173,16 +243,11 @@ class TestErrorAccumulator:
         total_sent = np.zeros(dim)
         for _ in range(100):
             update = gen.standard_normal(dim)
-            sent = top_k_sparsify(update + acc.residual, 5)
-            acc = accumulate_error(acc, update, sent)
+            payload, acc = fl_digital_encode(update, acc, BitBudget(40.0), 16)
             total_updates += update
-            total_sent += sent
+            total_sent += fl_digital_decode(payload, dim)
         np.testing.assert_allclose(total_sent + acc.residual, total_updates,
                                    rtol=1e-6, atol=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            accumulate_error(ErrorAccumulator.zeros(3), np.zeros(4), np.zeros(3))
 
 
 class TestLog2Binomial:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsim import audit, digital_link
 from fedsim.compression import (
@@ -12,7 +13,7 @@ from fedsim.digital_link import (
     BitBudget, downlink_budget, fd_digital_decode, fd_digital_encode,
     fl_digital_decode, fl_digital_encode, uplink_budget,
 )
-from fedsim.errors import DecodeError
+from fedsim.errors import DivergenceError
 
 
 def budget_of(bits):
@@ -160,15 +161,13 @@ class TestFlDigital:
         sent = fl_digital_decode(payload, 4)
         np.testing.assert_allclose(acc.residual, update - sent)
 
-    def test_corrupt_index_rejected(self):
-        update = np.array([4.0, -1.0, 0.5, -0.25])
-        payload, _ = fl_digital_encode(update, ErrorAccumulator.zeros(4),
-                                       budget_of(30.0), 16)
-        bad = payload.__class__(indices=np.array([7]),
-                                values=payload.values,
-                                bit_count=payload.bit_count)
-        with pytest.raises(DecodeError):
-            fl_digital_decode(bad, 4)
+    def test_sign_mean_overflow_is_a_divergence(self):
+        # Each kept entry is finite, their sum is not.
+        update = np.array([1e308, 1e308, -1.0, 0.0])
+        with pytest.raises(DivergenceError, match="^weight update overflows "
+                           "the digital link's sign-mean$"):
+            fl_digital_encode(update, ErrorAccumulator.zeros(4),
+                              budget_of(math.inf), 16)
 
 
 class TestFdDigital:
@@ -264,12 +263,33 @@ class TestFdDigital:
             q = 0 if payload.is_empty else payload.indices.shape[1]
             assert q == best, budget
 
-    @pytest.mark.parametrize("indices", [np.array([[0, 1], [1, 2]]),
-                                         np.array([[0, 1], [1, 3], [0, 2]]),
-                                         np.array([[0, -1], [1, 2], [0, 2]]),
-                                         np.array([0, 1, 2])])
-    def test_corrupt_indices_rejected(self, indices):
-        bad = SparsePayload(indices=indices, values=np.ones(indices.shape),
-                            bit_count=1.0)
-        with pytest.raises(DecodeError):
-            fd_digital_decode(bad, 3)
+
+# Bit budgets: none, a few bits (none to a handful of entries fit), ample
+# ones and no limit.
+BUDGETS = (st.just(0.0) | st.floats(0.0, 100.0) | st.floats(100.0, 1e5)
+           | st.just(math.inf))
+
+
+class TestPayloadBits:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["fl", "fd"]), budget=BUDGETS,
+           bits=st.integers(1, 53), data=st.data())
+    def test_every_payload_fits_its_budget(self, kind, budget, bits, data):
+        # Weight updates of 1 to 400 entries and L x L tables for L from 2
+        # to 40, their entries at magnitudes from 1e-150 to 1e150.
+        gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        if kind == "fl":
+            shape = (data.draw(st.integers(1, 400), label="dim"),)
+        else:
+            shape = (data.draw(st.integers(2, 40), label="L"),) * 2
+        exponent = data.draw(st.floats(-150.0, 150.0), label="magnitude")
+        values = gen.uniform(-1.0, 1.0, (2,) + shape) * 10.0 ** exponent
+        if kind == "fl":
+            payload, _ = fl_digital_encode(values[0],
+                                           ErrorAccumulator(values[1]),
+                                           budget_of(budget), bits)
+        else:
+            payload = fd_digital_encode(values[0], budget_of(budget), bits)
+        assert payload.bit_count <= budget
+        assert payload.is_empty == (payload.bit_count == 0.0)

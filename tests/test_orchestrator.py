@@ -17,7 +17,7 @@ from fedsim.compression import (
     MAX_QUANTIZER_BITS, ErrorAccumulator, top_k_sparsify,
 )
 from fedsim.datasets import LabeledDataset, load_dataset, partition_shards
-from fedsim.digital_link import fl_digital_decode
+from fedsim.digital_link import fl_digital_decode, fl_digital_encode
 from fedsim.errors import ConfigurationError
 from fedsim.learning import (
     MlpArchitecture, average_logits, init_weights, run_local_epochs,
@@ -244,6 +244,30 @@ class TestExchangeRules:
             assert bits_down > 0
             for w, w0 in zip(run.weights, before):
                 np.testing.assert_allclose(w - w0, sent, atol=1e-12)
+
+    def test_fl_empty_digital_broadcast_keeps_every_start(self, monkeypatch):
+        # A null downlink gain leaves the broadcast no bits: the server
+        # sends nothing and keeps the whole uplink average as its residual.
+        run = _Run(small_config(protocol="fl", num_devices=3, pu_db=10.0,
+                                pd_db=10.0))
+        self.hand_made_channel(monkeypatch, (1, 1, 1), (1, 0, 1))
+        payloads = []
+
+        def encode(update, acc, budget, bits):
+            payload, new_acc = fl_digital_encode(update, acc, budget, bits)
+            payloads.append(payload)
+            return payload, new_acc
+
+        monkeypatch.setattr(orchestrator, "fl_digital_encode", encode)
+        before = run.weights.copy()
+        bits_up, bits_down = run.step(1)
+        *up, down = payloads
+        assert len(up) == 3 and bits_up.all()
+        assert down.is_empty and bits_down == 0.0
+        np.testing.assert_array_equal(run.weights, before)
+        np.testing.assert_array_equal(
+            run.down_acc.residual,
+            np.mean([fl_digital_decode(p, run.dim) for p in up], axis=0))
 
     def test_offline_covariates_follow_the_target_rule(self):
         run = _Run(small_config(protocol="hfd", num_devices=3,
