@@ -61,7 +61,7 @@ from .channel import (
     ChannelState, check_frame_power, downlink_bc, frame_energies, uplink_mac,
 )
 from .compression import ErrorAccumulator, top_k_sparsify
-from .errors import ConfigurationError, DivergenceError
+from .errors import DivergenceError
 
 # AMP's threshold multiplier on the noise estimate, and both decoders'
 # iteration cap and the relative residual change that counts as a stall.
@@ -412,8 +412,6 @@ def _send_sparse(projection: ProjectionMatrix, update: np.ndarray,
     An update whose pending vector or projection overflows float64 raises
     DivergenceError instead of numpy's warnings.
     """
-    if projection.cols != update.size or projection.rows != out.size:
-        raise ConfigurationError("projection shape does not match link")
     with np.errstate(over="ignore", invalid="ignore"):
         pending = update + acc.residual
         sparse = top_k_sparsify(pending, q)

@@ -20,8 +20,8 @@ from .orchestrator import (
 # The value flags of `fedsim run`: (flag, settings key, help).
 _RUN_FLAGS = (
     ("--protocol", "protocol", "/".join(PROTOCOLS)),
-    ("--link", "link", "dd, da, ad or aa: uplink then downlink mode, "
-                       "d = digital, a = analog"),
+    ("--link", "link", "uplink then downlink mode, e.g. dd or ai: "
+                       "d = digital, a = analog, i = ideal"),
     ("--T", "channel_uses", "channel uses per direction, an integer"),
     ("--pu-db", "pu_db", "uplink SNR in dB"),
     ("--pd-db", "pd_db", "downlink SNR in dB, or pu+<offset>"),

@@ -1,14 +1,15 @@
-"""Experiment orchestration: four training protocols over four link modes.
+"""Experiment orchestration: four training protocols over nine link pairs.
 
 One experiment runs a fixed number of global iterations. Each iteration is
 a local training phase on every device followed by one exchange (IL skips
-it): each device sends a payload up a digital or analog link, the server
-averages what arrived, and the average is broadcast back down. FL sends
-weight updates, with error feedback on both sides; FD and HFD send (L, L)
-logit tables. `_Run.exchange` moves both kinds, and `_Run._codec` is the
-one place that picks the link calls for a kind. An empty weight payload
-is a zero update; a table exchange that delivers nothing keeps the
-previous targets.
+it): each device sends a payload up the uplink, the server averages what
+arrived, and the average is broadcast back down. Each direction is in one
+of three modes, digital, analog or ideal (exact, for 0 bits: the lossless
+reference beside a real direction). FL sends weight updates, with error
+feedback on both sides; FD and HFD send (L, L) logit tables.
+`_Run.exchange` moves both kinds, and `_Run._codec` is the one place that
+picks the link calls for a kind. An empty weight payload is a zero update;
+a table exchange that delivers nothing keeps the previous targets.
 
 Per-device state carries the device axis first: `_Run.weights` is (K, W),
 `_Run.targets` is (K, L, L) with the (K,) mask `has_target`, and payloads
@@ -53,7 +54,9 @@ from .learning import (
 )
 
 PROTOCOLS = ("il", "fl", "fd", "hfd")
-LINK_MODES = ("digital", "analog")
+LINK_MODES = ("digital", "analog", "ideal")
+# A `link` settings value, the uplink's and the downlink's initials: `ai`.
+LINK_CODES = {u[0] + d[0]: (u, d) for u in LINK_MODES for d in LINK_MODES}
 # pu_db and pd_db lie within this many dB of 0. Every protocol and link
 # pair runs clean there; from about 3000 dB the link arithmetic overflows
 # float64 (the MMSE factors first, then the 10^(dB/10) power itself).
@@ -87,7 +90,6 @@ def _check_logit_room(cfg, num_labels: int) -> None:
     """An analog logit exchange repeats the L x L table over the 2T reals."""
     uses_analog = "analog" in (cfg.uplink_mode, cfg.downlink_mode)
     if cfg.protocol in ("fd", "hfd") and uses_analog \
-            and not cfg.ideal_exchange \
             and 2 * cfg.channel_uses < num_labels ** 2:
         raise ConfigurationError(
             f"channel_uses: analog logit exchange needs 2T >= L^2; got T="
@@ -123,7 +125,6 @@ class ExperimentConfig:
     hfd_distill_steps: int = 5
     test_samples: int = 1000
     noise_enabled: bool = True
-    ideal_exchange: bool = False        # test affordance: lossless links
 
     def __post_init__(self):
         for field in fields(self):
@@ -132,8 +133,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"protocol: unknown value {self.protocol!r}")
         for name in ("uplink_mode", "downlink_mode"):
             if getattr(self, name) not in LINK_MODES:
-                raise ConfigurationError(f"{name} must be digital or analog, "
-                                         f"got {getattr(self, name)!r}")
+                raise ConfigurationError(f"{name} must be digital/analog/"
+                                         f"ideal, got {getattr(self, name)!r}")
         if self.quantizer_bits > MAX_QUANTIZER_BITS:
             raise ConfigurationError(
                 f"quantizer_bits must be at most {MAX_QUANTIZER_BITS} (the "
@@ -273,11 +274,10 @@ class _Run:
         self.down_acc = ErrorAccumulator.zeros(self.dim) if fl else None
         # One projection per direction in which FL sends weights over an
         # analog link, up (key 0) and down (key 1); None where none is sent.
-        sends = fl and not cfg.ideal_exchange
         self.proj_up, self.proj_down = (
             ProjectionMatrix(2 * cfg.channel_uses, self.dim,
                              streams.derive_seed(seed, streams.PROJECTION, d))
-            if sends and mode == "analog" else None
+            if fl and mode == "analog" else None
             for d, mode in enumerate((cfg.uplink_mode, cfg.downlink_mode)))
 
         # Device k's (L, L) logit-row target, once has_target[k] is set.
@@ -357,7 +357,7 @@ class _Run:
         air_down(x, acc) -> (per-device estimates, acc).
         Weight updates carry their error feedback in `acc`; tables carry
         none and pass it through. Each link function is looked up by its
-        name in this module when it runs.
+        name in this module when it runs; an ideal direction calls none.
         """
         cfg = self.cfg
         bits = cfg.quantizer_bits
@@ -385,25 +385,25 @@ class _Run:
         (received, contributed, bits_up, bits_down): row k of the block
         `received` is the average as device k got it, and contributed[k]
         says whether device k's payload reached that average (a digital
-        payload that does not fit its budget drops out). An empty weight
-        payload is a zero update: a weight average that no payload reached
-        still goes down as zeros, since sending it moves `down_acc`. An
-        empty table payload carries nothing: a table exchange with no
-        uplink survivor or an empty broadcast delivers nothing, and
-        received is None.
+        payload that does not fit its budget drops out). An ideal direction
+        is exact, sends 0 bits and leaves FL's error feedback on its side
+        at zero. An empty weight payload is a zero update: a weight average
+        that no payload reached still goes down as zeros, since sending it
+        moves `down_acc`. An empty table payload carries nothing: a table
+        exchange with no uplink survivor or an empty broadcast delivers
+        nothing, and received is None.
         """
         cfg = self.cfg
         k_dev = cfg.num_devices
         weights = cfg.protocol == "fl"
         bits_up, bits_down = np.zeros(k_dev), 0.0
         contributed = np.ones(k_dev, dtype=bool)
-        if cfg.ideal_exchange:
-            return (np.broadcast_to(np.mean(payloads, axis=0), payloads.shape),
-                    contributed, bits_up, bits_down)
         encode, decode, air_up, air_down = self._codec(state, noise_rng)
 
         average = None
-        if cfg.uplink_mode == "analog":
+        if cfg.uplink_mode == "ideal":
+            average = np.mean(payloads, axis=0)
+        elif cfg.uplink_mode == "analog":
             estimate, self.up_accs = air_up(payloads, self.up_accs)
             average = estimate / k_dev
         else:
@@ -423,7 +423,9 @@ class _Run:
                 average = np.zeros(self.dim)
 
         received = None
-        if average is not None and cfg.downlink_mode == "analog":
+        if average is not None and cfg.downlink_mode == "ideal":
+            received = np.broadcast_to(average, payloads.shape)
+        elif average is not None and cfg.downlink_mode == "analog":
             received, self.down_acc = air_down(average, self.down_acc)
         elif average is not None:
             budget = downlink_budget(cfg.channel_uses, state.downlink_gains,
@@ -441,6 +443,7 @@ class _Run:
         their weight update and add the received average to the weights
         they started the round with; FD and HFD devices send logit tables
         and take their `_target` of the received average as the new target.
+        Every round draws its channel, which an ideal direction never reads.
         """
         cfg = self.cfg
         k_dev = cfg.num_devices
@@ -449,14 +452,12 @@ class _Run:
         self.local_phase(iteration)
         if cfg.protocol == "il":
             return np.zeros(k_dev), 0.0
-        state = noise_rng = None
-        if not cfg.ideal_exchange:
-            state = sample_channel(
-                streams.derive_rng(cfg.master_seed, streams.CHANNEL, iteration),
-                k_dev)
-            if cfg.noise_enabled:
-                noise_rng = streams.derive_rng(cfg.master_seed, streams.NOISE,
-                                               iteration)
+        state = sample_channel(
+            streams.derive_rng(cfg.master_seed, streams.CHANNEL, iteration),
+            k_dev)
+        noise_rng = (streams.derive_rng(cfg.master_seed, streams.NOISE,
+                                        iteration)
+                     if cfg.noise_enabled else None)
         payloads = self.weights - start if weights else self.logit_tables()
         received, contributed, bits_up, bits_down = self.exchange(
             payloads, state, noise_rng)
@@ -506,8 +507,6 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
 # -- settings files ------------------------------------------------------
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-LINK_CODES = {"dd": ("digital", "digital"), "da": ("digital", "analog"),
-              "ad": ("analog", "digital"), "aa": ("analog", "analog")}
 
 
 @dataclass(frozen=True)
@@ -563,7 +562,7 @@ def parse_settings(text: str) -> dict:
     its values are read as; a sweep crosses the values and a config file
     gives one per key. Blank lines and # comments are skipped. `data` and
     `model` take the rest of the line as one value (`model = mlp:8,4`).
-    `link = dd, da, ad, aa` sets uplink_mode and downlink_mode together;
+    `link = dd, ai, ...` sets uplink_mode and downlink_mode together;
     `pd_db = pu+<offset>` follows each point's pu_db. A key may appear
     once (`link` sets both modes), and every value is checked here, so an
     error names its line.

@@ -20,7 +20,7 @@ from fedsim.channel import (
     POWER_RTOL, ChannelState, check_frame_power, downlink_bc, sample_channel,
 )
 from fedsim.compression import ErrorAccumulator, top_k_sparsify
-from fedsim.errors import ConfigurationError, DivergenceError
+from fedsim.errors import DivergenceError
 
 
 def unit_state(k):
@@ -763,24 +763,6 @@ class TestFlAnalogUplink:
             else:
                 fl_analog_uplink([update], [ErrorAccumulator.zeros(dim)],
                                  dim, proj, unit_state(1), 1.0, uses, None)
-
-    @pytest.mark.parametrize("rows,cols", [(202, 40), (200, 41)],
-                             ids=["rows", "cols"])
-    @pytest.mark.parametrize("downlink", [False, True],
-                             ids=["uplink", "downlink"])
-    def test_projection_shape_must_match_link(self, rows, cols, downlink):
-        # The link carries 2T = 200 reals of a W = 40 update.
-        dim, uses = 40, 100
-        proj = ProjectionMatrix(rows=rows, cols=cols, seed=4)
-        update = np.ones(dim)
-        with pytest.raises(ConfigurationError, match="^projection shape does "
-                           "not match link$"):
-            if downlink:
-                fl_analog_downlink(update, ErrorAccumulator.zeros(dim), 10,
-                                   proj, unit_state(2), 1.0, uses, None)
-            else:
-                fl_analog_uplink([update], [ErrorAccumulator.zeros(dim)], 10,
-                                 proj, unit_state(1), 1.0, uses, None)
 
 
 class TestFrameBlock:

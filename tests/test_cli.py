@@ -95,7 +95,8 @@ def test_settings_file_may_start_with_a_bom(tmp_path):
 
 def test_sweep_writes_one_csv_per_grid_point(tmp_path):
     grid = tmp_path / "grid.txt"
-    grid.write_text("protocol = il, fl\nlink = dd, aa\nchannel_uses = 20\n"
+    grid.write_text("protocol = il, fl\nlink = dd, aa, ii, ia\n"
+                    "channel_uses = 20\n"
                     "pu_db = 5\npd_db = pu+3\nnum_devices = 2\n"
                     "global_iterations = 1\nsamples_per_device = 10\n"
                     "test_samples = 30\nmodel = linear\n"
@@ -103,12 +104,14 @@ def test_sweep_writes_one_csv_per_grid_point(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 0
     names = sorted(p.name for p in out.iterdir())
-    assert names == [f"{p}_{link}_T20_pu5_pd8_seed0.csv"
-                     for p in ("fl", "il") for link in ("aa", "dd")]
+    assert names == [f"{p}_{link}_T20_pu5_pd8_seed0.csv" for p in ("fl", "il")
+                     for link in ("aa", "dd", "ia", "ii")]
     for name in names:
         records = read_metrics(out / name)
         assert len(records) == 1 + 2
         assert all(r.pd_db == 8.0 for r in records)
+        assert {(r.uplink_mode[0] + r.downlink_mode[0]) for r in records} \
+            == {name.split("_")[1]}
 
 
 def test_sweep_names_the_other_keys_its_grid_varies(tmp_path):
@@ -475,7 +478,9 @@ def test_out_of_range_db_is_one_line_error(tmp_path, capsys, args, message):
 @pytest.mark.parametrize("args,message", [
     (["--T", "1.5"], "--T: channel_uses expects an integer, got '1.5'"),
     (["--protocol", "bogus"], "--protocol: protocol: unknown value 'bogus'"),
-], ids=["T-1.5", "protocol-bogus"])
+    (["--link", "xy"], "--link: unknown link code 'xy'; pick one of "
+                       "dd/da/di/ad/aa/ai/id/ia/ii"),
+], ids=["T-1.5", "protocol-bogus", "link-xy"])
 def test_bad_flag_value_is_one_line_error(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"
     assert main(["run", "--out", str(out)] + args + COMMON) == 2

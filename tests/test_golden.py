@@ -37,8 +37,12 @@ fl_aa_T400, fl_ad_T400 and fl_da_T400; fd_aa_T16_seed0,
 fd_aa_T16_seed0_noiseless, and fd_aa_T400, fd_ad_T400 and fd_da_T400;
 hfd_aa_T16, and hfd_aa_T400, hfd_ad_T400 and hfd_da_T400 (seeds 0 and 1
 where none is named). Those sums change the last bits of the power scales
-and of some AMP iterates. To re-record both after an intended change in
-what is simulated:
+and of some AMP iterates. When "ideal" became a mode of each link
+direction in place of a config flag that bypassed both, the three
+{fl,fd,hfd}_ideal_T16_seed0 CSVs had their uplink and downlink columns
+recorded again, from digital,digital to ideal,ideal in every row; no other
+column and no digest changed. To re-record both after an intended change
+in what is simulated:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -80,8 +84,7 @@ def golden_configs():
                _config(protocol, up, down, t, seed))
     for protocol in ("fl", "fd", "hfd"):
         yield (f"{protocol}_ideal_T16_seed0.csv",
-               _config(protocol, "digital", "digital", 16, 0,
-                       ideal_exchange=True))
+               _config(protocol, "ideal", "ideal", 16, 0))
         yield (f"{protocol}_aa_T16_seed0_noiseless.csv",
                _config(protocol, "analog", "analog", 16, 0,
                        noise_enabled=False))

@@ -36,11 +36,14 @@ DB_VALUES = (st.floats(-400.0, 400.0)
              | st.sampled_from([-MAX_ABS_DB, MAX_ABS_DB]))
 
 
-def small_config(**kw):
+def small_config(link=None, **kw):
+    """A small run; `link`, a LINK_CODES key, sets both link modes."""
     base = dict(protocol="il", num_devices=2, channel_uses=50,
                 global_iterations=2, samples_per_device=10, test_samples=40,
                 data=SMALL_DATA, model="mlp:6", batch_size=5,
                 alpha=0.05, master_seed=3)
+    if link is not None:
+        base["uplink_mode"], base["downlink_mode"] = LINK_CODES[link]
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -66,7 +69,7 @@ class TestIlInvariance:
         link=LINKS, channel_uses=st.sampled_from([1, 2, 16, 200]),
         pu_db=st.floats(-MAX_ABS_DB, MAX_ABS_DB),
         pd_db=st.floats(-MAX_ABS_DB, MAX_ABS_DB),
-        noise_enabled=st.booleans(), ideal_exchange=st.booleans()))
+        noise_enabled=st.booleans()))
 
     @settings(max_examples=20, deadline=None)
     @given(a=CHANNEL, b=CHANNEL, num_devices=st.integers(1, 3),
@@ -112,8 +115,7 @@ class TestFlIdealOracle:
         return w
 
     def test_ideal_exchange_matches_oracle(self):
-        config = small_config(protocol="fl", ideal_exchange=True,
-                              global_iterations=3)
+        config = small_config(protocol="fl", link="ii", global_iterations=3)
         run = _Run(config)
         for iteration in range(1, config.global_iterations + 1):
             run.step(iteration)
@@ -123,13 +125,12 @@ class TestFlIdealOracle:
 
     def test_single_device_fl_degenerates_to_il(self):
         fl = run_experiment(small_config(protocol="fl", num_devices=1,
-                                         ideal_exchange=True))
+                                         link="ii"))
         il = run_experiment(small_config(protocol="il", num_devices=1))
         assert avg_accuracies(fl) == avg_accuracies(il)
 
     def test_one_round_two_device_hand_oracle(self):
-        config = small_config(protocol="fl", ideal_exchange=True,
-                              global_iterations=1)
+        config = small_config(protocol="fl", link="ii", global_iterations=1)
         run = _Run(config)
         w0 = run.weights[0].copy()
         np.testing.assert_array_equal(run.weights[1], w0)
@@ -149,8 +150,7 @@ class TestFlIdealOracle:
 
 class TestFdFixedPoint:
     def test_symmetric_devices_receive_their_own_table(self):
-        config = small_config(protocol="fd", num_devices=3,
-                              ideal_exchange=True)
+        config = small_config(protocol="fd", num_devices=3, link="ii")
         run = _Run(config)
         # Force symmetric devices: same shard, same weights.
         run.shards = [run.shards[0]] * 3
@@ -164,6 +164,63 @@ class TestFdFixedPoint:
                                contributed.sum())
         assert has.all()
         np.testing.assert_allclose(targets, tables, atol=1e-12)
+
+
+class TestIdealDirection:
+    """An ideal direction carries its payload exactly, for 0 bits: an ideal
+    uplink takes every device's payload into the mean, and an ideal
+    downlink hands every device the average. FL's error feedback on an
+    ideal side is never touched, so it stays zero."""
+
+    @staticmethod
+    def exchanges(monkeypatch, protocol, link):
+        """(run, [(payloads, received, contributed, bits_up, bits_down)])
+        of two steps over `link`."""
+        run = _Run(small_config(protocol=protocol, link=link, num_devices=3,
+                                channel_uses=16, pu_db=10.0, pd_db=10.0))
+        exchange, seen = run.exchange, []
+
+        def record(payloads, state, noise_rng):
+            out = exchange(payloads, state, noise_rng)
+            seen.append((payloads, *out))
+            return out
+
+        monkeypatch.setattr(run, "exchange", record)
+        run.step(1)
+        run.step(2)
+        return run, seen
+
+    @pytest.mark.parametrize("link", ["id", "ia", "ii"])
+    @pytest.mark.parametrize("protocol", ["fl", "fd", "hfd"])
+    def test_ideal_uplink_takes_every_payload_for_no_bits(
+            self, monkeypatch, protocol, link):
+        _, seen = self.exchanges(monkeypatch, protocol, link)
+        assert len(seen) == 2
+        for payloads, received, contributed, bits_up, _ in seen:
+            assert contributed.all() and not bits_up.any()
+            if link == "ii":
+                assert received.tobytes() == np.broadcast_to(
+                    np.mean(payloads, axis=0), payloads.shape).tobytes()
+
+    @pytest.mark.parametrize("link", ["di", "ai", "ii"])
+    @pytest.mark.parametrize("protocol", ["fl", "fd", "hfd"])
+    def test_ideal_downlink_hands_out_one_average_for_no_bits(
+            self, monkeypatch, protocol, link):
+        _, seen = self.exchanges(monkeypatch, protocol, link)
+        for _, received, _, _, bits_down in seen:
+            assert bits_down == 0.0
+            if received is not None:
+                assert (received == received[0]).all()
+
+    def test_fl_error_feedback_stays_zero_on_the_ideal_side(self,
+                                                            monkeypatch):
+        # q = 12 of W = 56 weights: an analog sender carries a residual.
+        ai, _ = self.exchanges(monkeypatch, "fl", "ai")
+        assert not ai.down_acc.residual.any()
+        assert all(acc.residual.any() for acc in ai.up_accs)
+        ia, _ = self.exchanges(monkeypatch, "fl", "ia")
+        assert not any(acc.residual.any() for acc in ia.up_accs)
+        assert ia.down_acc.residual.any()
 
 
 class TestExchangeRules:
@@ -472,7 +529,7 @@ class TestProjectionDraw:
                 assert getattr(proj, drawn).tobytes() \
                     == getattr(fresh, drawn).tobytes()
 
-    @pytest.mark.parametrize("link", ["aa", "ad", "da"])
+    @pytest.mark.parametrize("link", ["aa", "ad", "da", "ai", "ia"])
     def test_fl_holds_one_projection_per_analog_link(self, link):
         run = self.fl_run(link)
         held = [run.proj_up, run.proj_down]
@@ -491,16 +548,11 @@ class TestProjectionDraw:
                 assert proj.backproject(z).tobytes() == \
                     fresh.backproject(z).tobytes()
 
-    @pytest.mark.parametrize("protocol,link,ideal", [
-        ("il", "aa", False), ("fd", "aa", False), ("hfd", "aa", False),
-        ("fl", "dd", False), ("fl", "aa", True)],
+    @pytest.mark.parametrize("protocol,link", [
+        ("il", "aa"), ("fd", "aa"), ("hfd", "aa"), ("fl", "dd"), ("fl", "ii")],
         ids=["il", "fd", "hfd", "fl-digital", "fl-ideal"])
-    def test_runs_without_weight_projections_draw_none(self, protocol, link,
-                                                       ideal):
-        up, down = LINK_CODES[link]
-        run = _Run(small_config(protocol=protocol, uplink_mode=up,
-                                downlink_mode=down, channel_uses=16,
-                                ideal_exchange=ideal))
+    def test_runs_without_weight_projections_draw_none(self, protocol, link):
+        run = _Run(small_config(protocol=protocol, link=link, channel_uses=16))
         run.step(1)
         run.step(2)
         assert [run.proj_up, run.proj_down] == [None, None]
@@ -526,8 +578,7 @@ class TestProtocolsRun:
            channel_uses=st.sampled_from([1, 2, 3, 5, 8, 16, 50, 200]),
            quantizer_bits=st.integers(1, MAX_QUANTIZER_BITS),
            reg_weight=st.floats(0.0, 1.0), pu_db=DB_VALUES, pd_db=DB_VALUES,
-           noise_enabled=st.booleans(), ideal_exchange=st.booleans(),
-           classes=st.integers(2, 4),
+           noise_enabled=st.booleans(), classes=st.integers(2, 4),
            model=st.sampled_from(["linear", "mlp:3", "mlp:4,2"]),
            seed=st.integers(0, 2 ** 16))
     def test_every_accepted_small_config_runs(self, link, classes, seed,
@@ -552,14 +603,16 @@ class TestProtocolsRun:
         assert all(r.bits_sent_uplink >= 0 and r.bits_sent_downlink >= 0
                    for r in records)
         # Every check fired where a frame or a payload was built. An analog
-        # downlink carries a table only if some digital uplink table got
-        # through; a payload that drops out never reaches the budget check.
+        # downlink carries a table only if the uplink delivered one: an
+        # analog or ideal uplink always does, a digital one only if some
+        # table got through. A payload that drops out never reaches the
+        # budget check.
         assert audit.violations == 0
         sent_up = any(r.bits_sent_uplink > 0 for r in records)
         sent = sent_up or any(r.bits_sent_downlink > 0 for r in records)
-        framed = link[0] == "analog" or (
-            link[1] == "analog" and (config.protocol == "fl" or sent_up))
-        if config.protocol != "il" and not config.ideal_exchange and framed:
+        framed = link[0] == "analog" or link[1] == "analog" and (
+            config.protocol == "fl" or link[0] == "ideal" or sent_up)
+        if config.protocol != "il" and framed:
             assert audit.power_checks > 0
         if sent:
             assert audit.budget_checks > 0
@@ -580,8 +633,13 @@ class TestProtocolsRun:
                              channel_uses=24, **seven)
         ExperimentConfig(protocol="fd", uplink_mode="analog", channel_uses=25,
                          **seven)
-        ExperimentConfig(protocol="fd", uplink_mode="analog", channel_uses=24,
-                         ideal_exchange=True, **seven)
+        # An ideal direction sends no frame; the analog one beside it does.
+        for link in ("ia", "ai"):
+            with pytest.raises(ConfigurationError, match="got T=24, L=7"):
+                small_config(protocol="fd", link=link, channel_uses=24,
+                             **seven)
+        for link in ("ii", "di"):
+            small_config(protocol="fd", link=link, channel_uses=24, **seven)
         ExperimentConfig(protocol="fl", uplink_mode="analog", channel_uses=1,
                          **seven)
 
@@ -701,7 +759,7 @@ class TestConfigParsing:
             samples_per_device=11, master_seed=9,
             data="synthetic:classes=3,dim=6", model="mlp:8,4",
             hfd_distill_steps=2, test_samples=50,
-            noise_enabled=False, ideal_exchange=True)
+            noise_enabled=False)
         assert all(getattr(config, f.name) != f.default
                    for f in dataclasses.fields(ExperimentConfig))
         text = "\n".join(f"{f.name} = {getattr(config, f.name)}"
@@ -733,8 +791,8 @@ class TestConfigParsing:
         ("alpha", float("nan")), ("alpha", float("inf")),
         ("pu_db", "3"), ("pu_db", True), ("pd_db", None),
         ("reg_weight", "0.5"), ("alpha", "0.1"),
-        ("noise_enabled", "no"), ("ideal_exchange", "false"),
-        ("ideal_exchange", 1), ("model", "mlp:x"), ("model", None),
+        ("noise_enabled", "no"), ("noise_enabled", 1),
+        ("model", "mlp:x"), ("model", None),
         ("model", "mlp:"), ("model", "mlp:8,"), ("model", "mlp:,8"),
         ("model", "mlp:8,,4"),
         ("data", "synthetic:dimm=4"), ("data", "synthetic_typo"),
@@ -760,7 +818,7 @@ class TestConfigParsing:
     def test_numeric_and_numpy_values_accepted(self):
         config = ExperimentConfig(pu_db=3, pd_db=np.float64(7.5), alpha=1,
                                   reg_weight=np.float32(0.25),
-                                  ideal_exchange=np.bool_(True))
+                                  noise_enabled=np.bool_(False))
         assert config.uplink_power == pytest.approx(10 ** 0.3)
 
     @pytest.mark.parametrize("text,pattern", [
@@ -774,7 +832,7 @@ class TestConfigParsing:
         ("noise_enabled = maybe\n",
          "^line 1: noise_enabled expects a boolean, got 'maybe'$"),
         ("protocol = fl\nuplink_mode = analgo\n",
-         "^line 2: uplink_mode must be digital or analog, got 'analgo'$"),
+         "^line 2: uplink_mode must be digital/analog/ideal, got 'analgo'$"),
     ])
     def test_bad_line_names_key_and_line(self, text, pattern):
         with pytest.raises(ConfigurationError, match=pattern):
@@ -784,7 +842,8 @@ class TestConfigParsing:
         ("fl_analog_q = 5", "unknown config key 'fl_analog_q'"),
         ("logit_sample_size = 6", "unknown config key 'logit_sample_size'"),
         ("data = synthetic:flip=0.1", "unknown synthetic option 'flip'"),
-    ], ids=["fl_analog_q", "logit_sample_size", "flip"])
+        ("ideal_exchange = true", "unknown config key 'ideal_exchange'"),
+    ], ids=["fl_analog_q", "logit_sample_size", "flip", "ideal_exchange"])
     def test_removed_setting_names_its_line(self, line, pattern):
         with pytest.raises(ConfigurationError, match=f"^line 2: .*{pattern}"):
             parse_settings(f"protocol = fd\n{line}\n")
