@@ -199,9 +199,7 @@ def precompensate(frames: np.ndarray, gains, power: float):
 
 def mmse_factor_uplink(gammas: np.ndarray, habs: np.ndarray) -> float:
     """Scalar MMSE factor for the coherent multi-access superposition."""
-    amps = np.asarray(gammas, dtype=np.float64) * np.asarray(habs, dtype=np.float64)
-    if amps.size < 1:
-        raise ValueError("need at least one transmitter")
+    amps = gammas * habs
     return float(amps.sum() / (0.5 + np.sum(amps ** 2)))
 
 
@@ -462,7 +460,6 @@ def fl_analog_uplink(updates, accs, q: int, projection: ProjectionMatrix,
     exactly what was put on the air (the sparsified vector), not by what
     the receiver recovered.
     """
-    updates = np.asarray(updates, dtype=np.float64)
     frames = np.zeros((len(updates), channel_uses), dtype=np.complex128)
     new_accs = [_send_sparse(projection, u, acc, q, row)
                 for u, acc, row in zip(updates, accs,
@@ -475,7 +472,6 @@ def fd_analog_uplink(tables, state: ChannelState, power: float,
                      channel_uses: int, noise_rng) -> np.ndarray:
     """One over-the-air round for the (K, L, L) block of logit tables:
     returns the table-sum estimate."""
-    tables = np.asarray(tables, dtype=np.float64)
     frames = np.zeros((len(tables), channel_uses), dtype=np.complex128)
     rho = _repeat_table(tables, frames)
     received = _uplink(frames, state, power, noise_rng)
@@ -492,8 +488,8 @@ def fl_analog_downlink(update: np.ndarray, acc: ErrorAccumulator, q: int,
     `cs_decode` call, in device order, into its row of the estimate block.
     """
     frames = np.zeros((1, channel_uses), dtype=np.complex128)
-    new_acc = _send_sparse(projection, np.asarray(update, dtype=np.float64),
-                           acc, q, frames.view(np.float64)[0])
+    new_acc = _send_sparse(projection, update, acc, q,
+                           frames.view(np.float64)[0])
     receptions = _downlink(frames, state, power, noise_rng)
     estimates = np.empty((len(receptions), projection.cols))
     # `cs_decode` is looked up when each call runs, so a wrapper patched
@@ -507,7 +503,6 @@ def fd_analog_downlink(table: np.ndarray, state: ChannelState, power: float,
                        channel_uses: int, noise_rng) -> np.ndarray:
     """Broadcast a logit table analogically; returns the (K, L, L) block of
     the devices' table estimates."""
-    table = np.asarray(table, dtype=np.float64)
     frames = np.zeros((1, channel_uses), dtype=np.complex128)
     rho = _repeat_table(table[None], frames)
     return _mean_table(_downlink(frames, state, power, noise_rng), rho,

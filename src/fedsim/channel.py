@@ -75,8 +75,6 @@ def check_frame_power(frames: np.ndarray, power_budget: float) -> None:
 
 def sample_channel(rng: np.random.Generator, num_devices: int) -> ChannelState:
     """Draw fresh unit-variance complex Gaussian gains for both directions."""
-    if num_devices < 1:
-        raise ValueError("need at least one device")
     gains = _complex_gaussian(rng, (2, num_devices))
     return ChannelState(uplink_gains=gains[0], downlink_gains=gains[1])
 

@@ -7,6 +7,7 @@ means `pd_db = pu+10`.
 """
 
 import argparse
+import codecs
 import os
 import sys
 
@@ -33,14 +34,24 @@ _RUN_FLAGS = (
 
 
 def _read_settings(path) -> dict:
+    """The settings of a UTF-8 file, which may start with a byte order mark;
+    a byte that is not UTF-8 is an error on its line."""
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8-sig") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            data = f.read().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read settings file {path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "?" stands for the bad byte, which begins a line or continues the
+        # last one; `splitlines` counts lines as `parse_settings` does.
+        number = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ConfigurationError(
+            f"{path}: line {number}: not UTF-8 text") from None
     return parse_settings(text)
 
 
@@ -66,6 +77,8 @@ def cmd_run(args) -> int:
             f"the settings describe {len(configs)} runs; fedsim run takes "
             f"one, use fedsim sweep for a grid")
     config = configs[0]
+    if not args.out:
+        raise ConfigurationError("--out: the CSV path is empty")
     directory = os.path.dirname(args.out) or "."
     if not os.path.isdir(directory):
         raise ConfigurationError(f"cannot write {args.out}: no directory "

@@ -17,17 +17,15 @@ LN2 = math.log(2.0)
 
 
 def sparse_binary_compress(u: np.ndarray, q: int) -> np.ndarray:
-    """Keep the q largest and q smallest entries, collapse to one sign's mean.
+    """Keep the q largest and q smallest entries (1 <= q, 2q <= u.size),
+    collapse to one sign's mean.
 
     Among the 2q kept entries, the positives are averaged to mu_plus and the
     negatives to mu_minus (an empty side averages to 0). If mu_plus exceeds
     |mu_minus| the kept positives are set to mu_plus and everything else is
     zeroed; otherwise the kept negatives are set to mu_minus.
     """
-    u = np.asarray(u, dtype=np.float64)
     n = u.size
-    if q < 1 or 2 * q > n:
-        raise ValueError(f"need 1 <= q and 2q <= dim, got q={q}, dim={n}")
     order = np.argsort(u, kind="stable")
     kept = np.concatenate([order[:q], order[n - q:]])
     kept_vals = u[kept]
@@ -44,10 +42,8 @@ def sparse_binary_compress(u: np.ndarray, q: int) -> np.ndarray:
 
 
 def top_k_sparsify(u: np.ndarray, q: int) -> np.ndarray:
-    """Zero all entries except the q of largest magnitude (values preserved)."""
-    u = np.asarray(u, dtype=np.float64)
-    if q < 0 or q > u.size:
-        raise ValueError(f"need 0 <= q <= dim, got q={q}, dim={u.size}")
+    """Zero all entries except the q (0 <= q <= u.size) of largest
+    magnitude (values preserved)."""
     if q == u.size:
         return u.copy()
     out = np.zeros_like(u)
@@ -71,19 +67,14 @@ MAX_QUANTIZER_BITS = 53
 
 
 def quantize_rows(values: np.ndarray, bits: int) -> np.ndarray:
-    """Mid-tread uniform quantization of each row onto 2^bits levels.
+    """Mid-tread uniform quantization of each row onto 2^bits levels,
+    1 <= bits <= MAX_QUANTIZER_BITS.
 
     A row is the last axis. Its levels span [min(row), max(row)], and that
     range is assumed conveyed to the decoder out of band. Returns the
     reconstructed values, which are what the decoder reads; a flat row (all
     values equal) comes back exactly.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if not 1 <= bits <= MAX_QUANTIZER_BITS:
-        raise ValueError(f"need 1 to {MAX_QUANTIZER_BITS} bits per value, "
-                         f"got {bits}")
-    if values.size == 0:
-        raise ValueError("nothing to quantize")
     lo = values.min(axis=-1, keepdims=True)
     hi = values.max(axis=-1, keepdims=True)
     levels = 2 ** bits - 1
@@ -115,16 +106,16 @@ class ErrorAccumulator:
 
 
 def log2_binomial(n: int, k: int) -> float:
-    """log2 of C(n, k), stable for n up to 1e7 via log-gamma sums."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    """log2 of C(n, k), 0 <= k <= n, stable for n up to 1e7 via log-gamma
+    sums."""
     if k == 0 or k == n:
         return 0.0
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
 
 
 def max_sparsity_within_budget(budget: float, cost, q_max: int) -> int:
-    """Largest q in [1, q_max] with cost(q) <= budget, or 0 if none fits.
+    """Largest q in [1, q_max], q_max >= 1, with cost(q) <= budget, or 0 if
+    none fits.
 
     The search is a bisection over the feasibility boundary, checked
     exactly at the returned point. It is exact when the step
@@ -133,8 +124,6 @@ def max_sparsity_within_budget(budget: float, cost, q_max: int) -> int:
     prefix. cost need not be monotone: FD's step L * (bits + log2((L - q) /
     (q + 1))) turns negative near q = L.
     """
-    if q_max < 1:
-        return 0
     if cost(1) > budget:
         return 0
     if cost(q_max) <= budget:

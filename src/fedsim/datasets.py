@@ -183,11 +183,9 @@ def load_dataset(descriptor: str, count: int,
 
 def partition_shards(dataset: LabeledDataset, num_devices: int,
                      samples_per_device: int, rng: np.random.Generator):
-    """Disjoint random shards for each device plus the untouched remainder."""
+    """Disjoint random shards for each device plus the untouched remainder;
+    the dataset holds at least num_devices * samples_per_device samples."""
     needed = num_devices * samples_per_device
-    if needed > len(dataset):
-        raise ValueError(
-            f"cannot carve {needed} training samples out of {len(dataset)}")
     order = rng.permutation(len(dataset))
     shards = [dataset.subset(order[k * samples_per_device:
                                    (k + 1) * samples_per_device])

@@ -73,7 +73,6 @@ def fl_digital_encode(update: np.ndarray, acc: ErrorAccumulator,
     vector or sign-mean that overflows float64 raises DivergenceError
     instead of numpy's warnings.
     """
-    update = np.asarray(update, dtype=np.float64)
     dim = update.size
 
     def cost(q):
@@ -115,17 +114,15 @@ def fl_digital_decode(payload: SparsePayload, dim: int) -> np.ndarray:
 
 def fd_digital_encode(table: np.ndarray, budget: BitBudget,
                       bits: int) -> SparsePayload:
-    """Compress an L x L logit table: per-row magnitude top-q plus quantizer.
+    """Compress an L x L logit table, L >= 2: per-row magnitude top-q plus
+    quantizer.
 
     One q is chosen for the whole table, the largest with
     L * (bits * q + log2 C(L, q)) within budget. Each row keeps its own
     quantizer range (`quantize_rows`). Infeasible budgets yield an empty
     payload.
     """
-    table = np.asarray(table, dtype=np.float64)
-    num_labels = table.shape[0]
-    if table.ndim != 2 or table.shape[1] != num_labels or num_labels < 2:
-        raise ValueError("expected a square logit table with L >= 2")
+    num_labels = len(table)
 
     def cost(q):
         return num_labels * (bits * q + log2_binomial(num_labels, q))

@@ -84,16 +84,13 @@ def _unpack(w: np.ndarray, arch: MlpArchitecture):
         bias = w[pos:pos + fan_out]
         pos += fan_out
         layers.append((mat, bias))
-    if pos != w.size:
-        raise ValueError(f"weight vector of length {w.size}, architecture "
-                         f"needs {arch.param_count}")
     return layers
 
 
 def forward_logits_batch(w: np.ndarray, covariates: np.ndarray,
                          arch: MlpArchitecture) -> np.ndarray:
-    layers = _unpack(np.asarray(w, dtype=np.float64), arch)
-    x = np.asarray(covariates, dtype=np.float64)
+    layers = _unpack(w, arch)
+    x = covariates
     for mat, bias in layers[:-1]:
         x = x @ mat
         x += bias
@@ -106,7 +103,6 @@ def forward_logits_batch(w: np.ndarray, covariates: np.ndarray,
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax along the last axis."""
-    logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
@@ -120,12 +116,11 @@ def _pass(covariates, labels, arch, target_table, reg_weight):
     target_row being its label's row of `target_table`; it is the one-hot
     row exactly when no table is given or reg_weight is 0.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     rows = np.eye(arch.num_classes)[labels]
     if target_table is not None and reg_weight > 0.0:
         rows *= 1.0 - reg_weight
         rows += reg_weight * softmax(target_table)[labels]
-    return np.asarray(covariates, dtype=np.float64), rows
+    return covariates, rows
 
 
 def _descend(w, arch, alpha, passes, batch_size):
@@ -298,10 +293,9 @@ def hfd_distill_step(w: np.ndarray, covariates: np.ndarray,
 
 def evaluate_accuracy(w: np.ndarray, test: LabeledDataset,
                       arch: MlpArchitecture) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest label.
-    Test logits that overflow raise DivergenceError."""
-    if len(test) == 0:
-        raise ValueError("empty test set")
+    """Fraction of argmax-correct predictions over a test set of at least
+    one sample; ties go to the lowest label. Test logits that overflow
+    raise DivergenceError."""
     with np.errstate(over="ignore", invalid="ignore"):
         logits = forward_logits_batch(w, test.covariates, arch)
     if not np.all(np.isfinite(logits)):

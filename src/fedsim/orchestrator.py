@@ -28,7 +28,6 @@ pulls the prediction for that label toward 1/L. Everything is
 deterministic given the master seed."""
 
 import itertools
-import math
 import numbers
 import sys
 from dataclasses import astuple, dataclass, fields
@@ -191,13 +190,6 @@ class MetricsRecord:
     test_accuracy: float
     bits_sent_uplink: float
     bits_sent_downlink: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.test_accuracy <= 1.0:
-            raise ValueError("accuracy must lie in [0, 1]")
-        if not (0 <= self.bits_sent_uplink < math.inf
-                and 0 <= self.bits_sent_downlink < math.inf):
-            raise ValueError("bit counters must be finite and non-negative")
 
 
 def _fmt(value) -> str:

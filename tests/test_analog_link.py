@@ -77,7 +77,7 @@ class TestComplexFrames:
         scale = reference_scale(payload[0], 1.0, 3)
         np.testing.assert_allclose(sent[0], [[scale * (3 - 4j), scale * 1j,
                                               0j]], rtol=1e-12)
-        factor = mmse_factor_uplink([scale], [1.0])
+        factor = mmse_factor_uplink(np.array([scale]), np.array([1.0]))
         np.testing.assert_allclose(estimate, factor * scale * payload[0],
                                    rtol=1e-12)
 
@@ -805,7 +805,7 @@ class TestFdAnalog:
         labels, uses = 4, 100
         table = gen.standard_normal((labels, labels))
         state = unit_state(1)
-        estimate = fd_analog_uplink([table], state, power=2.0,
+        estimate = fd_analog_uplink(table[None], state, power=2.0,
                                     channel_uses=uses, noise_rng=None)
         # Noiseless single device: output = (nu * gamma) * table exactly.
         gamma = reference_scale(repeated(table, uses)[1], 2.0, uses)
@@ -816,7 +816,7 @@ class TestFdAnalog:
 
     def test_zero_tables_zero_estimate(self):
         state = unit_state(2)
-        estimate = fd_analog_uplink([np.zeros((3, 3))] * 2, state, 1.0, 50,
+        estimate = fd_analog_uplink(np.zeros((2, 3, 3)), state, 1.0, 50,
                                     None)
         np.testing.assert_array_equal(estimate, np.zeros((3, 3)))
 
@@ -831,7 +831,7 @@ class TestFdAnalog:
             errs = []
             for trial in range(400):
                 state = unit_state(1)
-                est = fd_analog_uplink([table], state, power, uses,
+                est = fd_analog_uplink(table[None], state, power, uses,
                                        np.random.default_rng(1000 + trial))
                 errs.append((est - table).ravel())
             variances[rho_target] = np.var(np.concatenate(errs))

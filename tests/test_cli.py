@@ -257,6 +257,23 @@ def test_missing_settings_file_is_one_line_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--config"],
+                                     ["sweep", "--grid"]])
+@pytest.mark.parametrize("data,line", [
+    (b"protocol = fd\n\xff\xfe = 1\n", 2),
+    (b"\xef\xbb\xbfprotocol = fd\r\n\r\nalpha = 0.1 # \xe9\n", 3),
+    (b"model = linear\n\xc3", 2),
+])
+def test_settings_file_not_utf8_is_one_line_error(tmp_path, capsys, command,
+                                                  data, line):
+    settings = tmp_path / "bad.txt"
+    settings.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(command + [str(settings), "--out", str(out)]) == 2
+    _one_line_error(capsys, f"{settings}: line {line}: not UTF-8 text")
+    assert not out.exists()
+
+
 def _one_line_error(capsys, message):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"fedsim: error: {message}\n")
@@ -420,6 +437,8 @@ def test_run_checks_its_output_directory_before_running(tmp_path, capsys,
     out.mkdir()
     assert main(["run", "--out", str(out)] + COMMON) == 2
     _one_line_error(capsys, f"cannot write {out}: it is a directory")
+    assert main(["run", "--out", ""] + COMMON) == 2
+    _one_line_error(capsys, "--out: the CSV path is empty")
 
 
 def _idx_pair(tmp_path, labels):

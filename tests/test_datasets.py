@@ -127,9 +127,3 @@ class TestPartition:
         seen = np.concatenate([s.covariates[:, 0] for s in shards]
                               + [rest.covariates[:, 0]])
         assert np.unique(seen).size == 100
-
-    def test_too_small_pool(self):
-        data = generate_synthetic(2, 3, 10, np.random.default_rng(5),
-                                  **OPTIONS)
-        with pytest.raises(ValueError):
-            partition_shards(data, 3, 4, np.random.default_rng(6))

@@ -499,14 +499,6 @@ class TestEvaluateAccuracy:
             w = sgd_step(w, (data.covariates, data.labels), 0.5, arch)
         assert evaluate_accuracy(w, data, arch) == 1.0
 
-    def test_empty_test_set_rejected(self):
-        arch = small_arch()
-        with pytest.raises(ValueError):
-            evaluate_accuracy(np.zeros(arch.param_count),
-                              LabeledDataset(np.ones((1, 3)),
-                                             np.array([0]), 2).subset([]),
-                              arch)
-
 
 class TestLocalEpochs:
     def test_deterministic_given_stream(self):

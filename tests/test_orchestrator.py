@@ -602,6 +602,8 @@ class TestProtocolsRun:
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
         assert all(r.bits_sent_uplink >= 0 and r.bits_sent_downlink >= 0
                    for r in records)
+        assert all(math.isfinite(r.bits_sent_uplink)
+                   and math.isfinite(r.bits_sent_downlink) for r in records)
         # Every check fired where a frame or a payload was built. An analog
         # downlink carries a table only if the uplink delivered one: an
         # analog or ideal uplink always does, a digital one only if some
@@ -698,13 +700,6 @@ class TestMetricsCsv:
         row = path.read_text().splitlines()[1]
         assert "0.333333" in row
 
-    @pytest.mark.parametrize("up,down", [(math.nan, math.inf), (0.0, math.inf),
-                                         (math.nan, 0.0), (-1.0, 0.0)])
-    def test_bad_bit_counter_rejected(self, up, down):
-        with pytest.raises(ValueError, match="bit counters must be finite "
-                                             "and non-negative"):
-            self.rec(bits_sent_uplink=up, bits_sent_downlink=down)
-
     def test_field_order_fixed(self, tmp_path):
         path = tmp_path / "m.csv"
         write_metrics([self.rec()], path)
@@ -787,7 +782,7 @@ class TestConfigParsing:
             ExperimentConfig(reg_weight=1.5)
 
     @pytest.mark.parametrize("key,value", [
-        ("num_devices", 2.5),
+        ("num_devices", 2.5), ("num_devices", 0), ("test_samples", 0),
         ("alpha", float("nan")), ("alpha", float("inf")),
         ("pu_db", "3"), ("pu_db", True), ("pd_db", None),
         ("reg_weight", "0.5"), ("alpha", "0.1"),
@@ -800,7 +795,8 @@ class TestConfigParsing:
         ("data", "synthetic:flip=1.5"), ("data", "synthetic:noise=nan"),
         ("data", "synthetic:spread=-0.1"),
         ("data", "synthetic:classes=2,classes=3"),
-        ("quantizer_bits", 54), ("quantizer_bits", 64),
+        ("quantizer_bits", 0), ("quantizer_bits", 54),
+        ("quantizer_bits", 64),
         ("pu_db", 4000.0), ("pu_db", 3070), ("pd_db", 3000.0),
         ("pu_db", MAX_ABS_DB + 0.5), ("pd_db", -MAX_ABS_DB - 0.5),
         ("pu_db", float("-inf")), ("pd_db", float("nan")),
