@@ -140,6 +140,8 @@ def _sweep_points(settings: dict) -> list:
 
 def cmd_sweep(args) -> int:
     points = _sweep_points(_read_settings(args.grid))
+    if not args.out:
+        raise ConfigurationError("--out: the directory path is empty")
     os.makedirs(args.out, exist_ok=True)
     print(f"sweep: {len(points)} runs -> {args.out}")
     for config, name in points:

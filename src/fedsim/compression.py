@@ -8,6 +8,7 @@ capacity budget. `ErrorAccumulator` records a weight sender's error
 feedback, whose arithmetic the senders do themselves.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -47,8 +48,6 @@ def top_k_sparsify(u: np.ndarray, q: int) -> np.ndarray:
     if q == u.size:
         return u.copy()
     out = np.zeros_like(u)
-    if q == 0:
-        return out
     idx = top_k_indices(u, q)
     out[idx] = u[idx]
     return out
@@ -107,9 +106,7 @@ class ErrorAccumulator:
 
 def log2_binomial(n: int, k: int) -> float:
     """log2 of C(n, k), 0 <= k <= n, stable for n up to 1e7 via log-gamma
-    sums."""
-    if k == 0 or k == n:
-        return 0.0
+    sums; exactly 0.0 at k = 0 and k = n, where lgamma(1) is 0.0."""
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
 
 
@@ -117,25 +114,19 @@ def max_sparsity_within_budget(budget: float, cost, q_max: int) -> int:
     """Largest q in [1, q_max], q_max >= 1, with cost(q) <= budget, or 0 if
     none fits.
 
-    The search is a bisection over the feasibility boundary, checked
-    exactly at the returned point. It is exact when the step
+    Past the check of q_max, `bisect` finds the first q in [1, q_max) for
+    which the predicate "cost(q) misses the budget" holds, or q_max if none
+    does; the q before it is the answer. That is exact when the step
     cost(q + 1) - cost(q) never grows with q. Then the q that miss the
-    budget form one interval, so once q_max misses it the q that fit form a
-    prefix. cost need not be monotone: FD's step L * (bits + log2((L - q) /
-    (q + 1))) turns negative near q = L.
+    budget form one interval, so once q_max misses it the q that fit form
+    a prefix and the predicate is False, then True. cost need not be
+    monotone: FD's step L * (bits + log2((L - q) / (q + 1))) turns negative
+    near q = L.
     """
-    if cost(1) > budget:
-        return 0
     if cost(q_max) <= budget:
         return q_max
-    lo, hi = 1, q_max  # cost(lo) <= budget < cost(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cost(mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect.bisect_left(range(1, q_max), True,
+                              key=lambda q: cost(q) > budget)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ arrived, and the average is broadcast back down. Each direction is in one
 of three modes, digital, analog or ideal (exact, for 0 bits: the lossless
 reference beside a real direction). FL sends weight updates, with error
 feedback on both sides; FD and HFD send (L, L) logit tables.
-`_Run.exchange` moves both kinds, and `_Run._codec` is the one place that
-picks the link calls for a kind. An empty weight payload is a zero update;
-a table exchange that delivers nothing keeps the previous targets.
+`_Run.exchange` moves both kinds, through the `fl_*` link functions for
+weights and the `fd_*` ones for tables. An empty weight payload is a zero
+update; a table exchange that delivers nothing keeps the previous targets.
 
 Per-device state carries the device axis first: `_Run.weights` is (K, W),
 `_Run.targets` is (K, L, L) with the (K,) mask `has_target`, and payloads
@@ -151,13 +151,13 @@ class ExperimentConfig:
         if not 0.0 <= self.reg_weight <= 1.0:
             raise ConfigurationError("reg_weight must lie in [0, 1]")
         # The model's input and output widths come from the data.
-        parsers = {"data": parse_source,
-                   "model": lambda d: MlpArchitecture.from_descriptor(d, 1, 1)}
+        parsers = {"data": (parse_source,),
+                   "model": (MlpArchitecture.from_descriptor, 1, 1)}
         parsed = {}
-        for name, parse in parsers.items():
+        for name, (parse, *args) in parsers.items():
             value = getattr(self, name)
             try:
-                parsed[name] = parse(value)
+                parsed[name] = parse(value, *args)
             except ValueError as exc:
                 raise ConfigurationError(
                     f"{name}: bad descriptor {value!r} ({exc})") from None
@@ -261,8 +261,8 @@ class _Run:
         self.fl_q = max(1, min((4 * cfg.channel_uses) // 5, self.dim))
 
         # Error feedback: weight updates only; tables carry none.
-        self.up_accs = [ErrorAccumulator.zeros(self.dim) if fl else None
-                        for _ in range(cfg.num_devices)]
+        self.up_accs = ([ErrorAccumulator.zeros(self.dim)
+                         for _ in range(cfg.num_devices)] if fl else None)
         self.down_acc = ErrorAccumulator.zeros(self.dim) if fl else None
         # One projection per direction in which FL sends weights over an
         # analog link, up (key 0) and down (key 1); None where none is sent.
@@ -340,36 +340,6 @@ class _Run:
 
     # -- the exchange --
 
-    def _codec(self, state, noise_rng):
-        """The link calls for this run's payload kind, one signature each.
-
-        Returns (encode, decode, air_up, air_down):
-        encode(x, acc, budget) -> (payload, acc); decode(payload) -> x;
-        air_up(xs, accs) -> (sum estimate, accs);
-        air_down(x, acc) -> (per-device estimates, acc).
-        Weight updates carry their error feedback in `acc`; tables carry
-        none and pass it through. Each link function is looked up by its
-        name in this module when it runs; an ideal direction calls none.
-        """
-        cfg = self.cfg
-        bits = cfg.quantizer_bits
-        up = (state, cfg.uplink_power, cfg.channel_uses, noise_rng)
-        down = (state, cfg.downlink_power, cfg.channel_uses, noise_rng)
-        if cfg.protocol == "fl":
-            q = self.fl_q
-            return (
-                lambda x, acc, budget: fl_digital_encode(x, acc, budget, bits),
-                lambda payload: fl_digital_decode(payload, self.dim),
-                lambda xs, accs: fl_analog_uplink(xs, accs, q, self.proj_up,
-                                                  *up),
-                lambda x, acc: fl_analog_downlink(x, acc, q, self.proj_down,
-                                                  *down))
-        return (
-            lambda x, acc, budget: (fd_digital_encode(x, budget, bits), acc),
-            lambda payload: fd_digital_decode(payload, self.num_labels),
-            lambda xs, accs: (fd_analog_uplink(xs, *up), accs),
-            lambda x, acc: (fd_analog_downlink(x, *down), acc))
-
     def exchange(self, payloads, state, noise_rng):
         """One round for either payload kind: up, average, broadcast back.
 
@@ -377,55 +347,76 @@ class _Run:
         (received, contributed, bits_up, bits_down): row k of the block
         `received` is the average as device k got it, and contributed[k]
         says whether device k's payload reached that average (a digital
-        payload that does not fit its budget drops out). An ideal direction
-        is exact, sends 0 bits and leaves FL's error feedback on its side
-        at zero. An empty weight payload is a zero update: a weight average
-        that no payload reached still goes down as zeros, since sending it
-        moves `down_acc`. An empty table payload carries nothing: a table
-        exchange with no uplink survivor or an empty broadcast delivers
-        nothing, and received is None.
+        payload that does not fit its budget drops out). Each link function
+        is looked up by its name in this module as the round runs; an ideal
+        direction calls none. It is exact, sends 0 bits and leaves FL's
+        error feedback on its side at zero. An empty weight payload is a
+        zero update: a weight average that no payload reached still goes
+        down as zeros, since sending it moves `down_acc`. An empty table
+        payload carries nothing: a table exchange with no uplink survivor
+        or an empty broadcast delivers nothing, and received is None.
         """
         cfg = self.cfg
         k_dev = cfg.num_devices
         weights = cfg.protocol == "fl"
+        bits = cfg.quantizer_bits
+        up = (state, cfg.uplink_power, cfg.channel_uses, noise_rng)
+        down = (state, cfg.downlink_power, cfg.channel_uses, noise_rng)
+        decode, size = ((fl_digital_decode, self.dim) if weights
+                        else (fd_digital_decode, self.num_labels))
         bits_up, bits_down = np.zeros(k_dev), 0.0
         contributed = np.ones(k_dev, dtype=bool)
-        encode, decode, air_up, air_down = self._codec(state, noise_rng)
 
         average = None
         if cfg.uplink_mode == "ideal":
             average = np.mean(payloads, axis=0)
-        elif cfg.uplink_mode == "analog":
-            estimate, self.up_accs = air_up(payloads, self.up_accs)
+        elif cfg.uplink_mode == "analog" and weights:
+            estimate, self.up_accs = fl_analog_uplink(
+                payloads, self.up_accs, self.fl_q, self.proj_up, *up)
             average = estimate / k_dev
+        elif cfg.uplink_mode == "analog":
+            average = fd_analog_uplink(payloads, *up) / k_dev
         else:
             decoded = []
             for k in range(k_dev):
                 budget = uplink_budget(cfg.channel_uses, k_dev,
                                        state.uplink_gains[k], cfg.uplink_power)
-                payload, self.up_accs[k] = encode(payloads[k],
-                                                  self.up_accs[k], budget)
+                if weights:
+                    payload, self.up_accs[k] = fl_digital_encode(
+                        payloads[k], self.up_accs[k], budget, bits)
+                else:
+                    payload = fd_digital_encode(payloads[k], budget, bits)
                 bits_up[k] = payload.bit_count
                 contributed[k] = not payload.is_empty
                 if contributed[k]:
-                    decoded.append(decode(payload))
+                    decoded.append(decode(payload, size))
             if decoded:
                 average = np.mean(decoded, axis=0)
             elif weights:
                 average = np.zeros(self.dim)
 
         received = None
-        if average is not None and cfg.downlink_mode == "ideal":
+        if average is None:
+            return received, contributed, bits_up, bits_down
+        if cfg.downlink_mode == "ideal":
             received = np.broadcast_to(average, payloads.shape)
-        elif average is not None and cfg.downlink_mode == "analog":
-            received, self.down_acc = air_down(average, self.down_acc)
-        elif average is not None:
+        elif cfg.downlink_mode == "analog" and weights:
+            received, self.down_acc = fl_analog_downlink(
+                average, self.down_acc, self.fl_q, self.proj_down, *down)
+        elif cfg.downlink_mode == "analog":
+            received = fd_analog_downlink(average, *down)
+        else:
             budget = downlink_budget(cfg.channel_uses, state.downlink_gains,
                                      cfg.downlink_power)
-            payload, self.down_acc = encode(average, self.down_acc, budget)
+            if weights:
+                payload, self.down_acc = fl_digital_encode(
+                    average, self.down_acc, budget, bits)
+            else:
+                payload = fd_digital_encode(average, budget, bits)
             bits_down = payload.bit_count
             if weights or not payload.is_empty:
-                received = np.broadcast_to(decode(payload), payloads.shape)
+                received = np.broadcast_to(decode(payload, size),
+                                           payloads.shape)
         return received, contributed, bits_up, bits_down
 
     def step(self, iteration: int):

@@ -1,4 +1,6 @@
+import itertools
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -133,6 +135,44 @@ def test_readme_grid_keeps_its_file_names():
     assert [name for _, name in cli._sweep_points(parse_settings(grid))] == [
         f"{protocol}_{link}_T100_pu0_pd10_seed0.csv"
         for protocol in ("fd", "hfd") for link in ("dd", "aa")]
+
+
+def _examples(lines):
+    """({path: lines} of each `cat > path <<'MARK'` block, [each line that
+    calls fedsim]) of shell lines."""
+    files, commands = {}, []
+    lines = (line.strip() for line in lines)
+    for line in lines:
+        heredoc = re.fullmatch(r"cat > (\S+) <<'(\w+)'", line)
+        if heredoc:
+            files[heredoc[1]] = list(itertools.takewhile(
+                lambda text: text != heredoc[2], lines))
+        elif re.search(r"(^|\s)fedsim\s", line):
+            commands.append(line)
+    return files, commands
+
+
+def test_ci_runs_every_readme_example():
+    # The README examples step of the workflow runs each fedsim command of
+    # the README's code blocks (perhaps with an environment variable before
+    # it and a redirection after it) and writes each of its settings files
+    # line for line.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    fences = list(itertools.accumulate(line.startswith("```")
+                                       for line in readme))
+    files, commands = _examples(line for line, fence in zip(readme, fences)
+                                if fence % 2 and not line.startswith("```"))
+    workflow = (root / ".github/workflows/tier1.yml").read_text(
+        encoding="utf-8")
+    step = workflow.split("- name: README examples")[1].split("- name:")[0]
+    ci_files, ci_commands = _examples(step.splitlines())
+    assert files and commands
+    for path, lines in files.items():
+        assert ci_files.get(path) == lines, path
+    for command in commands:
+        assert any(f" {command} " in f" {line} " for line in ci_commands), \
+            command
 
 
 def test_configuration_error_is_one_line_with_status_2(tmp_path, capsys):
@@ -439,6 +479,18 @@ def test_run_checks_its_output_directory_before_running(tmp_path, capsys,
     _one_line_error(capsys, f"cannot write {out}: it is a directory")
     assert main(["run", "--out", ""] + COMMON) == 2
     _one_line_error(capsys, "--out: the CSV path is empty")
+
+
+def test_sweep_rejects_an_empty_output_directory(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config: pytest.fail("the experiment ran"))
+    grid = tmp_path / "grid.txt"
+    grid.write_text(SMALL)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--grid", str(grid), "--out", ""]) == 2
+    _one_line_error(capsys, "--out: the directory path is empty")
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.txt"]
 
 
 def _idx_pair(tmp_path, labels):

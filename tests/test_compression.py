@@ -241,6 +241,7 @@ class TestErrorAccumulator:
 class TestLog2Binomial:
     def test_k_zero(self):
         assert log2_binomial(17, 0) == 0.0
+        assert log2_binomial(17, 17) == 0.0
         assert log2_binomial(0, 0) == 0.0
 
     def test_small_exact(self):
@@ -273,3 +274,29 @@ class TestMaxSparsityWithinBudget:
     def test_unbounded_budget(self):
         assert max_sparsity_within_budget(math.inf,
                                           lambda q: 16.0 + q, 123) == 123
+
+    @settings(max_examples=300, deadline=None)
+    @given(fd=st.booleans(), bits=st.integers(1, 53), data=st.data())
+    def test_matches_a_scan_and_the_fits_form_a_prefix(self, fd, bits, data):
+        # FL's cost over W weights, q <= W // 2, and FD's over an L x L
+        # table, q <= L, which falls again near q = L.
+        if fd:
+            size = data.draw(st.integers(2, 300), label="L")
+            q_max = size
+
+            def cost(q):
+                return size * (bits * q + log2_binomial(size, q))
+        else:
+            size = data.draw(st.integers(2, 3000), label="W")
+            q_max = size // 2
+
+            def cost(q):
+                return bits + log2_binomial(size, q)
+        edge = cost(data.draw(st.integers(1, q_max), label="q"))
+        budget = data.draw(st.sampled_from(
+            [0.0, edge, edge * (1 - 1e-15), math.inf]), label="budget")
+        fits = [cost(q) <= budget for q in range(1, q_max + 1)]
+        best = max((q for q, fit in enumerate(fits, 1) if fit), default=0)
+        assert max_sparsity_within_budget(budget, cost, q_max) == best
+        if not fits[-1]:
+            assert fits == [True] * best + [False] * (q_max - best)

@@ -223,6 +223,44 @@ class TestIdealDirection:
         assert ia.down_acc.residual.any()
 
 
+class TestLinkCalls:
+    """An exchange calls each link function by its name in this module as
+    the round runs: `fl_*` for FL's weight updates, `fd_*` for FD's and
+    HFD's tables. So a wrapper set on the name after the run is built sees
+    every call. Only FL carries error feedback."""
+
+    NAMES = [f"{kind}_{call}" for kind in ("fl", "fd")
+             for call in ("digital_encode", "digital_decode",
+                          "analog_uplink", "analog_downlink")]
+
+    @pytest.mark.parametrize("link", ["aa", "dd"])
+    @pytest.mark.parametrize("protocol", ["il", "fl", "fd", "hfd"])
+    def test_each_round_calls_its_kinds_links(self, monkeypatch, protocol,
+                                              link):
+        # At 30 dB every digital payload fits: K = 3 up, one broadcast.
+        run = _Run(small_config(protocol=protocol, link=link, num_devices=3,
+                                pu_db=30.0, pd_db=30.0))
+        calls = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            def counted(*args, name=name, link_call=getattr(orchestrator,
+                                                            name)):
+                calls[name] += 1
+                return link_call(*args)
+            monkeypatch.setattr(orchestrator, name, counted)
+        run.step(1)
+        kind = "fl" if protocol == "fl" else "fd"
+        expected = ({f"{kind}_analog_uplink": 1, f"{kind}_analog_downlink": 1}
+                    if link == "aa" else
+                    {f"{kind}_digital_encode": 4, f"{kind}_digital_decode": 4})
+        if protocol == "il":
+            expected = {}
+        assert {name: n for name, n in calls.items() if n} == expected
+        if protocol == "fl":
+            assert len(run.up_accs) == 3 and run.down_acc is not None
+        else:
+            assert run.up_accs is None and run.down_acc is None
+
+
 class TestExchangeRules:
     """Who learns toward what when digital payloads drop out.
 
