@@ -13,7 +13,10 @@ update; a table exchange that delivers nothing keeps the previous targets.
 
 Per-device state carries the device axis first: `_Run.weights` is (K, W),
 `_Run.targets` is (K, L, L) with the (K,) mask `has_target`, and payloads
-and what comes back down are (K, ...) blocks.
+and what comes back down are (K, ...) blocks. HFD's devices fall into
+distill groups by pseudo-batch size, and each group distils and makes its
+logit tables in one stacked learning call; local epochs run one call per
+device.
 
 One rule, `_target`, says what a distillation device learns toward: a
 contributor takes the leave-one-out average of the others, a sole
@@ -276,16 +279,19 @@ class _Run:
         self.targets = np.zeros((cfg.num_devices, self.num_labels,
                                  self.num_labels))
         self.has_target = np.zeros(cfg.num_devices, dtype=bool)
-        self.pseudo_batches = None                # HFD (covariates, labels)
+        self.distill_groups = []                  # HFD's pseudo-batches
         if cfg.protocol == "hfd":
             self._offline_covariate_exchange()
 
     # -- HFD offline phase: covariate means over an ideal channel --
 
     def _offline_covariate_exchange(self):
-        """Give device k its pseudo-batch `pseudo_batches[k]`, a pair
-        (covariates, labels): its `_target` of each label's average
-        covariate, one row per label that has one, labels ascending."""
+        """Give each device its pseudo-batch: its `_target` of each label's
+        average covariate, one row per label that has one, labels
+        ascending. The G devices whose pseudo-batches have n rows form a
+        distill group (members, covariates, labels): their indices, and
+        their (G, n, d) covariates and (G, n) labels stacked for one
+        learning call. `distill_groups` lists the groups by ascending n."""
         means, present = map(np.array, zip(*(
             label_means(shard.covariates, shard.labels, self.num_labels)
             for shard in self.shards)))
@@ -294,21 +300,36 @@ class _Run:
         # the sum over its holders, added in device order.
         averages = means.sum(axis=0) / np.maximum(counts, 1)[:, None]
         targets, has = _target(averages, means, present, counts)
-        self.pseudo_batches = [(rows[mask], np.flatnonzero(mask))
-                               for rows, mask in zip(targets, has)]
+        sizes = has.sum(axis=1)
+        self.distill_groups = []
+        # Not np.unique: its first call imports numpy.ma (9 ms, 0.8 MB).
+        for n in sorted(set(sizes.tolist())):
+            members = np.flatnonzero(sizes == n)
+            mask = has[members]
+            rows = targets[members][mask]
+            self.distill_groups.append((
+                members, rows.reshape(len(members), n, rows.shape[-1]),
+                np.nonzero(mask)[1].reshape(len(members), n)))
 
     # -- per-iteration phases --
 
     def local_phase(self, iteration: int):
+        """HFD devices that hold a target distil first, one stacked call per
+        distill group; then every device runs its local epochs, one call
+        each. Both steps read only the device's own weights, so each device
+        ends as if it had distilled and trained before the next began."""
         cfg = self.cfg
+        for members, covariates, labels in self.distill_groups:
+            held = self.has_target[members]
+            if held.any():
+                k = members[held]
+                self.weights[k] = hfd_distill_step(
+                    self.weights[k], covariates[held], labels[held],
+                    self.targets[k], cfg.alpha, self.arch,
+                    cfg.hfd_distill_steps, reg_weight=cfg.reg_weight)
         for k in range(cfg.num_devices):
             rng = streams.derive_rng(cfg.master_seed, streams.TRAIN, k,
                                      iteration)
-            if cfg.protocol == "hfd" and self.has_target[k]:
-                self.weights[k] = hfd_distill_step(
-                    self.weights[k], *self.pseudo_batches[k],
-                    self.targets[k], cfg.alpha, self.arch,
-                    cfg.hfd_distill_steps, reg_weight=cfg.reg_weight)
             fd = cfg.protocol == "fd" and self.has_target[k]
             self.weights[k] = run_local_epochs(
                 self.weights[k], self.shards[k], cfg.alpha, cfg.local_epochs,
@@ -319,7 +340,8 @@ class _Run:
     def logit_tables(self) -> np.ndarray:
         """The (K, L, L) block of the devices' tables: FD's per-label mean
         logits over each shard, HFD's logits at each device's
-        pseudo-samples; a label with no row in either is a zero row.
+        pseudo-samples, one stacked call per distill group; a label with
+        no row in either is a zero row.
 
         Weights large enough to overflow the logits raise DivergenceError
         here, before any link or target sees the table.
@@ -327,13 +349,12 @@ class _Run:
         cfg = self.cfg
         tables = np.zeros((cfg.num_devices, self.num_labels, self.num_labels))
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, (w, shard) in enumerate(zip(self.weights, self.shards)):
-                if cfg.protocol == "fd":
+            if cfg.protocol == "fd":
+                for k, (w, shard) in enumerate(zip(self.weights, self.shards)):
                     tables[k] = average_logits(w, shard, self.arch)
-                else:
-                    covariates, labels = self.pseudo_batches[k]
-                    tables[k, labels] = forward_logits_batch(w, covariates,
-                                                             self.arch)
+            for members, covariates, labels in self.distill_groups:
+                tables[members[:, None], labels] = forward_logits_batch(
+                    self.weights[members], covariates, self.arch)
         if not np.all(np.isfinite(tables)):
             raise DivergenceError("non-finite logit table")
         return tables

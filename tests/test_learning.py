@@ -6,7 +6,7 @@ import pytest
 from fedsim.datasets import LabeledDataset
 from fedsim.errors import DivergenceError
 from fedsim.learning import (
-    MlpArchitecture, _pass, _sgd, _unpack,
+    MlpArchitecture, _descend, _pass, _sgd, _unpack,
     average_logits, evaluate_accuracy, forward_logits_batch, hfd_distill_step,
     init_weights, label_means, run_local_epochs, softmax,
 )
@@ -513,6 +513,22 @@ class TestLocalEpochs:
                              np.random.default_rng(9), arch)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_leaves_the_stream_where_permutations_would(self, n, epochs):
+        # One `permuted` call draws all epochs' orders; the generator must
+        # end where `epochs` calls of permutation(n) leave it.
+        gen = np.random.default_rng(81)
+        arch = small_arch()
+        data = LabeledDataset(gen.uniform(0, 1, (n, 3)),
+                              gen.integers(0, 2, n), 2)
+        rng, twin = np.random.default_rng(10), np.random.default_rng(10)
+        run_local_epochs(init_weights(arch, gen), data, 0.05, epochs, 4, rng,
+                         arch)
+        for _ in range(epochs):
+            twin.permutation(n)
+        assert rng.integers(2 ** 62) == twin.integers(2 ** 62)
+
 
 class TestLocalEpochsKernel:
     """run_local_epochs must equal a plain loop of sgd_step, bit for bit."""
@@ -587,7 +603,8 @@ MODELS = {"linear": (), "1-hidden": (9,), "2-hidden": (12, 7)}
 
 class TestReferenceKernel:
     """`_descend`, through `run_local_epochs` and `hfd_distill_step`, equals
-    the reference kernel and loop bit for bit."""
+    the reference kernel and loop bit for bit; on a stack of devices, each
+    device's row equals the reference on that device's own rows."""
 
     DIM, SAMPLES = 6, 22
 
@@ -633,6 +650,70 @@ class TestReferenceKernel:
             [_pass(covariates, labels, arch, table, reg_weight)] * 5, pseudo)
         assert not np.array_equal(out, w)
         assert out.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def stack(arch, gen, devices, rows, classes):
+        """(G, W) weights, (G, rows, DIM) covariates, (G, L, L) tables."""
+        return (np.array([init_weights(arch, gen) for _ in range(devices)]),
+                gen.uniform(-1, 1, (devices, rows, TestReferenceKernel.DIM)),
+                gen.standard_normal((devices, classes, classes)) * 2.0)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("devices", [2, 10])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.3, 1.0])
+    def test_stacked_descend(self, model, classes, devices, reg_weight):
+        # Three passes, each its own order of 22 rows, in minibatches of 5
+        # and a short last one of 2; row g of the stack is device g.
+        arch, _, gen = self.setup(model, classes, 400 + classes)
+        w, covariates, tables = self.stack(arch, gen, devices, self.SAMPLES,
+                                           classes)
+        labels = gen.integers(0, classes, (devices, self.SAMPLES))
+        rows = _pass(covariates, labels, arch, tables, reg_weight)
+        orders = [gen.permutation(self.SAMPLES) for _ in range(3)]
+        out = _descend(w, arch, 0.4,
+                       [tuple(a[:, order] for a in rows) for order in orders],
+                       5)
+        assert out.shape == w.shape
+        for g in range(devices):
+            own = _pass(covariates[g], labels[g], arch, tables[g], reg_weight)
+            expected = reference_descend(
+                w[g], arch, 0.4,
+                [tuple(a[order] for a in own) for order in orders], 5)
+            assert not np.array_equal(out[g], w[g])
+            assert out[g].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("devices", [2, 10])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.3, 1.0])
+    def test_stacked_hfd_distill_step(self, model, classes, devices,
+                                      reg_weight):
+        # Each device distils at two pseudo-samples of its own two labels.
+        arch, _, gen = self.setup(model, classes, 500 + classes)
+        w, covariates, tables = self.stack(arch, gen, devices, 2, classes)
+        labels = np.array([gen.permutation(classes)[:2]
+                           for _ in range(devices)])
+        out = hfd_distill_step(w, covariates, labels, tables, 0.4, arch, 5,
+                               reg_weight)
+        for g in range(devices):
+            expected = reference_descend(
+                w[g], arch, 0.4, [_pass(covariates[g], labels[g], arch,
+                                        tables[g], reg_weight)] * 5, 2)
+            assert not np.array_equal(out[g], w[g])
+            assert out[g].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("devices", [2, 10])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_stacked_forward_logits(self, model, devices, rows):
+        arch, _, gen = self.setup(model, 3, 600)
+        w, covariates, _ = self.stack(arch, gen, devices, rows, 3)
+        logits = forward_logits_batch(w, covariates, arch)
+        assert logits.shape == (devices, rows, 3)
+        for g in range(devices):
+            assert logits[g].tobytes() == forward_logits_batch(
+                w[g], covariates[g], arch).tobytes()
 
     def test_kernel_reuses_its_buffers_across_batch_sizes(self):
         # One call walks full and short batches of 5, 2, 5, 1 and 2 rows;

@@ -20,7 +20,8 @@ from fedsim.datasets import LabeledDataset, load_dataset, partition_shards
 from fedsim.digital_link import fl_digital_decode, fl_digital_encode
 from fedsim.errors import ConfigurationError
 from fedsim.learning import (
-    MlpArchitecture, average_logits, init_weights, run_local_epochs,
+    MlpArchitecture, average_logits, forward_logits_batch, hfd_distill_step,
+    init_weights, run_local_epochs,
 )
 from fedsim.orchestrator import (
     CSV_HEADER, LINK_CODES, MAX_ABS_DB, PROTOCOLS, ExperimentConfig,
@@ -46,6 +47,14 @@ def small_config(link=None, **kw):
         base["uplink_mode"], base["downlink_mode"] = LINK_CODES[link]
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def pseudo_batches(run):
+    """Device k's HFD (covariates, labels), read from its distill group."""
+    batches = {}
+    for members, covariates, labels in run.distill_groups:
+        batches.update(zip(members, zip(covariates, labels)))
+    return [batches[k] for k in range(run.cfg.num_devices)]
 
 
 def avg_accuracies(records):
@@ -389,10 +398,94 @@ class TestExchangeRules:
             {0: np.mean(means[0][:2], axis=0), 1: np.mean(means[1], axis=0),
              2: means[2][0]},
         ]
-        for (covariates, labels), want in zip(run.pseudo_batches, expected):
+        for (covariates, labels), want in zip(pseudo_batches(run), expected):
             assert labels.tolist() == sorted(want)
             np.testing.assert_allclose(
                 covariates, [want[t] for t in sorted(want)], atol=1e-12)
+
+
+class TestHfdDistillGroups:
+    """HFD distils one stacked call per group of equal pseudo-batch sizes,
+    and builds its logit tables the same way, bit for bit a per-device loop.
+    """
+
+    ITERATION = 2
+
+    def run(self):
+        run = _Run(small_config(protocol="hfd", num_devices=4,
+                                data="synthetic:classes=3,dim=2"))
+
+        def shard(rows, labels):
+            return LabeledDataset(np.array(rows), np.array(labels), 3)
+
+        # Label 2 is device 0's alone, so device 0 has two pseudo-samples
+        # and the others three.
+        run.shards = [
+            shard([[0.1, 0.2], [0.3, 0.4], [0.9, 0.9], [0.5, 0.5]],
+                  [0, 0, 1, 2]),
+            shard([[0.2, 0.2], [0.6, 0.8]], [0, 1]),
+            shard([[0.4, 0.0]], [0]),
+            shard([[0.7, 0.1], [0.3, 0.9], [0.8, 0.6]], [1, 0, 1]),
+        ]
+        run._offline_covariate_exchange()
+        gen = np.random.default_rng(7)
+        run.weights = gen.standard_normal(run.weights.shape)
+        run.targets = gen.standard_normal(run.targets.shape) * 2.0
+        return run
+
+    @pytest.mark.parametrize("has_target,calls", [
+        ([True, True, False, True], 2),
+        ([False, True, False, True], 1),
+    ])
+    def test_local_phase_equals_a_per_device_loop(self, monkeypatch,
+                                                  has_target, calls):
+        run = self.run()
+        cfg = run.cfg
+        assert [(m.tolist(), c.shape, l.shape)
+                for m, c, l in run.distill_groups] == [
+            ([0], (1, 2, 2), (1, 2)), ([1, 2, 3], (3, 3, 2), (3, 3))]
+        run.has_target = np.array(has_target)
+        expected = run.weights.copy()
+        batches = pseudo_batches(run)
+        for k in range(cfg.num_devices):
+            if has_target[k]:
+                expected[k] = hfd_distill_step(
+                    expected[k], *batches[k], run.targets[k],
+                    cfg.alpha, run.arch, cfg.hfd_distill_steps,
+                    cfg.reg_weight)
+            expected[k] = run_local_epochs(
+                expected[k], run.shards[k], cfg.alpha, cfg.local_epochs,
+                cfg.batch_size,
+                streams.derive_rng(cfg.master_seed, streams.TRAIN, k,
+                                   self.ITERATION), run.arch)
+        stacks = []
+
+        def spy(w, *args, **kwargs):
+            stacks.append(w.shape[0])
+            return hfd_distill_step(w, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "hfd_distill_step", spy)
+        run.local_phase(self.ITERATION)
+        assert len(stacks) == calls and sum(stacks) == sum(has_target)
+        assert run.weights.tobytes() == expected.tobytes()
+
+    def test_a_lone_device_has_no_pseudo_sample(self):
+        # A lone device holds each of its labels alone: its distill group
+        # is empty and it never gets a target, so HFD runs as IL does.
+        config = small_config(protocol="hfd", num_devices=1, link="ii")
+        [(members, covariates, labels)] = _Run(config).distill_groups
+        assert (members.tolist(), covariates.shape, labels.shape) == (
+            [0], (1, 0, 6), (1, 0))
+        il = run_experiment(small_config(protocol="il", num_devices=1))
+        assert avg_accuracies(run_experiment(config)) == avg_accuracies(il)
+
+    def test_logit_tables_equal_a_per_device_loop(self):
+        run = self.run()
+        expected = np.zeros(run.targets.shape)
+        for k, (covariates, labels) in enumerate(pseudo_batches(run)):
+            expected[k, labels] = forward_logits_batch(run.weights[k],
+                                                       covariates, run.arch)
+        assert run.logit_tables().tobytes() == expected.tobytes()
 
 
 class TestErrorFeedbackTelescopes:
